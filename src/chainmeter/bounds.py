@@ -14,6 +14,7 @@ and are never floored. All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -31,14 +32,15 @@ class ChainParams:
     confirmations: int
 
     def __post_init__(self):
-        if self.block_size_bytes <= 0:
-            raise InputError(f"block_size_bytes must be positive, got {self.block_size_bytes!r}")
-        if self.tx_size_bytes <= 0:
-            raise InputError(f"tx_size_bytes must be positive, got {self.tx_size_bytes!r}")
-        if self.block_interval_s <= 0:
-            raise InputError(f"block_interval_s must be positive, got {self.block_interval_s!r}")
-        if self.confirmations <= 0:
-            raise InputError(f"confirmations must be positive, got {self.confirmations!r}")
+        # Each test is also false for NaN.
+        if not 0 < self.block_size_bytes < math.inf:
+            raise InputError(f"block_size_bytes must be positive and finite, got {self.block_size_bytes!r}")
+        if not 0 < self.tx_size_bytes < math.inf:
+            raise InputError(f"tx_size_bytes must be positive and finite, got {self.tx_size_bytes!r}")
+        if not 0 < self.block_interval_s < math.inf:
+            raise InputError(f"block_interval_s must be positive and finite, got {self.block_interval_s!r}")
+        if not 0 < self.confirmations < math.inf:
+            raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
         if self.block_size_bytes < self.tx_size_bytes:
             raise InputError("a block must hold at least one transaction (block_size_bytes >= tx_size_bytes)")
 
@@ -51,10 +53,10 @@ class NetworkParams:
     latency_s: float
 
     def __post_init__(self):
-        if self.bandwidth_bytes_per_s <= 0:
-            raise InputError(f"bandwidth_bytes_per_s must be positive, got {self.bandwidth_bytes_per_s!r}")
-        if self.latency_s < 0:
-            raise InputError(f"latency_s must be >= 0, got {self.latency_s!r}")
+        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise InputError(f"bandwidth_bytes_per_s must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
+        if not 0 <= self.latency_s < math.inf:
+            raise InputError(f"latency_s must be finite and >= 0, got {self.latency_s!r}")
 
 
 @dataclass(frozen=True)

@@ -205,27 +205,30 @@ def _cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
     seeds = _parse_seeds(args.seeds) if args.seeds else [config.seed]
 
-    results = [run_simulation(replace(config, seed=s)) for s in seeds]
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
     print(f"bandwidth ceiling w/s: {cap!r} tx/s")
     violated = False
-    for s, result in zip(seeds, results):
+    kept = []  # filled only for --out; otherwise each result is dropped once printed
+    for s in seeds:
+        result = run_simulation(replace(config, seed=s))
         check = bound_violation_check(result, config.net, config.chain)
         violated = violated or check.violated
         n_canon = len(result.canonical_chain) - 1
         print(
             f"seed {s}: observed_tps {result.observed_tps!r}, stale_rate {result.stale_rate!r}, "
             f"canonical {n_canon}/{config.duration_blocks}, "
-            f"confirmation latency {result.mean_confirmation_latency_s!r} s"
+            f"confirmation latency {result.mean_confirmation_latency_s!r} s",
+            flush=True,
         )
-    if len(results) == 1:
+        if args.out:
+            kept.append(result)
+    if len(seeds) == 1:
         print(_bold("miner  share  canonical_blocks"))
         shares = dict(config.miners)
-        for miner_id, blocks in results[0].per_miner_canonical.entries:
+        for miner_id, blocks in result.per_miner_canonical.entries:
             print(f"{miner_id}  {shares[miner_id]!r}  {int(blocks)}")
     if args.out:
-        payload = results[0] if len(results) == 1 else list(results)
-        export_report(payload, args.out, "json")
+        export_report(kept[0] if len(kept) == 1 else kept, args.out, "json")
         print(f"result written to {args.out}", file=sys.stderr)
     if args.check_bound and violated:
         print("error: observed throughput exceeded the w/s ceiling", file=sys.stderr)

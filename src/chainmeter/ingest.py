@@ -53,6 +53,8 @@ class UnitSpec:
 
     def block_size_to_bytes(self, value: float) -> int:
         raw = value * BLOCK_SIZE_FACTORS[self.block_size_unit]
+        if not math.isfinite(raw):
+            raise InputError(f"block size must be finite, got {value!r}")
         if abs(raw - round(raw)) > 1e-6:
             raise InputError(f"block size {value!r} {self.block_size_unit} is not a whole number of bytes")
         return int(round(raw))

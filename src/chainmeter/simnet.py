@@ -5,9 +5,12 @@ Mining is one global Poisson clock: block-creation events arrive with a mean
 spacing equal to the configured block interval, and each event's winner is
 drawn proportionally to hash power (statistically the same as per-miner
 exponential clocks, but simpler to reproduce bit for bit). The winner extends
-the highest block it has heard of, then the new block floods a random
-degree-regular peer graph; every hop costs ``latency + block_size/bandwidth``
-seconds and duplicate receptions are dropped. Difficulty never retargets,
+the highest block it has heard of. Every node relays every block over a
+random degree-regular peer graph at ``latency + block_size/bandwidth`` seconds
+per hop, so a block reaches a node exactly its hop distance after it is mined
+(Decker & Wattenhofer, IEEE P2P 2013); each winner reads its inbox of blocks
+in flight by that rule, keeping the first-arrived highest block, with ties in
+float arrival time going to the lower block id. Difficulty never retargets,
 blocks count as full (transactions are not simulated individually), and
 bandwidth contention is ignored: a hop always costs the same.
 
@@ -31,10 +34,6 @@ import numpy as np
 from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, throughput_upper_bound
 from chainmeter.errors import InputError, TopologyError, ValidationError
 from chainmeter.metrics import ProducerDistribution
-
-# How long after the last mining event in-flight blocks may still settle,
-# in units of the single-hop delay. Bounded by network diameter in practice.
-DRAIN_HOPS = 10
 
 SHARE_SUM_TOLERANCE = 1e-9
 
@@ -81,10 +80,10 @@ class SimResult:
     broken by earliest arrival at the end-of-run observer (which hears every
     block the moment it is mined), then by lowest block id. ``observed_tps``
     is block capacity times canonical blocks over the nominal schedule length
-    ``duration_blocks * block_interval``; the drain period is bookkeeping, not
-    mining time, so a competition-free run reproduces capacity/interval
-    exactly. ``mean_confirmation_latency_s`` is the confirmation count times
-    the mean canonical inter-block time.
+    ``duration_blocks * block_interval``, so a competition-free run reproduces
+    capacity/interval exactly; blocks still in flight when the last one is
+    mined count like any other. ``mean_confirmation_latency_s`` is the
+    confirmation count times the mean canonical inter-block time.
     """
 
     blocks: tuple[BlockRecord, ...]
@@ -117,9 +116,10 @@ def validate_config(config: SimConfig) -> list[str]:
     elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
         problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
     if n > 1:
-        if not 1 <= config.topology_degree < n:
+        low = 1 if n == 2 else 2  # a connected 1-regular graph has 2 nodes
+        if not low <= config.topology_degree < n:
             problems.append(
-                f"topology_degree: must lie in [1, {n - 1}] for {n} miners, got {config.topology_degree}"
+                f"topology_degree: must lie in [{low}, {n - 1}] for {n} miners, got {config.topology_degree}"
             )
         elif (n * config.topology_degree) % 2 == 1:
             problems.append(
@@ -151,16 +151,21 @@ def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> floa
     return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
 
 
-def _connected(adj: list[set[int]]) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for peer in adj[node]:
-            if peer not in seen:
-                seen.add(peer)
-                frontier.append(peer)
-    return len(seen) == len(adj)
+def _hop_distances(peers: np.ndarray, source: int) -> np.ndarray:
+    """Breadth-first hop count from ``source`` over the adjacency rows
+    ``peers``, in the smallest unsigned type holding n; unreached nodes read n."""
+    n = len(peers)
+    dist = np.full(n, n, dtype=np.min_scalar_type(n))
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    depth = 0
+    while frontier.any():
+        dist[frontier] = depth
+        depth += 1
+        reached = np.zeros(n, dtype=bool)
+        reached[peers[frontier]] = True
+        frontier = reached & (dist == n)
+    return dist
 
 
 def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
@@ -206,8 +211,10 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
             for index in sorted((i, j), reverse=True):
                 stubs[index] = stubs[-1]
                 stubs.pop()
-        if not stuck and _connected(adj):
-            return tuple(tuple(sorted(peers)) for peers in adj)
+        if not stuck:
+            graph = tuple(tuple(sorted(peers)) for peers in adj)
+            if _hop_distances(np.array(graph), 0).max() < n:
+                return graph
     raise TopologyError(
         f"no connected {degree}-regular graph over {n} nodes after 100 seeded attempts"
     )
@@ -222,10 +229,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     chain, net = config.chain, config.net
     n = len(config.miners)
     interval = chain.block_interval_s
-    hop = net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s
+    hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
     adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    peers = np.array(adj, dtype=np.intp).reshape(n, -1)
 
     # Pre-drawing the whole event stream keeps generator consumption
     # independent of chain/net parameters: the same seed replays the same
@@ -238,50 +246,41 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     parent = [-1]
     height = [0]
-    mined_at = [0.0]
-    miner_of = [-1]
+    mined_at = [0.0] + mine_times.tolist()
+    miner_of = [-1] + winners.tolist()
     tip = [0] * n
     tip_height = [0] * n
-    seen: list[set[int]] = [{0} for _ in range(n)]
+    # inbox[m] holds (arrival at m, block id) for blocks in flight to m; ids
+    # below offered[m] are in it already or can never beat m's tip.
+    offered = [1] * n
+    inbox: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    distances: dict[int, memoryview] = {}
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def receive(at: float, node: int, block: int) -> None:
-        nonlocal seq
-        if block in seen[node]:
-            return
-        seen[node].add(block)
-        if height[block] > tip_height[node]:
-            tip[node] = block
-            tip_height[node] = height[block]
-        for peer in adj[node]:
-            if block not in seen[peer]:
-                seq += 1
-                heappush(heap, (at + hop, seq, peer, block))
-
-    for i in range(blocks_to_mine):
-        now = float(mine_times[i])
-        while heap and heap[0][0] <= now:
-            at, _, node, block = heappop(heap)
-            receive(at, node, block)
-        miner = int(winners[i])
-        block_id = i + 1
+    for block_id in range(1, blocks_to_mine + 1):
+        now = mined_at[block_id]
+        miner = miner_of[block_id]
+        dist = distances.get(miner)
+        if dist is None:
+            dist = distances[miner] = memoryview(_hop_distances(peers, miner))
+        box = inbox[miner]
+        for b in range(offered[miner], block_id):
+            if height[b] > tip_height[miner]:
+                # One ``+ hop`` per link, as each relay adds it, so the
+                # arrival time is the same float a hop-by-hop flood gives.
+                at = mined_at[b]
+                for _ in range(dist[miner_of[b]]):
+                    at += hop
+                heappush(box, (at, b))
+        offered[miner] = block_id + 1
+        while box and box[0][0] <= now:
+            b = heappop(box)[1]
+            if height[b] > tip_height[miner]:
+                tip[miner] = b
+                tip_height[miner] = height[b]
         parent.append(tip[miner])
         height.append(tip_height[miner] + 1)
-        mined_at.append(now)
-        miner_of.append(miner)
-        seen[miner].add(block_id)
         tip[miner] = block_id
         tip_height[miner] = height[block_id]
-        for peer in adj[miner]:
-            seq += 1
-            heappush(heap, (now + hop, seq, peer, block_id))
-
-    end_time = float(mine_times[-1]) + DRAIN_HOPS * hop
-    while heap and heap[0][0] <= end_time:
-        at, _, node, block = heappop(heap)
-        receive(at, node, block)
 
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
     # observer), then lowest id.

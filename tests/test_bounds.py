@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -27,6 +28,11 @@ class TestParamValidation:
             ChainParams(1000, 500.0, -1.0, 6)
         with pytest.raises(InputError):
             ChainParams(1000, 500.0, 600.0, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                ChainParams(1000, 500.0, bad, 6)
+            with pytest.raises(InputError):
+                ChainParams(1000, bad, 600.0, 6)
 
     def test_chain_rejects_block_smaller_than_tx(self):
         with pytest.raises(InputError):
@@ -37,6 +43,11 @@ class TestParamValidation:
             NetworkParams(0.0, 0.1)
         with pytest.raises(InputError):
             NetworkParams(1e6, -0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                NetworkParams(bad, 0.1)
+            with pytest.raises(InputError):
+                NetworkParams(1e6, bad)
 
 
 class TestLatency:

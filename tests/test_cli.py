@@ -135,6 +135,10 @@ class TestBoundCommand:
                      "--block-interval-s", "600"])
         assert code == EXIT_INPUT
 
+    def test_nan_latency_exits_two(self, capsys):
+        assert main(["bound", "--preset", "bitcoin", "--latency-s", "nan"]) == EXIT_INPUT
+        assert "error: latency_s must be finite and >= 0, got nan" in capsys.readouterr().err
+
     def test_missing_chain_flags_is_usage_error(self):
         assert main(["bound", "--tx-size-bytes", "500"]) == EXIT_USAGE
 
@@ -203,11 +207,45 @@ class TestSimulateCommand:
 
     def test_topology_failure_exits_three(self, config_json, tmp_path, capsys):
         bad = json.loads(open(config_json).read())
+        bad["miners"] = [{"miner_id": f"m{i:02d}", "hash_power_share": 1 / 24} for i in range(24)]
+        bad["topology_degree"] = 22  # valid, but the stub matcher gets stuck at seed 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", str(path)]) == EXIT_RUNTIME
+        assert "no connected 22-regular graph over 24 nodes" in capsys.readouterr().err
+
+    def test_degree_one_over_more_than_two_miners_exits_two(self, config_json, tmp_path, capsys):
+        bad = json.loads(open(config_json).read())
         bad["miners"] = [{"miner_id": f"m{i}", "hash_power_share": 0.25} for i in range(4)]
         bad["topology_degree"] = 1  # 4 nodes, degree 1: always two disjoint edges
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
-        assert main(["simulate", str(path)]) == EXIT_RUNTIME
+        assert main(["simulate", str(path)]) == EXIT_INPUT
+        assert "topology_degree: must lie in [2, 3] for 4 miners, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("net", "latency_s", float("nan"), "latency_s must be finite and >= 0, got nan"),
+        ("chain", "block_interval_s", float("inf"), "block_interval_s must be positive and finite, got inf"),
+        ("chain", "block_size_bytes", float("inf"), "block size must be finite, got inf"),
+    ])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, section, key, value, message):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad[section][key] = value  # json writes NaN / Infinity, which json.load accepts
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", str(path)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_seed_range_streams_single_seed_lines(self, config_json):
+        streamed = run(["simulate", config_json, "--seeds", "3..5", "--check-bound"])
+        assert streamed.exit_code == EXIT_OK
+        expected = []
+        for seed in (3, 4, 5):
+            single = run(["simulate", config_json, "--seed", str(seed), "--check-bound"])
+            assert single.exit_code == EXIT_OK
+            lines = single.stdout_report.splitlines()
+            expected += lines[:2] if not expected else lines[1:2]
+        assert streamed.stdout_report.splitlines() == expected
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = dict(BASE_CONFIG, duration_blocks=0)

@@ -1,8 +1,11 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chainmeter import cli
 from chainmeter import (
     ChainParams,
     InputError,
@@ -13,6 +16,7 @@ from chainmeter import (
     block_capacity,
     bound_violation_check,
     centralization_level,
+    export_report,
     max_throughput,
     produced_distribution,
     propagation_delay,
@@ -22,6 +26,8 @@ from chainmeter import (
     throughput_upper_bound,
 )
 from chainmeter.simnet import random_regular_graph
+
+from helpers import oracle_simulation
 
 CHAIN = ChainParams(block_size_bytes=1_048_576, tx_size_bytes=513.86, block_interval_s=600.0, confirmations=6)
 NET = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
@@ -127,6 +133,8 @@ class TestConfigValidation:
     def test_degree_must_fit(self):
         with pytest.raises(ValidationError):
             run_simulation(config(n=4, degree=4))
+        with pytest.raises(ValidationError):  # no connected 1-regular graph over 4 nodes
+            run_simulation(config(n=4, degree=1))
 
     def test_odd_degree_product_rejected(self):
         with pytest.raises(ValidationError):
@@ -275,3 +283,70 @@ class TestProducedDistribution:
         dist = produced_distribution(result, True)
         level = centralization_level(dist, 0.47)
         assert abs(level.n - 4) <= 1
+
+
+class TestAgainstOracle:
+    """The hop-distance engine against the per-hop event heap it replaced.
+
+    Both engines deliver a block to a node after the same float sum of hop
+    delays, so every ``SimResult`` must match exactly. The one rule that
+    differs: distinct blocks reaching one node at the same float time are
+    taken in heap push order by the oracle and by lower block id by the
+    engine. With continuous mining times that tie has probability zero.
+    """
+
+    @staticmethod
+    def grid(family, count):
+        rng = random.Random(f"oracle/{family}")
+        for _ in range(count):
+            if family == "single":
+                n, degree = 1, 0
+            elif family == "pair":
+                n, degree = 2, 1
+            elif family == "ring":
+                n, degree = rng.randint(10, 40), 2
+            elif family == "dense":
+                n = rng.randint(5, 16)
+                degree = rng.choice([d for d in (n - 1, n - 2, n - 3) if n * d % 2 == 0])
+            else:
+                n = rng.randint(3, 30)
+                degree = rng.choice([d for d in range(2, min(n, 9)) if n * d % 2 == 0])
+            chain = ChainParams(rng.choice([10**5, 10**6, 4 * 10**6]), 500.0,
+                                rng.choice([2.0, 10.0, 60.0, 600.0]), 6)
+            net = NetworkParams(rng.choice([1e5, 1e6, 1e7]), rng.choice([0.0, 0.05, 0.5]))
+            if family == "forky":
+                hop = propagation_delay(1, chain, net)
+                chain = replace(chain, block_interval_s=hop * rng.uniform(0.02, 0.2))
+            yield SimConfig(miners=equal_miners(n), chain=chain, net=net,
+                            duration_blocks=rng.randint(50 if family == "forky" else 1, 200),
+                            topology_degree=degree,
+                            seed=rng.randrange(2**32))
+
+    @pytest.mark.parametrize("family, count", [
+        ("single", 10), ("pair", 40), ("ring", 40), ("dense", 40), ("mixed", 140), ("forky", 40),
+    ])
+    def test_identical_results(self, family, count):
+        stale = []
+        for cfg in self.grid(family, count):
+            result = run_simulation(cfg)
+            assert result == oracle_simulation(cfg), cfg
+            stale.append(result.stale_rate)
+        if family == "forky":
+            assert min(stale) > 0.5
+
+    def test_hop_longer_than_the_run(self):
+        # Nothing is ever delivered: every miner extends only its own blocks.
+        cfg = SimConfig(miners=equal_miners(20), chain=ChainParams(8_000_000, 500.0, 0.01, 6),
+                        net=NetworkParams(1e5, 0.1), duration_blocks=3000, topology_degree=4, seed=1)
+        result = run_simulation(cfg)
+        assert result == oracle_simulation(cfg)
+        assert result.stale_rate > 0.9
+
+    def test_identical_export_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        export_report(config(n=12, blocks=300, degree=4, seed=21), str(path), "json")
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert cli.main(["simulate", str(path), "--out", str(new)]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "run_simulation", oracle_simulation)
+        assert cli.main(["simulate", str(path), "--out", str(old)]) == cli.EXIT_OK
+        assert new.read_bytes() == old.read_bytes()
