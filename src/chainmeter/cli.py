@@ -20,6 +20,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from chainmeter.bounds import (
     ChainParams,
@@ -32,7 +33,13 @@ from chainmeter.bounds import (
     tx_latency,
 )
 from chainmeter.errors import ChainmeterError, InputError
-from chainmeter.ingest import export_report, load_distribution, load_payment_graph, load_sim_config
+from chainmeter.ingest import (
+    JsonArrayWriter,
+    export_report,
+    load_distribution,
+    load_payment_graph,
+    load_sim_config,
+)
 from chainmeter.metrics import (
     CentralizationLevel,
     ConsensusKind,
@@ -42,7 +49,7 @@ from chainmeter.metrics import (
 )
 from chainmeter.presets import preset
 from chainmeter.scaling import BaselineChain, RelayPlan, lightning_analysis, shard_analysis
-from chainmeter.simnet import bound_violation_check, run_simulation
+from chainmeter.simnet import SimConfig, SimResult, bound_violation_check, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,33 +214,45 @@ def _cmd_simulate(args) -> int:
 
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
     print(f"bandwidth ceiling w/s: {cap!r} tx/s")
-    violated = False
-    kept = []  # filled only for --out; otherwise each result is dropped once printed
-    for s in seeds:
-        result = run_simulation(replace(config, seed=s))
-        check = bound_violation_check(result, config.net, config.chain)
-        violated = violated or check.violated
-        n_canon = len(result.canonical_chain) - 1
-        print(
-            f"seed {s}: observed_tps {result.observed_tps!r}, stale_rate {result.stale_rate!r}, "
-            f"canonical {n_canon}/{config.duration_blocks}, "
-            f"confirmation latency {result.mean_confirmation_latency_s!r} s",
-            flush=True,
-        )
-        if args.out:
-            kept.append(result)
     if len(seeds) == 1:
+        kept: list[SimResult] = []
+        violated = _simulate_seed(replace(config, seed=seeds[0]), kept.append)
         print(_bold("miner  share  canonical_blocks"))
         shares = dict(config.miners)
-        for miner_id, blocks in result.per_miner_canonical.entries:
+        for miner_id, blocks in kept[0].per_miner_canonical.entries:
             print(f"{miner_id}  {shares[miner_id]!r}  {int(blocks)}")
+        if args.out:
+            export_report(kept[0], args.out, "json")
+    else:
+        with JsonArrayWriter(args.out) if args.out else contextlib.nullcontext() as array:
+            keep = array.add if array else None
+            violated = False
+            for s in seeds:
+                violated = _simulate_seed(replace(config, seed=s), keep) or violated
     if args.out:
-        export_report(kept[0] if len(kept) == 1 else kept, args.out, "json")
         print(f"result written to {args.out}", file=sys.stderr)
     if args.check_bound and violated:
         print("error: observed throughput exceeded the w/s ceiling", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _simulate_seed(config: SimConfig, keep: Callable[[SimResult], None] | None) -> bool:
+    """Run ``config``, print its summary line, and pass the result to
+    ``keep``. Returns whether the run exceeded the w/s ceiling. The result
+    is not returned, so a seed sweep holds no earlier result while the next
+    seed runs."""
+    result = run_simulation(config)
+    check = bound_violation_check(result, config.net, config.chain)
+    print(
+        f"seed {config.seed}: observed_tps {result.observed_tps!r}, stale_rate {result.stale_rate!r}, "
+        f"canonical {len(result.canonical_chain) - 1}/{config.duration_blocks}, "
+        f"confirmation latency {result.mean_confirmation_latency_s!r} s",
+        flush=True,
+    )
+    if keep is not None:
+        keep(result)
+    return check.violated
 
 
 def build_parser() -> argparse.ArgumentParser:

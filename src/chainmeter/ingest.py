@@ -6,16 +6,26 @@ Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and
 decimal megabits per second are 10**6/8 bytes per second. Numbers are written
 with full double precision so that load(export(x)) == x.
 
+JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
+followed by a newline, as the running interpreter's ``json`` writes them. They
+are streamed: long tables are converted and encoded a chunk of records at a
+time, and ``JsonArrayWriter`` writes an array one item at a time. A JSON
+export goes to a sibling temporary file that replaces the target only once it
+is complete, so a failed export never leaves a half-written file.
+
 All functions are reentrant; concurrent writes to one path are the caller's
 problem.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -219,13 +229,29 @@ def load_sim_config(path: str) -> SimConfig:
     raise ValidationError(f"{path}: " + "; ".join(problems))
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _is_record(obj: Any) -> bool:
+    return dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively turn dataclasses, enums, and containers into JSON values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if type(obj) in _SCALARS:
+        return obj
+    if _is_record(obj):
+        return {name: to_jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):
+        if _SCALARS.issuperset(map(type, obj)):
+            return list(obj)
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
@@ -234,6 +260,191 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+# JSON writer. It writes exactly the bytes of
+# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline, but walks
+# dataclasses and sequences itself so that a long table is converted and
+# encoded CHUNK records at a time, column by column.
+
+CHUNK = 1024
+_INDENT = "  "
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONTAINERS = (dict, list, tuple)
+_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value: Any) -> str:
+    """json.dump's text for a scalar."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise FormatError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _column(values: tuple | list) -> list[str] | None:
+    """Texts of a column of scalars; None if it holds a container."""
+    kinds = set(map(type, values))
+    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return None
+    if kinds == {str}:
+        return list(map(_str, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if not _NONFINITE.keys().isdisjoint(texts):
+            texts = list(map(_NONFINITE.get, texts, texts))
+        return texts
+    return list(map(_scalar, values))
+
+
+def _table(rows: list, level: int) -> list[str] | None:
+    """Texts of dicts that share one key order and hold only scalars, encoded
+    column by column; None for any other list."""
+    if set(map(type, rows)) != {dict} or not rows[0]:
+        return None
+    keys = tuple(rows[0])
+    if not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    columns = []
+    for values in zip(*map(dict.values, rows)):
+        texts = _column(values)
+        if texts is None:
+            return None
+        columns.append(texts)
+    inner = "\n" + _INDENT * (level + 1)
+    fields = ("," + inner).join(_str(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{" + inner + fields + "\n" + _INDENT * level + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _items(values: list, level: int) -> str:
+    """The items of a non-empty JSON list whose items sit at ``level``,
+    joined as json.dump joins them."""
+    texts = _column(values) or _table(values, level) or [_encode(v, level) for v in values]
+    return (",\n" + _INDENT * level).join(texts)
+
+
+def _key(key: Any) -> str:
+    return _str(key if isinstance(key, str) else _scalar(key))
+
+
+def _encode(value: Any, level: int) -> str:
+    """json.dump's text for a JSON value at nesting ``level``."""
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + _items(value, level + 1) + "\n" + _INDENT * level + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        fields = ("," + inner).join(
+            _key(key) + ": " + _encode(item, level + 1) for key, item in value.items()
+        )
+        return "{" + inner + fields + "\n" + _INDENT * level + "}"
+    return _scalar(value)
+
+
+def _dump(obj: Any, level: int, write) -> None:
+    """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
+    field by field and sequences converted CHUNK items at a time, so a long
+    table is never held as JSON values all at once."""
+    inner = "\n" + _INDENT * (level + 1)
+    if _is_record(obj) and _field_names(type(obj)):
+        for i, name in enumerate(_field_names(type(obj))):
+            write(("," if i else "{") + inner + _str(name) + ": ")
+            _dump(getattr(obj, name), level + 1, write)
+        write("\n" + _INDENT * level + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for start in range(0, len(obj), CHUNK):
+            write(("," if start else "[") + inner)
+            write(_items(to_jsonable(obj[start:start + CHUNK]), level + 1))
+        write("\n" + _INDENT * level + "]")
+    else:
+        write(_encode(to_jsonable(obj), level))
+
+
+class _JsonFile:
+    """One JSON value bound for ``path``. It is written to a sibling
+    temporary file, which replaces ``path`` when the ``with`` block exits
+    cleanly and is removed when it raises, so ``path`` is never left
+    half-written. OSErrors name ``path``."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+
+    @contextlib.contextmanager
+    def _naming_path(self):
+        try:
+            yield
+        except OSError as exc:
+            raise OSError(f"cannot write {self.path}: {exc}") from exc
+
+    def __enter__(self):
+        with self._naming_path():
+            self._fh = open(self._tmp, "x", encoding="utf-8")
+        return self
+
+    def dump(self, obj: Any, level: int = 0, prefix: str = "") -> None:
+        with self._naming_path():
+            self._fh.write(prefix)
+            _dump(obj, level, self._fh.write)
+
+    def _tail(self) -> str:
+        return "\n"
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None:
+            self._discard()
+            return
+        try:
+            with self._naming_path():
+                self._fh.write(self._tail())
+                self._fh.close()
+                os.replace(self._tmp, self.path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        with contextlib.suppress(OSError):
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(self._tmp)
+
+
+class JsonArrayWriter(_JsonFile):
+    """A JSON array written to ``path`` one item at a time.
+
+    ``with JsonArrayWriter(path) as out:`` followed by ``out.add(x)`` for each
+    item leaves the bytes of ``export_report([x, ...], path, "json")``. Each
+    item is encoded as it is added, so the caller need keep none of them, and
+    ``path`` appears only when the block exits cleanly.
+    """
+
+    def __init__(self, path: str):
+        super().__init__(path)
+        self._count = 0
+
+    def add(self, item: Any) -> None:
+        self.dump(item, 1, ("," if self._count else "[") + "\n" + _INDENT)
+        self._count += 1
+
+    def _tail(self) -> str:
+        return "\n]\n" if self._count else "[]\n"
 
 
 def _csv_rows(report: Any, columns: tuple[str, ...] | None):
@@ -260,25 +471,20 @@ def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] 
     cumulative-share curves or throughput sweeps, with ``columns`` naming the
     header cells.
     """
-    try:
-        if format == "json":
-            if isinstance(report, SimConfig):
-                payload = _config_payload(report)
-            else:
-                payload = to_jsonable(report)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        elif format == "csv":
-            header, rows = _csv_rows(report, columns)
+    if format == "json":
+        with _JsonFile(path) as out:
+            out.dump(_config_payload(report) if isinstance(report, SimConfig) else report)
+    elif format == "csv":
+        header, rows = _csv_rows(report, columns)
+        try:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 writer.writerows(rows)
-        else:
-            raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
+    else:
+        raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
 
 
 def _config_payload(config: SimConfig) -> dict:
@@ -287,8 +493,8 @@ def _config_payload(config: SimConfig) -> dict:
         "miners": [
             {"miner_id": m, "hash_power_share": s} for m, s in config.miners
         ],
-        "chain": to_jsonable(config.chain),
-        "net": to_jsonable(config.net),
+        "chain": config.chain,
+        "net": config.net,
         "topology_degree": config.topology_degree,
         "duration_blocks": config.duration_blocks,
         "seed": config.seed,

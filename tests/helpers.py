@@ -3,17 +3,21 @@
 The oracles deliberately avoid the library's code paths: plain Python sums
 and scans only, so agreement with the library is evidence, not tautology.
 The simulator oracle shares only config validation, the peer-graph builder
-and the random draws with the library; it propagates blocks hop by hop.
+and the random draws with the library; it propagates blocks hop by hop. The
+JSON export oracle is the library's former ``json.dump(indent=2)`` path.
 """
 
+import dataclasses
+from enum import Enum
 from heapq import heappop, heappush
 from itertools import combinations
+import json
 import random
 
 import numpy as np
 
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity
-from chainmeter.errors import ValidationError
+from chainmeter.errors import FormatError, ValidationError
 from chainmeter.simnet import (
     GENESIS_MINER,
     BlockRecord,
@@ -177,3 +181,41 @@ def oracle_simulation(config: SimConfig) -> SimResult:
         observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
     )
+
+
+def oracle_to_jsonable(obj):
+    """The library's original ``to_jsonable``, kept verbatim."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: oracle_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return [oracle_to_jsonable(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(oracle_to_jsonable(v) for v in obj)
+    if isinstance(obj, dict):
+        return {str(k): oracle_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def oracle_export_json(report, path) -> None:
+    """The library's original JSON export, kept verbatim: the whole payload
+    is built first, then written by ``json.dump(..., indent=2)``."""
+    if isinstance(report, SimConfig):
+        payload = {
+            "miners": [
+                {"miner_id": m, "hash_power_share": s} for m, s in report.miners
+            ],
+            "chain": oracle_to_jsonable(report.chain),
+            "net": oracle_to_jsonable(report.net),
+            "topology_degree": report.topology_degree,
+            "duration_blocks": report.duration_blocks,
+            "seed": report.seed,
+        }
+    else:
+        payload = oracle_to_jsonable(report)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

@@ -1,4 +1,7 @@
+from dataclasses import replace
 import json
+import os
+import weakref
 
 import pytest
 
@@ -6,15 +9,21 @@ from chainmeter import (
     block_capacity,
     centralization_level,
     cumulative_share_curve,
+    TopologyError,
     export_report,
+    load_sim_config,
     max_throughput,
     preset,
     propagation_limited_throughput,
+    run_simulation,
     throughput_upper_bound,
     tx_latency,
 )
+from chainmeter import cli
 from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from chainmeter.presets import bitcoin_miner_distribution
+
+from helpers import oracle_export_json
 
 BASE_CONFIG = {
     "miners": [
@@ -201,6 +210,52 @@ class TestSimulateCommand:
         assert [line.split()[1][:-1] for line in outcome.stdout_report.splitlines()
                 if line.startswith("seed ")] == ["3", "4", "5"]
         assert len(json.loads(out.read_text())) == 3
+
+    @pytest.mark.parametrize("seeds", ["3..5", "4..4"])
+    def test_seed_range_export_matches_oracle(self, config_json, tmp_path, seeds):
+        out, expected = tmp_path / "all.json", tmp_path / "expected.json"
+        assert main(["simulate", config_json, "--seeds", seeds, "--out", str(out)]) == EXIT_OK
+        config = load_sim_config(config_json)
+        first, last = map(int, seeds.split(".."))
+        results = [run_simulation(replace(config, seed=s)) for s in range(first, last + 1)]
+        oracle_export_json(results[0] if len(results) == 1 else results, str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_failing_seed_leaves_no_out_file(self, config_json, tmp_path, monkeypatch):
+        real = cli.run_simulation
+
+        def fails_at_seed_four(config):
+            if config.seed == 4:
+                raise TopologyError("no graph")
+            return real(config)
+
+        monkeypatch.setattr(cli, "run_simulation", fails_at_seed_four)
+        out = tmp_path / "all.json"
+        argv = ["simulate", config_json, "--seeds", "3..5", "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+        out.write_text("previous\n")
+        assert main(argv) == EXIT_RUNTIME
+        assert out.read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["all.json", "config.json"]
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_seed_range_holds_no_earlier_result(self, config_json, tmp_path, monkeypatch, with_out):
+        real = cli.run_simulation
+        refs, alive = [], []
+
+        def tracked(config):
+            alive.append([ref() is not None for ref in refs])
+            result = real(config)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", tracked)
+        argv = ["simulate", config_json, "--seeds", "3..6"]
+        if with_out:
+            argv += ["--out", str(tmp_path / "all.json")]
+        assert main(argv) == EXIT_OK
+        assert alive == [[], [False], [False, False], [False, False, False]]
 
     def test_check_bound_passes(self, config_json):
         assert main(["simulate", config_json, "--check-bound"]) == EXIT_OK

@@ -1,5 +1,10 @@
+from dataclasses import dataclass, field
+from enum import Enum
 import json
+import math
+import os
 
+import numpy as np
 import pytest
 
 from chainmeter import (
@@ -19,7 +24,9 @@ from chainmeter import (
     run_simulation,
     throughput_sweep,
 )
-from chainmeter.ingest import to_jsonable
+from chainmeter.ingest import CHUNK, JsonArrayWriter, to_jsonable
+
+from helpers import oracle_export_json
 
 
 def write(path, text):
@@ -251,3 +258,179 @@ class TestExportReport:
     def test_to_jsonable_rejects_exotic_objects(self):
         with pytest.raises(FormatError):
             to_jsonable(object())
+
+
+class Color(Enum):
+    RED = "red"
+    DEEP = 3
+    PAIR = (1, "two")
+    TABLE = {1: "one", None: [2.5], 0.5: {}, False: ()}  # json.dump stringifies these keys
+
+
+@dataclass(frozen=True)
+class Scalars:
+    label: str
+    ratio: float
+    flag: bool
+    missing: int | None
+    color: Color
+    tags: frozenset
+
+
+@dataclass(frozen=True)
+class Row:
+    block_id: int
+    miner_id: str
+    parent_id: int | None
+    mined_at_s: float
+    final: bool
+
+
+@dataclass(frozen=True)
+class Holder:
+    name: str
+    values: tuple
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+@dataclass(frozen=True)
+class Nested:
+    inner: Scalars
+    rows: tuple
+    empty_tuple: tuple = ()
+    empty_list: list = field(default_factory=list)
+    empty_dict: dict = field(default_factory=dict)
+    empty_record: Empty = Empty()
+
+
+NASTY_IDS = ["\u00e9t\u00e9", "tab\tnew\nline", "nul\x00bel\x07", "quote\"back\\slash",
+             "\u2028sep\U0001F600", "%s %d %%", ""]
+
+
+def sim_result(miners, degree, blocks, interval_s=600.0, seed=3):
+    return run_simulation(SimConfig(
+        miners=tuple((f"m{i}", 1 / miners) for i in range(miners)),
+        chain=ChainParams(1_000_000, 500.0, interval_s, 6),
+        net=NetworkParams(1e6, 0.5),
+        duration_blocks=blocks, topology_degree=degree, seed=seed,
+    ))
+
+
+def rows(n):
+    floats = [math.nan, math.inf, -math.inf, 0.1, -0.0, 1e300, 5e-324]
+    return tuple(
+        Row(i, NASTY_IDS[i % len(NASTY_IDS)], None if i % 5 == 0 else i - 1,
+            floats[i % len(floats)] if i % 3 == 0 else i * 0.25, i % 2 == 0)
+        for i in range(n)
+    )
+
+
+def scalars(i):
+    return Scalars(NASTY_IDS[i % len(NASTY_IDS)], [math.nan, math.inf, -math.inf, 2.5][i % 4],
+                   i % 2 == 1, None if i % 2 else i, list(Color)[i % 4],
+                   frozenset({f"t{i}", "a"} if i % 2 else ()))
+
+
+class TestJsonExportAgainstOracle:
+    """``export_report(..., "json")`` writes the bytes of the former
+    ``json.dump(to_jsonable(report), fh, indent=2)`` path, kept in helpers."""
+
+    CASES = {
+        "one_miner_one_block": lambda: sim_result(1, 0, 1),
+        "fork_heavy": lambda: sim_result(12, 3, 300, interval_s=0.2, seed=8),
+        "result_list": lambda: [sim_result(2, 1, 40, seed=s) for s in (1, 2)],
+        "config": lambda: SimConfig(
+            miners=(("\u00e9", 0.25), ("b", 0.75)), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
+            net=NetworkParams(712_500.0, 0.1), duration_blocks=5, topology_degree=1, seed=9),
+        "scalar_records": lambda: [scalars(i) for i in range(9)],
+        "nested": lambda: Nested(scalars(1), rows(3)),
+        "empties": lambda: {"a": [], "b": {}, "c": (), "d": [[]], "e": [{}], "f": [Empty()]},
+        "container_field": lambda: [Holder(f"h{i}", tuple(range(i))) for i in range(4)],
+        "dict_rows_differing_keys": lambda: [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}],
+        "percent_keys": lambda: [{"%s": 1, "a%": "%d"}, {"%s": 2, "a%": "%%"}],
+        "non_str_keys": lambda: {1: "one", None: [True, False, None], 2.5: {}},
+        "mixed_scalars": lambda: [1, True, 2.5, None, "x", False, -3, np.float64(0.5)],
+        "numpy_floats": lambda: [np.float64(0.1), np.float64(math.nan), 1.5],
+        "nested_lists": lambda: [[1, 2], [], [[3.0], ["x"]], ("y", None)],
+        "top_scalar": lambda: math.inf,
+        "top_empty_list": lambda: [],
+        "top_empty_tuple": lambda: (),
+        "top_empty_dict": lambda: {},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_equal_oracle(self, tmp_path, case):
+        report = self.CASES[case]()
+        self.assert_same_bytes(tmp_path, report)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_tables_around_chunk_size(self, tmp_path, n):
+        self.assert_same_bytes(tmp_path, rows(n))
+        self.assert_same_bytes(tmp_path, Nested(scalars(0), rows(n)))
+        self.assert_same_bytes(tmp_path, list(range(n)))
+
+    def test_fork_heavy_case_forks(self):
+        assert self.CASES["fork_heavy"]().stale_rate > 0.3
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_array_writer_equals_list_export(self, tmp_path, count):
+        items = [sim_result(2, 1, 20, seed=s) for s in range(count)] + [rows(2)][:count]
+        expected = tmp_path / "expected.json"
+        oracle_export_json(items, str(expected))
+        out = tmp_path / "out.json"
+        with JsonArrayWriter(str(out)) as array:
+            for item in items:
+                array.add(item)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, report):
+        expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+        oracle_export_json(report, str(expected))
+        export_report(report, str(out), "json")
+        assert out.read_bytes() == expected.read_bytes()
+
+
+class TestJsonExportFailure:
+    """A report that cannot be written leaves no file, or the old one, behind."""
+
+    BAD = [
+        Holder("x", (object(),)),
+        list(range(2 * CHUNK)) + [object()],  # fails after whole chunks were written
+        Row,  # a dataclass type, not an instance
+    ]
+
+    @pytest.mark.parametrize("report", BAD)
+    def test_absent_target_stays_absent(self, tmp_path, report):
+        out = tmp_path / "out.json"
+        with pytest.raises(FormatError):
+            export_report(report, str(out), "json")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("report", BAD)
+    def test_existing_target_is_untouched(self, tmp_path, report):
+        out = tmp_path / "out.json"
+        out.write_text("previous export\n")
+        with pytest.raises(FormatError):
+            export_report(report, str(out), "json")
+        assert out.read_text() == "previous export\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_array_writer_discards_on_exception(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(RuntimeError):
+            with JsonArrayWriter(str(out)) as array:
+                array.add(rows(3))
+                raise RuntimeError("a seed failed")
+        assert os.listdir(tmp_path) == []
+
+    def test_unwritable_json_path_surfaces_path(self, tmp_path):
+        with pytest.raises(OSError, match="nope"):
+            export_report(rows(2), str(tmp_path / "nope" / "out.json"), "json")
+        with pytest.raises(OSError, match="nope"):
+            with JsonArrayWriter(str(tmp_path / "nope" / "out.json")):
+                pass

@@ -130,7 +130,7 @@ class TestOnchainCounting:
             count = onchain_tx_count(graph, RelayPlan.single_relay("ext"))
             assert count == 2 * len(graph.active_clients())
 
-    def test_relay_beats_direct_exactly_when_pairs_exceed_active(self):
+    def test_relay_no_worse_than_direct_exactly_when_pairs_reach_active(self):
         # Funding a channel per client pays off only on graphs with at least
         # as many funded pairs as active clients (dense graphs); sparse
         # graphs such as a lone pair or a matching are cheaper kept direct.
