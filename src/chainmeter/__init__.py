@@ -82,7 +82,6 @@ from chainmeter.simnet import (
     produced_distribution,
     propagation_delay,
     run_simulation,
-    sample_miner,
 )
 
 __version__ = "0.1.0"
@@ -132,7 +131,6 @@ __all__ = [
     "propagation_delay",
     "propagation_limited_throughput",
     "run_simulation",
-    "sample_miner",
     "shard_analysis",
     "throughput_report",
     "throughput_sweep",

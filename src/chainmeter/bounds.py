@@ -24,12 +24,12 @@ from chainmeter.errors import InputError
 @dataclass(frozen=True)
 class ChainParams:
     """Protocol constants: block size, mean transaction size, block interval,
-    and the confirmation count used for latency."""
+    and the confirmation count used for latency (6 unless given)."""
 
     block_size_bytes: int
     tx_size_bytes: float
     block_interval_s: float
-    confirmations: int
+    confirmations: int = 6
 
     def __post_init__(self):
         # Each test is also false for NaN.
@@ -42,7 +42,10 @@ class ChainParams:
         if not 0 < self.confirmations < math.inf:
             raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
         if self.block_size_bytes < self.tx_size_bytes:
-            raise InputError("a block must hold at least one transaction (block_size_bytes >= tx_size_bytes)")
+            raise InputError(
+                "a block must hold at least one transaction: "
+                f"block_size_bytes {self.block_size_bytes!r} < tx_size_bytes {self.tx_size_bytes!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,6 @@ def throughput_sweep(
         raise InputError("block_sizes must not be empty")
     out = []
     for b in block_sizes:
-        if b < chain.tx_size_bytes:
-            raise InputError(f"block size {b!r} is smaller than one transaction")
         variant = replace(chain, block_size_bytes=int(b))
         out.append((int(b), propagation_limited_throughput(variant, net)))
     return out

@@ -19,7 +19,7 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from chainmeter.bounds import (
@@ -35,6 +35,7 @@ from chainmeter.bounds import (
 from chainmeter.errors import ChainmeterError, InputError
 from chainmeter.ingest import (
     JsonArrayWriter,
+    UnitSpec,
     export_report,
     load_distribution,
     load_payment_graph,
@@ -47,7 +48,7 @@ from chainmeter.metrics import (
     centralization_level,
     cumulative_share_curve,
 )
-from chainmeter.presets import preset
+from chainmeter.presets import PRESETS, preset
 from chainmeter.scaling import BaselineChain, RelayPlan, lightning_analysis, shard_analysis
 from chainmeter.simnet import SimConfig, SimResult, bound_violation_check, run_simulation
 
@@ -99,42 +100,40 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+# Block-size and bandwidth flags are read in the config file's units.
+_FLAG_UNITS = UnitSpec(block_size_unit="MiB", bandwidth_unit="Mbps_decimal")
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, keyed by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _construct(cls, flags: dict):
+    """``cls(**flags)``, or None when a field has no flag."""
+    try:
+        return cls(**flags)
+    except TypeError:
+        return None
+
+
 def _build_chain_net(args) -> tuple[ChainParams, NetworkParams | None]:
+    chain_flags = _given(args, (f.name for f in fields(ChainParams)))
+    if args.block_size_mib is not None:
+        chain_flags["block_size_bytes"] = _FLAG_UNITS.block_size_to_bytes(args.block_size_mib)
+    net_flags = _given(args, (f.name for f in fields(NetworkParams)))
+    if args.bandwidth_mbps is not None:
+        net_flags["bandwidth_bytes_per_s"] = _FLAG_UNITS.bandwidth_to_bytes_per_s(args.bandwidth_mbps)
     if args.preset:
         chain, net = preset(args.preset)
-    else:
-        chain = net = None
-    block_size = args.block_size_bytes
-    if args.block_size_mib is not None:
-        block_size = int(round(args.block_size_mib * 2**20))
+        return replace(chain, **chain_flags), replace(net, **net_flags)
+    chain = _construct(ChainParams, chain_flags)
     if chain is None:
-        if block_size is None or args.tx_size_bytes is None or args.block_interval_s is None:
-            raise _UsageError(
-                "without --preset, --block-size-bytes/--block-size-mib, "
-                "--tx-size-bytes and --block-interval-s are required"
-            )
-        chain = ChainParams(block_size, args.tx_size_bytes, args.block_interval_s, args.confirmations or 6)
-    else:
-        chain = replace(
-            chain,
-            block_size_bytes=block_size if block_size is not None else chain.block_size_bytes,
-            tx_size_bytes=args.tx_size_bytes if args.tx_size_bytes is not None else chain.tx_size_bytes,
-            block_interval_s=args.block_interval_s if args.block_interval_s is not None else chain.block_interval_s,
-            confirmations=args.confirmations if args.confirmations is not None else chain.confirmations,
+        raise _UsageError(
+            "without --preset, --block-size-bytes/--block-size-mib, "
+            "--tx-size-bytes and --block-interval-s are required"
         )
-    bandwidth = args.bandwidth_bytes_per_s
-    if args.bandwidth_mbps is not None:
-        bandwidth = args.bandwidth_mbps * 1e6 / 8
-    if net is None:
-        if bandwidth is not None and args.latency_s is not None:
-            net = NetworkParams(bandwidth, args.latency_s)
-    else:
-        net = replace(
-            net,
-            bandwidth_bytes_per_s=bandwidth if bandwidth is not None else net.bandwidth_bytes_per_s,
-            latency_s=args.latency_s if args.latency_s is not None else net.latency_s,
-        )
-    return chain, net
+    return chain, _construct(NetworkParams, net_flags)
 
 
 def _cmd_bound(args) -> int:
@@ -150,7 +149,10 @@ def _cmd_bound(args) -> int:
             raise _UsageError("--sweep needs network parameters (--latency-s and a bandwidth flag, or a preset)")
         if not args.sweep_out:
             raise _UsageError("--sweep needs --sweep-out FILE for its CSV")
-        sizes = [int(s) for s in args.sweep.split(",") if s]
+        try:
+            sizes = [int(s) for s in args.sweep.split(",") if s]
+        except ValueError:
+            raise _UsageError(f"--sweep wants comma-separated integer block sizes, got {args.sweep!r}") from None
         table = throughput_sweep(chain, net, sizes)
         export_report(table, args.sweep_out, "csv", columns=("block_size_bytes", "tps"))
         print(f"sweep written to {args.sweep_out}", file=sys.stderr)
@@ -203,13 +205,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_sim_config(args.config)
-    if args.duration_blocks is not None:
-        config = replace(config, duration_blocks=args.duration_blocks)
-    if args.topology_degree is not None:
-        config = replace(config, topology_degree=args.topology_degree)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = replace(load_sim_config(args.config), **_given(args, ("duration_blocks", "topology_degree", "seed")))
     seeds = _parse_seeds(args.seeds) if args.seeds else [config.seed]
 
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
@@ -267,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("bound", help="latency, throughput, and the bandwidth ceiling")
-    p.add_argument("--preset", choices=["bitcoin", "ethereum"], help="start from a named parameter set")
+    p.add_argument("--preset", choices=sorted(PRESETS), help="start from a named parameter set")
     p.add_argument("--block-size-bytes", type=int)
-    p.add_argument("--block-size-mib", type=float, help="block size in MiB (2**20 bytes)")
+    p.add_argument("--block-size-mib", type=float, help="block size in MiB; must be a whole number of bytes")
     p.add_argument("--tx-size-bytes", type=float)
     p.add_argument("--block-interval-s", type=float)
     p.add_argument("--confirmations", type=int)

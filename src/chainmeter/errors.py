@@ -6,7 +6,16 @@ class ChainmeterError(Exception):
 
 
 class InputError(ChainmeterError, ValueError):
-    """A value violates a domain invariant (weight, epsilon, share, size, ...)."""
+    """A value violates a domain invariant (weight, epsilon, share, size, ...).
+
+    ``index`` is the position of the offending entry when the value is a
+    sequence checked entry by entry, so a loader can name the line it came
+    from; otherwise None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ParseError(InputError):

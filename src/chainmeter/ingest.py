@@ -2,9 +2,11 @@
 
 Producer distributions and payment graphs travel as CSV (the natural shape of
 block-explorer exports); simulator configs and full results travel as JSON.
-Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and
-decimal megabits per second are 10**6/8 bytes per second. Numbers are written
-with full double precision so that load(export(x)) == x.
+The loaders only parse: the types they build validate their own values, and
+a loader adds where a rejected value came from (the file, and for a CSV row
+the line). Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6
+bytes, and decimal megabits per second are 10**6/8 bytes per second. Numbers
+are written with full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
@@ -23,12 +25,13 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from chainmeter.bounds import ChainParams, NetworkParams
 from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
@@ -40,8 +43,6 @@ BLOCK_SIZE_FACTORS = {"bytes": 1, "MiB": 2**20, "MB": 10**6}
 BANDWIDTH_FACTORS = {"bytes_per_s": 1.0, "Mbps_decimal": 1e6 / 8}
 
 _CONFIG_KEYS = {"miners", "chain", "net", "units", "topology_degree", "duration_blocks", "seed"}
-_CHAIN_KEYS = {"block_size_bytes", "tx_size_bytes", "block_interval_s", "confirmations"}
-_NET_KEYS = {"bandwidth_bytes_per_s", "latency_s"}
 
 
 @dataclass(frozen=True)
@@ -87,46 +88,66 @@ def _read_rows(path: str, expected_header: list[str]):
             yield lineno, [cell.strip() for cell in row]
 
 
+def _validated(path: str, expected_header: list[str], build):
+    """``build()``, with an ``InputError`` from the type it builds re-raised as
+    a ``ParseError`` naming ``path``, and the line of the entry the type names.
+    The file is read again to find that line, so the happy path keeps no
+    per-row line numbers."""
+    try:
+        return build()
+    except InputError as exc:
+        where = path
+        if exc.index is not None:
+            lineno, _ = next(itertools.islice(_read_rows(path, expected_header), exc.index, None))
+            where = f"{path}:{lineno}"
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
+    header = ["producer_id", "weight"]
     entries: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    for lineno, (pid, raw_weight) in _read_rows(path, ["producer_id", "weight"]):
-        if pid in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate producer_id {pid!r}")
-        seen.add(pid)
+    for lineno, (pid, raw_weight) in _read_rows(path, header):
         try:
-            weight = float(raw_weight)
+            entries.append((pid, float(raw_weight)))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: weight is not numeric: {raw_weight!r}") from None
-        if not math.isfinite(weight) or weight < 0:
-            raise ParseError(f"{path}:{lineno}: weight must be finite and >= 0, got {raw_weight!r}")
-        entries.append((pid, weight))
-    if not entries:
-        raise ParseError(f"{path}: no data rows")
-    if sum(w for _, w in entries) <= 0:
-        raise ParseError(f"{path}: total weight is zero")
-    return ProducerDistribution(tuple(entries))
+    return _validated(path, header, lambda: ProducerDistribution(tuple(entries)))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
     """Read a ``from,to,count`` CSV into a payment graph; clients are the
     union of all endpoints."""
+    header = ["from", "to", "count"]
     payments: list[tuple[str, str, int]] = []
-    for lineno, (src, dst, raw_count) in _read_rows(path, ["from", "to", "count"]):
+    for lineno, (src, dst, raw_count) in _read_rows(path, header):
         try:
-            count = int(raw_count)
+            payments.append((src, dst, int(raw_count)))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: count is not an integer: {raw_count!r}") from None
-        if count < 1:
-            raise ParseError(f"{path}:{lineno}: count must be >= 1, got {count}")
-        if src == dst:
-            raise ParseError(f"{path}:{lineno}: payment from {src!r} to itself")
-        payments.append((src, dst, count))
     if not payments:
         raise ParseError(f"{path}: no data rows")
     clients = frozenset(c for a, b, _ in payments for c in (a, b))
-    return PaymentGraph(clients=clients, payments=tuple(payments))
+    return _validated(path, header, lambda: PaymentGraph(clients=clients, payments=tuple(payments)))
+
+
+def _params(cls: type, data: dict, section: str, problems: list[str],
+            parse: dict[str, Callable[[Any], Any]]) -> Any:
+    """``cls`` built from the object ``data[section]``, each field read with
+    ``parse``; None, with the reason added to ``problems``, if that fails."""
+    raw = data.get(section)
+    if not isinstance(raw, dict):
+        problems.append(f"{section}: required object is missing")
+        return None
+    unknown = set(raw) - set(_field_names(cls))
+    if unknown:
+        problems.append(f"{section}: unknown keys {sorted(unknown)}")
+        return None
+    try:
+        return cls(**{name: parse[name](value) for name, value in raw.items()})
+    except (InputError, TypeError, ValueError) as exc:
+        problems.append(f"{section}: {exc!r}")
+        return None
 
 
 def load_sim_config(path: str) -> SimConfig:
@@ -157,37 +178,16 @@ def load_sim_config(path: str) -> SimConfig:
         problems.append(f"units: {exc}")
         units = UnitSpec()
 
-    chain = None
-    raw_chain = data.get("chain")
-    if not isinstance(raw_chain, dict):
-        problems.append("chain: required object is missing")
-    elif set(raw_chain) - _CHAIN_KEYS:
-        problems.append(f"chain: unknown keys {sorted(set(raw_chain) - _CHAIN_KEYS)}")
-    else:
-        try:
-            chain = ChainParams(
-                block_size_bytes=units.block_size_to_bytes(float(raw_chain["block_size_bytes"])),
-                tx_size_bytes=float(raw_chain["tx_size_bytes"]),
-                block_interval_s=float(raw_chain["block_interval_s"]),
-                confirmations=int(raw_chain.get("confirmations", 6)),
-            )
-        except (InputError, KeyError, TypeError, ValueError) as exc:
-            problems.append(f"chain: {exc!r}")
-
-    net = None
-    raw_net = data.get("net")
-    if not isinstance(raw_net, dict):
-        problems.append("net: required object is missing")
-    elif set(raw_net) - _NET_KEYS:
-        problems.append(f"net: unknown keys {sorted(set(raw_net) - _NET_KEYS)}")
-    else:
-        try:
-            net = NetworkParams(
-                bandwidth_bytes_per_s=units.bandwidth_to_bytes_per_s(float(raw_net["bandwidth_bytes_per_s"])),
-                latency_s=float(raw_net["latency_s"]),
-            )
-        except (InputError, KeyError, TypeError, ValueError) as exc:
-            problems.append(f"net: {exc!r}")
+    chain = _params(ChainParams, data, "chain", problems, {
+        "block_size_bytes": lambda v: units.block_size_to_bytes(float(v)),
+        "tx_size_bytes": float,
+        "block_interval_s": float,
+        "confirmations": int,
+    })
+    net = _params(NetworkParams, data, "net", problems, {
+        "bandwidth_bytes_per_s": lambda v: units.bandwidth_to_bytes_per_s(float(v)),
+        "latency_s": float,
+    })
 
     miners: list[tuple[str, float]] = []
     raw_miners = data.get("miners")

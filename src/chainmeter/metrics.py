@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -44,18 +44,14 @@ class ProducerDistribution:
         if not entries:
             raise InputError("distribution has no producers")
         seen = set()
-        for pid, w in entries:
+        for index, (pid, w) in enumerate(entries):
             if pid in seen:
-                raise InputError(f"duplicate producer_id {pid!r}")
+                raise InputError(f"duplicate producer_id {pid!r}", index)
             seen.add(pid)
             if not math.isfinite(w) or w < 0:
-                raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}")
+                raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
         if sum(w for _, w in entries) <= 0:
             raise InputError("total weight must be positive")
-
-    @classmethod
-    def from_mapping(cls, weights: Mapping[str, float]) -> "ProducerDistribution":
-        return cls(tuple(weights.items()))
 
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.entries))

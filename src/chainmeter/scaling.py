@@ -92,13 +92,13 @@ class PaymentGraph:
         object.__setattr__(self, "clients", frozenset(str(c) for c in self.clients))
         payments = tuple((str(a), str(b), int(c)) for a, b, c in self.payments)
         object.__setattr__(self, "payments", payments)
-        for a, b, count in payments:
+        for index, (a, b, count) in enumerate(payments):
             if a == b:
-                raise InputError(f"payment from {a!r} to itself")
+                raise InputError(f"payment from {a!r} to itself", index)
             if count < 1:
-                raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}")
+                raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
             if a not in self.clients or b not in self.clients:
-                raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients")
+                raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
 
     def active_clients(self) -> frozenset[str]:
         """Clients that send or receive at least one payment."""

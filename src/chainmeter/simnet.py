@@ -24,10 +24,8 @@ runs are independent and may execute concurrently, and a finished
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
 
 import numpy as np
 
@@ -130,18 +128,6 @@ def validate_config(config: SimConfig) -> list[str]:
     if not 0 <= config.seed < 2**64:
         problems.append(f"seed: must be an unsigned 64-bit integer, got {config.seed}")
     return problems
-
-
-def sample_miner(shares: Sequence[float], u: float) -> int:
-    """Index drawn by inverting the cumulative share distribution at ``u``."""
-    if any(not math.isfinite(s) or s < 0 for s in shares):
-        raise InputError("shares must be finite and >= 0")
-    if abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
-        raise InputError(f"shares must sum to 1 within {SHARE_SUM_TOLERANCE}, got {sum(shares)!r}")
-    if not 0.0 <= u < 1.0:
-        raise InputError(f"u must lie in [0, 1), got {u!r}")
-    cum = np.cumsum(np.asarray(shares, dtype=float))
-    return min(bisect_right(cum, u), len(cum) - 1)
 
 
 def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:

@@ -160,8 +160,8 @@ class TestSweep:
     def test_rejects_empty_and_tiny_blocks(self):
         with pytest.raises(InputError):
             throughput_sweep(BITCOIN, WAN, [])
-        with pytest.raises(InputError):
-            throughput_sweep(BITCOIN, WAN, [4])
+        with pytest.raises(InputError, match="block_size_bytes 4 < tx_size_bytes 513.86"):
+            throughput_sweep(BITCOIN, WAN, [2**20, 4])
 
     def test_supremum_gap(self):
         # Gap to w/s below 1% by b = 1e9*s whenever l <= 1 s and w >= 1e5 B/s.

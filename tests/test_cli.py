@@ -1,6 +1,7 @@
 from dataclasses import replace
 import json
 import os
+from pathlib import Path
 import weakref
 
 import pytest
@@ -151,6 +152,24 @@ class TestBoundCommand:
     def test_missing_chain_flags_is_usage_error(self):
         assert main(["bound", "--tx-size-bytes", "500"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--block-size-mib", "inf"], "block size must be finite, got inf"),
+        (["--block-size-mib", "nan"], "block size must be finite, got nan"),
+        (["--block-size-mib", "1e400"], "block size must be finite, got inf"),
+        (["--block-size-mib", "1.0000001"], "block size 1.0000001 MiB is not a whole number of bytes"),
+        (["--block-size-bytes", "1048576", "--confirmations", "0"], "confirmations must be positive and finite, got 0"),
+    ], ids=["mib-inf", "mib-nan", "mib-1e400", "mib-fraction", "confirmations-0"])
+    def test_chain_flags_checked_by_the_types_exit_two(self, capsys, flags, message):
+        argv = ["bound", "--tx-size-bytes", "500", "--block-interval-s", "600", *flags]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["abc", "1.5", "1048576,2e6"])
+    def test_non_integer_sweep_is_usage_error(self, tmp_path, capsys, sweep):
+        argv = ["bound", "--preset", "bitcoin", "--sweep", sweep, "--sweep-out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert f"--sweep wants comma-separated integer block sizes, got {sweep!r}" in capsys.readouterr().err
+
 
 class TestShardCommand:
     def test_example_invocation(self):
@@ -261,7 +280,7 @@ class TestSimulateCommand:
         assert main(["simulate", config_json, "--check-bound"]) == EXIT_OK
 
     def test_topology_failure_exits_three(self, config_json, tmp_path, capsys):
-        bad = json.loads(open(config_json).read())
+        bad = json.loads(Path(config_json).read_text())
         bad["miners"] = [{"miner_id": f"m{i:02d}", "hash_power_share": 1 / 24} for i in range(24)]
         bad["topology_degree"] = 22  # valid, but the stub matcher gets stuck at seed 5
         path = tmp_path / "bad.json"
@@ -270,7 +289,7 @@ class TestSimulateCommand:
         assert "no connected 22-regular graph over 24 nodes" in capsys.readouterr().err
 
     def test_degree_one_over_more_than_two_miners_exits_two(self, config_json, tmp_path, capsys):
-        bad = json.loads(open(config_json).read())
+        bad = json.loads(Path(config_json).read_text())
         bad["miners"] = [{"miner_id": f"m{i}", "hash_power_share": 0.25} for i in range(4)]
         bad["topology_degree"] = 1  # 4 nodes, degree 1: always two disjoint edges
         path = tmp_path / "bad.json"

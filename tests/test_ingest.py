@@ -66,9 +66,10 @@ class TestLoadDistribution:
             load_distribution(path)
 
     def test_non_numeric_weight_names_line(self, tmp_path):
-        path = write(tmp_path / "d.csv", "producer_id,weight\nA,3\nB,many\n")
-        with pytest.raises(ParseError, match=":3:"):
-            load_distribution(path)
+        for weight in ("many", "nan"):
+            path = write(tmp_path / "d.csv", f"producer_id,weight\n\nA,3\nB,{weight}\n")
+            with pytest.raises(ParseError, match=":4:"):
+                load_distribution(path)
 
     def test_negative_weight_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "producer_id,weight\nA,-3\n")
@@ -95,9 +96,10 @@ class TestLoadPaymentGraph:
         assert graph.payments == (("a", "b", 3), ("b", "c", 1))
 
     def test_bad_count_names_line(self, tmp_path):
-        path = write(tmp_path / "g.csv", "from,to,count\na,b,x\n")
-        with pytest.raises(ParseError, match=":2:"):
-            load_payment_graph(path)
+        for count in ("x", "0"):
+            path = write(tmp_path / "g.csv", f"from,to,count\na,b,1\n\nb,c,{count}\n")
+            with pytest.raises(ParseError, match=":4:"):
+                load_payment_graph(path)
 
     def test_self_payment_rejected(self, tmp_path):
         path = write(tmp_path / "g.csv", "from,to,count\na,a,1\n")

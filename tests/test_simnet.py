@@ -22,7 +22,6 @@ from chainmeter import (
     propagation_delay,
     propagation_limited_throughput,
     run_simulation,
-    sample_miner,
     throughput_upper_bound,
 )
 from chainmeter.simnet import random_regular_graph
@@ -40,45 +39,6 @@ def equal_miners(n):
 def config(n=5, blocks=200, degree=4, seed=3, chain=CHAIN, net=NET):
     return SimConfig(miners=equal_miners(n), chain=chain, net=net,
                      duration_blocks=blocks, topology_degree=degree, seed=seed)
-
-
-class TestSampleMiner:
-    def test_single_share(self):
-        assert sample_miner([1.0], 0.0) == 0
-        assert sample_miner([1.0], 0.999999) == 0
-
-    def test_midpoint_split(self):
-        assert sample_miner([0.5, 0.5], 0.25) == 0
-        assert sample_miner([0.5, 0.5], 0.75) == 1
-
-    def test_boundary_goes_right(self):
-        assert sample_miner([0.5, 0.5], 0.5) == 1
-
-    def test_zero_share_never_selected(self):
-        shares = [0.0, 1.0]
-        for u in (0.0, 0.3, 0.99):
-            assert sample_miner(shares, u) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InputError):
-            sample_miner([0.5, 0.4], 0.1)
-        with pytest.raises(InputError):
-            sample_miner([0.5, 0.5], 1.0)
-        with pytest.raises(InputError):
-            sample_miner([-0.5, 1.5], 0.1)
-
-    def test_empirical_frequencies_match_shares(self):
-        shares = [0.5, 0.3, 0.15, 0.05]
-        rng = np.random.default_rng(42)
-        draws = rng.random(1_000_000)
-        cum = np.cumsum(shares)
-        counts = np.bincount(np.minimum(np.searchsorted(cum, draws, side="right"), 3), minlength=4)
-        # spot-check the vectorized path against the scalar operation
-        for u in draws[:2000]:
-            assert sample_miner(shares, float(u)) == min(np.searchsorted(cum, u, side="right"), 3)
-        for share, count in zip(shares, counts):
-            sigma = math.sqrt(len(draws) * share * (1 - share))
-            assert abs(count - len(draws) * share) <= 3 * sigma
 
 
 class TestPropagationDelay:
@@ -253,6 +213,16 @@ class TestProportionalProduction:
         for (_, count), share in zip(result.per_miner_canonical.entries, shares):
             sigma = math.sqrt(share * (1 - share) / total)
             assert abs(count / total - share) <= 3 * sigma
+
+    def test_zero_share_miner_mines_nothing(self):
+        shares = [0.0, 0.5, 0.0, 0.5, 0.0]
+        cfg = SimConfig(
+            miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
+            chain=CHAIN, net=NET, duration_blocks=2000, topology_degree=2, seed=6,
+        )
+        mined = dict(produced_distribution(run_simulation(cfg), False).entries)
+        assert mined["m0"] == mined["m2"] == mined["m4"] == 0.0
+        assert mined["m1"] + mined["m3"] == 2000.0
 
 
 class TestProducedDistribution:
