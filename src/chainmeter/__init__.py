@@ -23,11 +23,9 @@ Bitcoin/Ethereum parameter sets and reference mining-skew distributions, and
 from chainmeter.bounds import (
     ChainParams,
     NetworkParams,
-    ThroughputReport,
     block_capacity,
     max_throughput,
     propagation_limited_throughput,
-    throughput_report,
     throughput_sweep,
     throughput_upper_bound,
     tx_latency,
@@ -106,7 +104,6 @@ __all__ = [
     "ShardingAnalysis",
     "SimConfig",
     "SimResult",
-    "ThroughputReport",
     "TopologyError",
     "UnitSpec",
     "ValidationError",
@@ -132,7 +129,6 @@ __all__ = [
     "propagation_limited_throughput",
     "run_simulation",
     "shard_analysis",
-    "throughput_report",
     "throughput_sweep",
     "throughput_upper_bound",
     "tx_latency",

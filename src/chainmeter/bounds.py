@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from chainmeter.errors import InputError
+from chainmeter.errors import InputError, integer
 
 
 @dataclass(frozen=True)
 class ChainParams:
     """Protocol constants: block size, mean transaction size, block interval,
-    and the confirmation count used for latency (6 unless given)."""
+    and the confirmation count used for latency (a positive integer, 6 unless
+    given)."""
 
     block_size_bytes: int
     tx_size_bytes: float
@@ -39,7 +40,7 @@ class ChainParams:
             raise InputError(f"tx_size_bytes must be positive and finite, got {self.tx_size_bytes!r}")
         if not 0 < self.block_interval_s < math.inf:
             raise InputError(f"block_interval_s must be positive and finite, got {self.block_interval_s!r}")
-        if not 0 < self.confirmations < math.inf:
+        if not 0 < integer(self.confirmations, "confirmations"):
             raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
         if self.block_size_bytes < self.tx_size_bytes:
             raise InputError(
@@ -60,20 +61,6 @@ class NetworkParams:
             raise InputError(f"bandwidth_bytes_per_s must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
         if not 0 <= self.latency_s < math.inf:
             raise InputError(f"latency_s must be finite and >= 0, got {self.latency_s!r}")
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """The three throughput figures for one chain/network pair.
-
-    ``propagation_tps <= cap_tps`` always, and ``propagation_tps >= ideal_tps``
-    exactly when the configured interval already respects the floor.
-    """
-
-    ideal_tps: float
-    propagation_tps: float
-    cap_tps: float
-    latency_s: float
 
 
 def tx_latency(chain: ChainParams) -> float:
@@ -119,12 +106,3 @@ def throughput_sweep(
         out.append((int(b), propagation_limited_throughput(variant, net)))
     return out
 
-
-def throughput_report(chain: ChainParams, net: NetworkParams) -> ThroughputReport:
-    """Assemble latency, protocol rate, propagation-limited rate, and ceiling."""
-    return ThroughputReport(
-        ideal_tps=max_throughput(chain),
-        propagation_tps=propagation_limited_throughput(chain, net),
-        cap_tps=throughput_upper_bound(net, chain.tx_size_bytes),
-        latency_s=tx_latency(chain),
-    )

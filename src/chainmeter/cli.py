@@ -264,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="latency, throughput, and the bandwidth ceiling")
     p.add_argument("--preset", choices=sorted(PRESETS), help="start from a named parameter set")
-    p.add_argument("--block-size-bytes", type=int)
-    p.add_argument("--block-size-mib", type=float, help="block size in MiB; must be a whole number of bytes")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--block-size-bytes", type=int)
+    size.add_argument("--block-size-mib", type=float, help="block size in MiB; must be a whole number of bytes")
     p.add_argument("--tx-size-bytes", type=float)
     p.add_argument("--block-interval-s", type=float)
     p.add_argument("--confirmations", type=int)
     p.add_argument("--latency-s", type=float)
-    p.add_argument("--bandwidth-mbps", type=float, help="access bandwidth in decimal megabits per second")
-    p.add_argument("--bandwidth-bytes-per-s", type=float)
+    bandwidth = p.add_mutually_exclusive_group()
+    bandwidth.add_argument("--bandwidth-mbps", type=float, help="access bandwidth in decimal megabits per second")
+    bandwidth.add_argument("--bandwidth-bytes-per-s", type=float)
     p.add_argument("--sweep", metavar="B1,B2,...", help="evaluate these block sizes")
     p.add_argument("--sweep-out", metavar="FILE", help="write the sweep CSV here")
     p.set_defaults(func=_cmd_bound)
@@ -295,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the mining + gossip simulator")
     p.add_argument("config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--seeds", metavar="A..B", help="run one simulation per seed in the range")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, help="override the config seed")
+    seed.add_argument("--seeds", metavar="A..B", help="run one simulation per seed in the range")
     p.add_argument("--duration-blocks", type=int)
     p.add_argument("--topology-degree", type=int)
     p.add_argument("--out", metavar="FILE", help="write the full result JSON here")

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import operator
+
 
 class ChainmeterError(Exception):
     """Base class for all chainmeter errors."""
@@ -16,6 +18,16 @@ class InputError(ChainmeterError, ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is one: ints and numpy ints pass, while
+    ``6.0``, ``6.9``, NaN and strings raise ``InputError`` naming ``name``.
+    The rule is ``operator.index``, the one ``range()`` applies."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ParseError(InputError):

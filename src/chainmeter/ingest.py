@@ -2,18 +2,21 @@
 
 Producer distributions and payment graphs travel as CSV (the natural shape of
 block-explorer exports); simulator configs and full results travel as JSON.
-The loaders only parse: the types they build validate their own values, and
-a loader adds where a rejected value came from (the file, and for a CSV row
-the line). Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6
-bytes, and decimal megabits per second are 10**6/8 bytes per second. Numbers
-are written with full double precision so that load(export(x)) == x.
+The loaders only parse: the types they build validate their own values
+(``SimConfig`` too, so a config is checked once, however it is made), and a
+loader adds where a rejected value came from (the file, and for a CSV row
+the line). Integer fields are handed over as read, never truncated. Unit
+conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and decimal
+megabits per second are 10**6/8 bytes per second. Numbers are written with
+full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
-are streamed: long tables are converted and encoded a chunk of records at a
-time, and ``JsonArrayWriter`` writes an array one item at a time. A JSON
-export goes to a sibling temporary file that replaces the target only once it
-is complete, so a failed export never leaves a half-written file.
+are streamed: a long table of records is encoded a chunk at a time, column by
+column, straight from the records, and ``JsonArrayWriter`` writes an array one
+item at a time. A JSON export goes to a sibling temporary file that replaces
+the target only once it is complete, so a failed export never leaves a
+half-written file.
 
 All functions are reentrant; concurrent writes to one path are the caller's
 problem.
@@ -28,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -37,12 +41,10 @@ from chainmeter.bounds import ChainParams, NetworkParams
 from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.scaling import PaymentGraph
-from chainmeter.simnet import SimConfig, validate_config
+from chainmeter.simnet import SimConfig
 
 BLOCK_SIZE_FACTORS = {"bytes": 1, "MiB": 2**20, "MB": 10**6}
 BANDWIDTH_FACTORS = {"bytes_per_s": 1.0, "Mbps_decimal": 1e6 / 8}
-
-_CONFIG_KEYS = {"miners", "chain", "net", "units", "topology_degree", "duration_blocks", "seed"}
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,8 @@ def load_payment_graph(path: str) -> PaymentGraph:
 def _params(cls: type, data: dict, section: str, problems: list[str],
             parse: dict[str, Callable[[Any], Any]]) -> Any:
     """``cls`` built from the object ``data[section]``, each field read with
-    ``parse``; None, with the reason added to ``problems``, if that fails."""
+    ``parse`` where it names one and passed raw otherwise; None, with the
+    reason added to ``problems``, if that fails."""
     raw = data.get(section)
     if not isinstance(raw, dict):
         problems.append(f"{section}: required object is missing")
@@ -144,20 +147,21 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
         problems.append(f"{section}: unknown keys {sorted(unknown)}")
         return None
     try:
-        return cls(**{name: parse[name](value) for name, value in raw.items()})
+        return cls(**{name: parse[name](value) if name in parse else value for name, value in raw.items()})
     except (InputError, TypeError, ValueError) as exc:
         problems.append(f"{section}: {exc!r}")
         return None
 
 
 def load_sim_config(path: str) -> SimConfig:
-    """Read a simulator config JSON, apply units, and validate everything.
+    """Read a simulator config JSON, apply units, and build the config.
 
     Field names mirror the in-memory records (miners, chain, net,
     topology_degree, duration_blocks, seed); an optional ``units`` object says
     how block size and bandwidth are denominated. Defaults: topology_degree 8,
-    seed 0, confirmations 6, raw byte units. All violations are reported at
-    once. A single-miner config gets its share normalized to 1.0.
+    seed 0, confirmations 6, raw byte units. Integer fields are passed as
+    read, so the types reject ``6.0`` and ``6.9`` alike. All violations are
+    reported at once. A single-miner config gets its share normalized to 1.0.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -168,7 +172,7 @@ def load_sim_config(path: str) -> SimConfig:
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {*_field_names(SimConfig), "units"}
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
 
@@ -182,7 +186,6 @@ def load_sim_config(path: str) -> SimConfig:
         "block_size_bytes": lambda v: units.block_size_to_bytes(float(v)),
         "tx_size_bytes": float,
         "block_interval_s": float,
-        "confirmations": int,
     })
     net = _params(NetworkParams, data, "net", problems, {
         "bandwidth_bytes_per_s": lambda v: units.bandwidth_to_bytes_per_s(float(v)),
@@ -216,14 +219,13 @@ def load_sim_config(path: str) -> SimConfig:
                 miners=tuple(miners),
                 chain=chain,
                 net=net,
-                duration_blocks=int(data.get("duration_blocks", 0)),
-                topology_degree=int(data.get("topology_degree", 8)),
-                seed=int(data.get("seed", 0)),
+                duration_blocks=data.get("duration_blocks", 0),
+                topology_degree=data.get("topology_degree", 8),
+                seed=data.get("seed", 0),
             )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"config: {exc!r}")
+        except ValidationError as exc:
+            problems.append(str(exc))
         else:
-            problems.extend(validate_config(config))
             if not problems:
                 return config
     raise ValidationError(f"{path}: " + "; ".join(problems))
@@ -250,8 +252,6 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):
-        if _SCALARS.issuperset(map(type, obj)):
-            return list(obj)
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
@@ -264,13 +264,15 @@ def to_jsonable(obj: Any) -> Any:
 
 # JSON writer. It writes exactly the bytes of
 # ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline, but walks
-# dataclasses and sequences itself so that a long table is converted and
-# encoded CHUNK records at a time, column by column.
+# dataclasses and sequences itself, so that a long table of records is
+# encoded CHUNK records at a time, column by column, without becoming dicts.
+# Every other value goes through to_jsonable exactly once, and what that
+# returns is encoded as it stands: converting it again would accept an Enum
+# member nested in an Enum's value, which json.dump rejects.
 
 CHUNK = 1024
 _INDENT = "  "
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONTAINERS = (dict, list, tuple)
 _str = json.encoder.encode_basestring_ascii
 
 
@@ -293,10 +295,8 @@ def _scalar(value: Any) -> str:
 
 
 def _column(values: tuple | list) -> list[str] | None:
-    """Texts of a column of scalars; None if it holds a container."""
+    """Texts of a column of plain scalars; None if it holds anything else."""
     kinds = set(map(type, values))
-    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
-        return None
     if kinds == {str}:
         return list(map(_str, values))
     if kinds == {int}:
@@ -306,34 +306,24 @@ def _column(values: tuple | list) -> list[str] | None:
         if not _NONFINITE.keys().isdisjoint(texts):
             texts = list(map(_NONFINITE.get, texts, texts))
         return texts
-    return list(map(_scalar, values))
+    if kinds <= _SCALARS:
+        return list(map(_scalar, values))
+    return None
 
 
-def _table(rows: list, level: int) -> list[str] | None:
-    """Texts of dicts that share one key order and hold only scalars, encoded
-    column by column; None for any other list."""
-    if set(map(type, rows)) != {dict} or not rows[0]:
+def _table(records: tuple | list, level: int) -> list[str] | None:
+    """Texts of records of one class whose fields hold only plain scalars,
+    encoded column by column; None for any other sequence."""
+    if len(set(map(type, records))) != 1 or not _is_record(records[0]):
         return None
-    keys = tuple(rows[0])
-    if not all(map(keys.__eq__, map(tuple, rows))):
+    names = _field_names(type(records[0]))
+    columns = [_column(list(map(operator.attrgetter(name), records))) for name in names]
+    if not columns or None in columns:
         return None
-    columns = []
-    for values in zip(*map(dict.values, rows)):
-        texts = _column(values)
-        if texts is None:
-            return None
-        columns.append(texts)
     inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(_str(key).replace("%", "%%") + ": %s" for key in keys)
+    fields = ("," + inner).join(_str(name) + ": %s" for name in names)
     template = "{" + inner + fields + "\n" + _INDENT * level + "}"
     return list(map(template.__mod__, zip(*columns)))
-
-
-def _items(values: list, level: int) -> str:
-    """The items of a non-empty JSON list whose items sit at ``level``,
-    joined as json.dump joins them."""
-    texts = _column(values) or _table(values, level) or [_encode(v, level) for v in values]
-    return (",\n" + _INDENT * level).join(texts)
 
 
 def _key(key: Any) -> str:
@@ -346,7 +336,8 @@ def _encode(value: Any, level: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + _items(value, level + 1) + "\n" + _INDENT * level + "]"
+        texts = _column(value) or [_encode(item, level + 1) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -359,8 +350,9 @@ def _encode(value: Any, level: int) -> str:
 
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
-    field by field and sequences converted CHUNK items at a time, so a long
-    table is never held as JSON values all at once."""
+    field by field and sequences CHUNK items at a time: a chunk of plain
+    scalars, or of one record class with plain scalar fields, is encoded
+    column by column, and any other item is dumped on its own."""
     inner = "\n" + _INDENT * (level + 1)
     if _is_record(obj) and _field_names(type(obj)):
         for i, name in enumerate(_field_names(type(obj))):
@@ -369,8 +361,14 @@ def _dump(obj: Any, level: int, write) -> None:
         write("\n" + _INDENT * level + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         for start in range(0, len(obj), CHUNK):
-            write(("," if start else "[") + inner)
-            write(_items(to_jsonable(obj[start:start + CHUNK]), level + 1))
+            chunk = obj[start:start + CHUNK]
+            texts = _column(chunk) or _table(chunk, level + 1)
+            if texts is None:
+                for i, item in enumerate(chunk, start):
+                    write(("," if i else "[") + inner)
+                    _dump(item, level + 1, write)
+            else:
+                write(("," if start else "[") + inner + ("," + inner).join(texts))
         write("\n" + _INDENT * level + "]")
     else:
         write(_encode(to_jsonable(obj), level))

@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, throughput_upper_bound
-from chainmeter.errors import InputError, TopologyError, ValidationError
+from chainmeter.errors import InputError, TopologyError, ValidationError, integer
 from chainmeter.metrics import ProducerDistribution
 
 SHARE_SUM_TOLERANCE = 1e-9
@@ -41,7 +41,13 @@ GENESIS_MINER = "genesis"
 @dataclass(frozen=True)
 class SimConfig:
     """Full simulator input. ``miners`` pairs ids with hash-power shares that
-    must sum to 1; ``topology_degree`` is ignored for single-miner runs."""
+    must sum to 1; ``topology_degree`` is ignored for single-miner runs.
+
+    A config checks itself when it is built, ``dataclasses.replace`` included:
+    it raises one ``ValidationError`` that lists every violated field.
+    ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
+    (numpy integers too, but not ``6.0``).
+    """
 
     miners: tuple[tuple[str, float], ...]
     chain: ChainParams
@@ -54,6 +60,37 @@ class SimConfig:
         object.__setattr__(
             self, "miners", tuple((str(m), float(s)) for m, s in self.miners)
         )
+        problems = []
+        n = len(self.miners)
+        if n == 0:
+            problems.append("miners: at least one miner is required")
+        ids = [m for m, _ in self.miners]
+        if len(set(ids)) != len(ids):
+            problems.append("miners: miner ids must be unique")
+        shares = [s for _, s in self.miners]
+        if any(not math.isfinite(s) or s < 0 for s in shares):
+            problems.append("miners: hash power shares must be finite and >= 0")
+        elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
+            problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
+        ints = {}
+        for name in ("topology_degree", "duration_blocks", "seed"):
+            try:
+                ints[name] = integer(getattr(self, name), name)
+            except InputError as exc:
+                problems.append(str(exc))
+        if n > 1 and "topology_degree" in ints:
+            degree = ints["topology_degree"]
+            low = 1 if n == 2 else 2  # a connected 1-regular graph has 2 nodes
+            if not low <= degree < n:
+                problems.append(f"topology_degree: must lie in [{low}, {n - 1}] for {n} miners, got {degree}")
+            elif (n * degree) % 2 == 1:
+                problems.append(f"topology_degree: no {degree}-regular graph exists over {n} nodes")
+        if ints.get("duration_blocks", 1) < 1:
+            problems.append(f"duration_blocks: must be >= 1, got {self.duration_blocks}")
+        if not 0 <= ints.get("seed", 0) < 2**64:
+            problems.append(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -97,37 +134,6 @@ class BoundCheck:
     observed_tps: float
     cap_tps: float
     violated: bool
-
-
-def validate_config(config: SimConfig) -> list[str]:
-    """All constraint violations in ``config`` (empty when valid)."""
-    problems = []
-    n = len(config.miners)
-    if n == 0:
-        problems.append("miners: at least one miner is required")
-    ids = [m for m, _ in config.miners]
-    if len(set(ids)) != len(ids):
-        problems.append("miners: miner ids must be unique")
-    shares = [s for _, s in config.miners]
-    if any(not math.isfinite(s) or s < 0 for s in shares):
-        problems.append("miners: hash power shares must be finite and >= 0")
-    elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
-        problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
-    if n > 1:
-        low = 1 if n == 2 else 2  # a connected 1-regular graph has 2 nodes
-        if not low <= config.topology_degree < n:
-            problems.append(
-                f"topology_degree: must lie in [{low}, {n - 1}] for {n} miners, got {config.topology_degree}"
-            )
-        elif (n * config.topology_degree) % 2 == 1:
-            problems.append(
-                f"topology_degree: no {config.topology_degree}-regular graph exists over {n} nodes"
-            )
-    if config.duration_blocks < 1:
-        problems.append(f"duration_blocks: must be >= 1, got {config.duration_blocks}")
-    if not 0 <= config.seed < 2**64:
-        problems.append(f"seed: must be an unsigned 64-bit integer, got {config.seed}")
-    return problems
 
 
 def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
@@ -208,10 +214,6 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full mining + gossip simulation described by ``config``."""
-    problems = validate_config(config)
-    if problems:
-        raise ValidationError("; ".join(problems))
-
     chain, net = config.chain, config.net
     n = len(config.miners)
     interval = chain.block_interval_s

@@ -17,14 +17,13 @@ import random
 import numpy as np
 
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity
-from chainmeter.errors import FormatError, ValidationError
+from chainmeter.errors import FormatError
 from chainmeter.simnet import (
     GENESIS_MINER,
     BlockRecord,
     SimConfig,
     SimResult,
     random_regular_graph,
-    validate_config,
 )
 
 COVERAGE_TOL = 1e-9
@@ -72,10 +71,6 @@ def oracle_simulation(config: SimConfig) -> SimResult:
     verbatim as its reference: every receipt is one heap event, a node
     forwards each block to every peer that has not seen it, and in-flight
     blocks drain for ``DRAIN_HOPS`` hop-delays after the last mining event."""
-    problems = validate_config(config)
-    if problems:
-        raise ValidationError("; ".join(problems))
-
     chain, net = config.chain, config.net
     n = len(config.miners)
     interval = chain.block_interval_s

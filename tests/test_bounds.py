@@ -10,7 +10,6 @@ from chainmeter import (
     block_capacity,
     max_throughput,
     propagation_limited_throughput,
-    throughput_report,
     throughput_sweep,
     throughput_upper_bound,
     tx_latency,
@@ -21,6 +20,11 @@ WAN = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)  # 5.7 Mbps 
 
 
 class TestParamValidation:
+    @pytest.mark.parametrize("value", [6.9, 6.0, math.nan, "6", None])
+    def test_confirmations_must_be_an_integer(self, value):
+        with pytest.raises(InputError, match="^confirmations must be an integer, got "):
+            ChainParams(1000, 500.0, 600.0, value)
+
     def test_chain_rejects_non_positive(self):
         with pytest.raises(InputError):
             ChainParams(0, 500.0, 600.0, 6)
@@ -197,9 +201,9 @@ class TestDimensionalConsistency:
 
 class TestReport:
     def test_invariants(self):
-        report = throughput_report(BITCOIN, WAN)
-        assert report.propagation_tps <= report.cap_tps
-        assert report.latency_s == 3600.0
+        propagation = propagation_limited_throughput(BITCOIN, WAN)
+        assert propagation <= throughput_upper_bound(WAN, BITCOIN.tx_size_bytes)
+        assert tx_latency(BITCOIN) == 3600.0
         # Bitcoin's configured interval respects the floor, so the
         # propagation-limited rate dominates the protocol rate.
-        assert report.propagation_tps >= report.ideal_tps
+        assert propagation >= max_throughput(BITCOIN)

@@ -2,6 +2,7 @@ from dataclasses import replace
 import json
 import os
 from pathlib import Path
+import sys
 import weakref
 
 import pytest
@@ -20,6 +21,7 @@ from chainmeter import (
     throughput_upper_bound,
     tx_latency,
 )
+import chainmeter
 from chainmeter import cli
 from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from chainmeter.presets import bitcoin_miner_distribution
@@ -163,6 +165,16 @@ class TestBoundCommand:
         argv = ["bound", "--tx-size-bytes", "500", "--block-interval-s", "600", *flags]
         assert main(argv) == EXIT_INPUT
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--block-size-mib", "2.25", "--block-size-bytes", "5"],
+        ["--bandwidth-mbps", "5.7", "--bandwidth-bytes-per-s", "712500"],
+    ], ids=["block-size", "bandwidth"])
+    def test_one_value_in_two_units_is_usage_error(self, capsys, flags):
+        argv = ["bound", "--tx-size-bytes", "500", "--block-interval-s", "60", "--latency-s", "0.1", *flags]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flags[2]}: not allowed with argument {flags[0]}" in err
 
     @pytest.mark.parametrize("sweep", ["abc", "1.5", "1048576,2e6"])
     def test_non_integer_sweep_is_usage_error(self, tmp_path, capsys, sweep):
@@ -321,6 +333,32 @@ class TestSimulateCommand:
             expected += lines[:2] if not expected else lines[1:2]
         assert streamed.stdout_report.splitlines() == expected
 
+    def test_seed_and_seeds_is_usage_error(self, config_json, capsys):
+        assert main(["simulate", config_json, "--seed", "5", "--seeds", "0..1"]) == EXIT_USAGE
+        assert "argument --seeds: not allowed with argument --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, messages", [
+        ({"chain": dict(BASE_CONFIG["chain"], confirmations=6.9)},
+         ["confirmations must be an integer, got 6.9"]),
+        ({"duration_blocks": 10.7, "seed": 3.9, "topology_degree": 8.5},
+         ["duration_blocks must be an integer, got 10.7", "topology_degree must be an integer, got 8.5",
+          "seed must be an integer, got 3.9"]),
+        ({"seed": 6.0}, ["seed must be an integer, got 6.0"]),
+    ], ids=["confirmations", "duration-degree-seed", "seed-6.0"])
+    def test_non_integer_field_exits_two(self, tmp_path, capsys, changes, messages):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **changes)))
+        outcome = run(["simulate", str(path)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        for message in messages:
+            assert message in err
+
+    def test_invalid_override_exits_two_before_any_output(self, config_json, capsys):
+        outcome = run(["simulate", config_json, "--duration-blocks", "0"])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert "duration_blocks: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = dict(BASE_CONFIG, duration_blocks=0)
         path = tmp_path / "bad.json"
@@ -343,3 +381,20 @@ class TestParserBasics:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+
+
+class TestPackageSurface:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in chainmeter.__all__ if not hasattr(chainmeter, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bound", "--preset", "bitcoin"], EXIT_OK),
+        (["bound", "--tx-size-bytes", "500"], EXIT_USAGE),
+        (["metrics", "absent.csv"], EXIT_INPUT),
+    ])
+    def test_entrypoint_exits_with_main_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["chainmeter", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        assert exit_info.value.code == code

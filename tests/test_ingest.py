@@ -262,6 +262,14 @@ class TestExportReport:
             to_jsonable(object())
 
 
+class Level(Enum):
+    ONE = 1
+
+
+class Nest(Enum):
+    INNER = (Level.ONE,)  # json.dump rejects the inner member; converting it twice would not
+
+
 class Color(Enum):
     RED = "red"
     DEEP = 3
@@ -404,6 +412,8 @@ class TestJsonExportFailure:
         Holder("x", (object(),)),
         list(range(2 * CHUNK)) + [object()],  # fails after whole chunks were written
         Row,  # a dataclass type, not an instance
+        [Nest.INNER],
+        Holder("x", (Nest.INNER,)),
     ]
 
     @pytest.mark.parametrize("report", BAD)

@@ -85,10 +85,9 @@ class TestTopology:
 
 class TestConfigValidation:
     def test_shares_must_sum_to_one(self):
-        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
-                        duration_blocks=10, topology_degree=1)
         with pytest.raises(ValidationError):
-            run_simulation(cfg)
+            SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
+                      duration_blocks=10, topology_degree=1)
 
     def test_degree_must_fit(self):
         with pytest.raises(ValidationError):
@@ -105,19 +104,30 @@ class TestConfigValidation:
             run_simulation(config(blocks=0))
 
     def test_duplicate_miner_ids(self):
-        cfg = SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
-                        duration_blocks=10, topology_degree=1)
         with pytest.raises(ValidationError):
-            run_simulation(cfg)
+            SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
+                      duration_blocks=10, topology_degree=1)
 
     def test_error_lists_every_violation(self):
-        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
-                        duration_blocks=0, topology_degree=5, seed=-1)
         with pytest.raises(ValidationError) as err:
-            run_simulation(cfg)
+            SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
+                      duration_blocks=0, topology_degree=5, seed=-1)
         message = str(err.value)
         for field in ("miners", "topology_degree", "duration_blocks", "seed"):
             assert field in message
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_blocks", 10.7), ("duration_blocks", 10.0), ("topology_degree", 8.5),
+        ("seed", 3.9), ("seed", math.nan), ("seed", "3"), ("seed", None),
+    ])
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            replace(config(), **{field: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = replace(config(seed=3), seed=np.int64(3))
+        assert cfg.seed == 3
+        assert run_simulation(cfg) == run_simulation(config(seed=3))
 
 
 class TestSingleMiner:
