@@ -23,9 +23,9 @@ from chainmeter.errors import InputError, integer
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Protocol constants: block size, mean transaction size, block interval,
-    and the confirmation count used for latency (a positive integer, 6 unless
-    given)."""
+    """Protocol constants: block size (a positive integer number of bytes),
+    mean transaction size, block interval, and the confirmation count used for
+    latency (a positive integer, 6 unless given)."""
 
     block_size_bytes: int
     tx_size_bytes: float
@@ -33,9 +33,9 @@ class ChainParams:
     confirmations: int = 6
 
     def __post_init__(self):
+        if not 0 < integer(self.block_size_bytes, "block_size_bytes"):
+            raise InputError(f"block_size_bytes must be positive, got {self.block_size_bytes!r}")
         # Each test is also false for NaN.
-        if not 0 < self.block_size_bytes < math.inf:
-            raise InputError(f"block_size_bytes must be positive and finite, got {self.block_size_bytes!r}")
         if not 0 < self.tx_size_bytes < math.inf:
             raise InputError(f"tx_size_bytes must be positive and finite, got {self.tx_size_bytes!r}")
         if not 0 < self.block_interval_s < math.inf:
@@ -100,9 +100,5 @@ def throughput_sweep(
     """Propagation-limited throughput at each block size, in input order."""
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
-    out = []
-    for b in block_sizes:
-        variant = replace(chain, block_size_bytes=int(b))
-        out.append((int(b), propagation_limited_throughput(variant, net)))
-    return out
+    return [(b, propagation_limited_throughput(replace(chain, block_size_bytes=b), net)) for b in block_sizes]
 

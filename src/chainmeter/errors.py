@@ -20,14 +20,15 @@ class InputError(ChainmeterError, ValueError):
         self.index = index
 
 
-def integer(value, name: str) -> int:
+def integer(value, name: str, index: int | None = None) -> int:
     """``value`` as an int if it is one: ints and numpy ints pass, while
-    ``6.0``, ``6.9``, NaN and strings raise ``InputError`` naming ``name``.
-    The rule is ``operator.index``, the one ``range()`` applies."""
+    ``6.0``, ``6.9``, NaN and strings raise ``InputError`` naming ``name``
+    (and carrying ``index``). The rule is ``operator.index``, the one
+    ``range()`` applies."""
     try:
         return operator.index(value)
     except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
+        raise InputError(f"{name} must be an integer, got {value!r}", index) from None
 
 
 class ParseError(InputError):

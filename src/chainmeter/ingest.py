@@ -14,9 +14,10 @@ JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
 are streamed: a long table of records is encoded a chunk at a time, column by
 column, straight from the records, and ``JsonArrayWriter`` writes an array one
-item at a time. A JSON export goes to a sibling temporary file that replaces
-the target only once it is complete, so a failed export never leaves a
-half-written file.
+item at a time. A ``SimResult`` holds its blocks as columns, and they are
+encoded from those columns, so an export builds no ``BlockRecord``. A JSON
+export goes to a sibling temporary file that replaces the target only once it
+is complete, so a failed export never leaves a half-written file.
 
 All functions are reentrant; concurrent writes to one path are the caller's
 problem.
@@ -41,7 +42,7 @@ from chainmeter.bounds import ChainParams, NetworkParams
 from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.scaling import PaymentGraph
-from chainmeter.simnet import SimConfig
+from chainmeter.simnet import SimConfig, SimResult
 
 BLOCK_SIZE_FACTORS = {"bytes": 1, "MiB": 2**20, "MB": 10**6}
 BANDWIDTH_FACTORS = {"bytes_per_s": 1.0, "Mbps_decimal": 1e6 / 8}
@@ -243,15 +244,48 @@ def _is_record(obj: Any) -> bool:
     return dataclasses.is_dataclass(obj) and not isinstance(obj, type)
 
 
+class _Rows:
+    """Records held as equal-length columns keyed by field name. It is a
+    sequence of its rows, as dicts, and a slice of it slices each column; it
+    exports as the records would."""
+
+    def __init__(self, columns: dict[str, Any]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, index: slice) -> _Rows:
+        return _Rows({name: values[index] for name, values in self.columns.items()})
+
+    def __iter__(self):
+        return (dict(zip(self.columns, row)) for row in zip(*self.columns.values()))
+
+
+# What a SimResult exports after its blocks, in order: the fields it had when
+# it held its blocks as records.
+_RESULT_FIELDS = ("canonical_chain", "per_miner_canonical", "stale_rate", "observed_tps",
+                  "mean_confirmation_latency_s")
+
+
+def _fields(obj: Any) -> list[tuple[str, Any]]:
+    """A record's exported ``(name, value)`` pairs: its fields, in order. A
+    ``SimResult`` exports its public attributes, ``blocks`` first, as rows of
+    its block columns."""
+    if isinstance(obj, SimResult):
+        return [("blocks", _Rows(obj.block_columns())), *((name, getattr(obj, name)) for name in _RESULT_FIELDS)]
+    return [(name, getattr(obj, name)) for name in _field_names(type(obj))]
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively turn dataclasses, enums, and containers into JSON values."""
     if type(obj) in _SCALARS:
         return obj
     if _is_record(obj):
-        return {name: to_jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
+        return {name: to_jsonable(value) for name, value in _fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _Rows)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
@@ -311,19 +345,26 @@ def _column(values: tuple | list) -> list[str] | None:
     return None
 
 
-def _table(records: tuple | list, level: int) -> list[str] | None:
-    """Texts of records of one class whose fields hold only plain scalars,
-    encoded column by column; None for any other sequence."""
-    if len(set(map(type, records))) != 1 or not _is_record(records[0]):
+def _columns(items: tuple | list | _Rows) -> dict[str, Any] | None:
+    """The columns of rows, or the fields of records of one class as columns;
+    None for any other sequence."""
+    if isinstance(items, _Rows):
+        return items.columns
+    if len(set(map(type, items))) != 1 or not _is_record(items[0]):
         return None
-    names = _field_names(type(records[0]))
-    columns = [_column(list(map(operator.attrgetter(name), records))) for name in names]
-    if not columns or None in columns:
+    return {name: list(map(operator.attrgetter(name), items)) for name in _field_names(type(items[0]))}
+
+
+def _table(columns: dict[str, Any] | None, level: int) -> list[str] | None:
+    """Texts of the records whose fields are ``columns``, encoded column by
+    column; None unless every column holds only plain scalars."""
+    texts = [_column(values) for values in columns.values()] if columns else [None]
+    if None in texts:
         return None
     inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(_str(name) + ": %s" for name in names)
+    fields = ("," + inner).join(_str(name) + ": %s" for name in columns)
     template = "{" + inner + fields + "\n" + _INDENT * level + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    return list(map(template.__mod__, zip(*texts)))
 
 
 def _key(key: Any) -> str:
@@ -351,18 +392,19 @@ def _encode(value: Any, level: int) -> str:
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
     field by field and sequences CHUNK items at a time: a chunk of plain
-    scalars, or of one record class with plain scalar fields, is encoded
-    column by column, and any other item is dumped on its own."""
+    scalars, of one record class with plain scalar fields, or of rows of
+    plain scalar columns, is encoded column by column, and any other item is
+    dumped on its own."""
     inner = "\n" + _INDENT * (level + 1)
     if _is_record(obj) and _field_names(type(obj)):
-        for i, name in enumerate(_field_names(type(obj))):
+        for i, (name, value) in enumerate(_fields(obj)):
             write(("," if i else "{") + inner + _str(name) + ": ")
-            _dump(getattr(obj, name), level + 1, write)
+            _dump(value, level + 1, write)
         write("\n" + _INDENT * level + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
+    elif isinstance(obj, (list, tuple, _Rows)) and obj:
         for start in range(0, len(obj), CHUNK):
             chunk = obj[start:start + CHUNK]
-            texts = _column(chunk) or _table(chunk, level + 1)
+            texts = _table(_columns(chunk), level + 1) or _column(chunk)
             if texts is None:
                 for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)

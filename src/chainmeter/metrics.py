@@ -8,11 +8,17 @@ production. At a fixed epsilon, a smaller number means a more centralized
 system. A consensus protocol implies a natural epsilon through its fault
 threshold, which yields the central-trust level.
 
+A distribution sorts its weights once, with numpy, the first time a level,
+trust level or curve asks for them, and keeps the cumulative shares for every
+later call. Equal weights are equal floats and the total is positive, so
+these shares are bit for bit those of a sort that breaks ties by producer id.
+
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +59,20 @@ class ProducerDistribution:
         if sum(w for _, w in entries) <= 0:
             raise InputError("total weight must be positive")
 
+    def __getstate__(self):
+        # The cached shares are rebuilt on demand, so a pickle holds only the entries.
+        return {"entries": self.entries}
+
+    @functools.cached_property
+    def _cumulative_shares(self) -> np.ndarray:
+        """Fraction of the total weight the ``k`` heaviest producers hold, for
+        k = 1..n; read-only. The last entry is exactly 1.0."""
+        weights = np.fromiter((w for _, w in self.entries), float, len(self.entries))
+        cum = np.cumsum(np.sort(weights)[::-1])
+        shares = cum / cum[-1]
+        shares.flags.writeable = False
+        return shares
+
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.entries))
 
@@ -92,12 +112,6 @@ class CentralizationLevel:
     covered_share: float | None = None
 
 
-def _descending_shares(dist: ProducerDistribution) -> np.ndarray:
-    weights = np.array([w for _, w in dist.sorted_entries()], dtype=float)
-    cum = np.cumsum(weights)
-    return cum / cum[-1]
-
-
 def centralization_level(dist: ProducerDistribution, epsilon: float) -> CentralizationLevel:
     """Smallest ``n`` such that the ``n`` heaviest producers cover >= 1 - epsilon.
 
@@ -106,7 +120,7 @@ def centralization_level(dist: ProducerDistribution, epsilon: float) -> Centrali
     """
     if not 0.0 <= epsilon < 1.0:
         raise InputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    shares = _descending_shares(dist)
+    shares = dist._cumulative_shares
     target = (1.0 - epsilon) - COVERAGE_TOLERANCE
     n = int(np.searchsorted(shares, target, side="left")) + 1
     n = min(n, len(shares))
@@ -120,7 +134,7 @@ def central_trust(dist: ProducerDistribution, kind: ConsensusKind) -> Centraliza
     dictated producer is 1 by definition regardless of the distribution.
     """
     if kind is ConsensusKind.SINGLE:
-        top_weight = dist.sorted_entries()[0][1]
+        top_weight = max(w for _, w in dist.entries)
         return CentralizationLevel(n=1, epsilon=0.0, covered_share=top_weight / dist.total_weight())
     return centralization_level(dist, TRUST_EPSILON[kind])
 
@@ -131,8 +145,8 @@ def cumulative_share_curve(dist: ProducerDistribution) -> list[tuple[int, float]
     The final fraction is exactly 1.0. Increments are non-increasing along
     the ranking, so the curve is concave in rank.
     """
-    shares = _descending_shares(dist)
-    return [(k + 1, float(f)) for k, f in enumerate(shares)]
+    shares = dist._cumulative_shares
+    return list(zip(range(1, len(shares) + 1), shares.tolist()))
 
 
 def merge_producers(dist: ProducerDistribution, ids: Iterable[str], merged_id: str) -> ProducerDistribution:

@@ -12,10 +12,11 @@ no path through which a relay could alter a balance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from chainmeter.errors import InputError
+from chainmeter.errors import InputError, integer
 from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
@@ -90,7 +91,14 @@ class PaymentGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "clients", frozenset(str(c) for c in self.clients))
-        payments = tuple((str(a), str(b), int(c)) for a, b, c in self.payments)
+        # Counts follow errors.integer's rule, applied in the pass that builds
+        # the rows; only a failure walks them again, to name the first bad one.
+        try:
+            payments = tuple((str(a), str(b), operator.index(c)) for a, b, c in self.payments)
+        except TypeError:
+            for index, (_, _, c) in enumerate(self.payments):
+                integer(c, "payment count", index)
+            raise
         object.__setattr__(self, "payments", payments)
         for index, (a, b, count) in enumerate(payments):
             if a == b:

@@ -19,13 +19,20 @@ seeded generator consumed in a fixed order, so identical configs produce
 identical results, event for event. Each run is single-threaded; separate
 runs are independent and may execute concurrently, and a finished
 :class:`SimResult` is immutable.
+
+A result holds its blocks as the engine's columns (parent, height, mining
+time and miner index per block id), not as records: ``SimResult.blocks``
+builds the :class:`BlockRecord` tuple on first access, and the JSON export
+encodes the columns directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
@@ -57,9 +64,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "miners", tuple((str(m), float(s)) for m, s in self.miners)
-        )
+        miners, not_numbers = [], []
+        for m, s in self.miners:
+            try:
+                share = float(s)
+            except (TypeError, ValueError):
+                not_numbers.append(repr(s))
+                share = math.nan
+            miners.append((str(m), share))
+        object.__setattr__(self, "miners", tuple(miners))
         problems = []
         n = len(self.miners)
         if n == 0:
@@ -68,7 +81,9 @@ class SimConfig:
         if len(set(ids)) != len(ids):
             problems.append("miners: miner ids must be unique")
         shares = [s for _, s in self.miners]
-        if any(not math.isfinite(s) or s < 0 for s in shares):
+        if not_numbers:
+            problems.append(f"miners: hash power shares must be numbers, got {', '.join(not_numbers)}")
+        elif any(not math.isfinite(s) or s < 0 for s in shares):
             problems.append("miners: hash power shares must be finite and >= 0")
         elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
             problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
@@ -119,14 +134,42 @@ class SimResult:
     capacity/interval exactly; blocks still in flight when the last one is
     mined count like any other. ``mean_confirmation_latency_s`` is the
     confirmation count times the mean canonical inter-block time.
+
+    The blocks are held as columns indexed by block id: ``parent_ids``
+    (None for genesis), ``heights``, ``mined_at_s`` and ``miner_index``, an
+    index into the miner ids of ``per_miner_canonical`` (the config's order),
+    -1 for genesis. Every block is ``size_bytes`` long. ``blocks`` builds the
+    records from these columns on first access and keeps them.
     """
 
-    blocks: tuple[BlockRecord, ...]
     canonical_chain: tuple[int, ...]
     per_miner_canonical: ProducerDistribution
     stale_rate: float
     observed_tps: float
     mean_confirmation_latency_s: float
+    parent_ids: tuple[int | None, ...]
+    heights: tuple[int, ...]
+    mined_at_s: tuple[float, ...]
+    miner_index: tuple[int, ...]
+    size_bytes: int
+
+    def block_columns(self) -> dict[str, Sequence]:
+        """``blocks`` as one column per :class:`BlockRecord` field, in field order."""
+        names = [pid for pid, _ in self.per_miner_canonical.entries] + [GENESIS_MINER]
+        count = len(self.heights)
+        return {
+            "block_id": range(count),
+            "miner_id": list(map(names.__getitem__, self.miner_index)),
+            "parent_id": self.parent_ids,
+            "height": self.heights,
+            "mined_at_s": self.mined_at_s,
+            "size_bytes": (self.size_bytes,) * count,
+        }
+
+    @functools.cached_property
+    def blocks(self) -> tuple[BlockRecord, ...]:
+        """Every block mined, genesis first, in block id order."""
+        return tuple(map(BlockRecord, *self.block_columns().values()))
 
 
 @dataclass(frozen=True)
@@ -285,31 +328,19 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     n_canonical = len(canonical) - 1
     miner_ids = [m for m, _ in config.miners]
-    counts = {m: 0 for m in miner_ids}
-    for b in canonical[1:]:
-        counts[miner_ids[miner_of[b]]] += 1
-
-    records = [
-        BlockRecord(
-            block_id=b,
-            miner_id=GENESIS_MINER if b == 0 else miner_ids[miner_of[b]],
-            parent_id=None if b == 0 else parent[b],
-            height=height[b],
-            mined_at_s=mined_at[b],
-            size_bytes=chain.block_size_bytes,
-        )
-        for b in range(blocks_to_mine + 1)
-    ]
+    parent[0] = None
 
     return SimResult(
-        blocks=tuple(records),
         canonical_chain=tuple(canonical),
-        per_miner_canonical=ProducerDistribution(
-            tuple((m, float(counts[m])) for m in miner_ids)
-        ),
+        per_miner_canonical=_blocks_per_miner(miner_ids, winners[np.array(canonical[1:]) - 1]),
         stale_rate=1.0 - n_canonical / blocks_to_mine,
         observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
+        parent_ids=tuple(parent),
+        heights=tuple(height),
+        mined_at_s=tuple(mined_at),
+        miner_index=tuple(miner_of),
+        size_bytes=chain.block_size_bytes,
     )
 
 
@@ -321,12 +352,15 @@ def produced_distribution(result: SimResult, canonical_only: bool) -> ProducerDi
     """
     if canonical_only:
         return result.per_miner_canonical
-    counts = {pid: 0.0 for pid, _ in result.per_miner_canonical.entries}
-    for record in result.blocks:
-        if record.height == 0:
-            continue
-        counts[record.miner_id] = counts.get(record.miner_id, 0.0) + 1.0
-    return ProducerDistribution(tuple(counts.items()))
+    miner_ids = [pid for pid, _ in result.per_miner_canonical.entries]
+    return _blocks_per_miner(miner_ids, result.miner_index[1:])
+
+
+def _blocks_per_miner(miner_ids: list[str], miner_index: Sequence[int]) -> ProducerDistribution:
+    """Blocks per miner, from one index into ``miner_ids`` per block; a miner
+    with no block keeps a zero entry."""
+    counts = np.bincount(np.asarray(miner_index, dtype=np.intp), minlength=len(miner_ids))
+    return ProducerDistribution(tuple(zip(miner_ids, counts.astype(float).tolist())))
 
 
 def bound_violation_check(result: SimResult, net: NetworkParams, chain: ChainParams) -> BoundCheck:

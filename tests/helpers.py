@@ -3,8 +3,11 @@
 The oracles deliberately avoid the library's code paths: plain Python sums
 and scans only, so agreement with the library is evidence, not tautology.
 The simulator oracle shares only config validation, the peer-graph builder
-and the random draws with the library; it propagates blocks hop by hop. The
-JSON export oracle is the library's former ``json.dump(indent=2)`` path.
+and the random draws with the library; it propagates blocks hop by hop, and
+builds its block records itself. The JSON export oracle is the library's
+former ``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records
+it used to hold (``as_records``). The shares oracle is the metrics module's
+former sort of ``(-weight, id)`` pairs.
 """
 
 import dataclasses
@@ -44,6 +47,14 @@ def oracle_level(weights, epsilon):
     return len(ordered)
 
 
+def oracle_descending_shares(dist: ProducerDistribution) -> np.ndarray:
+    """The library's former ``_descending_shares``, kept verbatim: weights in
+    ``sorted_entries`` order (ties by id), summed and normalized."""
+    weights = np.array([w for _, w in dist.sorted_entries()], dtype=float)
+    cum = np.cumsum(weights)
+    return cum / cum[-1]
+
+
 def random_distribution(rng: random.Random, max_producers: int = 20):
     """Random (id, weight) pairs; at least one strictly positive weight."""
     n = rng.randint(1, max_producers)
@@ -66,7 +77,30 @@ def all_payment_graphs(max_clients: int):
             )
 
 
-def oracle_simulation(config: SimConfig) -> SimResult:
+@dataclasses.dataclass(frozen=True)
+class RecordResult:
+    """A simulation result packaged as ``SimResult`` was before it held its
+    blocks as columns: each public attribute a field, ``blocks`` first."""
+
+    blocks: tuple[BlockRecord, ...]
+    canonical_chain: tuple[int, ...]
+    per_miner_canonical: ProducerDistribution
+    stale_rate: float
+    observed_tps: float
+    mean_confirmation_latency_s: float
+
+
+def as_records(report):
+    """``report`` with a ``SimResult``, or each one in a list, repackaged as
+    a ``RecordResult`` read through its public attributes."""
+    if isinstance(report, SimResult):
+        return RecordResult(*(getattr(report, f.name) for f in dataclasses.fields(RecordResult)))
+    if isinstance(report, list):
+        return [as_records(item) for item in report]
+    return report
+
+
+def oracle_simulation(config: SimConfig) -> RecordResult:
     """The per-hop event-heap engine that ``run_simulation`` replaced, kept
     verbatim as its reference: every receipt is one heap event, a node
     forwards each block to every peer that has not seen it, and in-flight
@@ -166,7 +200,7 @@ def oracle_simulation(config: SimConfig) -> SimResult:
         for b in range(blocks_to_mine + 1)
     ]
 
-    return SimResult(
+    return RecordResult(
         blocks=tuple(records),
         canonical_chain=tuple(canonical),
         per_miner_canonical=ProducerDistribution(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chainmeter import (
@@ -24,6 +25,14 @@ class TestParamValidation:
     def test_confirmations_must_be_an_integer(self, value):
         with pytest.raises(InputError, match="^confirmations must be an integer, got "):
             ChainParams(1000, 500.0, 600.0, value)
+
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, math.nan, math.inf, "1000", None])
+    def test_block_size_must_be_an_integer(self, value):
+        with pytest.raises(InputError, match="^block_size_bytes must be an integer, got "):
+            ChainParams(value, 500.0, 600.0)
+
+    def test_numpy_integer_block_size_passes(self):
+        assert block_capacity(ChainParams(np.int64(1000), 500.0, 600.0)) == 2.0
 
     def test_chain_rejects_non_positive(self):
         with pytest.raises(InputError):
@@ -166,6 +175,10 @@ class TestSweep:
             throughput_sweep(BITCOIN, WAN, [])
         with pytest.raises(InputError, match="block_size_bytes 4 < tx_size_bytes 513.86"):
             throughput_sweep(BITCOIN, WAN, [2**20, 4])
+
+    def test_fractional_size_is_rejected_not_truncated(self):
+        with pytest.raises(InputError, match="^block_size_bytes must be an integer, got 1048576.9$"):
+            throughput_sweep(BITCOIN, WAN, [2**20, 1048576.9])
 
     def test_supremum_gap(self):
         # Gap to w/s below 1% by b = 1e9*s whenever l <= 1 s and w >= 1e5 B/s.

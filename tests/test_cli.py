@@ -26,7 +26,7 @@ from chainmeter import cli
 from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from chainmeter.presets import bitcoin_miner_distribution
 
-from helpers import oracle_export_json
+from helpers import as_records, oracle_export_json
 
 BASE_CONFIG = {
     "miners": [
@@ -249,7 +249,7 @@ class TestSimulateCommand:
         config = load_sim_config(config_json)
         first, last = map(int, seeds.split(".."))
         results = [run_simulation(replace(config, seed=s)) for s in range(first, last + 1)]
-        oracle_export_json(results[0] if len(results) == 1 else results, str(expected))
+        oracle_export_json(as_records(results[0] if len(results) == 1 else results), str(expected))
         assert out.read_bytes() == expected.read_bytes()
 
     def test_failing_seed_leaves_no_out_file(self, config_json, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 import json
@@ -26,7 +27,7 @@ from chainmeter import (
 )
 from chainmeter.ingest import CHUNK, JsonArrayWriter, to_jsonable
 
-from helpers import oracle_export_json
+from helpers import as_records, oracle_export_json, oracle_to_jsonable
 
 
 def write(path, text):
@@ -345,6 +346,12 @@ def scalars(i):
                    frozenset({f"t{i}", "a"} if i % 2 else ()))
 
 
+def numpy_times(result):
+    """``result`` with numpy floats for mining times: a block column that is
+    not plain scalars, so each block is encoded on its own."""
+    return dataclasses.replace(result, mined_at_s=tuple(map(np.float64, result.mined_at_s)))
+
+
 class TestJsonExportAgainstOracle:
     """``export_report(..., "json")`` writes the bytes of the former
     ``json.dump(to_jsonable(report), fh, indent=2)`` path, kept in helpers."""
@@ -353,6 +360,8 @@ class TestJsonExportAgainstOracle:
         "one_miner_one_block": lambda: sim_result(1, 0, 1),
         "fork_heavy": lambda: sim_result(12, 3, 300, interval_s=0.2, seed=8),
         "result_list": lambda: [sim_result(2, 1, 40, seed=s) for s in (1, 2)],
+        "result_numpy_times": lambda: numpy_times(sim_result(3, 2, 30)),
+        "result_long": lambda: sim_result(2, 1, 2 * CHUNK + 3, interval_s=2.0),
         "config": lambda: SimConfig(
             miners=(("\u00e9", 0.25), ("b", 0.75)), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
             net=NetworkParams(712_500.0, 0.1), duration_blocks=5, topology_degree=1, seed=9),
@@ -383,6 +392,11 @@ class TestJsonExportAgainstOracle:
         self.assert_same_bytes(tmp_path, Nested(scalars(0), rows(n)))
         self.assert_same_bytes(tmp_path, list(range(n)))
 
+    @pytest.mark.parametrize("case", ["one_miner_one_block", "fork_heavy", "result_list", "result_numpy_times"])
+    def test_to_jsonable_equals_oracle(self, case):
+        report = self.CASES[case]()
+        assert to_jsonable(report) == oracle_to_jsonable(as_records(report))
+
     def test_fork_heavy_case_forks(self):
         assert self.CASES["fork_heavy"]().stale_rate > 0.3
 
@@ -390,7 +404,7 @@ class TestJsonExportAgainstOracle:
     def test_array_writer_equals_list_export(self, tmp_path, count):
         items = [sim_result(2, 1, 20, seed=s) for s in range(count)] + [rows(2)][:count]
         expected = tmp_path / "expected.json"
-        oracle_export_json(items, str(expected))
+        oracle_export_json(as_records(items), str(expected))
         out = tmp_path / "out.json"
         with JsonArrayWriter(str(out)) as array:
             for item in items:
@@ -400,7 +414,7 @@ class TestJsonExportAgainstOracle:
     @staticmethod
     def assert_same_bytes(tmp_path, report):
         expected, out = tmp_path / "expected.json", tmp_path / "out.json"
-        oracle_export_json(report, str(expected))
+        oracle_export_json(as_records(report), str(expected))
         export_report(report, str(out), "json")
         assert out.read_bytes() == expected.read_bytes()
 

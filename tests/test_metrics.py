@@ -1,5 +1,8 @@
+import dataclasses
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from chainmeter import (
@@ -12,9 +15,10 @@ from chainmeter import (
     cumulative_share_curve,
     merge_producers,
 )
+from chainmeter.metrics import TRUST_EPSILON
 from chainmeter.presets import bitcoin_miner_distribution, ethereum_miner_distribution
 
-from helpers import oracle_level, random_distribution
+from helpers import COVERAGE_TOL, oracle_descending_shares, oracle_level, random_distribution
 
 
 def dist(*weights):
@@ -186,3 +190,86 @@ class TestMergeProducers:
         d = ethereum_miner_distribution()
         assert centralization_level(d, 0.1).n == 11
         assert centralization_level(d, 0.39).n == 3
+
+
+class TestSortOnce:
+    """Each distribution sorts its weights once, with numpy, and every result
+    keeps the bits and types of the former per-call sort by (-weight, id)."""
+
+    EPSILONS = (0.0, 0.01, 0.1, 1 / 3, 0.49, 0.9, 0.999)
+    CASES = {
+        "ties": (("b", 2.0), ("a", 2.0), ("c", 5.0), ("d", 2.0)),
+        "zeros": (("a", 0.0), ("b", 3.0), ("c", 0.0), ("d", 1.0)),
+        "negative_zeros": (("a", -0.0), ("b", 0.0), ("c", 1.5), ("d", -0.0), ("e", 1.5), ("f", 0.1)),
+        "single": (("solo", 7.0),),
+        "pareto_200k": lambda: tuple(
+            (f"p{i:06d}", w) for i, w in
+            enumerate(np.floor(100 * np.random.default_rng(0).pareto(1.16, 200_000)).tolist())
+        ),
+    }
+
+    @staticmethod
+    def results(d):
+        levels = [centralization_level(d, eps) for eps in TestSortOnce.EPSILONS]
+        trust = [central_trust(d, kind) for kind in ConsensusKind]
+        return levels, trust, cumulative_share_curve(d)
+
+    @staticmethod
+    def former_results(d):
+        """What the former code returned: the same formulas, on the shares of
+        the former sort by (-weight, id)."""
+        shares = oracle_descending_shares(d)
+
+        def level(eps):
+            n = min(int(np.searchsorted(shares, (1.0 - eps) - COVERAGE_TOL, side="left")) + 1, len(shares))
+            return CentralizationLevel(n=n, epsilon=float(eps), covered_share=float(shares[n - 1]))
+
+        top = d.sorted_entries()[0][1]
+        trust = [level(TRUST_EPSILON[kind]) if kind in TRUST_EPSILON
+                 else CentralizationLevel(n=1, epsilon=0.0, covered_share=top / d.total_weight())
+                 for kind in ConsensusKind]
+        return [level(eps) for eps in TestSortOnce.EPSILONS], trust, [(k + 1, float(f)) for k, f in enumerate(shares)]
+
+    def assert_as_before(self, entries):
+        d = ProducerDistribution(entries)
+        assert d._cumulative_shares.tobytes() == oracle_descending_shares(d).tobytes()
+        # pickle writes each value's type and every float's 8 bytes.
+        assert pickle.dumps(self.results(d)) == pickle.dumps(self.former_results(d))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_and_types_as_before(self, case):
+        entries = self.CASES[case]
+        self.assert_as_before(entries() if callable(entries) else entries)
+
+    def test_random_distributions_as_before(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            self.assert_as_before(tuple(random_distribution(rng)))
+
+    def test_sorts_once_per_distribution(self, monkeypatch):
+        sorted_lengths = []
+        sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sorted_lengths.append(len(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        d = bitcoin_miner_distribution()
+        for _ in range(2):
+            self.results(d)
+        assert sorted_lengths == [len(d.entries)]
+        self.results(dist(1.0, 2.0))
+        assert sorted_lengths == [len(d.entries), 2]
+
+    def test_cache_leaves_equality_hash_pickle_and_replace_alone(self):
+        fresh, used = dist(3.0, 1.0, 2.0), dist(3.0, 1.0, 2.0)
+        cumulative_share_curve(used)
+        assert not used._cumulative_shares.flags.writeable
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used and cumulative_share_curve(restored) == cumulative_share_curve(used)
+        assert dataclasses.replace(used) == fresh
+        other = dataclasses.replace(used, entries=(("p0", 1.0), ("p1", 1.0)))
+        assert cumulative_share_curve(other) == [(1, 0.5), (2, 1.0)]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from chainmeter import (
@@ -226,6 +227,17 @@ class TestPaymentGraphValidation:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(InputError):
             PaymentGraph(clients=frozenset({"a"}), payments=(("a", "b", 1),))
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, "2", None])
+    def test_count_must_be_an_integer(self, count):
+        payments = (("a", "b", 1), ("b", "c", 3), ("a", "c", count))
+        with pytest.raises(InputError, match="^payment count must be an integer, got ") as err:
+            PaymentGraph(clients=frozenset("abc"), payments=payments)
+        assert err.value.index == 2
+
+    def test_numpy_integer_counts_become_ints(self):
+        g = PaymentGraph(clients=frozenset("ab"), payments=(("a", "b", np.int64(3)),))
+        assert g.payments == (("a", "b", 3),) and type(g.payments[0][2]) is int
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):

@@ -26,7 +26,7 @@ from chainmeter import (
 )
 from chainmeter.simnet import random_regular_graph
 
-from helpers import oracle_simulation
+from helpers import as_records, oracle_simulation
 
 CHAIN = ChainParams(block_size_bytes=1_048_576, tx_size_bytes=513.86, block_interval_s=600.0, confirmations=6)
 NET = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
@@ -88,6 +88,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
                       duration_blocks=10, topology_degree=1)
+
+    def test_share_that_is_not_a_number_is_a_listed_problem(self):
+        with pytest.raises(ValidationError, match=(
+            r"^miners: hash power shares must be numbers, got 'x', None; "
+            r"duration_blocks: must be >= 1, got 0$"
+        )):
+            SimConfig(miners=(("a", "x"), ("b", 0.5), ("c", None)), chain=CHAIN, net=NET,
+                      duration_blocks=0, topology_degree=2)
 
     def test_degree_must_fit(self):
         with pytest.raises(ValidationError):
@@ -251,6 +259,20 @@ class TestProducedDistribution:
         assert all(everything[m] >= canonical[m] for m in canonical)
         assert sum(everything.values()) == 1000.0
 
+    def test_all_blocks_equal_a_plain_count_over_the_records(self):
+        shares = [0.0, 0.4, 0.0, 0.35, 0.25]
+        forky = replace(CHAIN, block_interval_s=0.5)
+        cfg = SimConfig(miners=tuple((f"m{i}", s) for i, s in enumerate(shares)), chain=forky, net=NET,
+                        duration_blocks=600, topology_degree=2, seed=12)
+        result = run_simulation(cfg)
+        assert result.stale_rate > 0.3
+        counts = {m: 0.0 for m, _ in cfg.miners}
+        for record in result.blocks[1:]:
+            counts[record.miner_id] += 1.0
+        everything = produced_distribution(result, False)
+        assert everything.entries == tuple(counts.items())
+        assert {type(w) for _, w in everything.entries} == {float}
+
     def test_skewed_run_recovers_configured_level(self):
         # top 4 hold 53% of hash power; the 0.47 level should come out 4 +- 1
         shares = [0.53 / 4] * 4 + [0.47 / 8] * 8
@@ -265,11 +287,39 @@ class TestProducedDistribution:
         assert abs(level.n - 4) <= 1
 
 
+class TestBlockColumns:
+    def test_blocks_are_built_on_first_access_and_kept(self, tmp_path):
+        result = run_simulation(config(n=6, blocks=50, seed=2))
+        export_report(result, str(tmp_path / "r.json"), "json")
+        produced_distribution(result, False)
+        assert "blocks" not in vars(result)
+        blocks = result.blocks
+        assert blocks is result.blocks
+        assert type(blocks) is tuple and len(blocks) == 51
+
+    def test_columns_line_up_with_the_records(self):
+        result = run_simulation(config(n=6, blocks=80, seed=4))
+        ids = [m for m, _ in result.per_miner_canonical.entries]
+        assert [r.block_id for r in result.blocks] == list(range(81))
+        assert [r.parent_id for r in result.blocks] == list(result.parent_ids)
+        assert [r.height for r in result.blocks] == list(result.heights)
+        assert [r.mined_at_s for r in result.blocks] == list(result.mined_at_s)
+        assert [r.miner_id for r in result.blocks] == ["genesis"] + [ids[i] for i in result.miner_index[1:]]
+        assert {r.size_bytes for r in result.blocks} == {result.size_bytes} == {CHAIN.block_size_bytes}
+        assert result.miner_index[0] == -1 and result.parent_ids[0] is None
+
+    def test_equal_results_stay_equal_after_either_builds_its_records(self):
+        a, b = run_simulation(config(seed=7)), run_simulation(config(seed=7))
+        a.blocks
+        assert a == b and hash(a) == hash(b)
+
+
 class TestAgainstOracle:
     """The hop-distance engine against the per-hop event heap it replaced.
 
     Both engines deliver a block to a node after the same float sum of hop
-    delays, so every ``SimResult`` must match exactly. The one rule that
+    delays, so every public attribute of a ``SimResult`` must match exactly,
+    ``blocks`` record by record. The one rule that
     differs: distinct blocks reaching one node at the same float time are
     taken in heap push order by the oracle and by lower block id by the
     engine. With continuous mining times that tie has probability zero.
@@ -309,7 +359,7 @@ class TestAgainstOracle:
         stale = []
         for cfg in self.grid(family, count):
             result = run_simulation(cfg)
-            assert result == oracle_simulation(cfg), cfg
+            assert as_records(result) == oracle_simulation(cfg), cfg
             stale.append(result.stale_rate)
         if family == "forky":
             assert min(stale) > 0.5
@@ -319,7 +369,7 @@ class TestAgainstOracle:
         cfg = SimConfig(miners=equal_miners(20), chain=ChainParams(8_000_000, 500.0, 0.01, 6),
                         net=NetworkParams(1e5, 0.1), duration_blocks=3000, topology_degree=4, seed=1)
         result = run_simulation(cfg)
-        assert result == oracle_simulation(cfg)
+        assert as_records(result) == oracle_simulation(cfg)
         assert result.stale_rate > 0.9
 
     def test_identical_export_bytes(self, tmp_path, monkeypatch):
