@@ -25,6 +25,7 @@ from chainmeter.bounds import (
     NetworkParams,
     block_capacity,
     max_throughput,
+    propagation_delay,
     propagation_limited_throughput,
     throughput_sweep,
     throughput_upper_bound,
@@ -78,7 +79,6 @@ from chainmeter.simnet import (
     SimResult,
     bound_violation_check,
     produced_distribution,
-    propagation_delay,
     run_simulation,
 )
 

@@ -78,13 +78,20 @@ def max_throughput(chain: ChainParams) -> float:
     return chain.block_size_bytes / (chain.tx_size_bytes * chain.block_interval_s)
 
 
+def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
+    """Seconds for a block to travel ``hops`` links: each costs ``l + b/w``."""
+    if hops < 1:
+        raise InputError(f"hops must be >= 1, got {hops!r}")
+    return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
+
+
 def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> float:
-    """Throughput with the interval pushed down to its floor ``l + b/w``."""
+    """Throughput with the interval pushed down to its floor ``l + b/w``, the
+    delay of one hop."""
     if net.latency_s == 0.0:
         # The floor degenerates to b/w and the rate is exactly the ceiling.
         return net.bandwidth_bytes_per_s / chain.tx_size_bytes
-    b = chain.block_size_bytes
-    return b / (chain.tx_size_bytes * (net.latency_s + b / net.bandwidth_bytes_per_s))
+    return chain.block_size_bytes / (chain.tx_size_bytes * propagation_delay(1, chain, net))
 
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:

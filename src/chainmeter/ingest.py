@@ -12,10 +12,12 @@ full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
-are streamed: a long table of records is encoded a chunk at a time, column by
-column, straight from the records, and ``JsonArrayWriter`` writes an array one
-item at a time. A ``SimResult`` holds its blocks as columns, and they are
-encoded from those columns, so an export builds no ``BlockRecord``. A JSON
+are streamed: ``JsonArrayWriter`` writes an array one item at a time, and a
+long table of records is encoded a chunk at a time, column by column, straight
+from the records, through one table of per-type encoders, so a 20k-block
+export never becomes 20k dicts. A ``SimResult`` holds its blocks as
+columns, and they are encoded from those columns, so an export builds no
+``BlockRecord``. Every other value is written by ``json``'s own encoder. A JSON
 export goes to a sibling temporary file that replaces the target only once it
 is complete, so a failed export never leaves a half-written file.
 
@@ -232,9 +234,6 @@ def load_sim_config(path: str) -> SimConfig:
     raise ValidationError(f"{path}: " + "; ".join(problems))
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
@@ -279,7 +278,7 @@ def _fields(obj: Any) -> list[tuple[str, Any]]:
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively turn dataclasses, enums, and containers into JSON values."""
-    if type(obj) in _SCALARS:
+    if type(obj) in _SCALAR_TEXT:
         return obj
     if _is_record(obj):
         return {name: to_jsonable(value) for name, value in _fields(obj)}
@@ -297,52 +296,38 @@ def to_jsonable(obj: Any) -> Any:
 
 
 # JSON writer. It writes exactly the bytes of
-# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline, but walks
-# dataclasses and sequences itself, so that a long table of records is
-# encoded CHUNK records at a time, column by column, without becoming dicts.
-# Every other value goes through to_jsonable exactly once, and what that
-# returns is encoded as it stands: converting it again would accept an Enum
-# member nested in an Enum's value, which json.dump rejects.
+# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. Dataclasses
+# and sequences it walks itself, so that a long table of records is encoded
+# CHUNK records at a time, column by column, without becoming dicts; each
+# column of plain scalars goes through _SCALAR_TEXT, mapped over the whole
+# column when it holds one type. Every other value goes through to_jsonable
+# exactly once, and what that returns is written as it stands by _ENCODER, the
+# encoder json.dump uses: converting it again would accept an Enum member
+# nested in an Enum's value, which json.dump rejects.
 
 CHUNK = 1024
 _INDENT = "  "
+_ENCODER = json.JSONEncoder(indent=len(_INDENT))
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _str = json.encoder.encode_basestring_ascii
-
-
-def _scalar(value: Any) -> str:
-    """json.dump's text for a scalar."""
-    if isinstance(value, str):
-        return _str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    raise FormatError(f"cannot serialize {type(value).__name__} to JSON")
+_literal = {None: "null", True: "true", False: "false"}.__getitem__
+# json.dump's text per plain scalar type, but for the names of a float's NaN and infinities.
+_SCALAR_TEXT = {str: _str, int: int.__repr__, float: float.__repr__, bool: _literal, type(None): _literal}
 
 
 def _column(values: tuple | list) -> list[str] | None:
     """Texts of a column of plain scalars; None if it holds anything else."""
     kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_str, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {float}:
-        texts = list(map(float.__repr__, values))
-        if not _NONFINITE.keys().isdisjoint(texts):
-            texts = list(map(_NONFINITE.get, texts, texts))
-        return texts
-    if kinds <= _SCALARS:
-        return list(map(_scalar, values))
-    return None
+    if not kinds <= _SCALAR_TEXT.keys():
+        return None
+    if len(kinds) == 1:
+        texts = list(map(_SCALAR_TEXT[next(iter(kinds))], values))
+    else:
+        texts = [_SCALAR_TEXT[type(value)](value) for value in values]
+    # Strings are quoted, so only a float's text can be one of these keys.
+    if float in kinds and not _NONFINITE.keys().isdisjoint(texts):
+        texts = list(map(_NONFINITE.get, texts, texts))
+    return texts
 
 
 def _columns(items: tuple | list | _Rows) -> dict[str, Any] | None:
@@ -367,26 +352,15 @@ def _table(columns: dict[str, Any] | None, level: int) -> list[str] | None:
     return list(map(template.__mod__, zip(*texts)))
 
 
-def _key(key: Any) -> str:
-    return _str(key if isinstance(key, str) else _scalar(key))
-
-
 def _encode(value: Any, level: int) -> str:
-    """json.dump's text for a JSON value at nesting ``level``."""
-    inner = "\n" + _INDENT * (level + 1)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = _column(value) or [_encode(item, level + 1) for item in value]
-        return "[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        fields = ("," + inner).join(
-            _key(key) + ": " + _encode(item, level + 1) for key, item in value.items()
-        )
-        return "{" + inner + fields + "\n" + _INDENT * level + "}"
-    return _scalar(value)
+    """json.dump's text for a JSON value at nesting ``level``: its top-level
+    text, indented. JSON text has no other newline, since strings escape it
+    (and ``ensure_ascii`` escapes U+2028 and U+2029)."""
+    try:
+        text = _ENCODER.encode(value)
+    except TypeError as exc:
+        raise FormatError(f"cannot serialize to JSON: {exc}") from None
+    return text.replace("\n", "\n" + _INDENT * level)
 
 
 def _dump(obj: Any, level: int, write) -> None:
@@ -489,7 +463,7 @@ class JsonArrayWriter(_JsonFile):
 
 def _csv_rows(report: Any, columns: tuple[str, ...] | None):
     if isinstance(report, ProducerDistribution):
-        return columns or ("producer_id", "weight"), list(report.entries)
+        report, columns = report.entries, columns or ("producer_id", "weight")
     if isinstance(report, (list, tuple)) and report and all(
         isinstance(row, (list, tuple)) and len(row) == len(report[0]) for row in report
     ):
@@ -497,7 +471,7 @@ def _csv_rows(report: Any, columns: tuple[str, ...] | None):
         header = columns or tuple(f"col{i + 1}" for i in range(width))
         if len(header) != width:
             raise FormatError(f"got {len(header)} column names for {width}-column rows")
-        return header, [tuple(row) for row in report]
+        return header, report
     raise FormatError(
         f"cannot flatten {type(report).__name__} to CSV; export it as json instead"
     )

@@ -45,7 +45,16 @@ class ProducerDistribution:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        entries = tuple((str(pid), float(w)) for pid, w in self.entries)
+        try:
+            entries = tuple((str(pid), float(w)) for pid, w in self.entries)
+        except (TypeError, ValueError):
+            # Off the one-pass fast path: find the entry to name.
+            for index, (pid, w) in enumerate(self.entries):
+                try:
+                    float(w)
+                except (TypeError, ValueError):
+                    raise InputError(f"weight of {str(pid)!r} must be a number, got {w!r}", index) from None
+            raise
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("distribution has no producers")

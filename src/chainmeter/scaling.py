@@ -228,7 +228,7 @@ def lightning_analysis(
     return LightningAnalysis(
         effective_tps=effective,
         relay_centralization_n0=n0,
-        ctp=n0 * effective,
+        ctp=ctp(n0, effective),
         onchain_direct=direct_cost,
         onchain_plan=plan_cost,
     )

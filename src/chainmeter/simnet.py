@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, throughput_upper_bound
+from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, propagation_delay, throughput_upper_bound
 from chainmeter.errors import InputError, TopologyError, ValidationError, integer
 from chainmeter.metrics import ProducerDistribution
 
@@ -177,13 +177,6 @@ class BoundCheck:
     observed_tps: float
     cap_tps: float
     violated: bool
-
-
-def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
-    """Seconds for a block to travel ``hops`` links: each costs ``l + b/w``."""
-    if hops < 1:
-        raise InputError(f"hops must be >= 1, got {hops!r}")
-    return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
 
 
 def _hop_distances(peers: np.ndarray, source: int) -> np.ndarray:

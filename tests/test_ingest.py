@@ -232,6 +232,12 @@ class TestExportReport:
             assert raw["mined_at_s"] == record.mined_at_s
             assert raw["block_id"] == record.block_id
 
+    def test_distribution_csv_header_must_fit_its_rows(self, tmp_path):
+        dist = ProducerDistribution((("A", 3.0), ("B", 1.0)))
+        with pytest.raises(FormatError, match="1 column names for 2-column rows"):
+            export_report(dist, str(tmp_path / "d.csv"), "csv", columns=("id",))
+        assert os.listdir(tmp_path) == []
+
     def test_sim_result_csv_rejected(self, tmp_path):
         config = SimConfig(
             miners=(("a", 1.0),), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
@@ -276,6 +282,10 @@ class Color(Enum):
     DEEP = 3
     PAIR = (1, "two")
     TABLE = {1: "one", None: [2.5], 0.5: {}, False: ()}  # json.dump stringifies these keys
+
+
+class Keyed(Enum):
+    PAIR = {(1, 2): "pair"}  # json.dump rejects a tuple key
 
 
 @dataclass(frozen=True)
@@ -340,6 +350,9 @@ def rows(n):
     )
 
 
+PLAIN = [math.nan, 1, None, math.inf, "nan", True, -math.inf, False, -3, "inf", 2.5, "NaN"]
+
+
 def scalars(i):
     return Scalars(NASTY_IDS[i % len(NASTY_IDS)], [math.nan, math.inf, -math.inf, 2.5][i % 4],
                    i % 2 == 1, None if i % 2 else i, list(Color)[i % 4],
@@ -372,6 +385,7 @@ class TestJsonExportAgainstOracle:
         "dict_rows_differing_keys": lambda: [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}],
         "percent_keys": lambda: [{"%s": 1, "a%": "%d"}, {"%s": 2, "a%": "%%"}],
         "non_str_keys": lambda: {1: "one", None: [True, False, None], 2.5: {}},
+        "plain_scalars": lambda: [PLAIN, [Row(i, "nan", None, v, False) for i, v in enumerate(PLAIN)]],
         "mixed_scalars": lambda: [1, True, 2.5, None, "x", False, -3, np.float64(0.5)],
         "numpy_floats": lambda: [np.float64(0.1), np.float64(math.nan), 1.5],
         "nested_lists": lambda: [[1, 2], [], [[3.0], ["x"]], ("y", None)],
@@ -428,6 +442,7 @@ class TestJsonExportFailure:
         Row,  # a dataclass type, not an instance
         [Nest.INNER],
         Holder("x", (Nest.INNER,)),
+        [Keyed.PAIR],
     ]
 
     @pytest.mark.parametrize("report", BAD)

@@ -44,6 +44,15 @@ class TestDistribution:
         with pytest.raises(InputError):
             dist(1.0, float("inf"))
 
+    @pytest.mark.parametrize("weight", ["x", None])
+    def test_weight_that_is_not_a_number_names_its_entry(self, weight):
+        with pytest.raises(InputError, match=f"^weight of 'b' must be a number, got {weight!r}$") as info:
+            ProducerDistribution((("a", 1.0), ("b", weight), ("c", "y")))
+        assert info.value.index == 1
+
+    def test_numeric_string_weight_is_accepted(self):
+        assert ProducerDistribution((("a", "1.5"), ("b", 1))).entries == (("a", 1.5), ("b", 1.0))
+
     def test_sorted_entries_breaks_ties_by_id(self):
         d = ProducerDistribution((("b", 2.0), ("a", 2.0), ("c", 5.0)))
         assert d.sorted_entries() == [("c", 5.0), ("a", 2.0), ("b", 2.0)]
