@@ -17,9 +17,12 @@ long table of records is encoded a chunk at a time, column by column, straight
 from the records, through one table of per-type encoders, so a 20k-block
 export never becomes 20k dicts. A ``SimResult`` holds its blocks as
 columns, and they are encoded from those columns, so an export builds no
-``BlockRecord``. Every other value is written by ``json``'s own encoder. A JSON
-export goes to a sibling temporary file that replaces the target only once it
-is complete, so a failed export never leaves a half-written file.
+``BlockRecord``. Every other value is written by ``json``'s own encoder.
+
+One writer serves every export, JSON and CSV alike: it writes to a sibling
+temporary file that replaces the target only once it is complete, so a failed
+export never leaves a half-written file, and the previous file, if any, keeps
+its bytes.
 
 All functions are reentrant; concurrent writes to one path are the caller's
 problem.
@@ -111,13 +114,8 @@ def _validated(path: str, expected_header: list[str], build):
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
     header = ["producer_id", "weight"]
-    entries: list[tuple[str, float]] = []
-    for lineno, (pid, raw_weight) in _read_rows(path, header):
-        try:
-            entries.append((pid, float(raw_weight)))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: weight is not numeric: {raw_weight!r}") from None
-    return _validated(path, header, lambda: ProducerDistribution(tuple(entries)))
+    entries = tuple(row for _, row in _read_rows(path, header))
+    return _validated(path, header, lambda: ProducerDistribution(entries))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
@@ -152,7 +150,7 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
     try:
         return cls(**{name: parse[name](value) if name in parse else value for name, value in raw.items()})
     except (InputError, TypeError, ValueError) as exc:
-        problems.append(f"{section}: {exc!r}")
+        problems.append(f"{section}: {exc}")
         return None
 
 
@@ -390,57 +388,28 @@ def _dump(obj: Any, level: int, write) -> None:
         write(_encode(to_jsonable(obj), level))
 
 
-class _JsonFile:
-    """One JSON value bound for ``path``. It is written to a sibling
-    temporary file, which replaces ``path`` when the ``with`` block exits
-    cleanly and is removed when it raises, so ``path`` is never left
-    half-written. OSErrors name ``path``."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-
-    @contextlib.contextmanager
-    def _naming_path(self):
+@contextlib.contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A new sibling temporary file, open for text, that replaces ``path``
+    when the ``with`` block exits cleanly and is removed when it raises, so
+    ``path`` is never left half-written. An OSError is re-raised naming
+    ``path``."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(tmp, "x", newline=newline, encoding="utf-8")
         try:
-            yield
-        except OSError as exc:
-            raise OSError(f"cannot write {self.path}: {exc}") from exc
-
-    def __enter__(self):
-        with self._naming_path():
-            self._fh = open(self._tmp, "x", encoding="utf-8")
-        return self
-
-    def dump(self, obj: Any, level: int = 0, prefix: str = "") -> None:
-        with self._naming_path():
-            self._fh.write(prefix)
-            _dump(obj, level, self._fh.write)
-
-    def _tail(self) -> str:
-        return "\n"
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None:
-            self._discard()
-            return
-        try:
-            with self._naming_path():
-                self._fh.write(self._tail())
-                self._fh.close()
-                os.replace(self._tmp, self.path)
+            with fh:
+                yield fh
+            os.replace(tmp, path)
         except BaseException:
-            self._discard()
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
             raise
-
-    def _discard(self) -> None:
-        with contextlib.suppress(OSError):
-            self._fh.close()
-        with contextlib.suppress(OSError):
-            os.remove(self._tmp)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-class JsonArrayWriter(_JsonFile):
+class JsonArrayWriter:
     """A JSON array written to ``path`` one item at a time.
 
     ``with JsonArrayWriter(path) as out:`` followed by ``out.add(x)`` for each
@@ -450,15 +419,26 @@ class JsonArrayWriter(_JsonFile):
     """
 
     def __init__(self, path: str):
-        super().__init__(path)
+        self._file = self._array(path)
         self._count = 0
 
-    def add(self, item: Any) -> None:
-        self.dump(item, 1, ("," if self._count else "[") + "\n" + _INDENT)
-        self._count += 1
+    @contextlib.contextmanager
+    def _array(self, path: str):
+        with _replacing(path) as fh:
+            self._write = fh.write
+            yield self
+            fh.write("\n]\n" if self._count else "[]\n")
 
-    def _tail(self) -> str:
-        return "\n]\n" if self._count else "[]\n"
+    def __enter__(self) -> JsonArrayWriter:
+        return self._file.__enter__()
+
+    def __exit__(self, *exc_info) -> bool | None:
+        return self._file.__exit__(*exc_info)
+
+    def add(self, item: Any) -> None:
+        self._write(("," if self._count else "[") + "\n" + _INDENT)
+        _dump(item, 1, self._write)
+        self._count += 1
 
 
 def _csv_rows(report: Any, columns: tuple[str, ...] | None):
@@ -486,17 +466,15 @@ def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] 
     header cells.
     """
     if format == "json":
-        with _JsonFile(path) as out:
-            out.dump(_config_payload(report) if isinstance(report, SimConfig) else report)
+        with _replacing(path) as fh:
+            _dump(_config_payload(report) if isinstance(report, SimConfig) else report, 0, fh.write)
+            fh.write("\n")
     elif format == "csv":
         header, rows = _csv_rows(report, columns)
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+        with _replacing(path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     else:
         raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
 

@@ -12,6 +12,7 @@ no path through which a relay could alter a balance.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,11 +33,12 @@ class BaselineChain:
     node_count: int
 
     def __post_init__(self):
-        if self.throughput_tps <= 0:
-            raise InputError(f"throughput_tps must be positive, got {self.throughput_tps!r}")
+        # Each test is also false for NaN.
+        if not 0 < self.throughput_tps < math.inf:
+            raise InputError(f"throughput_tps must be positive and finite, got {self.throughput_tps!r}")
         if self.centralization.n < 1:
             raise InputError("centralization level must be >= 1")
-        if self.node_count < self.centralization.n:
+        if integer(self.node_count, "node_count") < self.centralization.n:
             raise InputError(
                 f"node_count ({self.node_count}) cannot be smaller than the "
                 f"centralization level ({self.centralization.n})"
@@ -54,8 +56,9 @@ class ShardingAnalysis:
 
 def ctp(centralization_n: float, throughput_tps: float) -> float:
     """Centralization-throughput product."""
-    if centralization_n <= 0 or throughput_tps <= 0:
-        raise InputError("ctp factors must be positive")
+    for name, factor in (("centralization_n", centralization_n), ("throughput_tps", throughput_tps)):
+        if not 0 < factor < math.inf:
+            raise InputError(f"ctp factor {name} must be positive and finite, got {factor!r}")
     return centralization_n * throughput_tps
 
 
@@ -120,11 +123,24 @@ class PaymentGraph:
 @dataclass(frozen=True)
 class RelayPlan:
     """How payments are carried: direct channels, one relay for everything,
-    or explicit per-pair routes."""
+    or explicit per-pair routes. A plan checks itself when it is built: a
+    known mode, a relay id for a single relay, and routes that each run
+    between their pair's endpoints without repeating a node."""
 
     mode: str
     relay_id: str | None = None
     routes: tuple[tuple[frozenset[str], tuple[str, ...]], ...] | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("direct", "single_relay", "custom"):
+            raise InputError(f"unknown relay plan mode {self.mode!r}")
+        if self.mode == "single_relay" and self.relay_id is None:
+            raise InputError("single-relay plan is missing its relay id")
+        for pair, path in self.routes or ():
+            if len(path) < 2 or {path[0], path[-1]} != pair:
+                raise InputError(f"route for {tuple(sorted(pair))!r} must run between its endpoints, got {path!r}")
+            if len(set(path)) != len(path):
+                raise InputError(f"route for {tuple(sorted(pair))!r} revisits a node: {path!r}")
 
     @classmethod
     def direct(cls) -> "RelayPlan":
@@ -138,15 +154,8 @@ class RelayPlan:
     def custom(cls, routes: Mapping[tuple[str, str], Sequence[str]]) -> "RelayPlan":
         """Explicit routes: for each payment pair, the full node path from one
         endpoint to the other (relays in between, no repeated nodes)."""
-        packed = []
-        for (a, b), path in routes.items():
-            path = tuple(str(p) for p in path)
-            if len(path) < 2 or {path[0], path[-1]} != {str(a), str(b)}:
-                raise InputError(f"route for ({a!r}, {b!r}) must run between its endpoints, got {path!r}")
-            if len(set(path)) != len(path):
-                raise InputError(f"route for ({a!r}, {b!r}) revisits a node: {path!r}")
-            packed.append((frozenset((str(a), str(b))), path))
-        return cls(mode="custom", routes=tuple(packed))
+        packed = tuple((frozenset((str(a), str(b))), tuple(map(str, path))) for (a, b), path in routes.items())
+        return cls(mode="custom", routes=packed)
 
 
 def _custom_channels(graph: PaymentGraph, plan: RelayPlan) -> set[frozenset[str]]:
@@ -172,15 +181,11 @@ def onchain_tx_count(graph: PaymentGraph, plan: RelayPlan) -> int:
     if plan.mode == "direct":
         channels: set[frozenset[str]] = set(graph.channel_pairs())
     elif plan.mode == "single_relay":
-        if plan.relay_id is None:
-            raise InputError("single-relay plan is missing its relay id")
         channels = {
             frozenset((c, plan.relay_id)) for c in graph.active_clients() if c != plan.relay_id
         }
-    elif plan.mode == "custom":
-        channels = _custom_channels(graph, plan)
     else:
-        raise InputError(f"unknown relay plan mode {plan.mode!r}")
+        channels = _custom_channels(graph, plan)
     return CHANNEL_ONCHAIN_COST * len(channels)
 
 
@@ -208,8 +213,8 @@ def lightning_analysis(
     transactions (a gain only when the graph has more funded pairs than active
     clients) and pins relay centralization at 1.
     """
-    if alpha < 1:
-        raise InputError(f"batching factor must be >= 1, got {alpha!r}")
+    if not 1 <= alpha < math.inf:
+        raise InputError(f"batching factor alpha must be >= 1 and finite, got {alpha!r}")
     if not graph.payments:
         raise InputError("payment graph has no payments to analyze")
     direct_cost = onchain_tx_count(graph, RelayPlan.direct())

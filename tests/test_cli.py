@@ -212,6 +212,25 @@ class TestLightningCommand:
         assert main(["lightning", full4_csv, "--t", "10", "--alpha", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["shard", "--t", "nan", "--n", "10", "--k", "2"], "throughput_tps must be positive and finite, got nan"),
+    (["shard", "--t", "inf", "--n", "10", "--k", "2"], "throughput_tps must be positive and finite, got inf"),
+    (["lightning", "GRAPH", "--t", "nan", "--alpha", "1", "--direct"],
+     "throughput_tps must be positive and finite, got nan"),
+    (["lightning", "GRAPH", "--t", "1", "--alpha", "nan", "--direct"],
+     "batching factor alpha must be >= 1 and finite, got nan"),
+    (["lightning", "GRAPH", "--t", "1", "--alpha", "inf", "--relay", "R"],
+     "batching factor alpha must be >= 1 and finite, got inf"),
+    # t * alpha overflows to inf before the product is taken.
+    (["lightning", "GRAPH", "--t", "1e308", "--alpha", "10", "--direct"],
+     "ctp factor throughput_tps must be positive and finite, got inf"),
+])
+def test_non_finite_scaling_input_exits_two(full4_csv, capsys, argv, message):
+    argv = [full4_csv if arg == "GRAPH" else arg for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSimulateCommand:
     def test_summary_matches_library(self, config_json):
         outcome = run(["simulate", config_json])

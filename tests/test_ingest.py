@@ -69,8 +69,9 @@ class TestLoadDistribution:
     def test_non_numeric_weight_names_line(self, tmp_path):
         for weight in ("many", "nan"):
             path = write(tmp_path / "d.csv", f"producer_id,weight\n\nA,3\nB,{weight}\n")
-            with pytest.raises(ParseError, match=":4:"):
+            with pytest.raises(ParseError, match=":4:") as err:
                 load_distribution(path)
+            assert "'B'" in str(err.value)
 
     def test_negative_weight_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "producer_id,weight\nA,-3\n")
@@ -181,6 +182,13 @@ class TestLoadSimConfig:
         assert "typo_key" in message
         assert "duration_blocks" in message
         assert "sum to 1" in message
+
+    def test_section_problem_is_plain_text(self, tmp_path):
+        data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], tx_size_bytes=-1))
+        path = write(tmp_path / "c.json", json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            load_sim_config(path)
+        assert str(err.value) == f"{path}: chain: tx_size_bytes must be positive and finite, got -1.0"
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = write(tmp_path / "c.json", "{not json")
@@ -475,3 +483,36 @@ class TestJsonExportFailure:
         with pytest.raises(OSError, match="nope"):
             with JsonArrayWriter(str(tmp_path / "nope" / "out.json")):
                 pass
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("field has no text")
+
+
+class TestCsvExportFailure:
+    """A CSV export that fails mid-write leaves no file, or the old one, behind."""
+
+    BAD_ROWS = [("a", 1), ("b", 2), ("c", Unprintable())]
+
+    def test_existing_target_keeps_its_bytes(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"col1,col2\r\nold,0\r\n")
+        with pytest.raises(RuntimeError):
+            export_report(self.BAD_ROWS, str(out), "csv")
+        assert out.read_bytes() == b"col1,col2\r\nold,0\r\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_absent_target_stays_absent(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            export_report(self.BAD_ROWS, str(tmp_path / "t.csv"), "csv")
+        assert os.listdir(tmp_path) == []
+
+    def test_rows_end_in_crlf(self, tmp_path):
+        out = tmp_path / "t.csv"
+        export_report(self.BAD_ROWS[:2], str(out), "csv")
+        assert out.read_bytes() == b"col1,col2\r\na,1\r\nb,2\r\n"
+
+    def test_unwritable_csv_path_surfaces_path(self, tmp_path):
+        with pytest.raises(OSError, match="^cannot write .*nope"):
+            export_report(self.BAD_ROWS[:2], str(tmp_path / "nope" / "t.csv"), "csv")

@@ -46,6 +46,27 @@ class TestCtp:
         with pytest.raises(InputError):
             ctp(0, 15)
 
+    @pytest.mark.parametrize("factors, name", [
+        ((float("nan"), 15), "centralization_n"),
+        ((100, float("nan")), "throughput_tps"),
+        ((100, float("inf")), "throughput_tps"),
+    ])
+    def test_rejects_non_finite(self, factors, name):
+        with pytest.raises(InputError, match=f"^ctp factor {name} must be positive and finite"):
+            ctp(*factors)
+
+
+class TestBaselineChain:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0])
+    def test_throughput_must_be_positive_and_finite(self, t):
+        with pytest.raises(InputError, match="^throughput_tps must be positive and finite"):
+            baseline(t=t)
+
+    @pytest.mark.parametrize("nodes", [100.0, 100.5, float("nan"), "100"])
+    def test_node_count_must_be_an_integer(self, nodes):
+        with pytest.raises(InputError, match="^node_count must be an integer"):
+            baseline(n=100, nodes=nodes)
+
 
 class TestSharding:
     def test_four_way_example(self):
@@ -125,6 +146,20 @@ class TestOnchainCounting:
     def test_custom_route_must_be_acyclic(self):
         with pytest.raises(InputError):
             RelayPlan.custom({("a", "b"): ["a", "r", "a", "b"]})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "hub"}, "unknown relay plan mode 'hub'"),
+        ({"mode": "single_relay"}, "missing its relay id"),
+        ({"mode": "custom", "routes": ((frozenset("ab"), ("a",)), (frozenset("ac"), ("a", "c")))},
+         r"route for \('a', 'b'\) must run between its endpoints"),
+        ({"mode": "custom", "routes": ((frozenset("ab"), ("a", "r", "c")),)},
+         r"route for \('a', 'b'\) must run between its endpoints"),
+        ({"mode": "custom", "routes": ((frozenset("ab"), ("a", "r", "a", "b")),)},
+         r"route for \('a', 'b'\) revisits a node"),
+    ])
+    def test_bad_plan_rejected_when_built(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            RelayPlan(**kwargs)
 
     def test_relay_floor_is_two_per_active_client(self):
         for graph in all_payment_graphs(5):
@@ -212,6 +247,11 @@ class TestLightningAnalysis:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(InputError):
             lightning_analysis(baseline(t=1.0, n=2, nodes=2), full_graph(2), RelayPlan.direct(), 0.5)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_not_finite_rejected(self, alpha):
+        with pytest.raises(InputError, match="^batching factor alpha must be >= 1 and finite"):
+            lightning_analysis(baseline(t=1.0, n=2, nodes=2), full_graph(2), RelayPlan.direct(), alpha)
 
     def test_empty_payments_rejected(self):
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
