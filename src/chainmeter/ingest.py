@@ -392,19 +392,29 @@ def _dump(obj: Any, level: int, write) -> None:
 def _replacing(path: str, newline: str | None = None):
     """A new sibling temporary file, open for text, that replaces ``path``
     when the ``with`` block exits cleanly and is removed when it raises, so
-    ``path`` is never left half-written. An OSError is re-raised naming
-    ``path``."""
+    ``path`` is never left half-written. An OSError from opening, closing or
+    replacing the file is re-raised naming ``path``; the block's own
+    exceptions pass unchanged, so writes to the file go inside ``_naming``."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    try:
+    with _naming(path):
         fh = open(tmp, "x", newline=newline, encoding="utf-8")
-        try:
-            with fh:
-                yield fh
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+    try:
+        with fh:
+            yield fh
+            with _naming(path):
+                fh.close()
+                os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise an OSError from the block as ``cannot write {path}: ...``."""
+    try:
+        yield
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -415,19 +425,22 @@ class JsonArrayWriter:
     ``with JsonArrayWriter(path) as out:`` followed by ``out.add(x)`` for each
     item leaves the bytes of ``export_report([x, ...], path, "json")``. Each
     item is encoded as it is added, so the caller need keep none of them, and
-    ``path`` appears only when the block exits cleanly.
+    ``path`` appears only when the block exits cleanly. Only errors in writing
+    ``path`` name it; anything else raised in the block passes unchanged.
     """
 
     def __init__(self, path: str):
-        self._file = self._array(path)
+        self._path = path
+        self._file = self._array()
         self._count = 0
 
     @contextlib.contextmanager
-    def _array(self, path: str):
-        with _replacing(path) as fh:
+    def _array(self):
+        with _replacing(self._path) as fh:
             self._write = fh.write
             yield self
-            fh.write("\n]\n" if self._count else "[]\n")
+            with _naming(self._path):
+                fh.write("\n]\n" if self._count else "[]\n")
 
     def __enter__(self) -> JsonArrayWriter:
         return self._file.__enter__()
@@ -436,8 +449,9 @@ class JsonArrayWriter:
         return self._file.__exit__(*exc_info)
 
     def add(self, item: Any) -> None:
-        self._write(("," if self._count else "[") + "\n" + _INDENT)
-        _dump(item, 1, self._write)
+        with _naming(self._path):
+            self._write(("," if self._count else "[") + "\n" + _INDENT)
+            _dump(item, 1, self._write)
         self._count += 1
 
 
@@ -466,12 +480,12 @@ def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] 
     header cells.
     """
     if format == "json":
-        with _replacing(path) as fh:
+        with _replacing(path) as fh, _naming(path):
             _dump(_config_payload(report) if isinstance(report, SimConfig) else report, 0, fh.write)
             fh.write("\n")
     elif format == "csv":
         header, rows = _csv_rows(report, columns)
-        with _replacing(path, newline="") as fh:
+        with _replacing(path, newline="") as fh, _naming(path):
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)

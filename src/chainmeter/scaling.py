@@ -55,11 +55,15 @@ class ShardingAnalysis:
 
 
 def ctp(centralization_n: float, throughput_tps: float) -> float:
-    """Centralization-throughput product."""
+    """Centralization-throughput product, of two positive finite factors;
+    a product that overflows is rejected too."""
     for name, factor in (("centralization_n", centralization_n), ("throughput_tps", throughput_tps)):
         if not 0 < factor < math.inf:
             raise InputError(f"ctp factor {name} must be positive and finite, got {factor!r}")
-    return centralization_n * throughput_tps
+    product = centralization_n * throughput_tps
+    if not math.isfinite(product):
+        raise InputError(f"ctp centralization_n * throughput_tps must be finite, got {centralization_n!r} * {throughput_tps!r}")
+    return product
 
 
 def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
@@ -76,9 +80,12 @@ def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
             f"cannot split {base.node_count} nodes into {k} shards: a shard needs at least one node"
         )
     product = ctp(base.centralization.n, base.throughput_tps)
+    sharded_tps = k * base.throughput_tps
+    if not math.isfinite(sharded_tps):
+        raise InputError(f"sharded throughput k * throughput_tps must be finite, got {k!r} * {base.throughput_tps!r}")
     return ShardingAnalysis(
         k=k,
-        sharded_tps=k * base.throughput_tps,
+        sharded_tps=sharded_tps,
         sharded_centralization=base.centralization.n / k,
         ctp_before=product,
         ctp_after=product,

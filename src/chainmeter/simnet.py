@@ -16,9 +16,11 @@ bandwidth contention is ignored: a hop always costs the same.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
-identical results, event for event. Each run is single-threaded; separate
-runs are independent and may execute concurrently, and a finished
-:class:`SimResult` is immutable.
+identical results, event for event. The peer graph's stubs are drawn in
+chunks that consume the generator exactly as one call per stub would, and
+one breadth-first search gives every winner its hop distances up front.
+Each run is single-threaded; separate runs are independent and may execute
+concurrently, and a finished :class:`SimResult` is immutable.
 
 A result holds its blocks as the engine's columns (parent, height, mining
 time and miner index per block id), not as records: ``SimResult.blocks``
@@ -179,20 +181,25 @@ class BoundCheck:
     violated: bool
 
 
-def _hop_distances(peers: np.ndarray, source: int) -> np.ndarray:
-    """Breadth-first hop count from ``source`` over the adjacency rows
-    ``peers``, in the smallest unsigned type holding n; unreached nodes read n."""
+def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first hop counts over the adjacency rows ``peers``, row k from
+    ``sources[k]``, in the smallest unsigned type holding n; unreached nodes
+    read n. One search serves every source: a node carries a bit per source,
+    packed eight to a byte, and each level ORs its peers' bits."""
     n = len(peers)
-    dist = np.full(n, n, dtype=np.min_scalar_type(n))
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
+    count = len(sources)
+    dist = np.full((count, n), n, dtype=np.min_scalar_type(n))
+    newly = np.zeros((n, count), dtype=bool)
+    newly[sources, np.arange(count)] = True
+    frontier = np.packbits(newly, axis=1)
+    seen = frontier.copy()
     depth = 0
-    while frontier.any():
-        dist[frontier] = depth
+    while newly.any():
+        dist.T[newly] = depth
         depth += 1
-        reached = np.zeros(n, dtype=bool)
-        reached[peers[frontier]] = True
-        frontier = reached & (dist == n)
+        frontier = np.bitwise_or.reduce(frontier[peers], axis=1) & ~seen
+        seen |= frontier
+        newly = np.unpackbits(frontier, axis=1, count=count).view(bool)
     return dist
 
 
@@ -205,43 +212,65 @@ def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
     return False
 
 
+# Stub pairs drawn per generator call, at most.
+_PAIRS_PER_DRAW = 256
+
+
 def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
     """Connected degree-regular peer graph via random stub matching.
 
     Pairs stubs uniformly, rejecting self-loops and duplicate edges; a stuck
     or disconnected matching triggers a fresh attempt (up to 100, all driven
     by ``rng``, so the result is a pure function of the generator state).
+
+    Stub indices are drawn two per pair, ``rng.integers(len(stubs))`` each,
+    in chunks: one call with an array of bounds draws what the scalar calls
+    would if each pair ended as the one before it (bounds ``L, L, L-2, L-2,
+    ...`` after an acceptance, ``L, L, ...`` after a rejection). At the
+    first pair that ends otherwise, or stalls the matching, ``rng`` is
+    rewound and replays only the draws used, so it ends where one call per
+    stub leaves it. After such a pair a chunk holds one pair, and each next
+    chunk twice as many, up to ``_PAIRS_PER_DRAW``.
     """
     if n == 1 or degree == 0:
         return ((),) if n == 1 else tuple(() for _ in range(n))
     for _attempt in range(100):
         adj: list[set[int]] = [set() for _ in range(n)]
         stubs = [node for node in range(n) for _ in range(degree)]
+        rejections = 0
         stuck = False
+        accepting, chunk = True, _PAIRS_PER_DRAW
         while stubs and not stuck:
-            rejections = 0
-            while True:
-                i = int(rng.integers(len(stubs)))
-                j = int(rng.integers(len(stubs)))
+            size = len(stubs)
+            pairs = min(chunk, size // 2) if accepting else chunk
+            bounds = np.repeat(np.arange(size, size - 2 * pairs, -2) if accepting else np.full(pairs, size), 2)
+            state = rng.bit_generator.state
+            draws = rng.integers(bounds).reshape(pairs, 2).tolist()
+            chunk = min(2 * chunk, _PAIRS_PER_DRAW)
+            for k, (i, j) in enumerate(draws):
                 u, v = stubs[i], stubs[j]
-                if i != j and u != v and v not in adj[u]:
-                    break
-                rejections += 1
-                if rejections > 50 + 10 * len(stubs):
-                    if not _any_valid_pair(stubs, adj):
-                        stuck = True
-                        break
+                accepted = i != j and u != v and v not in adj[u]
+                if accepted:
                     rejections = 0
-            if stuck:
-                break
-            adj[u].add(v)
-            adj[v].add(u)
-            for index in sorted((i, j), reverse=True):
-                stubs[index] = stubs[-1]
-                stubs.pop()
+                    adj[u].add(v)
+                    adj[v].add(u)
+                    for index in sorted((i, j), reverse=True):
+                        stubs[index] = stubs[-1]
+                        stubs.pop()
+                else:
+                    rejections += 1
+                    if rejections > 50 + 10 * len(stubs):
+                        stuck = not _any_valid_pair(stubs, adj)
+                        rejections = 0
+                if accepted != accepting or stuck:
+                    if k < pairs - 1:
+                        rng.bit_generator.state = state
+                        rng.integers(bounds[: 2 * k + 2])
+                    accepting, chunk = accepted, 1
+                    break
         if not stuck:
             graph = tuple(tuple(sorted(peers)) for peers in adj)
-            if _hop_distances(np.array(graph), 0).max() < n:
+            if _hop_distances(np.array(graph), np.array([0])).max() < n:
                 return graph
     raise TopologyError(
         f"no connected {degree}-regular graph over {n} nodes after 100 seeded attempts"
@@ -278,14 +307,16 @@ def run_simulation(config: SimConfig) -> SimResult:
     # below offered[m] are in it already or can never beat m's tip.
     offered = [1] * n
     inbox: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    distances: dict[int, memoryview] = {}
+    # Hop distances from each miner that wins a block, one row per winner.
+    winning = np.flatnonzero(np.bincount(winners, minlength=n))
+    distances: list[memoryview | None] = [None] * n
+    for miner, row in zip(winning.tolist(), _hop_distances(peers, winning)):
+        distances[miner] = memoryview(row)
 
     for block_id in range(1, blocks_to_mine + 1):
         now = mined_at[block_id]
         miner = miner_of[block_id]
-        dist = distances.get(miner)
-        if dist is None:
-            dist = distances[miner] = memoryview(_hop_distances(peers, miner))
+        dist = distances[miner]
         box = inbox[miner]
         for b in range(offered[miner], block_id):
             if height[b] > tip_height[miner]:

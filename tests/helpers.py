@@ -2,14 +2,17 @@
 
 The oracles deliberately avoid the library's code paths: plain Python sums
 and scans only, so agreement with the library is evidence, not tautology.
-The simulator oracle shares only config validation, the peer-graph builder
-and the random draws with the library; it propagates blocks hop by hop, and
-builds its block records itself. The JSON export oracle is the library's
-former ``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records
-it used to hold (``as_records``). The shares oracle is the metrics module's
-former sort of ``(-weight, id)`` pairs.
+The simulator oracle shares only config validation and the random draws with
+the library; it builds its peer graph with the library's former matcher (one
+generator call per stub), propagates blocks hop by hop, and builds its block
+records itself. ``oracle_hop_distances`` is a plain queue-driven
+breadth-first search. The JSON export oracle is the library's former
+``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records it used
+to hold (``as_records``). The shares oracle is the metrics module's former
+sort of ``(-weight, id)`` pairs.
 """
 
+from collections import deque
 import dataclasses
 from enum import Enum
 from heapq import heappop, heappush
@@ -20,13 +23,12 @@ import random
 import numpy as np
 
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity
-from chainmeter.errors import FormatError
+from chainmeter.errors import FormatError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
     BlockRecord,
     SimConfig,
     SimResult,
-    random_regular_graph,
 )
 
 COVERAGE_TOL = 1e-9
@@ -77,6 +79,86 @@ def all_payment_graphs(max_clients: int):
             )
 
 
+def oracle_hop_distances(adj, source):
+    """Hop count from ``source`` to every node over the adjacency lists
+    ``adj``, by a first-in first-out queue; unreached nodes read n."""
+    n = len(adj)
+    dist = [n] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for peer in adj[node]:
+            if dist[peer] == n:
+                dist[peer] = dist[node] + 1
+                queue.append(peer)
+    return dist
+
+
+def _numpy_hop_distances(peers: np.ndarray, source: int) -> np.ndarray:
+    """The library's former single-source ``_hop_distances``, kept verbatim."""
+    n = len(peers)
+    dist = np.full(n, n, dtype=np.min_scalar_type(n))
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    depth = 0
+    while frontier.any():
+        dist[frontier] = depth
+        depth += 1
+        reached = np.zeros(n, dtype=bool)
+        reached[peers[frontier]] = True
+        frontier = reached & (dist == n)
+    return dist
+
+
+def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
+    values = set(stubs)
+    for u in values:
+        for v in values:
+            if u < v and v not in adj[u]:
+                return True
+    return False
+
+
+def oracle_random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+    """The library's former ``random_regular_graph``, kept verbatim: one
+    scalar ``rng.integers`` call per stub drawn."""
+    if n == 1 or degree == 0:
+        return ((),) if n == 1 else tuple(() for _ in range(n))
+    for _attempt in range(100):
+        adj: list[set[int]] = [set() for _ in range(n)]
+        stubs = [node for node in range(n) for _ in range(degree)]
+        stuck = False
+        while stubs and not stuck:
+            rejections = 0
+            while True:
+                i = int(rng.integers(len(stubs)))
+                j = int(rng.integers(len(stubs)))
+                u, v = stubs[i], stubs[j]
+                if i != j and u != v and v not in adj[u]:
+                    break
+                rejections += 1
+                if rejections > 50 + 10 * len(stubs):
+                    if not _any_valid_pair(stubs, adj):
+                        stuck = True
+                        break
+                    rejections = 0
+            if stuck:
+                break
+            adj[u].add(v)
+            adj[v].add(u)
+            for index in sorted((i, j), reverse=True):
+                stubs[index] = stubs[-1]
+                stubs.pop()
+        if not stuck:
+            graph = tuple(tuple(sorted(peers)) for peers in adj)
+            if _numpy_hop_distances(np.array(graph), 0).max() < n:
+                return graph
+    raise TopologyError(
+        f"no connected {degree}-regular graph over {n} nodes after 100 seeded attempts"
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class RecordResult:
     """A simulation result packaged as ``SimResult`` was before it held its
@@ -111,7 +193,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     hop = net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s
     rng = np.random.default_rng(config.seed)
 
-    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    adj = oracle_random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
 
     # Pre-drawing the whole event stream keeps generator consumption
     # independent of chain/net parameters: the same seed replays the same

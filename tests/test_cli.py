@@ -1,4 +1,5 @@
 from dataclasses import replace
+import io
 import json
 import os
 from pathlib import Path
@@ -224,6 +225,13 @@ class TestLightningCommand:
     # t * alpha overflows to inf before the product is taken.
     (["lightning", "GRAPH", "--t", "1e308", "--alpha", "10", "--direct"],
      "ctp factor throughput_tps must be positive and finite, got inf"),
+    # Finite inputs whose results overflow.
+    (["shard", "--t", "1e308", "--n", "10", "--k", "2"],
+     "ctp centralization_n * throughput_tps must be finite, got 10 * 1e+308"),
+    (["shard", "--t", "1e308", "--n", "1", "--k", "2", "--node-count", "2"],
+     "sharded throughput k * throughput_tps must be finite, got 2 * 1e+308"),
+    (["lightning", "GRAPH", "--t", "1e308", "--alpha", "1", "--direct"],
+     "ctp centralization_n * throughput_tps must be finite, got 4 * 1e+308"),
 ])
 def test_non_finite_scaling_input_exits_two(full4_csv, capsys, argv, message):
     argv = [full4_csv if arg == "GRAPH" else arg for arg in argv]
@@ -288,6 +296,19 @@ class TestSimulateCommand:
         assert main(argv) == EXIT_RUNTIME
         assert out.read_text() == "previous\n"
         assert sorted(os.listdir(tmp_path)) == ["all.json", "config.json"]
+
+    def test_closed_stdout_is_not_blamed_on_the_out_file(self, config_json, tmp_path, monkeypatch, capsys):
+        class ClosedAtFirstSeed(io.StringIO):
+            def write(self, text):
+                if text.startswith("seed "):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosedAtFirstSeed())
+        out = tmp_path / "all.json"
+        assert main(["simulate", config_json, "--seeds", "3..5", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
     @pytest.mark.parametrize("with_out", [False, True])
     def test_seed_range_holds_no_earlier_result(self, config_json, tmp_path, monkeypatch, with_out):

@@ -484,6 +484,29 @@ class TestJsonExportFailure:
             with JsonArrayWriter(str(tmp_path / "nope" / "out.json")):
                 pass
 
+    def test_array_writer_passes_other_os_errors_unchanged(self, tmp_path):
+        # Say the caller's stdout is a closed pipe: that is not a failure to
+        # write the export, so the message must not name its path.
+        out = tmp_path / "out.json"
+        with pytest.raises(BrokenPipeError) as caught:
+            with JsonArrayWriter(str(out)) as array:
+                array.add(rows(3))
+                raise BrokenPipeError(32, "Broken pipe")
+        assert str(caught.value) == "[Errno 32] Broken pipe"
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_replace_surfaces_path_and_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="^cannot write .*out.json: .*Permission denied"):
+            export_report(rows(2), str(tmp_path / "out.json"), "json")
+        with pytest.raises(OSError, match="^cannot write .*out.json: .*Permission denied"):
+            with JsonArrayWriter(str(tmp_path / "out.json")) as array:
+                array.add(rows(1))
+        assert os.listdir(tmp_path) == []
+
 
 class Unprintable:
     def __str__(self):

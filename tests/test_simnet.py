@@ -24,9 +24,9 @@ from chainmeter import (
     run_simulation,
     throughput_upper_bound,
 )
-from chainmeter.simnet import random_regular_graph
+from chainmeter.simnet import _hop_distances, random_regular_graph
 
-from helpers import as_records, oracle_simulation
+from helpers import as_records, oracle_hop_distances, oracle_random_regular_graph, oracle_simulation
 
 CHAIN = ChainParams(block_size_bytes=1_048_576, tx_size_bytes=513.86, block_interval_s=600.0, confirmations=6)
 NET = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
@@ -81,6 +81,87 @@ class TestTopology:
         a = random_regular_graph(16, 4, np.random.default_rng(9))
         b = random_regular_graph(16, 4, np.random.default_rng(9))
         assert a == b
+
+
+def graph_outcome(build, n, degree, seed):
+    """What a graph build leaves: the graph or the error type, the generator
+    state after it, and the next value the generator gives."""
+    rng = np.random.default_rng(seed)
+    try:
+        graph = build(n, degree, rng)
+    except TopologyError:
+        graph = TopologyError
+    return graph, rng.bit_generator.state, rng.random()
+
+
+class TestGraphAgainstOracle:
+    """The chunked stub draw against the one-call-per-stub matcher it
+    replaced: the same graph, or the same ``TopologyError``, and the
+    generator left in the same state.
+
+    ``sparse`` covers every degree up to n/2 for n <= 40, where pairs are
+    rarely rejected; ``dense`` every higher degree for n <= 24, where
+    accepted and rejected pairs alternate; ``stuck`` dense degrees at n=40
+    whose matchings stall or come out disconnected until the 100 attempts
+    run out; ``large`` graphs whose draws span many chunks.
+    """
+
+    @staticmethod
+    def cases(family):
+        if family == "large":
+            yield from ((n, 8, seed) for n in (200, 1000, 2000) for seed in range(3))
+        elif family == "stuck":
+            yield from ((40, degree, 0) for degree in range(34, 39))
+        else:
+            for n in range(1, 41 if family == "sparse" else 25):
+                for degree in range(n):
+                    if n * degree % 2 == 0 and (degree <= n // 2) == (family == "sparse"):
+                        yield from ((n, degree, seed) for seed in ((0, 1, 2) if family == "sparse" else (n % 3,)))
+
+    @pytest.mark.parametrize("family", ["sparse", "dense", "stuck", "large"])
+    def test_same_graph_and_generator_state(self, family):
+        for n, degree, seed in self.cases(family):
+            expected = graph_outcome(oracle_random_regular_graph, n, degree, seed)
+            assert graph_outcome(random_regular_graph, n, degree, seed) == expected, (n, degree, seed)
+            if family == "stuck":
+                assert expected[0] is TopologyError
+
+
+class TestHopDistances:
+    """The one multi-source search against a queue-driven search per source."""
+
+    @staticmethod
+    def check(adj, sources):
+        n = len(adj)
+        peers = np.array(adj, dtype=np.intp).reshape(n, -1)
+        dist = _hop_distances(peers, np.array(sources, dtype=np.intp))
+        assert dist.dtype == np.min_scalar_type(n)
+        assert dist.shape == (len(sources), n)
+        assert dist.tolist() == [oracle_hop_distances(adj, s) for s in sources]
+
+    @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 8)])
+    def test_random_regular_graphs(self, n, degree):
+        rng = np.random.default_rng(n)
+        adj = random_regular_graph(n, degree, rng)
+        # Every node, then source counts off a multiple of 8, in scrambled order.
+        self.check(adj, list(range(n)))
+        for count in {1, 7, 9, min(n, 13), min(n, 17)}:
+            self.check(adj, rng.permutation(n)[:count].tolist())
+
+    def test_disconnected_nodes_read_n(self):
+        # Two disjoint rings, of 3 and 5 nodes.
+        adj = ((1, 2), (0, 2), (0, 1), (4, 7), (3, 5), (4, 6), (5, 7), (3, 6))
+        self.check(adj, [5, 0, 3, 1])
+        assert _hop_distances(np.array(adj), np.array([0]))[0].tolist() == [0, 1, 1, 8, 8, 8, 8, 8]
+
+    def test_single_node(self):
+        self.check(((),), [0])
+
+    def test_dtype_widens_with_n(self):
+        # uint8 holds 255 but not 256; a ring's far side is n/2 hops away.
+        for n in (255, 256):
+            ring = tuple(((i - 1) % n, (i + 1) % n) for i in range(n))
+            self.check(ring, [0, n - 1, 100])
 
 
 class TestConfigValidation:
