@@ -4,15 +4,18 @@ gossip network.
 Mining is one global Poisson clock: block-creation events arrive with a mean
 spacing equal to the configured block interval, and each event's winner is
 drawn proportionally to hash power (statistically the same as per-miner
-exponential clocks, but simpler to reproduce bit for bit). The winner extends
-the highest block it has heard of. Every node relays every block over a
-random degree-regular peer graph at ``latency + block_size/bandwidth`` seconds
-per hop, so a block reaches a node exactly its hop distance after it is mined
-(Decker & Wattenhofer, IEEE P2P 2013); each winner reads its inbox of blocks
-in flight by that rule, keeping the first-arrived highest block, with ties in
-float arrival time going to the lower block id. Difficulty never retargets,
-blocks count as full (transactions are not simulated individually), and
-bandwidth contention is ignored: a hop always costs the same.
+exponential clocks, but simpler to reproduce bit for bit). Every node relays
+every block over a random degree-regular peer graph at
+``latency + block_size/bandwidth`` seconds per hop, so a block reaches a node
+exactly its hop distance after it is mined (Decker & Wattenhofer, IEEE P2P
+2013). The winner extends the highest block that has reached it, the first
+to arrive on a tie in height and the lower block id on a tie in float
+arrival time. A block mined at least ``ecc`` hops before an event, ``ecc``
+being the winner's most hops to any node, has reached the winner: each
+event's settled prefix of block ids is found before the loop, and only the
+blocks past it, still in flight, need an arrival time. Difficulty never
+retargets, blocks count as full (transactions are not simulated
+individually), and bandwidth contention is ignored.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -301,48 +304,97 @@ def run_simulation(config: SimConfig) -> SimResult:
     height = [0]
     mined_at = [0.0] + mine_times.tolist()
     miner_of = [-1] + winners.tolist()
-    tip = [0] * n
-    tip_height = [0] * n
-    # inbox[m] holds (arrival at m, block id) for blocks in flight to m; ids
-    # below offered[m] are in it already or can never beat m's tip.
-    offered = [1] * n
-    inbox: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    # Hop distances from each miner that wins a block, one row per winner.
+    # Hop distances from each miner that wins a block, one row per winner,
+    # and ecc[k - 1], the most hops from block k's winner to any node.
     winning = np.flatnonzero(np.bincount(winners, minlength=n))
+    rows = _hop_distances(peers, winning)
     distances: list[memoryview | None] = [None] * n
-    for miner, row in zip(winning.tolist(), _hop_distances(peers, winning)):
+    for miner, row in zip(winning.tolist(), rows):
         distances[miner] = memoryview(row)
+    ecc = np.zeros(n, dtype=np.intp)
+    ecc[winning] = rows.max(axis=1)
+    ecc = ecc[winners]
 
-    for block_id in range(1, blocks_to_mine + 1):
+    # settled[k - 1]: the last id of block k's settled prefix. Each block up
+    # to it was mined at least ecc hops before k, so it has reached k's
+    # winner. reach is each mining time plus e hops, added one at a time as
+    # the relays add them: float addition is monotone and mining times never
+    # decrease with id, so reach is sorted and the prefix exact. Genesis has
+    # always arrived.
+    reach = np.concatenate(([0.0], mine_times))
+    settled = np.empty(blocks_to_mine, dtype=np.intp)
+    for e in range(int(ecc.max()) + 1):
+        if e:
+            reach += hop
+        at_e = ecc == e
+        settled[at_e] = np.searchsorted(reach, mine_times[at_e], side="right") - 1
+    settled = np.clip(settled, 0, np.arange(blocks_to_mine))
+    del reach, ecc, at_e
+
+    def arrival(b: int, dist: memoryview) -> float:
+        # One ``+ hop`` per link, as each relay adds it, so the arrival time
+        # is the same float a hop-by-hop flood gives.
+        at = mined_at[b]
+        for _ in range(dist[miner_of[b]]):
+            at += hop
+        return at
+
+    # first[h] is the lowest block id at height h, more[h] the others in
+    # ascending order, top the greatest height, and own[m] the id of miner
+    # m's latest block, which m always has.
+    first = [0]
+    top = 0
+    more: dict[int, list[int]] = {}
+    own = [0] * n
+    for block_id, last in zip(range(1, blocks_to_mine + 1), memoryview(settled)):
         now = mined_at[block_id]
         miner = miner_of[block_id]
         dist = distances[miner]
-        box = inbox[miner]
-        for b in range(offered[miner], block_id):
-            if height[b] > tip_height[miner]:
-                # One ``+ hop`` per link, as each relay adds it, so the
-                # arrival time is the same float a hop-by-hop flood gives.
-                at = mined_at[b]
-                for _ in range(dist[miner_of[b]]):
-                    at += hop
-                heappush(box, (at, b))
-        offered[miner] = block_id + 1
-        while box and box[0][0] <= now:
-            b = heappop(box)[1]
-            if height[b] > tip_height[miner]:
-                tip[miner] = b
-                tip_height[miner] = height[b]
-        parent.append(tip[miner])
-        height.append(tip_height[miner] + 1)
-        tip[miner] = block_id
-        tip_height[miner] = height[block_id]
+        # The tip is the arrived block with the largest (height, -arrival
+        # at the miner, -id). Every id up to ``last`` has arrived, and so
+        # has the miner's latest block; the others after ``last`` count once
+        # they arrive.
+        tip_height = top if last >= first[top] else bisect_right(first, last) - 1
+        tips = [first[tip_height]]
+        if tip_height in more:
+            tips += [b for b in more[tip_height] if b <= last]
+        b = own[miner]
+        if b > last and height[b] >= tip_height:
+            if height[b] > tip_height:
+                tip_height, tips = height[b], [b]
+            else:
+                tips.append(b)
+        # A block at this height or above has an id of first[tip_height] or
+        # more. The miner's older blocks cannot win, and once a block has
+        # not yet reached any other node, no later block has.
+        start = first[tip_height]
+        if start <= last:
+            start = last + 1
+        for b in range(start, block_id):
+            if height[b] >= tip_height and dist[miner_of[b]]:
+                if mined_at[b] + hop > now:
+                    break
+                if arrival(b, dist) <= now:
+                    if height[b] > tip_height:
+                        tip_height = height[b]
+                        tips = [b]
+                    else:
+                        tips.append(b)
+        tip = tips[0] if len(tips) == 1 else min(tips, key=lambda b: (arrival(b, dist), b))
+        block_height = tip_height + 1
+        parent.append(tip)
+        height.append(block_height)
+        own[miner] = block_id
+        if block_height > top:
+            top = block_height
+            first.append(block_id)
+        else:
+            more.setdefault(block_height, []).append(block_id)
 
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
-    # observer), then lowest id.
-    best = 0
-    for b in range(1, blocks_to_mine + 1):
-        if (height[b], -mined_at[b], -b) > (height[best], -mined_at[best], -best):
-            best = b
+    # observer), then lowest id. Mining times never decrease with id, so
+    # that is the lowest id at the greatest height.
+    best = first[-1]
     canonical = []
     cursor = best
     while cursor != -1:

@@ -5,8 +5,10 @@ and scans only, so agreement with the library is evidence, not tautology.
 The simulator oracle shares only config validation and the random draws with
 the library; it builds its peer graph with the library's former matcher (one
 generator call per stub), propagates blocks hop by hop, and builds its block
-records itself. ``oracle_hop_distances`` is a plain queue-driven
-breadth-first search. The JSON export oracle is the library's former
+records itself. ``oracle_inbox_engine`` is the library's former event loop,
+which kept a heap of blocks in flight per winner; it shares the graph and
+hop distances with the library and checks only the tip choice.
+``oracle_hop_distances`` is a plain queue-driven breadth-first search. The JSON export oracle is the library's former
 ``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records it used
 to hold (``as_records``). The shares oracle is the metrics module's former
 sort of ``(-weight, id)`` pairs.
@@ -22,13 +24,15 @@ import random
 
 import numpy as np
 
-from chainmeter import PaymentGraph, ProducerDistribution, block_capacity
+from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay
 from chainmeter.errors import FormatError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
     BlockRecord,
     SimConfig,
     SimResult,
+    _hop_distances,
+    random_regular_graph,
 )
 
 COVERAGE_TOL = 1e-9
@@ -292,6 +296,71 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
         observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
     )
+
+
+def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]:
+    """The library's former inbox loop, kept verbatim, returning the parent
+    and height columns. At its turn each winner pushes every block mined
+    since its previous turn into a heap keyed by arrival at it, then takes
+    the arrived blocks in ``(arrival, block id)`` order, so ties in float
+    arrival go to the lower id, as in the library."""
+    chain, net = config.chain, config.net
+    n = len(config.miners)
+    interval = chain.block_interval_s
+    hop = propagation_delay(1, chain, net)
+    rng = np.random.default_rng(config.seed)
+
+    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    peers = np.array(adj, dtype=np.intp).reshape(n, -1)
+
+    blocks_to_mine = config.duration_blocks
+    mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
+    winner_draws = rng.random(blocks_to_mine)
+    share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
+    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), n - 1)
+
+    parent = [-1]
+    height = [0]
+    mined_at = [0.0] + mine_times.tolist()
+    miner_of = [-1] + winners.tolist()
+    tip = [0] * n
+    tip_height = [0] * n
+    # inbox[m] holds (arrival at m, block id) for blocks in flight to m; ids
+    # below offered[m] are in it already or can never beat m's tip.
+    offered = [1] * n
+    inbox: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    # Hop distances from each miner that wins a block, one row per winner.
+    winning = np.flatnonzero(np.bincount(winners, minlength=n))
+    distances: list[memoryview | None] = [None] * n
+    for miner, row in zip(winning.tolist(), _hop_distances(peers, winning)):
+        distances[miner] = memoryview(row)
+
+    for block_id in range(1, blocks_to_mine + 1):
+        now = mined_at[block_id]
+        miner = miner_of[block_id]
+        dist = distances[miner]
+        box = inbox[miner]
+        for b in range(offered[miner], block_id):
+            if height[b] > tip_height[miner]:
+                # One ``+ hop`` per link, as each relay adds it, so the
+                # arrival time is the same float a hop-by-hop flood gives.
+                at = mined_at[b]
+                for _ in range(dist[miner_of[b]]):
+                    at += hop
+                heappush(box, (at, b))
+        offered[miner] = block_id + 1
+        while box and box[0][0] <= now:
+            b = heappop(box)[1]
+            if height[b] > tip_height[miner]:
+                tip[miner] = b
+                tip_height[miner] = height[b]
+        parent.append(tip[miner])
+        height.append(tip_height[miner] + 1)
+        tip[miner] = block_id
+        tip_height[miner] = height[block_id]
+
+    parent[0] = None
+    return parent, height
 
 
 def oracle_to_jsonable(obj):

@@ -26,7 +26,13 @@ from chainmeter import (
 )
 from chainmeter.simnet import _hop_distances, random_regular_graph
 
-from helpers import as_records, oracle_hop_distances, oracle_random_regular_graph, oracle_simulation
+from helpers import (
+    as_records,
+    oracle_hop_distances,
+    oracle_inbox_engine,
+    oracle_random_regular_graph,
+    oracle_simulation,
+)
 
 CHAIN = ChainParams(block_size_bytes=1_048_576, tx_size_bytes=513.86, block_interval_s=600.0, confirmations=6)
 NET = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
@@ -395,16 +401,39 @@ class TestBlockColumns:
         assert a == b and hash(a) == hash(b)
 
 
-class TestAgainstOracle:
-    """The hop-distance engine against the per-hop event heap it replaced.
+def tiered_miners(n):
+    """2018 Bitcoin skew over ``n`` > 16 miners: 4 pools hold 53%, the top 16 hold 90%."""
+    shares = [0.53 / 4] * 4 + [0.37 / 12] * 12 + [0.10 / (n - 16)] * (n - 16)
+    return tuple((f"m{i:02d}", s) for i, s in enumerate(shares))
 
-    Both engines deliver a block to a node after the same float sum of hop
-    delays, so every public attribute of a ``SimResult`` must match exactly,
-    ``blocks`` record by record. The one rule that
+
+class TestAgainstOracle:
+    """The windowed engine against two references it must match exactly.
+
+    The engine treats each event's settled prefix of block ids as arrived
+    and computes an arrival time only for the blocks in flight after it.
+    The per-hop oracle floods every block hop by hop through one event heap;
+    the inbox oracle, the engine's former loop, pushes every block into a
+    heap per winner. All three deliver a block to a node after the same
+    float sum of hop delays, so every public attribute of a ``SimResult``
+    must match the per-hop oracle, ``blocks`` record by record, and the
+    parent and height columns must match the inbox oracle. The one rule that
     differs: distinct blocks reaching one node at the same float time are
-    taken in heap push order by the oracle and by lower block id by the
-    engine. With continuous mining times that tie has probability zero.
+    taken in heap push order by the per-hop oracle and by lower block id by
+    the engine and the inbox oracle. With continuous mining times that tie
+    has probability zero.
+
+    The ``ulp`` family puts mining times at 1e13 to 1e16 s and the hop near
+    half an ulp of them, so each ``+ hop`` rounds and a block can reach a
+    node later than its hop count times the hop, or at the very time it is
+    mined. The ``tiered`` family is fork-heavy at workload scale: skewed
+    shares, an interval of about two hops and 2,000 to 3,000 blocks.
     """
+
+    FAMILIES = [
+        ("single", 10), ("pair", 40), ("ring", 40), ("dense", 40), ("mixed", 140), ("forky", 40),
+        ("ulp", 40), ("tiered", 6),
+    ]
 
     @staticmethod
     def grid(family, count):
@@ -419,6 +448,9 @@ class TestAgainstOracle:
             elif family == "dense":
                 n = rng.randint(5, 16)
                 degree = rng.choice([d for d in (n - 1, n - 2, n - 3) if n * d % 2 == 0])
+            elif family == "tiered":
+                n = rng.randint(20, 60)
+                degree = rng.choice([d for d in range(3, 9) if n * d % 2 == 0])
             else:
                 n = rng.randint(3, 30)
                 degree = rng.choice([d for d in range(2, min(n, 9)) if n * d % 2 == 0])
@@ -428,14 +460,21 @@ class TestAgainstOracle:
             if family == "forky":
                 hop = propagation_delay(1, chain, net)
                 chain = replace(chain, block_interval_s=hop * rng.uniform(0.02, 0.2))
-            yield SimConfig(miners=equal_miners(n), chain=chain, net=net,
-                            duration_blocks=rng.randint(50 if family == "forky" else 1, 200),
-                            topology_degree=degree,
-                            seed=rng.randrange(2**32))
+            blocks = rng.randint(50 if family == "forky" else 1, 200)
+            if family == "tiered":
+                hop = propagation_delay(1, chain, net)
+                chain = replace(chain, block_interval_s=hop * rng.uniform(1.5, 2.5))
+                blocks = rng.randint(2_000, 3_000)
+            elif family == "ulp":
+                chain = replace(chain, block_interval_s=10 ** rng.uniform(13, 16))
+                # Half an ulp of a mining time somewhere in the run.
+                hop = math.ulp(chain.block_interval_s * rng.uniform(0.5, blocks)) / 2 * rng.uniform(0.8, 1.25)
+                net = NetworkParams(chain.block_size_bytes / hop, 0.0)
+            miners = tiered_miners(n) if family == "tiered" else equal_miners(n)
+            yield SimConfig(miners=miners, chain=chain, net=net, duration_blocks=blocks,
+                            topology_degree=degree, seed=rng.randrange(2**32))
 
-    @pytest.mark.parametrize("family, count", [
-        ("single", 10), ("pair", 40), ("ring", 40), ("dense", 40), ("mixed", 140), ("forky", 40),
-    ])
+    @pytest.mark.parametrize("family, count", FAMILIES)
     def test_identical_results(self, family, count):
         stale = []
         for cfg in self.grid(family, count):
@@ -444,6 +483,14 @@ class TestAgainstOracle:
             stale.append(result.stale_rate)
         if family == "forky":
             assert min(stale) > 0.5
+        if family == "tiered":
+            assert min(stale) > 0.3
+
+    @pytest.mark.parametrize("family, count", FAMILIES)
+    def test_matches_the_inbox_engine(self, family, count):
+        for cfg in self.grid(family, count):
+            result = run_simulation(cfg)
+            assert (list(result.parent_ids), list(result.heights)) == oracle_inbox_engine(cfg), cfg
 
     def test_hop_longer_than_the_run(self):
         # Nothing is ever delivered: every miner extends only its own blocks.
