@@ -15,6 +15,7 @@ and are never floored. All functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -104,8 +105,20 @@ def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
 def throughput_sweep(
     chain: ChainParams, net: NetworkParams, block_sizes: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Propagation-limited throughput at each block size, in input order."""
+    """Propagation-limited throughput at each block size, in input order:
+    ``propagation_limited_throughput(replace(chain, block_size_bytes=b),
+    net)``, float for float. Only when some size is bad do the sizes go
+    through ``ChainParams`` one by one, to reject the first with its message."""
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
-    return [(b, propagation_limited_throughput(replace(chain, block_size_bytes=b), net)) for b in block_sizes]
-
+    try:
+        valid = min(map(operator.index, block_sizes)) >= chain.tx_size_bytes
+    except TypeError:
+        valid = False
+    if not valid:
+        for b in block_sizes:
+            replace(chain, block_size_bytes=b)
+    s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s
+    if latency == 0.0:
+        return [(b, w / s) for b in block_sizes]
+    return [(b, b / (s * (latency + b / w))) for b in block_sizes]

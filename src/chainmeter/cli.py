@@ -150,7 +150,7 @@ def _cmd_bound(args) -> int:
         if not args.sweep_out:
             raise _UsageError("--sweep needs --sweep-out FILE for its CSV")
         try:
-            sizes = [int(s) for s in args.sweep.split(",") if s]
+            sizes = list(map(int, filter(None, args.sweep.split(","))))
         except ValueError:
             raise _UsageError(f"--sweep wants comma-separated integer block sizes, got {args.sweep!r}") from None
         table = throughput_sweep(chain, net, sizes)

@@ -5,7 +5,14 @@ block-explorer exports); simulator configs and full results travel as JSON.
 The loaders only parse: the types they build validate their own values
 (``SimConfig`` too, so a config is checked once, however it is made), and a
 loader adds where a rejected value came from (the file, and for a CSV row
-the line). Integer fields are handed over as read, never truncated. Unit
+the line). Integer fields are handed over as read, never truncated.
+
+A CSV is read a column at a time: one reader pass collects its rows, one
+test checks that they all have the header's width, and each column is then
+stripped, and a count column parsed, as a whole. Only a file with a blank
+row, a row of the wrong width, a count that is not an integer or a read
+error is read again row by row, to skip the blank rows and name the line at
+fault, so the messages are those of a row-by-row read. Unit
 conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and decimal
 megabits per second are 10**6/8 bytes per second. Numbers are written with
 full double precision so that load(export(x)) == x.
@@ -83,17 +90,60 @@ class UnitSpec:
 
 
 def _read_rows(path: str, expected_header: list[str]):
+    """``(line, stripped cells)`` for each row of the CSV at ``path`` that is
+    not blank, read one at a time; a row of the wrong width is rejected,
+    naming its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
+        _check_header(path, next(reader, None), expected_header)
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(expected_header):
                 raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}")
             yield lineno, [cell.strip() for cell in row]
+
+
+def _check_header(path: str, header: list[str] | None, expected_header: list[str]) -> None:
+    if header is None or [h.strip() for h in header] != expected_header:
+        raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
+
+
+def _read_columns(path: str, expected_header: list[str], integer: str | None = None) -> list[list]:
+    """The data cells of the CSV at ``path``, stripped, one list per column
+    of ``expected_header``; the column named ``integer``, if any, read as
+    ints. A file that is not read whole (see the module docstring), or that
+    the reader fails on, goes through ``_read_rows``, which raises for its
+    first fault in file order."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        _check_header(path, next(reader, None), expected_header)
+        try:
+            rows = list(reader)
+        except (csv.Error, UnicodeDecodeError):
+            rows = None
+    k = expected_header.index(integer) if integer else None
+    if rows is not None and set(map(len, rows)) <= {len(expected_header)}:
+        columns = [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(len(expected_header))]
+        del rows
+        # A blank row of the header's width has an empty first cell.
+        if "" not in columns[0]:
+            try:
+                if k is not None:
+                    columns[k] = list(map(int, columns[k]))
+                return columns
+            except ValueError:
+                pass
+    columns = [[] for _ in expected_header]
+    for lineno, row in _read_rows(path, expected_header):
+        if k is not None:
+            try:
+                row[k] = int(row[k])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: {integer} is not an integer: {row[k]!r}") from None
+        for column, cell in zip(columns, row):
+            column.append(cell)
+    return columns
 
 
 def _validated(path: str, expected_header: list[str], build):
@@ -114,24 +164,19 @@ def _validated(path: str, expected_header: list[str], build):
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
     header = ["producer_id", "weight"]
-    entries = tuple(row for _, row in _read_rows(path, header))
-    return _validated(path, header, lambda: ProducerDistribution(entries))
+    ids, weights = _read_columns(path, header)
+    return _validated(path, header, lambda: ProducerDistribution(tuple(zip(ids, weights))))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
     """Read a ``from,to,count`` CSV into a payment graph; clients are the
     union of all endpoints."""
     header = ["from", "to", "count"]
-    payments: list[tuple[str, str, int]] = []
-    for lineno, (src, dst, raw_count) in _read_rows(path, header):
-        try:
-            payments.append((src, dst, int(raw_count)))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: count is not an integer: {raw_count!r}") from None
-    if not payments:
+    src, dst, counts = _read_columns(path, header, integer="count")
+    if not counts:
         raise ParseError(f"{path}: no data rows")
-    clients = frozenset(c for a, b, _ in payments for c in (a, b))
-    return _validated(path, header, lambda: PaymentGraph(clients=clients, payments=tuple(payments)))
+    clients = frozenset(src).union(dst)
+    return _validated(path, header, lambda: PaymentGraph(clients=clients, payments=tuple(zip(src, dst, counts))))
 
 
 def _params(cls: type, data: dict, section: str, problems: list[str],
@@ -458,9 +503,10 @@ class JsonArrayWriter:
 def _csv_rows(report: Any, columns: tuple[str, ...] | None):
     if isinstance(report, ProducerDistribution):
         report, columns = report.entries, columns or ("producer_id", "weight")
-    if isinstance(report, (list, tuple)) and report and all(
-        isinstance(row, (list, tuple)) and len(row) == len(report[0]) for row in report
-    ):
+    # One check per distinct row type and width, not one per row.
+    if (isinstance(report, (list, tuple)) and report
+            and all(issubclass(kind, (list, tuple)) for kind in set(map(type, report)))
+            and len(set(map(len, report))) == 1):
         width = len(report[0])
         header = columns or tuple(f"col{i + 1}" for i in range(width))
         if len(header) != width:

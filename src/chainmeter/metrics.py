@@ -58,14 +58,19 @@ class ProducerDistribution:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("distribution has no producers")
-        seen = set()
-        for index, (pid, w) in enumerate(entries):
-            if pid in seen:
-                raise InputError(f"duplicate producer_id {pid!r}", index)
-            seen.add(pid)
-            if not math.isfinite(w) or w < 0:
-                raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
-        if sum(w for _, w in entries) <= 0:
+        # Duplicates, finiteness and sign are checked in bulk; the entries are
+        # walked only to name the first bad one.
+        by_id = dict(entries)
+        total = sum(by_id.values())
+        if len(by_id) < len(entries) or not (math.isfinite(total) and min(by_id.values()) >= 0):
+            seen = set()
+            for index, (pid, w) in enumerate(entries):
+                if pid in seen:
+                    raise InputError(f"duplicate producer_id {pid!r}", index)
+                seen.add(pid)
+                if not math.isfinite(w) or w < 0:
+                    raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
+        if total <= 0:
             raise InputError("total weight must be positive")
 
     def __getstate__(self):

@@ -12,16 +12,20 @@ no path through which a relay could alter a balance.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from chainmeter.errors import InputError, integer
 from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
 CHANNEL_ONCHAIN_COST = 2
+
+# A payment row's sender, receiver and count.
+_FROM, _TO, _COUNT = map(operator.itemgetter, range(3))
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,15 @@ def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
 
 @dataclass(frozen=True)
 class PaymentGraph:
-    """Clients and the payments flowing between them within a channel window."""
+    """Clients and the payments flowing between them within a channel window.
+    Its active clients and channel pairs are built once, on first use, and
+    take no part in ``==``, ``hash``, pickling or ``dataclasses.replace``."""
 
     clients: frozenset[str]
     payments: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clients", frozenset(str(c) for c in self.clients))
+        object.__setattr__(self, "clients", frozenset(map(str, self.clients)))
         # Counts follow errors.integer's rule, applied in the pass that builds
         # the rows; only a failure walks them again, to name the first bad one.
         try:
@@ -110,21 +116,38 @@ class PaymentGraph:
                 integer(c, "payment count", index)
             raise
         object.__setattr__(self, "payments", payments)
-        for index, (a, b, count) in enumerate(payments):
-            if a == b:
-                raise InputError(f"payment from {a!r} to itself", index)
-            if count < 1:
-                raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
-            if a not in self.clients or b not in self.clients:
-                raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
+        # Self-payments, counts and endpoints are checked a column at a time;
+        # the rows are walked only to name the first bad one.
+        src, dst = list(map(_FROM, payments)), list(map(_TO, payments))
+        if (any(map(operator.eq, src, dst)) or min(map(_COUNT, payments), default=1) < 1
+                or not self.clients.issuperset(src) or not self.clients.issuperset(dst)):
+            for index, (a, b, count) in enumerate(payments):
+                if a == b:
+                    raise InputError(f"payment from {a!r} to itself", index)
+                if count < 1:
+                    raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
+                if a not in self.clients or b not in self.clients:
+                    raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
+
+    def __getstate__(self):
+        # The cached sets are rebuilt on demand, so a pickle holds only the fields.
+        return {"clients": self.clients, "payments": self.payments}
+
+    @functools.cached_property
+    def _active_clients(self) -> frozenset[str]:
+        return frozenset(map(_FROM, self.payments)).union(map(_TO, self.payments))
+
+    @functools.cached_property
+    def _channel_pairs(self) -> frozenset[frozenset[str]]:
+        return frozenset(map(frozenset, zip(map(_FROM, self.payments), map(_TO, self.payments))))
 
     def active_clients(self) -> frozenset[str]:
         """Clients that send or receive at least one payment."""
-        return frozenset(c for a, b, _ in self.payments for c in (a, b))
+        return self._active_clients
 
     def channel_pairs(self) -> frozenset[frozenset[str]]:
         """Distinct unordered client pairs with at least one payment."""
-        return frozenset(frozenset((a, b)) for a, b, _ in self.payments)
+        return self._channel_pairs
 
 
 @dataclass(frozen=True)
@@ -186,7 +209,7 @@ def onchain_tx_count(graph: PaymentGraph, plan: RelayPlan) -> int:
     every edge appearing on some route.
     """
     if plan.mode == "direct":
-        channels: set[frozenset[str]] = set(graph.channel_pairs())
+        channels: Collection[frozenset[str]] = graph.channel_pairs()
     elif plan.mode == "single_relay":
         channels = {
             frozenset((c, plan.relay_id)) for c in graph.active_clients() if c != plan.relay_id

@@ -10,10 +10,11 @@ every block over a random degree-regular peer graph at
 exactly its hop distance after it is mined (Decker & Wattenhofer, IEEE P2P
 2013). The winner extends the highest block that has reached it, the first
 to arrive on a tie in height and the lower block id on a tie in float
-arrival time. A block mined at least ``ecc`` hops before an event, ``ecc``
-being the winner's most hops to any node, has reached the winner: each
-event's settled prefix of block ids is found before the loop, and only the
-blocks past it, still in flight, need an arrival time. Difficulty never
+arrival time. A block mined at least ``ecc`` hops before an event has
+reached the winner, ``ecc`` being the winner's most hops to any miner that
+wins a block (no other node mines one): each event's settled prefix of
+block ids is found before the loop, and only the blocks past it, still in
+flight, need an arrival time. Difficulty never
 retargets, blocks count as full (transactions are not simulated
 individually), and bandwidth contention is ignored.
 
@@ -305,14 +306,15 @@ def run_simulation(config: SimConfig) -> SimResult:
     mined_at = [0.0] + mine_times.tolist()
     miner_of = [-1] + winners.tolist()
     # Hop distances from each miner that wins a block, one row per winner,
-    # and ecc[k - 1], the most hops from block k's winner to any node.
+    # and ecc[k - 1], the most hops from block k's winner to any winner:
+    # only winners mine blocks, so no block comes from farther away.
     winning = np.flatnonzero(np.bincount(winners, minlength=n))
     rows = _hop_distances(peers, winning)
     distances: list[memoryview | None] = [None] * n
     for miner, row in zip(winning.tolist(), rows):
         distances[miner] = memoryview(row)
     ecc = np.zeros(n, dtype=np.intp)
-    ecc[winning] = rows.max(axis=1)
+    ecc[winning] = rows[:, winning].max(axis=1)
     ecc = ecc[winners]
 
     # settled[k - 1]: the last id of block k's settled prefix. Each block up

@@ -11,21 +11,26 @@ hop distances with the library and checks only the tip choice.
 ``oracle_hop_distances`` is a plain queue-driven breadth-first search. The JSON export oracle is the library's former
 ``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records it used
 to hold (``as_records``). The shares oracle is the metrics module's former
-sort of ``(-weight, id)`` pairs.
+sort of ``(-weight, id)`` pairs. The CSV loader oracles are the former
+row-by-row loaders, with the entry-by-entry checks the distribution and
+payment graph types ran before they checked their values in bulk.
 """
 
 from collections import deque
+import csv
 import dataclasses
 from enum import Enum
 from heapq import heappop, heappush
+import itertools
 from itertools import combinations
 import json
+import math
 import random
 
 import numpy as np
 
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay
-from chainmeter.errors import FormatError, TopologyError
+from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
     BlockRecord,
@@ -399,3 +404,87 @@ def oracle_export_json(report, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+# The CSV loaders as they were before they read a column at a time: every
+# row is stripped and checked on its own, and the types' values are checked
+# entry by entry. ``_oracle_read_rows``, ``_oracle_validated`` and the two
+# loaders are the library's former code, verbatim but for their names and
+# the entry-by-entry checks the types used to run, which are applied before
+# each type is built.
+
+
+def _oracle_read_rows(path: str, expected_header: list[str]):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != expected_header:
+            raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}")
+            yield lineno, [cell.strip() for cell in row]
+
+
+def _oracle_validated(path: str, expected_header: list[str], build):
+    try:
+        return build()
+    except InputError as exc:
+        where = path
+        if exc.index is not None:
+            lineno, _ = next(itertools.islice(_oracle_read_rows(path, expected_header), exc.index, None))
+            where = f"{path}:{lineno}"
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _oracle_distribution(entries) -> ProducerDistribution:
+    try:
+        converted = tuple((str(pid), float(w)) for pid, w in entries)
+    except (TypeError, ValueError):
+        return ProducerDistribution(entries)  # names the entry that is not a number
+    if not converted:
+        raise InputError("distribution has no producers")
+    seen = set()
+    for index, (pid, w) in enumerate(converted):
+        if pid in seen:
+            raise InputError(f"duplicate producer_id {pid!r}", index)
+        seen.add(pid)
+        if not math.isfinite(w) or w < 0:
+            raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
+    if sum(w for _, w in converted) <= 0:
+        raise InputError("total weight must be positive")
+    return ProducerDistribution(entries)
+
+
+def _oracle_payment_graph(clients, payments) -> PaymentGraph:
+    clients = frozenset(str(c) for c in clients)
+    for index, (a, b, count) in enumerate(payments):
+        if a == b:
+            raise InputError(f"payment from {a!r} to itself", index)
+        if count < 1:
+            raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
+        if a not in clients or b not in clients:
+            raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
+    return PaymentGraph(clients=clients, payments=payments)
+
+
+def oracle_load_distribution(path: str) -> ProducerDistribution:
+    header = ["producer_id", "weight"]
+    entries = tuple(row for _, row in _oracle_read_rows(path, header))
+    return _oracle_validated(path, header, lambda: _oracle_distribution(entries))
+
+
+def oracle_load_payment_graph(path: str) -> PaymentGraph:
+    header = ["from", "to", "count"]
+    payments: list[tuple[str, str, int]] = []
+    for lineno, (src, dst, raw_count) in _oracle_read_rows(path, header):
+        try:
+            payments.append((src, dst, int(raw_count)))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: count is not an integer: {raw_count!r}") from None
+    if not payments:
+        raise ParseError(f"{path}: no data rows")
+    clients = frozenset(c for a, b, _ in payments for c in (a, b))
+    return _oracle_validated(path, header, lambda: _oracle_payment_graph(clients, tuple(payments)))

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ class TestSweep:
     def test_fractional_size_is_rejected_not_truncated(self):
         with pytest.raises(InputError, match="^block_size_bytes must be an integer, got 1048576.9$"):
             throughput_sweep(BITCOIN, WAN, [2**20, 1048576.9])
+
+    @pytest.mark.parametrize("latency", [0.0, -0.0, 0.1, None])
+    def test_bit_identical_to_one_chain_per_size(self, latency):
+        rng = random.Random(f"sweep/{latency!r}")
+        for _ in range(30):
+            chain = ChainParams(rng.randrange(10**3, 10**7), rng.uniform(100.0, 900.0), rng.uniform(1.0, 600.0))
+            net = NetworkParams(10 ** rng.uniform(3, 9), rng.uniform(0.0, 2.0) if latency is None else latency)
+            sizes = [rng.randrange(900, 2**rng.randrange(11, 64)) for _ in range(40)] + [np.int64(2**20), 2**53 + 1]
+            rng.shuffle(sizes)
+            expected = [propagation_limited_throughput(replace(chain, block_size_bytes=b), net) for b in sizes]
+            table = throughput_sweep(chain, net, sizes)
+            assert [b for b, _ in table] == sizes
+            assert [(type(v), float.hex(v)) for _, v in table] == [(type(v), float.hex(v)) for v in expected]
+
+    def test_bad_sizes_raise_the_first_error_in_input_order(self):
+        rng = random.Random("sweep/bad")
+        good = [2**20, 514, np.int64(4096), 10**12]
+        bad = [0, -5, 4, 513, True, 1048576.9, 2.0, "1024", None, np.float64(1e6)]
+        for _ in range(200):
+            sizes = rng.choices(good, k=rng.randint(0, 6)) + rng.sample(bad, rng.randint(1, 3))
+            rng.shuffle(sizes)
+            with pytest.raises(InputError) as expected:
+                for b in sizes:
+                    replace(BITCOIN, block_size_bytes=b)
+            with pytest.raises(InputError) as got:
+                throughput_sweep(BITCOIN, WAN, sizes)
+            assert str(got.value) == str(expected.value)
 
     def test_supremum_gap(self):
         # Gap to w/s below 1% by b = 1e9*s whenever l <= 1 s and w >= 1e5 B/s.

@@ -1,9 +1,11 @@
+from collections import namedtuple
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +29,13 @@ from chainmeter import (
 )
 from chainmeter.ingest import CHUNK, JsonArrayWriter, to_jsonable
 
-from helpers import as_records, oracle_export_json, oracle_to_jsonable
+from helpers import (
+    as_records,
+    oracle_export_json,
+    oracle_load_distribution,
+    oracle_load_payment_graph,
+    oracle_to_jsonable,
+)
 
 
 def write(path, text):
@@ -107,6 +115,98 @@ class TestLoadPaymentGraph:
         path = write(tmp_path / "g.csv", "from,to,count\na,a,1\n")
         with pytest.raises(ParseError, match=":2:"):
             load_payment_graph(path)
+
+
+def _cell(rng, text):
+    """``text`` as a CSV cell: sometimes padded, quoted when it must be."""
+    if rng.random() < 0.15:
+        text = rng.choice([" ", "\t", "  "]) + text + rng.choice(["", " ", "\t"])
+    if rng.random() < 0.1 or any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def random_csv(rng, header, row, fault_rate):
+    """A CSV text with ``header``: rows from ``row(rng)``, blank and ``,,``
+    rows, rows of the wrong width, and sometimes a BOM, CRLF ends, a bad or
+    missing header or no rows at all."""
+    end = rng.choice(["\n", "\r\n"])
+    if rng.random() < 0.04:
+        return rng.choice(["", end])
+    head = list(header)
+    if rng.random() < 0.04:
+        head[rng.randrange(len(head))] = "weight_s"
+    lines = [",".join(_cell(rng, h) for h in head)]
+    for _ in range(rng.randint(0, 12)):
+        r = rng.random()
+        if r < fault_rate / 2:
+            lines.append(rng.choice(["", ",", ",,", " , ", ",,,", '""', " "]))
+        elif r < fault_rate:
+            cells = row(rng)
+            lines.append(",".join(_cell(rng, c) for c in (cells[:-1] if rng.random() < 0.5 else cells + ["x"])))
+        else:
+            lines.append(",".join(_cell(rng, c) for c in row(rng)))
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
+
+
+def _distribution_row(rng):
+    pid = rng.choice(["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "a,b", "x\ny", 'q"q', ""]) \
+        if rng.random() < 0.3 else f"p{rng.randrange(10**6)}"
+    if rng.random() < 0.9:
+        weight = rng.choice(["1", "2.5", "0", "1e3", "0.125", "7", "+4", "1_000"])
+    else:
+        weight = rng.choice(["-1", "nan", "inf", "-inf", "1e400", "abc", "", "0x10", "1,5", "-0.0"])
+    return [pid, weight]
+
+
+def _payment_row(rng):
+    src = f"c{rng.randrange(6)}"
+    dst = src if rng.random() < 0.03 else rng.choice([f"c{i}" for i in range(6) if f"c{i}" != src] + ["c,7", "c\n8"])
+    if rng.random() < 0.92:
+        count = rng.choice(["1", "2", "3", "17", "+5", "1_0"])
+    else:
+        count = rng.choice(["0", "-2", "x", "2.5", "", "1e3", "٣"])
+    return [src, dst, count]
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadersAgainstOracle:
+    """The column-at-a-time loaders against the former row-by-row ones, on
+    seeded CSVs: every file gives an equal object, or the same exception type
+    and message, ``path:line:`` included."""
+
+    @pytest.mark.parametrize("load, oracle, header, row", [
+        (load_distribution, oracle_load_distribution, ("producer_id", "weight"), _distribution_row),
+        (load_payment_graph, oracle_load_payment_graph, ("from", "to", "count"), _payment_row),
+    ], ids=["distribution", "payment_graph"])
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.02, 0.1])
+    def test_same_object_or_same_error(self, tmp_path, load, oracle, header, row, fault_rate):
+        rng = random.Random(f"loaders/{header[0]}/{fault_rate}")
+        path = str(tmp_path / "in.csv")
+        kinds = set()
+        for _ in range(400):
+            text = random_csv(rng, header, row, fault_rate)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            expected = _outcome(oracle, path)
+            assert _outcome(load, path) == expected, text
+            kinds.add(expected[0] if isinstance(expected, tuple) else "loaded")
+        assert kinds == {"loaded", ParseError}
+
+
+    @pytest.mark.parametrize("tail", [b"\xff,c,1\n", b'"' + b"c" * 200_000 + b'",d,1\n'], ids=["undecodable", "long_field"])
+    @pytest.mark.parametrize("head", [b"a,b,x\n", b"a,b\n", b"a,b,1\n"], ids=["bad_count", "short_row", "fine"])
+    def test_an_earlier_fault_wins_over_a_reader_error(self, tmp_path, head, tail):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"from,to,count\n" + head + b"c,d,1\n" * 5000 + tail)
+        assert _outcome(load_payment_graph, str(path)) == _outcome(oracle_load_payment_graph, str(path))
 
 
 class TestUnitSpec:
@@ -245,6 +345,21 @@ class TestExportReport:
         with pytest.raises(FormatError, match="1 column names for 2-column rows"):
             export_report(dist, str(tmp_path / "d.csv"), "csv", columns=("id",))
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("report, kind", [
+        ([(1, 2.0), (2, 3.0, 4)], "list"), ([(1, 2.0), 3], "list"), ([(1, 2.0), "ab"], "list"),
+        ([], "list"), ((), "tuple"), ({"a": 1}, "dict"), ([{"a": 1}, {"b": 2}], "list"),
+    ])
+    def test_csv_rejects_what_is_not_a_table(self, tmp_path, report, kind):
+        with pytest.raises(FormatError, match=f"^cannot flatten {kind} to CSV; export it as json instead$"):
+            export_report(report, str(tmp_path / "t.csv"), "csv")
+        assert os.listdir(tmp_path) == []
+
+    def test_csv_takes_rows_of_sequence_subclasses(self, tmp_path):
+        Point = namedtuple("Point", "rank share")
+        out = tmp_path / "t.csv"
+        export_report([Point(1, 0.5), [2, 1.0]], str(out), "csv")
+        assert out.read_text() == "col1,col2\n1,0.5\n2,1.0\n"
 
     def test_sim_result_csv_rejected(self, tmp_path):
         config = SimConfig(

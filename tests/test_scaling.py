@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -282,3 +284,24 @@ class TestPaymentGraphValidation:
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
             PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 0),))
+
+
+class TestPaymentGraphCache:
+    def test_cached_sets_take_no_part_in_the_value(self):
+        graph, fresh = full_graph(6), full_graph(6)
+        pairs, active = graph.channel_pairs(), graph.active_clients()
+        assert graph == fresh and hash(graph) == hash(fresh)
+        assert pickle.dumps(graph) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert copy == graph and not {"_channel_pairs", "_active_clients"} & vars(copy).keys()
+        assert copy.channel_pairs() == pairs and copy.active_clients() == active
+        smaller = dataclasses.replace(graph, payments=graph.payments[:3])
+        assert smaller.channel_pairs() == frozenset(frozenset(p[:2]) for p in graph.payments[:3])
+        assert smaller.active_clients() == frozenset(c for p in graph.payments[:3] for c in p[:2])
+
+    def test_each_set_is_built_once(self):
+        graph = full_graph(5)
+        pairs, active = graph.channel_pairs(), graph.active_clients()
+        lightning_analysis(baseline(t=1.0, n=5, nodes=5), graph, RelayPlan.single_relay("c0"), 2.0)
+        lightning_analysis(baseline(t=1.0, n=5, nodes=5), graph, RelayPlan.direct(), 2.0)
+        assert graph.channel_pairs() is pairs and graph.active_clients() is active

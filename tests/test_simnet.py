@@ -407,6 +407,12 @@ def tiered_miners(n):
     return tuple((f"m{i:02d}", s) for i, s in enumerate(shares))
 
 
+def relay_miners(n, hashing):
+    """``n`` nodes of which only the last ``hashing`` mine, in equal shares;
+    the others are zero-share relay nodes."""
+    return tuple((f"m{i:02d}", 0.0 if i < n - hashing else 1.0 / hashing) for i in range(n))
+
+
 class TestAgainstOracle:
     """The windowed engine against two references it must match exactly.
 
@@ -427,12 +433,14 @@ class TestAgainstOracle:
     half an ulp of them, so each ``+ hop`` rounds and a block can reach a
     node later than its hop count times the hop, or at the very time it is
     mined. The ``tiered`` family is fork-heavy at workload scale: skewed
-    shares, an interval of about two hops and 2,000 to 3,000 blocks.
+    shares, an interval of about two hops and 2,000 to 3,000 blocks. In the
+    ``relays`` family most nodes are zero-share relays on a sparse graph, so
+    a winner's most hops to another winner is often fewer than to any node.
     """
 
     FAMILIES = [
         ("single", 10), ("pair", 40), ("ring", 40), ("dense", 40), ("mixed", 140), ("forky", 40),
-        ("ulp", 40), ("tiered", 6),
+        ("ulp", 40), ("tiered", 6), ("relays", 30),
     ]
 
     @staticmethod
@@ -451,6 +459,9 @@ class TestAgainstOracle:
             elif family == "tiered":
                 n = rng.randint(20, 60)
                 degree = rng.choice([d for d in range(3, 9) if n * d % 2 == 0])
+            elif family == "relays":
+                n = rng.randint(20, 50)
+                degree = rng.choice([d for d in (3, 4) if n * d % 2 == 0])
             else:
                 n = rng.randint(3, 30)
                 degree = rng.choice([d for d in range(2, min(n, 9)) if n * d % 2 == 0])
@@ -465,12 +476,21 @@ class TestAgainstOracle:
                 hop = propagation_delay(1, chain, net)
                 chain = replace(chain, block_interval_s=hop * rng.uniform(1.5, 2.5))
                 blocks = rng.randint(2_000, 3_000)
+            elif family == "relays":
+                hop = propagation_delay(1, chain, net)
+                chain = replace(chain, block_interval_s=hop * rng.uniform(1.0, 4.0))
+                blocks = rng.randint(200, 600)
             elif family == "ulp":
                 chain = replace(chain, block_interval_s=10 ** rng.uniform(13, 16))
                 # Half an ulp of a mining time somewhere in the run.
                 hop = math.ulp(chain.block_interval_s * rng.uniform(0.5, blocks)) / 2 * rng.uniform(0.8, 1.25)
                 net = NetworkParams(chain.block_size_bytes / hop, 0.0)
-            miners = tiered_miners(n) if family == "tiered" else equal_miners(n)
+            if family == "tiered":
+                miners = tiered_miners(n)
+            elif family == "relays":
+                miners = relay_miners(n, rng.randint(2, 5))
+            else:
+                miners = equal_miners(n)
             yield SimConfig(miners=miners, chain=chain, net=net, duration_blocks=blocks,
                             topology_degree=degree, seed=rng.randrange(2**32))
 
@@ -491,6 +511,17 @@ class TestAgainstOracle:
         for cfg in self.grid(family, count):
             result = run_simulation(cfg)
             assert (list(result.parent_ids), list(result.heights)) == oracle_inbox_engine(cfg), cfg
+
+    def test_relays_are_farther_than_winners(self):
+        # The relays family exercises what it is for: in most configs some
+        # miner's farthest node is farther than its farthest fellow miner.
+        differ = 0
+        for cfg in self.grid("relays", 30):
+            adj = random_regular_graph(len(cfg.miners), cfg.topology_degree, np.random.default_rng(cfg.seed))
+            hashing = [i for i, (_, share) in enumerate(cfg.miners) if share > 0]
+            rows = [oracle_hop_distances(adj, m) for m in hashing]
+            differ += any(max(row) > max(row[m] for m in hashing) for row in rows)
+        assert differ >= 20
 
     def test_hop_longer_than_the_run(self):
         # Nothing is ever delivered: every miner extends only its own blocks.
