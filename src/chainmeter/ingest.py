@@ -92,16 +92,29 @@ class UnitSpec:
 def _read_rows(path: str, expected_header: list[str]):
     """``(line, stripped cells)`` for each row of the CSV at ``path`` that is
     not blank, read one at a time; a row of the wrong width is rejected,
-    naming its line."""
+    naming its line. So is a file the reader fails on, a field over the csv
+    module's size limit or bytes that are not UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        _check_header(path, next(reader, None), expected_header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}")
-            yield lineno, [cell.strip() for cell in row]
+        try:
+            _check_header(path, next(reader, None), expected_header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}")
+                yield lineno, [cell.strip() for cell in row]
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # Text is decoded a block at a time, so the line is found in the bytes.
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+            raise
 
 
 def _check_header(path: str, header: list[str] | None, expected_header: list[str]) -> None:
@@ -117,8 +130,8 @@ def _read_columns(path: str, expected_header: list[str], integer: str | None = N
     first fault in file order."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        _check_header(path, next(reader, None), expected_header)
         try:
+            _check_header(path, next(reader, None), expected_header)
             rows = list(reader)
         except (csv.Error, UnicodeDecodeError):
             rows = None
@@ -212,7 +225,7 @@ def load_sim_config(path: str) -> SimConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8, and integers too long to convert
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
     problems: list[str] = []

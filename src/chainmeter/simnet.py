@@ -21,8 +21,9 @@ individually), and bandwidth contention is ignored.
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
 identical results, event for event. The peer graph's stubs are drawn in
-chunks that consume the generator exactly as one call per stub would, and
-one breadth-first search gives every winner its hop distances up front.
+chunks that consume the generator exactly as one call per stub would; a lone
+rejected pair does not shrink the next chunk, a streak of them does. One
+breadth-first search gives every winner its hop distances up front.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
@@ -229,19 +230,21 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
 
     Stub indices are drawn two per pair, ``rng.integers(len(stubs))`` each,
     in chunks: one call with an array of bounds draws what the scalar calls
-    would if each pair ended as the one before it (bounds ``L, L, L-2, L-2,
-    ...`` after an acceptance, ``L, L, ...`` after a rejection). At the
-    first pair that ends otherwise, or stalls the matching, ``rng`` is
-    rewound and replays only the draws used, so it ends where one call per
-    stub leaves it. After such a pair a chunk holds one pair, and each next
-    chunk twice as many, up to ``_PAIRS_PER_DRAW``.
+    would if every pair were accepted (bounds ``L, L, L-2, L-2, ...``) or
+    rejected (``L, L, ...``); at the first pair that ends otherwise, or
+    stalls the matching, ``rng`` is rewound to replay only the draws used,
+    so it ends where one call per stub leaves it. A lone rejection keeps
+    acceptance assumed, the next chunk one pair longer than the pairs
+    accepted since the last switch; each end of a streak of rejections
+    switches the assumption and starts a one-pair chunk. A chunk that ends
+    as assumed doubles the next, up to ``_PAIRS_PER_DRAW``.
     """
     if n == 1 or degree == 0:
         return ((),) if n == 1 else tuple(() for _ in range(n))
     for _attempt in range(100):
         adj: list[set[int]] = [set() for _ in range(n)]
         stubs = [node for node in range(n) for _ in range(degree)]
-        rejections = 0
+        rejections = run = 0
         stuck = False
         accepting, chunk = True, _PAIRS_PER_DRAW
         while stubs and not stuck:
@@ -256,11 +259,15 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
                 accepted = i != j and u != v and v not in adj[u]
                 if accepted:
                     rejections = 0
+                    run += 1
                     adj[u].add(v)
                     adj[v].add(u)
-                    for index in sorted((i, j), reverse=True):
-                        stubs[index] = stubs[-1]
-                        stubs.pop()
+                    if i < j:
+                        i, j = j, i
+                    stubs[i] = stubs[-1]
+                    stubs.pop()
+                    stubs[j] = stubs[-1]
+                    stubs.pop()
                 else:
                     rejections += 1
                     if rejections > 50 + 10 * len(stubs):
@@ -270,7 +277,9 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
                     if k < pairs - 1:
                         rng.bit_generator.state = state
                         rng.integers(bounds[: 2 * k + 2])
-                    accepting, chunk = accepted, 1
+                    if rejections != 1:  # not a lone rejection: a streak starts or ends
+                        accepting, run = accepted, 0
+                    chunk = min(_PAIRS_PER_DRAW, run + 1)
                     break
         if not stuck:
             graph = tuple(tuple(sorted(peers)) for peers in adj)

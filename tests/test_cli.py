@@ -239,6 +239,33 @@ def test_non_finite_scaling_input_exits_two(full4_csv, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_ROWS = b"".join(b"p%d,1\n" % i for i in range(5000))  # past the first block the reader decodes
+_LONG = b'"' + b"x" * 200_000 + b'"'  # over the csv module's field size limit
+_CONFIG = json.dumps(BASE_CONFIG).encode()
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("metrics", b"producer_id,weight\na,1\nb\xff,2\n", ":3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ("metrics", b"producer_id,weight\n" + _ROWS + b"b\xff,2\n", ":5002: not UTF-8 text: "),
+    ("lightning", b"from,to,count\na,b,1\nb,c\xff,2\n", ":3: not UTF-8 text: "),
+    ("metrics", b"producer_id\xff,weight\na,1\n", ":1: not UTF-8 text: "),
+    ("lightning", b"from,to,count\xff\na,b,1\n", ":1: not UTF-8 text: "),
+    ("metrics", b"producer_id,weight\na,1\n" + _LONG + b",2\n", ":3: field larger than field limit"),
+    ("lightning", b"from,to,count\na,b,1\n" + _LONG + b",c,2\n", ":3: field larger than field limit"),
+    ("simulate", _CONFIG.replace(b'"a"', b'"\xff"'), ": invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("simulate", _CONFIG.replace(b'"seed": 5', b'"seed": ' + b"9" * 5000), ": invalid JSON: Exceeds the limit"),
+], ids=["metrics-row", "metrics-late-row", "lightning-row", "metrics-header", "lightning-header",
+        "metrics-long-field", "lightning-long-field", "simulate-not-utf8", "simulate-long-integer"])
+def test_unreadable_input_exits_two(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    flags = ["--t", "1", "--alpha", "1", "--direct"] if command == "lightning" else []
+    assert main([command, str(path), *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{message}"), err
+    assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_summary_matches_library(self, config_json):
         outcome = run(["simulate", config_json])

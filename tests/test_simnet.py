@@ -109,13 +109,17 @@ class TestGraphAgainstOracle:
     rarely rejected; ``dense`` every higher degree for n <= 24, where
     accepted and rejected pairs alternate; ``stuck`` dense degrees at n=40
     whose matchings stall or come out disconnected until the 100 attempts
-    run out; ``large`` graphs whose draws span many chunks.
+    run out; ``large`` graphs whose draws span many chunks; ``mid`` degrees
+    near n/8, n/4 and n/3, where long runs of accepted pairs end in lone
+    rejections and streaks of rejections come between the runs.
     """
 
     @staticmethod
     def cases(family):
         if family == "large":
             yield from ((n, 8, seed) for n in (200, 1000, 2000) for seed in range(3))
+        elif family == "mid":
+            yield from ((n, n // k, seed) for n in (64, 128, 256) for k in (8, 4, 3) for seed in (0, 1))
         elif family == "stuck":
             yield from ((40, degree, 0) for degree in range(34, 39))
         else:
@@ -124,13 +128,38 @@ class TestGraphAgainstOracle:
                     if n * degree % 2 == 0 and (degree <= n // 2) == (family == "sparse"):
                         yield from ((n, degree, seed) for seed in ((0, 1, 2) if family == "sparse" else (n % 3,)))
 
-    @pytest.mark.parametrize("family", ["sparse", "dense", "stuck", "large"])
+    @pytest.mark.parametrize("family", ["sparse", "dense", "stuck", "large", "mid"])
     def test_same_graph_and_generator_state(self, family):
         for n, degree, seed in self.cases(family):
             expected = graph_outcome(oracle_random_regular_graph, n, degree, seed)
             assert graph_outcome(random_regular_graph, n, degree, seed) == expected, (n, degree, seed)
             if family == "stuck":
                 assert expected[0] is TopologyError
+
+
+class CountingGenerator:
+    """A seeded generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.calls = 0
+
+    def integers(self, *args):
+        self.calls += 1
+        return self._rng.integers(*args)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_graph_build_call_budget(n, seed):
+    # Degree 8 rejects a pair now and then. The former policy went back to
+    # one pair per call after each one and took 92 calls at (200, seed 1),
+    # 146 at (1000, seed 1) and 136-204 at the other seeds; a lone rejection
+    # now keeps the next chunk as long as the run of accepted pairs before it.
+    rng = CountingGenerator(seed)
+    random_regular_graph(n, 8, rng)
+    assert rng.calls <= 64
 
 
 class TestHopDistances:
