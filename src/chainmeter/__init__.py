@@ -73,7 +73,7 @@ from chainmeter.scaling import (
     shard_analysis,
 )
 from chainmeter.simnet import (
-    BlockRecord,
+    BlockTable,
     BoundCheck,
     SimConfig,
     SimResult,
@@ -86,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineChain",
-    "BlockRecord",
+    "BlockTable",
     "BoundCheck",
     "CentralizationLevel",
     "ChainParams",

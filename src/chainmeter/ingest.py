@@ -20,11 +20,10 @@ full double precision so that load(export(x)) == x.
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
 are streamed: ``JsonArrayWriter`` writes an array one item at a time, and a
-long table of records is encoded a chunk at a time, column by column, straight
-from the records, through one table of per-type encoders, so a 20k-block
-export never becomes 20k dicts. A ``SimResult`` holds its blocks as
-columns, and they are encoded from those columns, so an export builds no
-``BlockRecord``. Every other value is written by ``json``'s own encoder.
+``SimResult``'s ``BlockTable`` is encoded as its rows a chunk at a time,
+column by column, straight from the table's columns, through one table of
+per-type encoders, so a 20k-block export never becomes 20k dicts. Every other
+value is written by ``json``'s own encoder.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -54,7 +53,7 @@ from chainmeter.bounds import ChainParams, NetworkParams
 from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.scaling import PaymentGraph
-from chainmeter.simnet import SimConfig, SimResult
+from chainmeter.simnet import BlockTable, SimConfig
 
 BLOCK_SIZE_FACTORS = {"bytes": 1, "MiB": 2**20, "MB": 10**6}
 BANDWIDTH_FACTORS = {"bytes_per_s": 1.0, "Mbps_decimal": 1e6 / 8}
@@ -225,7 +224,9 @@ def load_sim_config(path: str) -> SimConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also bytes that are not UTF-8, and integers too long to convert
+        # ValueError also covers bytes that are not UTF-8 and integers too long
+        # to convert; RecursionError, arrays or objects nested too deep.
+        except (RecursionError, ValueError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
     problems: list[str] = []
@@ -296,52 +297,29 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 
 def _is_record(obj: Any) -> bool:
-    return dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+    """Whether ``obj`` exports as a record of its fields: a dataclass
+    instance, but not a ``BlockTable``, which exports as its rows."""
+    return dataclasses.is_dataclass(obj) and not isinstance(obj, (type, BlockTable))
 
 
-class _Rows:
-    """Records held as equal-length columns keyed by field name. It is a
-    sequence of its rows, as dicts, and a slice of it slices each column; it
-    exports as the records would."""
-
-    def __init__(self, columns: dict[str, Any]):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def __getitem__(self, index: slice) -> _Rows:
-        return _Rows({name: values[index] for name, values in self.columns.items()})
-
-    def __iter__(self):
-        return (dict(zip(self.columns, row)) for row in zip(*self.columns.values()))
-
-
-# What a SimResult exports after its blocks, in order: the fields it had when
-# it held its blocks as records.
-_RESULT_FIELDS = ("canonical_chain", "per_miner_canonical", "stale_rate", "observed_tps",
-                  "mean_confirmation_latency_s")
-
-
-def _fields(obj: Any) -> list[tuple[str, Any]]:
-    """A record's exported ``(name, value)`` pairs: its fields, in order. A
-    ``SimResult`` exports its public attributes, ``blocks`` first, as rows of
-    its block columns."""
-    if isinstance(obj, SimResult):
-        return [("blocks", _Rows(obj.block_columns())), *((name, getattr(obj, name)) for name in _RESULT_FIELDS)]
-    return [(name, getattr(obj, name)) for name in _field_names(type(obj))]
+def _rows(columns: dict[str, Any]):
+    """The rows of equal-length ``columns``, as dicts keyed by column name."""
+    return (dict(zip(columns, row)) for row in zip(*columns.values()))
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively turn dataclasses, enums, and containers into JSON values."""
+    """Recursively turn dataclasses, enums, containers and block tables
+    (as their rows) into JSON values."""
     if type(obj) in _SCALAR_TEXT:
         return obj
     if _is_record(obj):
-        return {name: to_jsonable(value) for name, value in _fields(obj)}
+        return {name: to_jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, (list, tuple, _Rows)):
+    if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    if isinstance(obj, BlockTable):
+        return [to_jsonable(row) for row in _rows(obj.columns(0, len(obj)))]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
     if isinstance(obj, dict):
@@ -352,11 +330,11 @@ def to_jsonable(obj: Any) -> Any:
 
 
 # JSON writer. It writes exactly the bytes of
-# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. Dataclasses
-# and sequences it walks itself, so that a long table of records is encoded
-# CHUNK records at a time, column by column, without becoming dicts; each
-# column of plain scalars goes through _SCALAR_TEXT, mapped over the whole
-# column when it holds one type. Every other value goes through to_jsonable
+# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
+# dataclasses itself field by field, and sequences CHUNK items at a time; a
+# BlockTable's rows are encoded CHUNK at a time, column by column, without
+# becoming dicts. Each column of plain scalars goes through _SCALAR_TEXT,
+# mapped over the whole column when it holds one type. Every other value goes through to_jsonable
 # exactly once, and what that returns is written as it stands by _ENCODER, the
 # encoder json.dump uses: converting it again would accept an Enum member
 # nested in an Enum's value, which json.dump rejects.
@@ -386,20 +364,10 @@ def _column(values: tuple | list) -> list[str] | None:
     return texts
 
 
-def _columns(items: tuple | list | _Rows) -> dict[str, Any] | None:
-    """The columns of rows, or the fields of records of one class as columns;
-    None for any other sequence."""
-    if isinstance(items, _Rows):
-        return items.columns
-    if len(set(map(type, items))) != 1 or not _is_record(items[0]):
-        return None
-    return {name: list(map(operator.attrgetter(name), items)) for name in _field_names(type(items[0]))}
-
-
-def _table(columns: dict[str, Any] | None, level: int) -> list[str] | None:
-    """Texts of the records whose fields are ``columns``, encoded column by
+def _table(columns: dict[str, Any], level: int) -> list[str] | None:
+    """Texts of the rows whose fields are ``columns``, encoded column by
     column; None unless every column holds only plain scalars."""
-    texts = [_column(values) for values in columns.values()] if columns else [None]
+    texts = [_column(values) for values in columns.values()]
     if None in texts:
         return None
     inner = "\n" + _INDENT * (level + 1)
@@ -421,20 +389,24 @@ def _encode(value: Any, level: int) -> str:
 
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
-    field by field and sequences CHUNK items at a time: a chunk of plain
-    scalars, of one record class with plain scalar fields, or of rows of
-    plain scalar columns, is encoded column by column, and any other item is
-    dumped on its own."""
+    field by field, and sequences and block tables CHUNK items at a time: a
+    chunk of plain scalars, or of block rows whose columns hold only plain
+    scalars, is encoded column by column, and any other item is dumped on
+    its own."""
     inner = "\n" + _INDENT * (level + 1)
     if _is_record(obj) and _field_names(type(obj)):
-        for i, (name, value) in enumerate(_fields(obj)):
+        for i, name in enumerate(_field_names(type(obj))):
             write(("," if i else "{") + inner + _str(name) + ": ")
-            _dump(value, level + 1, write)
+            _dump(getattr(obj, name), level + 1, write)
         write("\n" + _INDENT * level + "}")
-    elif isinstance(obj, (list, tuple, _Rows)) and obj:
+    elif isinstance(obj, (list, tuple, BlockTable)) and obj:
         for start in range(0, len(obj), CHUNK):
-            chunk = obj[start:start + CHUNK]
-            texts = _table(_columns(chunk), level + 1) or _column(chunk)
+            if isinstance(obj, BlockTable):
+                columns = obj.columns(start, start + CHUNK)
+                texts, chunk = _table(columns, level + 1), _rows(columns)
+            else:
+                chunk = obj[start:start + CHUNK]
+                texts = _column(chunk)
             if texts is None:
                 for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)

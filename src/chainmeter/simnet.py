@@ -27,15 +27,13 @@ breadth-first search gives every winner its hop distances up front.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
-A result holds its blocks as the engine's columns (parent, height, mining
-time and miner index per block id), not as records: ``SimResult.blocks``
-builds the :class:`BlockRecord` tuple on first access, and the JSON export
-encodes the columns directly.
+A result holds its blocks as one :class:`BlockTable`, the engine's columns
+(parent, height, mining time and miner index per block id), built once by
+``run_simulation``; the JSON export encodes it as rows a chunk at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -116,23 +114,46 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class BlockRecord:
-    """One mined block. The genesis block has height 0 and no parent; every
-    other block points at a parent one level below it and is mined strictly
-    after it. Hashes are out of scope: ids are plain integers in mining order."""
+class BlockTable:
+    """Every block mined, genesis first, as columns indexed by block id.
 
-    block_id: int
-    miner_id: str
-    parent_id: int | None
-    height: int
-    mined_at_s: float
+    ``parent_ids`` holds None for genesis, which has height 0; every other
+    block points at a parent one level below it and is mined strictly after
+    it. ``miner_index`` indexes ``miner_ids`` (the config's order), -1 for
+    genesis. Every block is ``size_bytes`` long. Hashes are out of scope:
+    ids are plain integers in mining order. The length counts genesis.
+    """
+
+    parent_ids: tuple[int | None, ...]
+    heights: tuple[int, ...]
+    mined_at_s: tuple[float, ...]
+    miner_index: tuple[int, ...]
     size_bytes: int
+    miner_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def columns(self, start: int, stop: int) -> dict[str, Sequence]:
+        """Blocks ``start`` up to ``stop`` (clipped to the table) as the rows
+        they export as: one column per field, in field order."""
+        stop = min(stop, len(self))
+        names = (*self.miner_ids, GENESIS_MINER)
+        return {
+            "block_id": range(start, stop),
+            "miner_id": list(map(names.__getitem__, self.miner_index[start:stop])),
+            "parent_id": self.parent_ids[start:stop],
+            "height": self.heights[start:stop],
+            "mined_at_s": self.mined_at_s[start:stop],
+            "size_bytes": (self.size_bytes,) * (stop - start),
+        }
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Outcome of one run.
 
+    ``blocks`` holds every block mined, genesis first, as one column table.
     ``canonical_chain`` is the longest chain at the end of the run, ties
     broken by earliest arrival at the end-of-run observer (which hears every
     block the moment it is mined), then by lowest block id. ``observed_tps``
@@ -141,42 +162,14 @@ class SimResult:
     capacity/interval exactly; blocks still in flight when the last one is
     mined count like any other. ``mean_confirmation_latency_s`` is the
     confirmation count times the mean canonical inter-block time.
-
-    The blocks are held as columns indexed by block id: ``parent_ids``
-    (None for genesis), ``heights``, ``mined_at_s`` and ``miner_index``, an
-    index into the miner ids of ``per_miner_canonical`` (the config's order),
-    -1 for genesis. Every block is ``size_bytes`` long. ``blocks`` builds the
-    records from these columns on first access and keeps them.
     """
 
+    blocks: BlockTable
     canonical_chain: tuple[int, ...]
     per_miner_canonical: ProducerDistribution
     stale_rate: float
     observed_tps: float
     mean_confirmation_latency_s: float
-    parent_ids: tuple[int | None, ...]
-    heights: tuple[int, ...]
-    mined_at_s: tuple[float, ...]
-    miner_index: tuple[int, ...]
-    size_bytes: int
-
-    def block_columns(self) -> dict[str, Sequence]:
-        """``blocks`` as one column per :class:`BlockRecord` field, in field order."""
-        names = [pid for pid, _ in self.per_miner_canonical.entries] + [GENESIS_MINER]
-        count = len(self.heights)
-        return {
-            "block_id": range(count),
-            "miner_id": list(map(names.__getitem__, self.miner_index)),
-            "parent_id": self.parent_ids,
-            "height": self.heights,
-            "mined_at_s": self.mined_at_s,
-            "size_bytes": (self.size_bytes,) * count,
-        }
-
-    @functools.cached_property
-    def blocks(self) -> tuple[BlockRecord, ...]:
-        """Every block mined, genesis first, in block id order."""
-        return tuple(map(BlockRecord, *self.block_columns().values()))
 
 
 @dataclass(frozen=True)
@@ -414,20 +407,23 @@ def run_simulation(config: SimConfig) -> SimResult:
     canonical.reverse()
 
     n_canonical = len(canonical) - 1
-    miner_ids = [m for m, _ in config.miners]
+    miner_ids = tuple(m for m, _ in config.miners)
     parent[0] = None
 
     return SimResult(
+        blocks=BlockTable(
+            parent_ids=tuple(parent),
+            heights=tuple(height),
+            mined_at_s=tuple(mined_at),
+            miner_index=tuple(miner_of),
+            size_bytes=chain.block_size_bytes,
+            miner_ids=miner_ids,
+        ),
         canonical_chain=tuple(canonical),
         per_miner_canonical=_blocks_per_miner(miner_ids, winners[np.array(canonical[1:]) - 1]),
         stale_rate=1.0 - n_canonical / blocks_to_mine,
         observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
-        parent_ids=tuple(parent),
-        heights=tuple(height),
-        mined_at_s=tuple(mined_at),
-        miner_index=tuple(miner_of),
-        size_bytes=chain.block_size_bytes,
     )
 
 
@@ -439,11 +435,10 @@ def produced_distribution(result: SimResult, canonical_only: bool) -> ProducerDi
     """
     if canonical_only:
         return result.per_miner_canonical
-    miner_ids = [pid for pid, _ in result.per_miner_canonical.entries]
-    return _blocks_per_miner(miner_ids, result.miner_index[1:])
+    return _blocks_per_miner(result.blocks.miner_ids, result.blocks.miner_index[1:])
 
 
-def _blocks_per_miner(miner_ids: list[str], miner_index: Sequence[int]) -> ProducerDistribution:
+def _blocks_per_miner(miner_ids: Sequence[str], miner_index: Sequence[int]) -> ProducerDistribution:
     """Blocks per miner, from one index into ``miner_ids`` per block; a miner
     with no block keeps a zero entry."""
     counts = np.bincount(np.asarray(miner_index, dtype=np.intp), minlength=len(miner_ids))

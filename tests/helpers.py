@@ -33,7 +33,6 @@ from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propa
 from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
-    BlockRecord,
     SimConfig,
     SimResult,
     _hop_distances,
@@ -169,9 +168,23 @@ def oracle_random_regular_graph(n: int, degree: int, rng: np.random.Generator) -
 
 
 @dataclasses.dataclass(frozen=True)
+class BlockRecord:
+    """One mined block, as the simulator oracle builds it and as a block row
+    exports: the record type the library held before its column table."""
+
+    block_id: int
+    miner_id: str
+    parent_id: int | None
+    height: int
+    mined_at_s: float
+    size_bytes: int
+
+
+@dataclasses.dataclass(frozen=True)
 class RecordResult:
     """A simulation result packaged as ``SimResult`` was before it held its
-    blocks as columns: each public attribute a field, ``blocks`` first."""
+    blocks as a column table: each field as ``SimResult``'s, but ``blocks``
+    a tuple of records."""
 
     blocks: tuple[BlockRecord, ...]
     canonical_chain: tuple[int, ...]
@@ -183,9 +196,17 @@ class RecordResult:
 
 def as_records(report):
     """``report`` with a ``SimResult``, or each one in a list, repackaged as
-    a ``RecordResult`` read through its public attributes."""
+    a ``RecordResult``: one ``BlockRecord`` per block, from the table's
+    columns, and the other fields as they are."""
     if isinstance(report, SimResult):
-        return RecordResult(*(getattr(report, f.name) for f in dataclasses.fields(RecordResult)))
+        table = report.blocks
+        names = [*table.miner_ids, GENESIS_MINER]
+        records = tuple(
+            BlockRecord(b, names[m], parent, height, mined_at, table.size_bytes)
+            for b, (m, parent, height, mined_at) in enumerate(
+                zip(table.miner_index, table.parent_ids, table.heights, table.mined_at_s))
+        )
+        return RecordResult(records, *(getattr(report, f.name) for f in dataclasses.fields(RecordResult)[1:]))
     if isinstance(report, list):
         return [as_records(item) for item in report]
     return report

@@ -254,8 +254,10 @@ _CONFIG = json.dumps(BASE_CONFIG).encode()
     ("lightning", b"from,to,count\na,b,1\n" + _LONG + b",c,2\n", ":3: field larger than field limit"),
     ("simulate", _CONFIG.replace(b'"a"', b'"\xff"'), ": invalid JSON: 'utf-8' codec can't decode byte 0xff"),
     ("simulate", _CONFIG.replace(b'"seed": 5', b'"seed": ' + b"9" * 5000), ": invalid JSON: Exceeds the limit"),
+    ("simulate", b"[" * 100_000 + b"]" * 100_000, ": invalid JSON: "),
 ], ids=["metrics-row", "metrics-late-row", "lightning-row", "metrics-header", "lightning-header",
-        "metrics-long-field", "lightning-long-field", "simulate-not-utf8", "simulate-long-integer"])
+        "metrics-long-field", "lightning-long-field", "simulate-not-utf8", "simulate-long-integer",
+        "simulate-deep-nesting"])
 def test_unreadable_input_exits_two(tmp_path, capsys, command, content, message):
     path = tmp_path / "input"
     path.write_bytes(content)

@@ -343,9 +343,10 @@ class TestExportReport:
         assert data["observed_tps"] == result.observed_tps
         assert data["mean_confirmation_latency_s"] == result.mean_confirmation_latency_s
         assert data["canonical_chain"] == list(result.canonical_chain)
-        for raw, record in zip(data["blocks"], result.blocks):
-            assert raw["mined_at_s"] == record.mined_at_s
-            assert raw["block_id"] == record.block_id
+        assert len(data["blocks"]) == len(result.blocks)
+        for block_id, (raw, mined_at) in enumerate(zip(data["blocks"], result.blocks.mined_at_s)):
+            assert raw["mined_at_s"] == mined_at
+            assert raw["block_id"] == block_id
 
     def test_distribution_csv_header_must_fit_its_rows(self, tmp_path):
         dist = ProducerDistribution((("A", 3.0), ("B", 1.0)))
@@ -492,7 +493,8 @@ def scalars(i):
 def numpy_times(result):
     """``result`` with numpy floats for mining times: a block column that is
     not plain scalars, so each block is encoded on its own."""
-    return dataclasses.replace(result, mined_at_s=tuple(map(np.float64, result.mined_at_s)))
+    blocks = dataclasses.replace(result.blocks, mined_at_s=tuple(map(np.float64, result.blocks.mined_at_s)))
+    return dataclasses.replace(result, blocks=blocks)
 
 
 class TestJsonExportAgainstOracle:

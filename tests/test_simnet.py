@@ -1,16 +1,18 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from chainmeter import cli
 from chainmeter import (
+    BlockTable,
     ChainParams,
     InputError,
     NetworkParams,
     SimConfig,
+    SimResult,
     TopologyError,
     ValidationError,
     block_capacity,
@@ -285,25 +287,23 @@ class TestDeterminism:
 class TestChainValidity:
     def test_canonical_chain_is_contiguous(self):
         result = run_simulation(config(blocks=500, seed=5))
-        by_id = {r.block_id: r for r in result.blocks}
+        blocks = result.blocks
         chain = result.canonical_chain
         assert chain[0] == 0
         for prev, cur in zip(chain, chain[1:]):
-            record = by_id[cur]
-            assert record.parent_id == prev
-            assert record.height == by_id[prev].height + 1
-            assert record.mined_at_s > by_id[prev].mined_at_s
+            assert blocks.parent_ids[cur] == prev
+            assert blocks.heights[cur] == blocks.heights[prev] + 1
+            assert blocks.mined_at_s[cur] > blocks.mined_at_s[prev]
 
     def test_every_block_has_valid_parent(self):
-        result = run_simulation(config(blocks=300, seed=6))
-        by_id = {r.block_id: r for r in result.blocks}
-        for record in result.blocks:
-            if record.block_id == 0:
-                assert record.parent_id is None and record.height == 0
+        blocks = run_simulation(config(blocks=300, seed=6)).blocks
+        for block_id, parent in enumerate(blocks.parent_ids):
+            if block_id == 0:
+                assert parent is None and blocks.heights[0] == 0
             else:
-                parent = by_id[record.parent_id]
-                assert parent.height == record.height - 1
-                assert record.mined_at_s > parent.mined_at_s
+                assert 0 <= parent < len(blocks)
+                assert blocks.heights[parent] == blocks.heights[block_id] - 1
+                assert blocks.mined_at_s[block_id] > blocks.mined_at_s[parent]
 
     def test_stale_rate_matches_definition(self):
         result = run_simulation(config(blocks=400, seed=8))
@@ -383,8 +383,8 @@ class TestProducedDistribution:
         result = run_simulation(cfg)
         assert result.stale_rate > 0.3
         counts = {m: 0.0 for m, _ in cfg.miners}
-        for record in result.blocks[1:]:
-            counts[record.miner_id] += 1.0
+        for index in result.blocks.miner_index[1:]:
+            counts[result.blocks.miner_ids[index]] += 1.0
         everything = produced_distribution(result, False)
         assert everything.entries == tuple(counts.items())
         assert {type(w) for _, w in everything.entries} == {float}
@@ -403,31 +403,34 @@ class TestProducedDistribution:
         assert abs(level.n - 4) <= 1
 
 
-class TestBlockColumns:
-    def test_blocks_are_built_on_first_access_and_kept(self, tmp_path):
+class TestBlockTable:
+    def test_blocks_are_the_first_field(self):
+        result = run_simulation(config(n=6, blocks=50, seed=2))
+        assert fields(SimResult)[0].name == "blocks"
+        assert type(result.blocks) is BlockTable
+
+    def test_length_counts_genesis(self):
+        cfg = config(n=6, blocks=80, seed=4)
+        blocks = run_simulation(cfg).blocks
+        assert len(blocks) == cfg.duration_blocks + 1
+        assert {len(blocks.parent_ids), len(blocks.heights), len(blocks.mined_at_s),
+                len(blocks.miner_index)} == {len(blocks)}
+        assert blocks.miner_index[0] == -1 and blocks.parent_ids[0] is None
+        assert blocks.miner_ids == tuple(m for m, _ in cfg.miners)
+        assert blocks.size_bytes == CHAIN.block_size_bytes
+
+    def test_holds_no_state_beyond_its_fields(self, tmp_path):
         result = run_simulation(config(n=6, blocks=50, seed=2))
         export_report(result, str(tmp_path / "r.json"), "json")
         produced_distribution(result, False)
-        assert "blocks" not in vars(result)
-        blocks = result.blocks
-        assert blocks is result.blocks
-        assert type(blocks) is tuple and len(blocks) == 51
+        for obj in (result, result.blocks):
+            assert vars(obj).keys() == {f.name for f in fields(obj)}
 
-    def test_columns_line_up_with_the_records(self):
-        result = run_simulation(config(n=6, blocks=80, seed=4))
-        ids = [m for m, _ in result.per_miner_canonical.entries]
-        assert [r.block_id for r in result.blocks] == list(range(81))
-        assert [r.parent_id for r in result.blocks] == list(result.parent_ids)
-        assert [r.height for r in result.blocks] == list(result.heights)
-        assert [r.mined_at_s for r in result.blocks] == list(result.mined_at_s)
-        assert [r.miner_id for r in result.blocks] == ["genesis"] + [ids[i] for i in result.miner_index[1:]]
-        assert {r.size_bytes for r in result.blocks} == {result.size_bytes} == {CHAIN.block_size_bytes}
-        assert result.miner_index[0] == -1 and result.parent_ids[0] is None
-
-    def test_equal_results_stay_equal_after_either_builds_its_records(self):
+    def test_equal_seeds_give_equal_equally_hashed_results(self, tmp_path):
         a, b = run_simulation(config(seed=7)), run_simulation(config(seed=7))
-        a.blocks
+        export_report(a, str(tmp_path / "a.json"), "json")
         assert a == b and hash(a) == hash(b)
+        assert a.blocks == b.blocks and hash(a.blocks) == hash(b.blocks)
 
 
 def tiered_miners(n):
@@ -539,7 +542,7 @@ class TestAgainstOracle:
     def test_matches_the_inbox_engine(self, family, count):
         for cfg in self.grid(family, count):
             result = run_simulation(cfg)
-            assert (list(result.parent_ids), list(result.heights)) == oracle_inbox_engine(cfg), cfg
+            assert (list(result.blocks.parent_ids), list(result.blocks.heights)) == oracle_inbox_engine(cfg), cfg
 
     def test_relays_are_farther_than_winners(self):
         # The relays family exercises what it is for: in most configs some
