@@ -88,11 +88,8 @@ def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> floa
 
 def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> float:
     """Throughput with the interval pushed down to its floor ``l + b/w``, the
-    delay of one hop."""
-    if net.latency_s == 0.0:
-        # The floor degenerates to b/w and the rate is exactly the ceiling.
-        return net.bandwidth_bytes_per_s / chain.tx_size_bytes
-    return chain.block_size_bytes / (chain.tx_size_bytes * propagation_delay(1, chain, net))
+    delay of one hop: the one-size ``throughput_sweep``."""
+    return throughput_sweep(chain, net, (chain.block_size_bytes,))[0][1]
 
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
@@ -106,13 +103,15 @@ def throughput_sweep(
     chain: ChainParams, net: NetworkParams, block_sizes: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Propagation-limited throughput at each block size, in input order:
-    ``propagation_limited_throughput(replace(chain, block_size_bytes=b),
-    net)``, float for float. Only when some size is bad do the sizes go
-    through ``ChainParams`` one by one, to reject the first with its message."""
+    ``b / (s * (l + b/w))``, the one formula for it. Only when some size is
+    bad do the sizes go through ``ChainParams`` one by one, to reject the
+    first with its message."""
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
     try:
-        valid = min(map(operator.index, block_sizes)) >= chain.tx_size_bytes
+        # errors.integer's rule: operator.index, refusing booleans.
+        valid = (bool not in set(map(type, block_sizes))
+                 and min(map(operator.index, block_sizes)) >= chain.tx_size_bytes)
     except TypeError:
         valid = False
     if not valid:
@@ -120,5 +119,6 @@ def throughput_sweep(
             replace(chain, block_size_bytes=b)
     s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s
     if latency == 0.0:
+        # The floor degenerates to b/w and the rate is exactly the ceiling.
         return [(b, w / s) for b in block_sizes]
     return [(b, b / (s * (latency + b / w))) for b in block_sizes]

@@ -34,9 +34,9 @@ from chainmeter.bounds import (
 )
 from chainmeter.errors import ChainmeterError, InputError
 from chainmeter.ingest import (
-    JsonArrayWriter,
     UnitSpec,
     export_report,
+    json_array,
     load_distribution,
     load_payment_graph,
     load_sim_config,
@@ -220,8 +220,7 @@ def _cmd_simulate(args) -> int:
         if args.out:
             export_report(kept[0], args.out, "json")
     else:
-        with JsonArrayWriter(args.out) if args.out else contextlib.nullcontext() as array:
-            keep = array.add if array else None
+        with json_array(args.out) if args.out else contextlib.nullcontext() as keep:
             violated = False
             for s in seeds:
                 violated = _simulate_seed(replace(config, seed=s), keep) or violated

@@ -22,13 +22,15 @@ class InputError(ChainmeterError, ValueError):
 
 def integer(value, name: str, index: int | None = None) -> int:
     """``value`` as an int if it is one: ints and numpy ints pass, while
-    ``6.0``, ``6.9``, NaN and strings raise ``InputError`` naming ``name``
-    (and carrying ``index``). The rule is ``operator.index``, the one
-    ``range()`` applies."""
+    ``6.0``, ``6.9``, NaN, strings and booleans raise ``InputError`` naming
+    ``name`` (and carrying ``index``). The rule is ``operator.index``, the
+    one ``range()`` applies, less ``bool``: a JSON ``true`` is not a count."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}", index) from None
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}", index)
 
 
 class ParseError(InputError):

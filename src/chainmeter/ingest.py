@@ -7,19 +7,20 @@ The loaders only parse: the types they build validate their own values
 loader adds where a rejected value came from (the file, and for a CSV row
 the line). Integer fields are handed over as read, never truncated.
 
-A CSV is read a column at a time: one reader pass collects its rows, one
-test checks that they all have the header's width, and each column is then
-stripped, and a count column parsed, as a whole. Only a file with a blank
-row, a row of the wrong width, a count that is not an integer or a read
-error is read again row by row, to skip the blank rows and name the line at
-fault, so the messages are those of a row-by-row read. Unit
+A CSV is opened once and read a column at a time: one reader pass collects
+its rows, one test checks that they all have the header's width, and each
+column is then stripped, and a count column parsed, as a whole. Only when
+that fails, or the reader raised, are the rows in hand walked one by one, to
+skip blank rows and name the first line at fault in file order, a read error
+last. Lines count records, so a quoted field spanning lines counts once, but
+a read error names the physical line. Unit
 conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and decimal
 megabits per second are 10**6/8 bytes per second. Numbers are written with
 full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
-are streamed: ``JsonArrayWriter`` writes an array one item at a time, and a
+are streamed: ``json_array`` writes an array one item at a time, and a
 ``SimResult``'s ``BlockTable`` is encoded as its rows a chunk at a time,
 column by column, straight from the table's columns, through one table of
 per-type encoders, so a 20k-block export never becomes 20k dicts. Every other
@@ -40,7 +41,6 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import operator
@@ -88,114 +88,106 @@ class UnitSpec:
         return value * BANDWIDTH_FACTORS[self.bandwidth_unit]
 
 
-def _read_rows(path: str, expected_header: list[str]):
-    """``(line, stripped cells)`` for each row of the CSV at ``path`` that is
-    not blank, read one at a time; a row of the wrong width is rejected,
-    naming its line. So is a file the reader fails on, a field over the csv
-    module's size limit or bytes that are not UTF-8."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            _check_header(path, next(reader, None), expected_header)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(expected_header):
-                    raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(row)}")
-                yield lineno, [cell.strip() for cell in row]
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            # Text is decoded a block at a time, so the line is found in the bytes.
-            with open(path, "rb") as raw:
-                for lineno, line in enumerate(raw, start=1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
-            raise
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """The error naming the first line of ``path`` that is not UTF-8 text.
+    Text is decoded a block at a time, so the line is found in the bytes."""
+    with open(path, "rb") as raw:
+        for lineno, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return ParseError(f"{path}:{lineno}: not UTF-8 text: {line_exc}")
+    return ParseError(f"{path}: not UTF-8 text: {exc}")
 
 
-def _check_header(path: str, header: list[str] | None, expected_header: list[str]) -> None:
-    if header is None or [h.strip() for h in header] != expected_header:
-        raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
-
-
-def _read_columns(path: str, expected_header: list[str], integer: str | None = None) -> list[list]:
+def _read_columns(path: str, expected_header: list[str],
+                  integer: str | None = None) -> tuple[list[list], range | list[int]]:
     """The data cells of the CSV at ``path``, stripped, one list per column
-    of ``expected_header``; the column named ``integer``, if any, read as
-    ints. A file that is not read whole (see the module docstring), or that
-    the reader fails on, goes through ``_read_rows``, which raises for its
-    first fault in file order."""
+    of ``expected_header``, the column named ``integer``, if any, read as
+    ints; and the line of each row kept. The module docstring tells how the
+    file is read once and which fault is rejected first."""
+    rows: list[list[str]] = []
+    error = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            _check_header(path, next(reader, None), expected_header)
-            rows = list(reader)
-        except (csv.Error, UnicodeDecodeError):
-            rows = None
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != expected_header:
+                raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
+            # Extending keeps the rows read before a read error.
+            rows.extend(reader)
+        except csv.Error as exc:
+            error = ParseError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            error = _not_utf8(path, exc)
+    width = len(expected_header)
     k = expected_header.index(integer) if integer else None
-    if rows is not None and set(map(len, rows)) <= {len(expected_header)}:
-        columns = [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(len(expected_header))]
+    if error is None and set(map(len, rows)) <= {width}:
+        columns = [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)]
         del rows
         # A blank row of the header's width has an empty first cell.
         if "" not in columns[0]:
             try:
                 if k is not None:
                     columns[k] = list(map(int, columns[k]))
-                return columns
+                return columns, range(2, len(columns[0]) + 2)
             except ValueError:
                 pass
-    columns = [[] for _ in expected_header]
-    for lineno, row in _read_rows(path, expected_header):
+        rows = zip(*columns)
+    kept: list[list] = [[] for _ in expected_header]
+    lines = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        row = [cell.strip() for cell in row]
         if k is not None:
             try:
                 row[k] = int(row[k])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: {integer} is not an integer: {row[k]!r}") from None
-        for column, cell in zip(columns, row):
+        for column, cell in zip(kept, row):
             column.append(cell)
-    return columns
+        lines.append(lineno)
+    if error is not None:
+        raise error
+    return kept, lines
 
 
-def _validated(path: str, expected_header: list[str], build):
+def _validated(path: str, lines: range | list[int], build):
     """``build()``, with an ``InputError`` from the type it builds re-raised as
-    a ``ParseError`` naming ``path``, and the line of the entry the type names.
-    The file is read again to find that line, so the happy path keeps no
-    per-row line numbers."""
+    a ``ParseError`` naming ``path``, and ``lines[index]`` for the entry the
+    type names."""
     try:
         return build()
     except InputError as exc:
-        where = path
-        if exc.index is not None:
-            lineno, _ = next(itertools.islice(_read_rows(path, expected_header), exc.index, None))
-            where = f"{path}:{lineno}"
+        where = path if exc.index is None else f"{path}:{lines[exc.index]}"
         raise ParseError(f"{where}: {exc}") from None
 
 
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
-    header = ["producer_id", "weight"]
-    ids, weights = _read_columns(path, header)
-    return _validated(path, header, lambda: ProducerDistribution(tuple(zip(ids, weights))))
+    (ids, weights), lines = _read_columns(path, ["producer_id", "weight"])
+    return _validated(path, lines, lambda: ProducerDistribution(tuple(zip(ids, weights))))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
     """Read a ``from,to,count`` CSV into a payment graph; clients are the
     union of all endpoints."""
-    header = ["from", "to", "count"]
-    src, dst, counts = _read_columns(path, header, integer="count")
+    (src, dst, counts), lines = _read_columns(path, ["from", "to", "count"], integer="count")
     if not counts:
         raise ParseError(f"{path}: no data rows")
     clients = frozenset(src).union(dst)
-    return _validated(path, header, lambda: PaymentGraph(clients=clients, payments=tuple(zip(src, dst, counts))))
+    return _validated(path, lines, lambda: PaymentGraph(clients=clients, payments=tuple(zip(src, dst, counts))))
 
 
 def _params(cls: type, data: dict, section: str, problems: list[str],
             parse: dict[str, Callable[[Any], Any]]) -> Any:
     """``cls`` built from the object ``data[section]``, each field read with
     ``parse`` where it names one and passed raw otherwise; None, with the
-    reason added to ``problems``, if that fails."""
+    reason added to ``problems``, if that fails. Every field is a number, and
+    a JSON boolean is refused before ``float`` could read it as 0 or 1."""
     raw = data.get(section)
     if not isinstance(raw, dict):
         problems.append(f"{section}: required object is missing")
@@ -205,6 +197,9 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
         problems.append(f"{section}: unknown keys {sorted(unknown)}")
         return None
     try:
+        for name, value in raw.items():
+            if isinstance(value, bool):
+                raise InputError(f"{name} must be a number, got {value!r}")
         return cls(**{name: parse[name](value) if name in parse else value for name, value in raw.items()})
     except (InputError, TypeError, ValueError) as exc:
         problems.append(f"{section}: {exc}")
@@ -218,8 +213,9 @@ def load_sim_config(path: str) -> SimConfig:
     topology_degree, duration_blocks, seed); an optional ``units`` object says
     how block size and bandwidth are denominated. Defaults: topology_degree 8,
     seed 0, confirmations 6, raw byte units. Integer fields are passed as
-    read, so the types reject ``6.0`` and ``6.9`` alike. All violations are
-    reported at once. A single-miner config gets its share normalized to 1.0.
+    read, so the types reject ``6.0`` and ``6.9`` alike; no numeric field
+    takes a JSON boolean. All violations are reported at once. A single-miner
+    config gets its share normalized to 1.0.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -267,6 +263,8 @@ def load_sim_config(path: str) -> SimConfig:
                 )
                 continue
             try:
+                if isinstance(raw["hash_power_share"], bool):
+                    raise TypeError
                 miners.append((str(raw["miner_id"]), float(raw["hash_power_share"])))
             except (TypeError, ValueError):
                 problems.append(f"miners[{idx}]: hash_power_share is not numeric")
@@ -309,7 +307,10 @@ def _rows(columns: dict[str, Any]):
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively turn dataclasses, enums, containers and block tables
-    (as their rows) into JSON values."""
+    (as their rows) into JSON values. Dict keys stay as they are: ``json``
+    spells ``True`` as ``"true"`` and ``None`` as ``"null"``, whether the dict
+    is a report's or an Enum's value, and a key it cannot spell fails the
+    export with ``FormatError``."""
     if type(obj) in _SCALAR_TEXT:
         return obj
     if _is_record(obj):
@@ -323,7 +324,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
@@ -449,40 +450,29 @@ def _naming(path: str):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-class JsonArrayWriter:
+@contextlib.contextmanager
+def json_array(path: str):
     """A JSON array written to ``path`` one item at a time.
 
-    ``with JsonArrayWriter(path) as out:`` followed by ``out.add(x)`` for each
-    item leaves the bytes of ``export_report([x, ...], path, "json")``. Each
-    item is encoded as it is added, so the caller need keep none of them, and
-    ``path`` appears only when the block exits cleanly. Only errors in writing
-    ``path`` name it; anything else raised in the block passes unchanged.
+    ``with json_array(path) as add:`` followed by ``add(x)`` for each item
+    leaves the bytes of ``export_report([x, ...], path, "json")``. Each item
+    is encoded as it is added, so the caller need keep none of them, and
+    ``path`` appears only when the block exits cleanly. Only errors in
+    writing ``path`` name it; anything else raised in the block passes
+    unchanged.
     """
+    count = 0
+    with _replacing(path) as fh:
+        def add(item: Any) -> None:
+            nonlocal count
+            with _naming(path):
+                fh.write(("," if count else "[") + "\n" + _INDENT)
+                _dump(item, 1, fh.write)
+            count += 1
 
-    def __init__(self, path: str):
-        self._path = path
-        self._file = self._array()
-        self._count = 0
-
-    @contextlib.contextmanager
-    def _array(self):
-        with _replacing(self._path) as fh:
-            self._write = fh.write
-            yield self
-            with _naming(self._path):
-                fh.write("\n]\n" if self._count else "[]\n")
-
-    def __enter__(self) -> JsonArrayWriter:
-        return self._file.__enter__()
-
-    def __exit__(self, *exc_info) -> bool | None:
-        return self._file.__exit__(*exc_info)
-
-    def add(self, item: Any) -> None:
-        with _naming(self._path):
-            self._write(("," if self._count else "[") + "\n" + _INDENT)
-            _dump(item, 1, self._write)
-        self._count += 1
+        yield add
+        with _naming(path):
+            fh.write("\n]\n" if count else "[]\n")
 
 
 def _csv_rows(report: Any, columns: tuple[str, ...] | None):

@@ -107,10 +107,13 @@ class PaymentGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "clients", frozenset(map(str, self.clients)))
-        # Counts follow errors.integer's rule, applied in the pass that builds
-        # the rows; only a failure walks them again, to name the first bad one.
+        # Counts follow errors.integer's rule: operator.index in the pass that
+        # builds the rows, and one test for the booleans it lets through. Only
+        # a failure walks the rows again, to name the first bad one.
         try:
             payments = tuple((str(a), str(b), operator.index(c)) for a, b, c in self.payments)
+            if bool in set(map(type, map(_COUNT, self.payments))):
+                raise TypeError
         except TypeError:
             for index, (_, _, c) in enumerate(self.payments):
                 integer(c, "payment count", index)

@@ -390,7 +390,8 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
 
 
 def oracle_to_jsonable(obj):
-    """The library's original ``to_jsonable``, kept verbatim."""
+    """The library's original ``to_jsonable``, kept verbatim but for dict
+    keys, which it now leaves to ``json`` to spell, as the library does."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: oracle_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
@@ -400,7 +401,7 @@ def oracle_to_jsonable(obj):
     if isinstance(obj, frozenset):
         return sorted(oracle_to_jsonable(v) for v in obj)
     if isinstance(obj, dict):
-        return {str(k): oracle_to_jsonable(v) for k, v in obj.items()}
+        return {k: oracle_to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")

@@ -22,12 +22,12 @@ WAN = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)  # 5.7 Mbps 
 
 
 class TestParamValidation:
-    @pytest.mark.parametrize("value", [6.9, 6.0, math.nan, "6", None])
+    @pytest.mark.parametrize("value", [6.9, 6.0, math.nan, "6", None, True])
     def test_confirmations_must_be_an_integer(self, value):
         with pytest.raises(InputError, match="^confirmations must be an integer, got "):
             ChainParams(1000, 500.0, 600.0, value)
 
-    @pytest.mark.parametrize("value", [1000.5, 1000.0, math.nan, math.inf, "1000", None])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, math.nan, math.inf, "1000", None, True])
     def test_block_size_must_be_an_integer(self, value):
         with pytest.raises(InputError, match="^block_size_bytes must be an integer, got "):
             ChainParams(value, 500.0, 600.0)
@@ -180,6 +180,12 @@ class TestSweep:
     def test_fractional_size_is_rejected_not_truncated(self):
         with pytest.raises(InputError, match="^block_size_bytes must be an integer, got 1048576.9$"):
             throughput_sweep(BITCOIN, WAN, [2**20, 1048576.9])
+
+    def test_boolean_size_is_rejected(self):
+        # One-byte blocks are valid here, so only the type can refuse True.
+        chain = ChainParams(1000, 0.5, 600.0)
+        with pytest.raises(InputError, match="^block_size_bytes must be an integer, got True$"):
+            throughput_sweep(chain, WAN, [2**20, True])
 
     @pytest.mark.parametrize("latency", [0.0, -0.0, 0.1, None])
     def test_bit_identical_to_one_chain_per_size(self, latency):

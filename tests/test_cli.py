@@ -428,11 +428,13 @@ class TestSimulateCommand:
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert "duration_blocks: must be >= 1, got 0" in capsys.readouterr().err
 
-    def test_invalid_config_exits_two(self, tmp_path, capsys):
-        bad = dict(BASE_CONFIG, duration_blocks=0)
+    @pytest.mark.parametrize("duration_blocks", [0, True])
+    def test_invalid_config_exits_two(self, tmp_path, capsys, duration_blocks):
+        bad = dict(BASE_CONFIG, duration_blocks=duration_blocks)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == EXIT_INPUT
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestParserBasics:

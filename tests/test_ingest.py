@@ -27,7 +27,8 @@ from chainmeter import (
     run_simulation,
     throughput_sweep,
 )
-from chainmeter.ingest import CHUNK, JsonArrayWriter, to_jsonable
+from chainmeter import ingest
+from chainmeter.ingest import CHUNK, json_array, to_jsonable
 
 from helpers import (
     as_records,
@@ -215,6 +216,24 @@ class TestLoadersAgainstOracle:
             assert _outcome(oracle_load_payment_graph, str(path))[0] is not ParseError
             assert outcome[0] is ParseError and outcome[1].startswith(f"{path}:5003: ")
 
+    @pytest.mark.parametrize("load, oracle, text", [
+        (load_distribution, oracle_load_distribution, "producer_id,weight\nA,1\nB,1,2\nC,1\n"),
+        (load_payment_graph, oracle_load_payment_graph, "from,to,count\na,b,1\n\na,c,x\n"),
+        (load_distribution, oracle_load_distribution, "producer_id,weight\nA,1\n , \nB,2\nA,2\n"),
+    ], ids=["wrong_width", "bad_count", "duplicate_after_blank"])
+    def test_a_faulty_file_is_opened_once(self, tmp_path, monkeypatch, load, oracle, text):
+        path = write(tmp_path / "in.csv", text)
+        expected = _outcome(oracle, path)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        assert expected[0] is ParseError and _outcome(load, path) == expected
+        assert opened == [path]
+
 
 class TestUnitSpec:
     def test_mib_is_binary(self):
@@ -296,6 +315,24 @@ class TestLoadSimConfig:
         with pytest.raises(ValidationError) as err:
             load_sim_config(path)
         assert str(err.value) == f"{path}: chain: tx_size_bytes must be positive and finite, got -1.0"
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("chain", "tx_size_bytes", "chain: tx_size_bytes must be a number, got True"),
+        ("chain", "confirmations", "chain: confirmations must be a number, got True"),
+        ("net", "latency_s", "net: latency_s must be a number, got True"),
+        ("miners", "hash_power_share", "miners[1]: hash_power_share is not numeric"),
+        (None, "topology_degree", "topology_degree must be an integer, got True"),
+    ])
+    def test_json_booleans_are_not_numbers(self, tmp_path, section, key, message):
+        data = json.loads(json.dumps(BASE_CONFIG))
+        if section == "miners":
+            data["miners"][1][key] = True
+        else:
+            (data[section] if section else data)[key] = True
+        path = write(tmp_path / "c.json", json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            load_sim_config(path)
+        assert message in str(err.value)
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = write(tmp_path / "c.json", "{not json")
@@ -399,6 +436,13 @@ class TestExportReport:
         with pytest.raises(FormatError):
             to_jsonable(object())
 
+    def test_dict_keys_are_spelled_one_way(self, tmp_path):
+        # A report's dict and the same dict as an Enum's value export alike.
+        out = tmp_path / "out.json"
+        export_report([dict(Color.TABLE.value), Color.TABLE], str(out), "json")
+        top, in_enum = json.loads(out.read_text())
+        assert list(top) == list(in_enum) == ["1", "null", "0.5", "false"]
+
 
 class Level(Enum):
     ONE = 1
@@ -412,7 +456,7 @@ class Color(Enum):
     RED = "red"
     DEEP = 3
     PAIR = (1, "two")
-    TABLE = {1: "one", None: [2.5], 0.5: {}, False: ()}  # json.dump stringifies these keys
+    TABLE = {1: "one", None: [2.5], 0.5: {}, False: ()}  # json.dump spells these keys
 
 
 class Keyed(Enum):
@@ -516,7 +560,7 @@ class TestJsonExportAgainstOracle:
         "container_field": lambda: [Holder(f"h{i}", tuple(range(i))) for i in range(4)],
         "dict_rows_differing_keys": lambda: [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}],
         "percent_keys": lambda: [{"%s": 1, "a%": "%d"}, {"%s": 2, "a%": "%%"}],
-        "non_str_keys": lambda: {1: "one", None: [True, False, None], 2.5: {}},
+        "non_str_keys": lambda: {1: "one", None: [True, False, None], 2.5: {}, False: "no"},
         "plain_scalars": lambda: [PLAIN, [Row(i, "nan", None, v, False) for i, v in enumerate(PLAIN)]],
         "mixed_scalars": lambda: [1, True, 2.5, None, "x", False, -3, np.float64(0.5)],
         "numpy_floats": lambda: [np.float64(0.1), np.float64(math.nan), 1.5],
@@ -552,9 +596,9 @@ class TestJsonExportAgainstOracle:
         expected = tmp_path / "expected.json"
         oracle_export_json(as_records(items), str(expected))
         out = tmp_path / "out.json"
-        with JsonArrayWriter(str(out)) as array:
+        with json_array(str(out)) as add:
             for item in items:
-                array.add(item)
+                add(item)
         assert out.read_bytes() == expected.read_bytes()
 
     @staticmethod
@@ -575,6 +619,7 @@ class TestJsonExportFailure:
         [Nest.INNER],
         Holder("x", (Nest.INNER,)),
         [Keyed.PAIR],
+        {(1, 2): "pair"},
     ]
 
     @pytest.mark.parametrize("report", BAD)
@@ -596,8 +641,8 @@ class TestJsonExportFailure:
     def test_array_writer_discards_on_exception(self, tmp_path):
         out = tmp_path / "out.json"
         with pytest.raises(RuntimeError):
-            with JsonArrayWriter(str(out)) as array:
-                array.add(rows(3))
+            with json_array(str(out)) as add:
+                add(rows(3))
                 raise RuntimeError("a seed failed")
         assert os.listdir(tmp_path) == []
 
@@ -605,7 +650,7 @@ class TestJsonExportFailure:
         with pytest.raises(OSError, match="nope"):
             export_report(rows(2), str(tmp_path / "nope" / "out.json"), "json")
         with pytest.raises(OSError, match="nope"):
-            with JsonArrayWriter(str(tmp_path / "nope" / "out.json")):
+            with json_array(str(tmp_path / "nope" / "out.json")):
                 pass
 
     def test_array_writer_passes_other_os_errors_unchanged(self, tmp_path):
@@ -613,8 +658,8 @@ class TestJsonExportFailure:
         # write the export, so the message must not name its path.
         out = tmp_path / "out.json"
         with pytest.raises(BrokenPipeError) as caught:
-            with JsonArrayWriter(str(out)) as array:
-                array.add(rows(3))
+            with json_array(str(out)) as add:
+                add(rows(3))
                 raise BrokenPipeError(32, "Broken pipe")
         assert str(caught.value) == "[Errno 32] Broken pipe"
         assert os.listdir(tmp_path) == []
@@ -627,8 +672,8 @@ class TestJsonExportFailure:
         with pytest.raises(OSError, match="^cannot write .*out.json: .*Permission denied"):
             export_report(rows(2), str(tmp_path / "out.json"), "json")
         with pytest.raises(OSError, match="^cannot write .*out.json: .*Permission denied"):
-            with JsonArrayWriter(str(tmp_path / "out.json")) as array:
-                array.add(rows(1))
+            with json_array(str(tmp_path / "out.json")) as add:
+                add(rows(1))
         assert os.listdir(tmp_path) == []
 
 

@@ -270,7 +270,7 @@ class TestPaymentGraphValidation:
         with pytest.raises(InputError):
             PaymentGraph(clients=frozenset({"a"}), payments=(("a", "b", 1),))
 
-    @pytest.mark.parametrize("count", [2.7, 2.0, "2", None])
+    @pytest.mark.parametrize("count", [2.7, 2.0, "2", None, True])
     def test_count_must_be_an_integer(self, count):
         payments = (("a", "b", 1), ("b", "c", 3), ("a", "c", count))
         with pytest.raises(InputError, match="^payment count must be an integer, got ") as err:

@@ -245,6 +245,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("duration_blocks", 10.7), ("duration_blocks", 10.0), ("topology_degree", 8.5),
         ("seed", 3.9), ("seed", math.nan), ("seed", "3"), ("seed", None),
+        ("duration_blocks", True), ("seed", False),
     ])
     def test_integer_fields_take_only_integers(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
