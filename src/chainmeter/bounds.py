@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from chainmeter.errors import InputError, integer
+from chainmeter.errors import InputError, integer, real
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class ChainParams:
         if not 0 < integer(self.block_size_bytes, "block_size_bytes"):
             raise InputError(f"block_size_bytes must be positive, got {self.block_size_bytes!r}")
         # Each test is also false for NaN.
-        if not 0 < self.tx_size_bytes < math.inf:
+        if not 0 < real(self.tx_size_bytes, "tx_size_bytes") < math.inf:
             raise InputError(f"tx_size_bytes must be positive and finite, got {self.tx_size_bytes!r}")
-        if not 0 < self.block_interval_s < math.inf:
+        if not 0 < real(self.block_interval_s, "block_interval_s") < math.inf:
             raise InputError(f"block_interval_s must be positive and finite, got {self.block_interval_s!r}")
         if not 0 < integer(self.confirmations, "confirmations"):
             raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
@@ -58,9 +58,9 @@ class NetworkParams:
     latency_s: float
 
     def __post_init__(self):
-        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+        if not 0 < real(self.bandwidth_bytes_per_s, "bandwidth_bytes_per_s") < math.inf:
             raise InputError(f"bandwidth_bytes_per_s must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
-        if not 0 <= self.latency_s < math.inf:
+        if not 0 <= real(self.latency_s, "latency_s") < math.inf:
             raise InputError(f"latency_s must be finite and >= 0, got {self.latency_s!r}")
 
 
@@ -81,7 +81,7 @@ def max_throughput(chain: ChainParams) -> float:
 
 def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
     """Seconds for a block to travel ``hops`` links: each costs ``l + b/w``."""
-    if hops < 1:
+    if integer(hops, "hops") < 1:
         raise InputError(f"hops must be >= 1, got {hops!r}")
     return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
 
@@ -94,9 +94,10 @@ def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> fl
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
     """Hard ceiling ``w / s``: no block size can push throughput past it."""
-    if tx_size_bytes <= 0:
-        raise InputError(f"tx_size_bytes must be positive, got {tx_size_bytes!r}")
-    return net.bandwidth_bytes_per_s / tx_size_bytes
+    s = real(tx_size_bytes, "tx_size_bytes")
+    if not 0 < s < math.inf:
+        raise InputError(f"tx_size_bytes must be positive and finite, got {tx_size_bytes!r}")
+    return net.bandwidth_bytes_per_s / s
 
 
 def throughput_sweep(

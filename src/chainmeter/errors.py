@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number rules every
+boundary applies: ``integer`` for counts, ``real`` for any other number."""
 
+import math
+import numbers
 import operator
 
 
@@ -31,6 +34,20 @@ def integer(value, name: str, index: int | None = None) -> int:
     except TypeError:
         pass
     raise InputError(f"{name} must be an integer, got {value!r}", index)
+
+
+def real(value, name: str, index: int | None = None) -> float:
+    """``value`` as a float if it is a ``numbers.Real``, less ``bool``: ints,
+    floats and numpy reals pass, while booleans, ``np.bool_``, strings and None
+    raise ``InputError`` naming ``name`` (and carrying ``index``). The range is
+    the caller's test: NaN passes, and an int past the float range is infinite."""
+    # An exact float or int skips the ABC test, the slow part of the rule.
+    if type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise InputError(f"{name} must be a number, got {value!r}", index)
 
 
 class ParseError(InputError):

@@ -5,18 +5,20 @@ block-explorer exports); simulator configs and full results travel as JSON.
 The loaders only parse: the types they build validate their own values
 (``SimConfig`` too, so a config is checked once, however it is made), and a
 loader adds where a rejected value came from (the file, and for a CSV row
-the line). Integer fields are handed over as read, never truncated.
+the line). Integer fields are handed over as read, never truncated; every
+other number in a config is read with ``errors.real``, so a JSON boolean or
+string is refused as it is in the library.
 
 A CSV is opened once and read a column at a time: one reader pass collects
 its rows, one test checks that they all have the header's width, and each
-column is then stripped, and a count column parsed, as a whole. Only when
-that fails, or the reader raised, are the rows in hand walked one by one, to
-skip blank rows and name the first line at fault in file order, a read error
-last. Lines count records, so a quoted field spanning lines counts once, but
-a read error names the physical line. Unit
-conversions are exact: MiB is 2**20 bytes, MB is 10**6 bytes, and decimal
-megabits per second are 10**6/8 bytes per second. Numbers are written with
-full double precision so that load(export(x)) == x.
+column is then stripped, and the file's one number column (a count or a
+weight) parsed, as a whole. Only when that fails, or the reader raised, are
+the rows in hand walked one by one, to skip blank rows and name the first
+line at fault in file order, a read error last. Lines count records, so a
+quoted field spanning lines counts once, but a read error names the
+physical line. Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6
+bytes, and decimal megabits per second are 10**6/8 bytes per second.
+Numbers are written with full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
@@ -50,7 +52,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from chainmeter.bounds import ChainParams, NetworkParams
-from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
+from chainmeter.errors import FormatError, InputError, ParseError, ValidationError, real
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.scaling import PaymentGraph
 from chainmeter.simnet import BlockTable, SimConfig
@@ -77,7 +79,7 @@ class UnitSpec:
             )
 
     def block_size_to_bytes(self, value: float) -> int:
-        raw = value * BLOCK_SIZE_FACTORS[self.block_size_unit]
+        raw = real(value, "block size") * BLOCK_SIZE_FACTORS[self.block_size_unit]
         if not math.isfinite(raw):
             raise InputError(f"block size must be finite, got {value!r}")
         if abs(raw - round(raw)) > 1e-6:
@@ -85,7 +87,7 @@ class UnitSpec:
         return int(round(raw))
 
     def bandwidth_to_bytes_per_s(self, value: float) -> float:
-        return value * BANDWIDTH_FACTORS[self.bandwidth_unit]
+        return real(value, "bandwidth") * BANDWIDTH_FACTORS[self.bandwidth_unit]
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
@@ -100,12 +102,13 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text: {exc}")
 
 
-def _read_columns(path: str, expected_header: list[str],
-                  integer: str | None = None) -> tuple[list[list], range | list[int]]:
+def _read_columns(path: str, expected_header: list[str], number: str,
+                  parse: type[int] | type[float]) -> tuple[list[list], range | list[int]]:
     """The data cells of the CSV at ``path``, stripped, one list per column
-    of ``expected_header``, the column named ``integer``, if any, read as
-    ints; and the line of each row kept. The module docstring tells how the
-    file is read once and which fault is rejected first."""
+    of ``expected_header``, the column named ``number`` read with ``parse``
+    (``int`` or ``float``); and the line of each row kept. The module
+    docstring tells how the file is read once and which fault is rejected
+    first."""
     rows: list[list[str]] = []
     error = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -121,15 +124,14 @@ def _read_columns(path: str, expected_header: list[str],
         except UnicodeDecodeError as exc:
             error = _not_utf8(path, exc)
     width = len(expected_header)
-    k = expected_header.index(integer) if integer else None
+    k = expected_header.index(number)
     if error is None and set(map(len, rows)) <= {width}:
         columns = [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)]
         del rows
         # A blank row of the header's width has an empty first cell.
         if "" not in columns[0]:
             try:
-                if k is not None:
-                    columns[k] = list(map(int, columns[k]))
+                columns[k] = list(map(parse, columns[k]))
                 return columns, range(2, len(columns[0]) + 2)
             except ValueError:
                 pass
@@ -142,11 +144,11 @@ def _read_columns(path: str, expected_header: list[str],
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         row = [cell.strip() for cell in row]
-        if k is not None:
-            try:
-                row[k] = int(row[k])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: {integer} is not an integer: {row[k]!r}") from None
+        try:
+            row[k] = parse(row[k])
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise ParseError(f"{path}:{lineno}: {number} is not {kind}: {row[k]!r}") from None
         for column, cell in zip(kept, row):
             column.append(cell)
         lines.append(lineno)
@@ -168,14 +170,14 @@ def _validated(path: str, lines: range | list[int], build):
 
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
-    (ids, weights), lines = _read_columns(path, ["producer_id", "weight"])
+    (ids, weights), lines = _read_columns(path, ["producer_id", "weight"], "weight", float)
     return _validated(path, lines, lambda: ProducerDistribution(tuple(zip(ids, weights))))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
     """Read a ``from,to,count`` CSV into a payment graph; clients are the
     union of all endpoints."""
-    (src, dst, counts), lines = _read_columns(path, ["from", "to", "count"], integer="count")
+    (src, dst, counts), lines = _read_columns(path, ["from", "to", "count"], "count", int)
     if not counts:
         raise ParseError(f"{path}: no data rows")
     clients = frozenset(src).union(dst)
@@ -183,11 +185,10 @@ def load_payment_graph(path: str) -> PaymentGraph:
 
 
 def _params(cls: type, data: dict, section: str, problems: list[str],
-            parse: dict[str, Callable[[Any], Any]]) -> Any:
+            parse: dict[str, Callable[[Any, str], Any]]) -> Any:
     """``cls`` built from the object ``data[section]``, each field read with
-    ``parse`` where it names one and passed raw otherwise; None, with the
-    reason added to ``problems``, if that fails. Every field is a number, and
-    a JSON boolean is refused before ``float`` could read it as 0 or 1."""
+    ``parse[name](value, name)`` where ``parse`` names it and passed as read
+    otherwise; None, with the reason added to ``problems``, if that fails."""
     raw = data.get(section)
     if not isinstance(raw, dict):
         problems.append(f"{section}: required object is missing")
@@ -197,11 +198,8 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
         problems.append(f"{section}: unknown keys {sorted(unknown)}")
         return None
     try:
-        for name, value in raw.items():
-            if isinstance(value, bool):
-                raise InputError(f"{name} must be a number, got {value!r}")
-        return cls(**{name: parse[name](value) if name in parse else value for name, value in raw.items()})
-    except (InputError, TypeError, ValueError) as exc:
+        return cls(**{name: parse[name](value, name) if name in parse else value for name, value in raw.items()})
+    except (InputError, TypeError) as exc:
         problems.append(f"{section}: {exc}")
         return None
 
@@ -212,10 +210,14 @@ def load_sim_config(path: str) -> SimConfig:
     Field names mirror the in-memory records (miners, chain, net,
     topology_degree, duration_blocks, seed); an optional ``units`` object says
     how block size and bandwidth are denominated. Defaults: topology_degree 8,
-    seed 0, confirmations 6, raw byte units. Integer fields are passed as
-    read, so the types reject ``6.0`` and ``6.9`` alike; no numeric field
-    takes a JSON boolean. All violations are reported at once. A single-miner
-    config gets its share normalized to 1.0.
+    seed 0, confirmations 6, raw byte units. Every real field is read with
+    ``errors.real`` and every integer field passed as read, for the types to
+    apply ``errors.integer``: a JSON boolean or string is no number, and
+    ``6.0`` is no integer. All violations are reported at once: when
+    ``chain``, ``net`` or ``miners`` fails, ``SimConfig`` still checks the
+    top-level fields (a failed ``miners`` is stood in for by one miner, so
+    the degree's range goes unchecked). A single-miner config gets its
+    share normalized to 1.0.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -239,54 +241,47 @@ def load_sim_config(path: str) -> SimConfig:
         units = UnitSpec()
 
     chain = _params(ChainParams, data, "chain", problems, {
-        "block_size_bytes": lambda v: units.block_size_to_bytes(float(v)),
-        "tx_size_bytes": float,
-        "block_interval_s": float,
+        "block_size_bytes": lambda value, _: units.block_size_to_bytes(value),
+        "tx_size_bytes": real,
+        "block_interval_s": real,
     })
     net = _params(NetworkParams, data, "net", problems, {
-        "bandwidth_bytes_per_s": lambda v: units.bandwidth_to_bytes_per_s(float(v)),
-        "latency_s": float,
+        "bandwidth_bytes_per_s": lambda value, _: units.bandwidth_to_bytes_per_s(value),
+        "latency_s": real,
     })
 
     miners: list[tuple[str, float]] = []
     raw_miners = data.get("miners")
     if not isinstance(raw_miners, list) or not raw_miners:
         problems.append("miners: required non-empty list is missing")
-    else:
-        for idx, raw in enumerate(raw_miners):
-            if (
-                not isinstance(raw, dict)
-                or set(raw) != {"miner_id", "hash_power_share"}
-            ):
-                problems.append(
-                    f"miners[{idx}]: expected an object with miner_id and hash_power_share"
-                )
-                continue
-            try:
-                if isinstance(raw["hash_power_share"], bool):
-                    raise TypeError
-                miners.append((str(raw["miner_id"]), float(raw["hash_power_share"])))
-            except (TypeError, ValueError):
-                problems.append(f"miners[{idx}]: hash_power_share is not numeric")
-        if len(miners) == 1 and miners[0][1] > 0:
-            miners = [(miners[0][0], 1.0)]
-
-    if chain is not None and net is not None and miners:
+        raw_miners = []
+    for idx, raw in enumerate(raw_miners):
+        if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}:
+            problems.append(f"miners[{idx}]: expected an object with miner_id and hash_power_share")
+            continue
         try:
-            config = SimConfig(
-                miners=tuple(miners),
-                chain=chain,
-                net=net,
-                duration_blocks=data.get("duration_blocks", 0),
-                topology_degree=data.get("topology_degree", 8),
-                seed=data.get("seed", 0),
-            )
-        except ValidationError as exc:
-            problems.append(str(exc))
-        else:
-            if not problems:
-                return config
-    raise ValidationError(f"{path}: " + "; ".join(problems))
+            miners.append((str(raw["miner_id"]), real(raw["hash_power_share"], "hash_power_share")))
+        except InputError as exc:
+            problems.append(f"miners[{idx}]: {exc}")
+    if not 0 < len(miners) == len(raw_miners):
+        miners = [("", 1.0)]  # a stand-in, so that SimConfig checks the other fields
+    elif len(miners) == 1 and miners[0][1] > 0:
+        miners = [(miners[0][0], 1.0)]
+
+    try:
+        config = SimConfig(
+            miners=tuple(miners),
+            chain=chain,
+            net=net,
+            duration_blocks=data.get("duration_blocks", 0),
+            topology_degree=data.get("topology_degree", 8),
+            seed=data.get("seed", 0),
+        )
+    except ValidationError as exc:
+        problems.append(str(exc))
+    if problems:
+        raise ValidationError(f"{path}: " + "; ".join(problems))
+    return config
 
 
 @functools.cache
@@ -325,7 +320,7 @@ def to_jsonable(obj: Any) -> Any:
         return sorted(to_jsonable(v) for v in obj)
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float)) or obj is None:
         return obj
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
 

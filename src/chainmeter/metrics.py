@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from chainmeter.errors import InputError
+from chainmeter.errors import InputError, real
 
 # Cumulative shares are compared against 1 - epsilon with this slack so that
 # targets like 0.9 are not missed by one representation ULP.
@@ -45,16 +45,15 @@ class ProducerDistribution:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        # errors.real's rule turns on the type alone, so one weight of each
+        # type decides; the entries are walked only to name the first bad one.
         try:
-            entries = tuple((str(pid), float(w)) for pid, w in self.entries)
-        except (TypeError, ValueError):
-            # Off the one-pass fast path: find the entry to name.
+            for w in {type(w): w for _, w in self.entries}.values():
+                real(w, "weight")
+        except InputError:
             for index, (pid, w) in enumerate(self.entries):
-                try:
-                    float(w)
-                except (TypeError, ValueError):
-                    raise InputError(f"weight of {str(pid)!r} must be a number, got {w!r}", index) from None
-            raise
+                real(w, f"weight of {str(pid)!r}", index)
+        entries = tuple((str(pid), float(w)) for pid, w in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("distribution has no producers")
@@ -132,13 +131,14 @@ def centralization_level(dist: ProducerDistribution, epsilon: float) -> Centrali
     Coverage uses >= (not strict >) so that epsilon = 0 stays meaningful for
     finite distributions: a lone producer covers exactly 1.0 and scores n = 1.
     """
-    if not 0.0 <= epsilon < 1.0:
+    eps = real(epsilon, "epsilon")
+    if not 0.0 <= eps < 1.0:
         raise InputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     shares = dist._cumulative_shares
-    target = (1.0 - epsilon) - COVERAGE_TOLERANCE
+    target = (1.0 - eps) - COVERAGE_TOLERANCE
     n = int(np.searchsorted(shares, target, side="left")) + 1
     n = min(n, len(shares))
-    return CentralizationLevel(n=n, epsilon=float(epsilon), covered_share=float(shares[n - 1]))
+    return CentralizationLevel(n=n, epsilon=eps, covered_share=float(shares[n - 1]))
 
 
 def central_trust(dist: ProducerDistribution, kind: ConsensusKind) -> CentralizationLevel:

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from chainmeter.errors import InputError, integer
+from chainmeter.errors import InputError, integer, real
 from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
@@ -38,9 +38,9 @@ class BaselineChain:
 
     def __post_init__(self):
         # Each test is also false for NaN.
-        if not 0 < self.throughput_tps < math.inf:
+        if not 0 < real(self.throughput_tps, "throughput_tps") < math.inf:
             raise InputError(f"throughput_tps must be positive and finite, got {self.throughput_tps!r}")
-        if self.centralization.n < 1:
+        if integer(self.centralization.n, "centralization level") < 1:
             raise InputError("centralization level must be >= 1")
         if integer(self.node_count, "node_count") < self.centralization.n:
             raise InputError(
@@ -62,7 +62,7 @@ def ctp(centralization_n: float, throughput_tps: float) -> float:
     """Centralization-throughput product, of two positive finite factors;
     a product that overflows is rejected too."""
     for name, factor in (("centralization_n", centralization_n), ("throughput_tps", throughput_tps)):
-        if not 0 < factor < math.inf:
+        if not 0 < real(factor, f"ctp factor {name}") < math.inf:
             raise InputError(f"ctp factor {name} must be positive and finite, got {factor!r}")
     product = centralization_n * throughput_tps
     if not math.isfinite(product):
@@ -77,7 +77,7 @@ def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
     algebraically, so ``ctp_after`` is computed as the same product as
     ``ctp_before`` and the invariance is exact, not approximate.
     """
-    if k < 1:
+    if integer(k, "shard count") < 1:
         raise InputError(f"shard count must be >= 1, got {k!r}")
     if k > base.node_count:
         raise InputError(
@@ -246,7 +246,7 @@ def lightning_analysis(
     transactions (a gain only when the graph has more funded pairs than active
     clients) and pins relay centralization at 1.
     """
-    if not 1 <= alpha < math.inf:
+    if not 1 <= real(alpha, "batching factor alpha") < math.inf:
         raise InputError(f"batching factor alpha must be >= 1 and finite, got {alpha!r}")
     if not graph.payments:
         raise InputError("payment graph has no payments to analyze")

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, propagation_delay, throughput_upper_bound
-from chainmeter.errors import InputError, TopologyError, ValidationError, integer
+from chainmeter.errors import InputError, TopologyError, ValidationError, integer, real
 from chainmeter.metrics import ProducerDistribution
 
 SHARE_SUM_TOLERANCE = 1e-9
@@ -69,15 +69,18 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        miners, not_numbers = [], []
-        for m, s in self.miners:
+        # errors.real's rule turns on the type alone; shares are walked only to list refusals.
+        refused = set()
+        for kind, s in {type(s): s for _, s in self.miners}.items():
             try:
-                share = float(s)
-            except (TypeError, ValueError):
-                not_numbers.append(repr(s))
-                share = math.nan
-            miners.append((str(m), share))
-        object.__setattr__(self, "miners", tuple(miners))
+                real(s, "hash power share")
+            except InputError:
+                refused.add(kind)
+        if refused:
+            not_numbers = [repr(s) for _, s in self.miners if type(s) in refused]
+        else:
+            not_numbers = []
+            object.__setattr__(self, "miners", tuple((str(m), float(s)) for m, s in self.miners))
         problems = []
         n = len(self.miners)
         if n == 0:

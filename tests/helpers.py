@@ -431,9 +431,10 @@ def oracle_export_json(report, path) -> None:
 # The CSV loaders as they were before they read a column at a time: every
 # row is stripped and checked on its own, and the types' values are checked
 # entry by entry. ``_oracle_read_rows``, ``_oracle_validated`` and the two
-# loaders are the library's former code, verbatim but for their names and
-# the entry-by-entry checks the types used to run, which are applied before
-# each type is built.
+# loaders are the library's former code, verbatim but for their names, the
+# entry-by-entry checks the types used to run, which are applied before each
+# type is built, and the weight column, which is parsed as the count column
+# is, row by row.
 
 
 def _oracle_read_rows(path: str, expected_header: list[str]):
@@ -462,10 +463,7 @@ def _oracle_validated(path: str, expected_header: list[str], build):
 
 
 def _oracle_distribution(entries) -> ProducerDistribution:
-    try:
-        converted = tuple((str(pid), float(w)) for pid, w in entries)
-    except (TypeError, ValueError):
-        return ProducerDistribution(entries)  # names the entry that is not a number
+    converted = tuple((str(pid), float(w)) for pid, w in entries)
     if not converted:
         raise InputError("distribution has no producers")
     seen = set()
@@ -494,8 +492,13 @@ def _oracle_payment_graph(clients, payments) -> PaymentGraph:
 
 def oracle_load_distribution(path: str) -> ProducerDistribution:
     header = ["producer_id", "weight"]
-    entries = tuple(row for _, row in _oracle_read_rows(path, header))
-    return _oracle_validated(path, header, lambda: _oracle_distribution(entries))
+    entries: list[tuple[str, float]] = []
+    for lineno, (pid, raw_weight) in _oracle_read_rows(path, header):
+        try:
+            entries.append((pid, float(raw_weight)))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: weight is not a number: {raw_weight!r}") from None
+    return _oracle_validated(path, header, lambda: _oracle_distribution(tuple(entries)))
 
 
 def oracle_load_payment_graph(path: str) -> PaymentGraph:

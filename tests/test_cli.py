@@ -428,6 +428,18 @@ class TestSimulateCommand:
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert "duration_blocks: must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"chain": dict(BASE_CONFIG["chain"], tx_size_bytes="513")}, "chain: tx_size_bytes must be a number, got '513'"),
+        ({"miners": [dict(BASE_CONFIG["miners"][0], hash_power_share="0.5"), BASE_CONFIG["miners"][1]]},
+         "miners[0]: hash_power_share must be a number, got '0.5'"),
+    ], ids=["tx_size_bytes", "hash_power_share"])
+    def test_numeric_string_exits_two(self, tmp_path, capsys, changes, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **changes)))
+        outcome = run(["simulate", str(path)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("duration_blocks", [0, True])
     def test_invalid_config_exits_two(self, tmp_path, capsys, duration_blocks):
         bad = dict(BASE_CONFIG, duration_blocks=duration_blocks)

@@ -50,8 +50,10 @@ class TestDistribution:
             ProducerDistribution((("a", 1.0), ("b", weight), ("c", "y")))
         assert info.value.index == 1
 
-    def test_numeric_string_weight_is_accepted(self):
-        assert ProducerDistribution((("a", "1.5"), ("b", 1))).entries == (("a", 1.5), ("b", 1.0))
+    def test_numeric_string_weight_is_refused(self):
+        with pytest.raises(InputError, match="^weight of 'a' must be a number, got '1.5'$") as info:
+            ProducerDistribution((("a", "1.5"), ("b", 1)))
+        assert info.value.index == 0
 
     def test_sorted_entries_breaks_ties_by_id(self):
         d = ProducerDistribution((("b", 2.0), ("a", 2.0), ("c", 5.0)))

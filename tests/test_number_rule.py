@@ -1,0 +1,197 @@
+"""One number rule at every boundary that takes a number.
+
+``errors.real`` decides what a real is and ``errors.integer`` what an
+integer is. Each row below is one boundary: a call taking the value, the
+name its refusal must carry, and which rule applies. A boolean (Python's or
+numpy's), a numeric string and None are refused everywhere, with
+``InputError`` or a listed ``ValidationError`` problem naming the field;
+ints, numpy numbers and floats give the result of the equal float (or, for
+an integer field, of the equal int).
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from chainmeter import (
+    BaselineChain,
+    CentralizationLevel,
+    ChainParams,
+    InputError,
+    NetworkParams,
+    PaymentGraph,
+    ProducerDistribution,
+    RelayPlan,
+    SimConfig,
+    UnitSpec,
+    ValidationError,
+    centralization_level,
+    ctp,
+    lightning_analysis,
+    load_sim_config,
+    propagation_delay,
+    shard_analysis,
+    throughput_upper_bound,
+)
+from chainmeter.errors import real
+
+CHAIN = ChainParams(1000, 250.0, 600.0)
+NET = NetworkParams(712_500.0, 0.1)
+BASE = BaselineChain(throughput_tps=7.0, centralization=CentralizationLevel(n=4, epsilon=0.1), node_count=10)
+GRAPH = PaymentGraph(clients=frozenset("abc"), payments=(("a", "b", 1), ("b", "c", 2)))
+DIST = ProducerDistribution((("a", 3.0), ("b", 1.0)))
+
+BAD = (True, np.bool_(True), "513", None)
+# A real field takes these and gives the result of float(value).
+REAL = (3, np.int64(3), np.float32(0.5), 3.0)
+# An integer field takes these and gives the result of int(value); it
+# refuses a float even when the float is whole.
+INTEGER = (3, np.int64(3))
+NOT_INTEGER = (3.0, np.float32(3.0))
+
+
+def chain(**fields):
+    return ChainParams(**{"block_size_bytes": 1000, "tx_size_bytes": 250.0, "block_interval_s": 600.0, **fields})
+
+
+def net(**fields):
+    return NetworkParams(**{"bandwidth_bytes_per_s": 712_500.0, "latency_s": 0.1, **fields})
+
+
+def baseline(**fields):
+    return BaselineChain(**{"throughput_tps": 7.0, "centralization": BASE.centralization, "node_count": 10, **fields})
+
+
+# (id, call, name in the refusal, rule, values that must pass)
+BOUNDARIES = [
+    ("ChainParams.block_size_bytes", lambda v: chain(block_size_bytes=v, tx_size_bytes=1.0),
+     "block_size_bytes", int, INTEGER),
+    ("ChainParams.tx_size_bytes", lambda v: chain(tx_size_bytes=v), "tx_size_bytes", float, REAL),
+    ("ChainParams.block_interval_s", lambda v: chain(block_interval_s=v), "block_interval_s", float, REAL),
+    ("ChainParams.confirmations", lambda v: chain(confirmations=v), "confirmations", int, INTEGER),
+    ("NetworkParams.bandwidth_bytes_per_s", lambda v: net(bandwidth_bytes_per_s=v), "bandwidth_bytes_per_s", float, REAL),
+    ("NetworkParams.latency_s", lambda v: net(latency_s=v), "latency_s", float, REAL),
+    ("BaselineChain.throughput_tps", lambda v: baseline(throughput_tps=v), "throughput_tps", float, REAL),
+    ("BaselineChain.centralization.n", lambda v: baseline(centralization=CentralizationLevel(n=v, epsilon=0.1)),
+     "centralization level", int, INTEGER),
+    ("BaselineChain.node_count", lambda v: baseline(node_count=v, centralization=CentralizationLevel(n=1, epsilon=0.1)),
+     "node_count", int, INTEGER),
+    ("ctp.centralization_n", lambda v: ctp(v, 4.0), "centralization_n", float, REAL),
+    ("ctp.throughput_tps", lambda v: ctp(4.0, v), "throughput_tps", float, REAL),
+    ("lightning_analysis.alpha", lambda v: lightning_analysis(BASE, GRAPH, RelayPlan.direct(), v),
+     "alpha", float, (3, np.int64(3), np.float32(1.5), 3.0)),
+    ("centralization_level.epsilon", lambda v: centralization_level(DIST, v), "epsilon", float,
+     (0, np.int64(0), np.float32(0.5), 0.0)),
+    ("throughput_upper_bound.tx_size_bytes", lambda v: throughput_upper_bound(NET, v), "tx_size_bytes", float, REAL),
+    ("shard_analysis.k", lambda v: shard_analysis(BASE, v), "shard count", int, INTEGER),
+    ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
+    ("UnitSpec.block_size_to_bytes", lambda v: UnitSpec(block_size_unit="MiB").block_size_to_bytes(v),
+     "block size", float, REAL),
+    ("UnitSpec.bandwidth_to_bytes_per_s", lambda v: UnitSpec().bandwidth_to_bytes_per_s(v), "bandwidth", float, REAL),
+    ("ProducerDistribution.weight", lambda v: ProducerDistribution((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
+    ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
+     "hash power shares", float, REAL),
+]
+
+
+@pytest.mark.parametrize("call, name, rule, good", [row[1:] for row in BOUNDARIES], ids=[row[0] for row in BOUNDARIES])
+class TestEveryBoundary:
+    def test_refuses_what_is_not_a_number(self, call, name, rule, good):
+        for value in BAD + (NOT_INTEGER if rule is int else ()):
+            refusal = f"{re.escape(name)} must be (an? )?(integer|number)s?, got {re.escape(repr(value))}"
+            with pytest.raises(InputError, match=refusal):
+                call(value)
+
+    def test_numbers_of_any_type_give_the_result_of_the_equal_one(self, call, name, rule, good):
+        for value in good:
+            assert call(value) == call(rule(value)), value
+
+
+def test_real_rule():
+    for value in REAL + (float("nan"), -float("inf"), np.float64(2.5)):
+        assert type(real(value, "x")) is float
+        assert real(value, "x") == float(value) or value != value
+    # An int past the float range is a number: the caller's range test refuses it.
+    assert (real(10**400, "x"), real(-10**400, "x")) == (float("inf"), -float("inf"))
+    for value in BAD + (1j, [1.0], np.array([1.0])):
+        with pytest.raises(InputError) as info:
+            real(value, "x", index=4)
+        assert str(info.value) == f"x must be a number, got {value!r}" and info.value.index == 4
+
+
+def test_simconfig_lists_every_share_that_is_not_a_number():
+    message = f"miners: hash power shares must be numbers, got True, {np.bool_(False)!r}, '0.5'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SimConfig(miners=(("a", True), ("b", np.bool_(False)), ("c", "0.5"), ("d", 0.5)), chain=CHAIN, net=NET,
+                  duration_blocks=5, topology_degree=2)
+
+
+BASE_CONFIG = {
+    "miners": [{"miner_id": "a", "hash_power_share": 1.0}],
+    "chain": {"block_size_bytes": 1000, "tx_size_bytes": 250.0, "block_interval_s": 600.0, "confirmations": 6},
+    "net": {"bandwidth_bytes_per_s": 712_500.0, "latency_s": 0.1},
+    "duration_blocks": 5,
+    "topology_degree": 2,
+    "seed": 1,
+}
+
+# (section, field, name in the refusal, rule, values that must pass); JSON has
+# no numpy types, so a config file is tried with JSON's own values.
+CONFIG_FIELDS = [
+    ("chain", "block_size_bytes", "chain: block size", float, (1000, 1000.0)),
+    ("chain", "tx_size_bytes", "chain: tx_size_bytes", float, (3, 3.0, 0.5)),
+    ("chain", "block_interval_s", "chain: block_interval_s", float, (3, 3.0, 0.5)),
+    ("chain", "confirmations", "chain: confirmations", int, (3,)),
+    ("net", "bandwidth_bytes_per_s", "net: bandwidth", float, (3, 3.0, 0.5)),
+    ("net", "latency_s", "net: latency_s", float, (3, 3.0, 0.5)),
+    ("miners", "hash_power_share", "miners[0]: hash_power_share", float, (3, 3.0, 0.5)),
+    (None, "duration_blocks", "duration_blocks", int, (3,)),
+    (None, "topology_degree", "topology_degree", int, (3,)),
+    (None, "seed", "seed", int, (3,)),
+]
+
+
+def config_with(tmp_path, section, field, value):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    target = data["miners"][0] if section == "miners" else data[section] if section else data
+    target[field] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, field, name, rule, good", CONFIG_FIELDS, ids=[row[1] for row in CONFIG_FIELDS])
+class TestEveryConfigField:
+    def test_refuses_what_is_not_a_number(self, tmp_path, section, field, name, rule, good):
+        for value in (True, False, "513", None) + ((3.0,) if rule is int else ()):
+            refusal = f"{re.escape(name)} must be an? (integer|number), got {re.escape(repr(value))}"
+            with pytest.raises(ValidationError, match=refusal):
+                load_sim_config(config_with(tmp_path, section, field, value))
+
+    def test_numbers_of_any_type_give_the_result_of_the_equal_one(self, tmp_path, section, field, name, rule, good):
+        for value in good:
+            assert (load_sim_config(config_with(tmp_path, section, field, value))
+                    == load_sim_config(config_with(tmp_path, section, field, rule(value)))), value
+
+
+def test_config_lists_every_violation_when_a_section_fails(tmp_path):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["chain"]["tx_size_bytes"] = True
+    data["miners"] = [{"miner_id": "a", "hash_power_share": 0.5}, {"miner_id": "b", "hash_power_share": False}]
+    data["duration_blocks"] = True
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as info:
+        load_sim_config(str(path))
+    assert str(info.value) == (
+        f"{path}: chain: tx_size_bytes must be a number, got True; "
+        "miners[1]: hash_power_share must be a number, got False; "
+        "duration_blocks must be an integer, got True"
+    )
+
+
+def test_config_number_past_the_float_range_is_out_of_range(tmp_path):
+    with pytest.raises(ValidationError, match="chain: tx_size_bytes must be positive and finite, got inf"):
+        load_sim_config(config_with(tmp_path, "chain", "tx_size_bytes", 10**400))
