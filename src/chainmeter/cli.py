@@ -205,14 +205,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    config = replace(load_sim_config(args.config), **_given(args, ("duration_blocks", "topology_degree", "seed")))
+    config = load_sim_config(args.config)
+    if overrides := _given(args, ("duration_blocks", "topology_degree", "seed")):
+        config = replace(config, **overrides)
     seeds = _parse_seeds(args.seeds) if args.seeds else [config.seed]
 
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
     print(f"bandwidth ceiling w/s: {cap!r} tx/s")
     if len(seeds) == 1:
         kept: list[SimResult] = []
-        violated = _simulate_seed(replace(config, seed=seeds[0]), kept.append)
+        violated = _simulate_seed(replace(config, seed=seeds[0]) if args.seeds else config, kept.append)
         print(_bold("miner  share  canonical_blocks"))
         shares = dict(config.miners)
         for miner_id, blocks in kept[0].per_miner_canonical.entries:

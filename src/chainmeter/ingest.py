@@ -5,9 +5,9 @@ block-explorer exports); simulator configs and full results travel as JSON.
 The loaders only parse: the types they build validate their own values
 (``SimConfig`` too, so a config is checked once, however it is made), and a
 loader adds where a rejected value came from (the file, and for a CSV row
-the line). Integer fields are handed over as read, never truncated; every
-other number in a config is read with ``errors.real``, so a JSON boolean or
-string is refused as it is in the library.
+the line). Integer fields and shares are handed over as read, never
+truncated; every other number in a config is read with ``errors.real``, so a
+JSON boolean or string is refused as it is in the library.
 
 A CSV is opened once and read a column at a time: one reader pass collects
 its rows, one test checks that they all have the header's width, and each
@@ -54,6 +54,7 @@ from typing import Any, Callable
 from chainmeter.bounds import ChainParams, NetworkParams
 from chainmeter.errors import FormatError, InputError, ParseError, ValidationError, real
 from chainmeter.metrics import ProducerDistribution
+from chainmeter.presets import PRESETS
 from chainmeter.scaling import PaymentGraph
 from chainmeter.simnet import BlockTable, SimConfig
 
@@ -210,14 +211,13 @@ def load_sim_config(path: str) -> SimConfig:
     Field names mirror the in-memory records (miners, chain, net,
     topology_degree, duration_blocks, seed); an optional ``units`` object says
     how block size and bandwidth are denominated. Defaults: topology_degree 8,
-    seed 0, confirmations 6, raw byte units. Every real field is read with
-    ``errors.real`` and every integer field passed as read, for the types to
-    apply ``errors.integer``: a JSON boolean or string is no number, and
-    ``6.0`` is no integer. All violations are reported at once: when
-    ``chain``, ``net`` or ``miners`` fails, ``SimConfig`` still checks the
-    top-level fields (a failed ``miners`` is stood in for by one miner, so
-    the degree's range goes unchecked). A single-miner config gets its
-    share normalized to 1.0.
+    seed 0, confirmations 6, raw byte units. The chain and net reals are read
+    with ``errors.real``; shares and integer fields are passed as read, for
+    the types to apply ``errors.real`` and ``errors.integer``: a JSON boolean
+    or string is no number, and ``6.0`` is no integer. All violations are
+    reported at once: when ``chain``, ``net`` or the ``miners`` list fails,
+    it is stood in for and ``SimConfig`` still checks the other fields (a
+    failed list by one miner, so the degree's range goes unchecked).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -250,29 +250,23 @@ def load_sim_config(path: str) -> SimConfig:
         "latency_s": real,
     })
 
-    miners: list[tuple[str, float]] = []
     raw_miners = data.get("miners")
     if not isinstance(raw_miners, list) or not raw_miners:
         problems.append("miners: required non-empty list is missing")
         raw_miners = []
-    for idx, raw in enumerate(raw_miners):
-        if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}:
-            problems.append(f"miners[{idx}]: expected an object with miner_id and hash_power_share")
-            continue
-        try:
-            miners.append((str(raw["miner_id"]), real(raw["hash_power_share"], "hash_power_share")))
-        except InputError as exc:
-            problems.append(f"miners[{idx}]: {exc}")
-    if not 0 < len(miners) == len(raw_miners):
-        miners = [("", 1.0)]  # a stand-in, so that SimConfig checks the other fields
-    elif len(miners) == 1 and miners[0][1] > 0:
-        miners = [(miners[0][0], 1.0)]
+    malformed = [f"miners[{idx}]: expected an object with miner_id and hash_power_share"
+                 for idx, raw in enumerate(raw_miners)
+                 if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}]
+    problems += malformed
+    miners = () if malformed else tuple((raw["miner_id"], raw["hash_power_share"]) for raw in raw_miners)
+    # A failed section is stood in for, so that SimConfig checks the other fields.
+    stand_chain, stand_net = PRESETS["bitcoin"]
 
     try:
         config = SimConfig(
-            miners=tuple(miners),
-            chain=chain,
-            net=net,
+            miners=miners or (("", 1.0),),
+            chain=chain or stand_chain,
+            net=net or stand_net,
             duration_blocks=data.get("duration_blocks", 0),
             topology_degree=data.get("topology_degree", 8),
             seed=data.get("seed", 0),

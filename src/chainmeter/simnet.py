@@ -11,12 +11,13 @@ exactly its hop distance after it is mined (Decker & Wattenhofer, IEEE P2P
 2013). The winner extends the highest block that has reached it, the first
 to arrive on a tie in height and the lower block id on a tie in float
 arrival time. A block mined at least ``ecc`` hops before an event has
-reached the winner, ``ecc`` being the winner's most hops to any miner that
-wins a block (no other node mines one): each event's settled prefix of
-block ids is found before the loop, and only the blocks past it, still in
-flight, need an arrival time. Difficulty never
-retargets, blocks count as full (transactions are not simulated
-individually), and bandwidth contention is ignored.
+reached the winner, ``ecc`` being the most hops between two miners that win
+a block (no other node mines one), so each event's settled prefix of block
+ids is one sorted search of the mining times plus ``ecc`` hops. Only the
+blocks past it, still in flight, are looked up in a window of per-hop sums
+that moves with them. Difficulty never retargets, blocks count as
+full (transactions are not simulated individually), and bandwidth
+contention is ignored.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,12 +54,13 @@ GENESIS_MINER = "genesis"
 @dataclass(frozen=True)
 class SimConfig:
     """Full simulator input. ``miners`` pairs ids with hash-power shares that
-    must sum to 1; ``topology_degree`` is ignored for single-miner runs.
+    must sum to 1; a lone miner holds all the hash power, so its positive
+    share becomes 1.0, and ``topology_degree`` is ignored for it.
 
     A config checks itself when it is built, ``dataclasses.replace`` included:
     it raises one ``ValidationError`` that lists every violated field.
     ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
-    (numpy integers too, but not ``6.0``).
+    (numpy integers too, stored as ints, but not ``6.0``).
     """
 
     miners: tuple[tuple[str, float], ...]
@@ -69,36 +71,34 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # errors.real's rule turns on the type alone; shares are walked only to list refusals.
-        refused = set()
-        for kind, s in {type(s): s for _, s in self.miners}.items():
-            try:
-                real(s, "hash power share")
-            except InputError:
-                refused.add(kind)
-        if refused:
-            not_numbers = [repr(s) for _, s in self.miners if type(s) in refused]
-        else:
-            not_numbers = []
-            object.__setattr__(self, "miners", tuple((str(m), float(s)) for m, s in self.miners))
         problems = []
         n = len(self.miners)
         if n == 0:
             problems.append("miners: at least one miner is required")
-        ids = [m for m, _ in self.miners]
+        ids = [str(m) for m, _ in self.miners]
         if len(set(ids)) != len(ids):
             problems.append("miners: miner ids must be unique")
-        shares = [s for _, s in self.miners]
-        if not_numbers:
-            problems.append(f"miners: hash power shares must be numbers, got {', '.join(not_numbers)}")
-        elif any(not math.isfinite(s) or s < 0 for s in shares):
-            problems.append("miners: hash power shares must be finite and >= 0")
-        elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
-            problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
+        shares = []
+        for i, (_, s) in enumerate(self.miners):
+            try:
+                shares.append(real(s, "hash_power_share"))
+            except InputError as exc:
+                problems.append(f"miners[{i}]: {exc}")
+        if len(shares) == n:  # each share that is not a number is listed
+            if any(not math.isfinite(s) or s < 0 for s in shares):
+                problems.append("miners: hash power shares must be finite and >= 0")
+            elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
+                problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
+            else:
+                object.__setattr__(self, "miners", tuple(zip(ids, [1.0] if n == 1 and shares[0] > 0 else shares)))
+        for name, kind in (("chain", ChainParams), ("net", NetworkParams)):
+            if not isinstance(getattr(self, name), kind):
+                problems.append(f"{name}: must be a {kind.__name__}, got {getattr(self, name)!r}")
         ints = {}
         for name in ("topology_degree", "duration_blocks", "seed"):
             try:
                 ints[name] = integer(getattr(self, name), name)
+                object.__setattr__(self, name, ints[name])
             except InputError as exc:
                 problems.append(str(exc))
         if n > 1 and "topology_degree" in ints:
@@ -204,6 +204,19 @@ def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _hop_sums(times: np.ndarray, hops: int, hop: float) -> Iterator[np.ndarray]:
+    """``times`` plus one ``hop``, then plus two, and so on up to ``hops``:
+    one IEEE addition per hop, as each relay adds it, so row e holds the
+    float a hop-by-hop flood gives a block e hops from its miner."""
+    for _ in range(hops):
+        times = times + hop
+        yield times
+
+
+# Hop sums the simulator's window of blocks in flight holds at least.
+_WINDOW_SUMS = 1 << 16
+
+
 def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
     values = set(stubs)
     for u in values:
@@ -306,54 +319,41 @@ def run_simulation(config: SimConfig) -> SimResult:
     share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
     winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), n - 1)
 
-    parent = [-1]
-    height = [0]
+    parent, height = [-1], [0]
     mined_at = [0.0] + mine_times.tolist()
     miner_of = [-1] + winners.tolist()
     # Hop distances from each miner that wins a block, one row per winner,
-    # and ecc[k - 1], the most hops from block k's winner to any winner:
-    # only winners mine blocks, so no block comes from farther away.
+    # and ecc, the most hops between two winners (at least 1): only winners
+    # mine blocks, so no block comes from farther away.
     winning = np.flatnonzero(np.bincount(winners, minlength=n))
     rows = _hop_distances(peers, winning)
     distances: list[memoryview | None] = [None] * n
     for miner, row in zip(winning.tolist(), rows):
         distances[miner] = memoryview(row)
-    ecc = np.zeros(n, dtype=np.intp)
-    ecc[winning] = rows[:, winning].max(axis=1)
-    ecc = ecc[winners]
+    ecc = max(int(rows[:, winning].max()), 1)
 
-    # settled[k - 1]: the last id of block k's settled prefix. Each block up
-    # to it was mined at least ecc hops before k, so it has reached k's
-    # winner. reach is each mining time plus e hops, added one at a time as
-    # the relays add them: float addition is monotone and mining times never
-    # decrease with id, so reach is sorted and the prefix exact. Genesis has
-    # always arrived.
-    reach = np.concatenate(([0.0], mine_times))
-    settled = np.empty(blocks_to_mine, dtype=np.intp)
-    for e in range(int(ecc.max()) + 1):
-        if e:
-            reach += hop
-        at_e = ecc == e
-        settled[at_e] = np.searchsorted(reach, mine_times[at_e], side="right") - 1
-    settled = np.clip(settled, 0, np.arange(blocks_to_mine))
-    del reach, ecc, at_e
-
-    def arrival(b: int, dist: memoryview) -> float:
-        # One ``+ hop`` per link, as each relay adds it, so the arrival time
-        # is the same float a hop-by-hop flood gives.
-        at = mined_at[b]
-        for _ in range(dist[miner_of[b]]):
-            at += hop
-        return at
+    # sent[k - 1]: the first id that has reached no other node by block k's
+    # event (at most k), and settled[k - 1]: the last id of block k's settled
+    # prefix. Each block up to it was mined at least ecc hops before k, so it
+    # has reached k's winner: float addition is monotone and mining times
+    # never decrease with id, so every row of hop sums is sorted and the
+    # prefix exact. Genesis has always arrived.
+    mined = np.concatenate(([0.0], mine_times))
+    for e, reach in enumerate(_hop_sums(mined, ecc, hop), 1):
+        if e == 1:
+            sent = np.minimum(np.searchsorted(reach, mine_times, side="right"), np.arange(1, blocks_to_mine + 1))
+    settled = np.clip(np.searchsorted(reach, mine_times, side="right") - 1, 0, np.arange(blocks_to_mine))
 
     # first[h] is the lowest block id at height h, more[h] the others in
     # ascending order, top the greatest height, and own[m] the id of miner
-    # m's latest block, which m always has.
-    first = [0]
-    top = 0
+    # m's latest block, which m always has. at_hops[e][b - lo] is block b's
+    # arrival e hops from its miner: row 0, the mining times, runs to the
+    # last block, and the others to ``hi``.
+    first, top = [0], 0
     more: dict[int, list[int]] = {}
     own = [0] * n
-    for block_id, last in zip(range(1, blocks_to_mine + 1), memoryview(settled)):
+    lo, hi, at_hops = 0, 0, []
+    for block_id, last, end in zip(range(1, blocks_to_mine + 1), memoryview(settled), memoryview(sent)):
         now = mined_at[block_id]
         miner = miner_of[block_id]
         dist = distances[miner]
@@ -362,6 +362,12 @@ def run_simulation(config: SimConfig) -> SimResult:
         # has the miner's latest block; the others after ``last`` count once
         # they arrive.
         tip_height = top if last >= first[top] else bisect_right(first, last) - 1
+        if end > hi:
+            # No block before first[tip_height] is looked up again, and none
+            # from ``end`` on: build the hop sums between, with room ahead.
+            lo = first[tip_height]
+            hi = min(end + max(end - lo, _WINDOW_SUMS // ecc), blocks_to_mine + 1)
+            at_hops = [memoryview(mined)[lo:], *map(memoryview, _hop_sums(mined[lo:hi], ecc, hop))]
         tips = [first[tip_height]]
         if tip_height in more:
             tips += [b for b in more[tip_height] if b <= last]
@@ -372,22 +378,18 @@ def run_simulation(config: SimConfig) -> SimResult:
             else:
                 tips.append(b)
         # A block at this height or above has an id of first[tip_height] or
-        # more. The miner's older blocks cannot win, and once a block has
-        # not yet reached any other node, no later block has.
+        # more, and none from ``end`` on has reached another node. The
+        # miner's older blocks cannot win.
         start = first[tip_height]
         if start <= last:
             start = last + 1
-        for b in range(start, block_id):
-            if height[b] >= tip_height and dist[miner_of[b]]:
-                if mined_at[b] + hop > now:
-                    break
-                if arrival(b, dist) <= now:
-                    if height[b] > tip_height:
-                        tip_height = height[b]
-                        tips = [b]
-                    else:
-                        tips.append(b)
-        tip = tips[0] if len(tips) == 1 else min(tips, key=lambda b: (arrival(b, dist), b))
+        for b in range(start, end):
+            if height[b] >= tip_height and (hops := dist[miner_of[b]]) and at_hops[hops][b - lo] <= now:
+                if height[b] > tip_height:
+                    tip_height, tips = height[b], [b]
+                else:
+                    tips.append(b)
+        tip = tips[0] if len(tips) == 1 else min([(at_hops[dist[miner_of[b]]][b - lo], b) for b in tips])[1]
         block_height = tip_height + 1
         parent.append(tip)
         height.append(block_height)
@@ -397,6 +399,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             first.append(block_id)
         else:
             more.setdefault(block_height, []).append(block_id)
+    del at_hops, mined, reach, settled, sent  # freed before the result build, which sets the peak memory
 
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
     # observer), then lowest id. Mining times never decrease with id, so

@@ -26,6 +26,7 @@ import chainmeter
 from chainmeter import cli
 from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from chainmeter.presets import bitcoin_miner_distribution
+from chainmeter.simnet import SimConfig
 
 from helpers import as_records, oracle_export_json
 
@@ -277,6 +278,17 @@ class TestSimulateCommand:
         result = run_simulation(load_sim_config(config_json))
         assert repr(result.observed_tps) in outcome.stdout_report
         assert repr(result.stale_rate) in outcome.stdout_report
+
+    @pytest.mark.parametrize("flags, builds", [
+        ([], 1), (["--seed", "7"], 2), (["--seed", "7", "--duration-blocks", "10"], 2),
+        (["--seeds", "3..3"], 2), (["--seeds", "3..5"], 4), (["--seeds", "3..5", "--topology-degree", "1"], 5),
+    ])
+    def test_config_is_built_once_per_run(self, config_json, monkeypatch, flags, builds):
+        calls = []
+        check = SimConfig.__post_init__
+        monkeypatch.setattr(SimConfig, "__post_init__", lambda config: calls.append(check(config)))
+        assert run(["simulate", config_json, *flags]).exit_code == EXIT_OK
+        assert len(calls) == builds
 
     def test_same_seed_byte_identical_exports(self, config_json, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -310,12 +310,16 @@ class TestLoadSimConfig:
         assert "duration_blocks" in message
         assert "sum to 1" in message
 
-    def test_section_problem_is_plain_text(self, tmp_path):
-        data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], tx_size_bytes=-1))
+    @pytest.mark.parametrize("section, key, message", [
+        ("chain", "tx_size_bytes", "chain: tx_size_bytes must be positive and finite, got -1.0"),
+        ("net", "latency_s", "net: latency_s must be finite and >= 0, got -1.0"),
+    ])
+    def test_section_problem_is_plain_text(self, tmp_path, section, key, message):
+        data = dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **{key: -1})})
         path = write(tmp_path / "c.json", json.dumps(data))
         with pytest.raises(ValidationError) as err:
             load_sim_config(path)
-        assert str(err.value) == f"{path}: chain: tx_size_bytes must be positive and finite, got -1.0"
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("section, key, message", [
         ("chain", "tx_size_bytes", "chain: tx_size_bytes must be a number, got True"),
@@ -343,6 +347,14 @@ class TestLoadSimConfig:
     def test_round_trip(self, tmp_path):
         path = write(tmp_path / "c.json", json.dumps(BASE_CONFIG))
         config = load_sim_config(path)
+        out = tmp_path / "resolved.json"
+        export_report(config, str(out), "json")
+        assert load_sim_config(str(out)) == config
+
+    def test_numpy_integers_round_trip(self, tmp_path):
+        config = SimConfig(miners=(("a", 0.6), ("b", 0.4)), chain=ChainParams(1000, 250.0, 600.0),
+                           net=NetworkParams(712_500.0, 0.1), duration_blocks=np.int64(5), topology_degree=1,
+                           seed=np.int64(3))
         out = tmp_path / "resolved.json"
         export_report(config, str(out), "json")
         assert load_sim_config(str(out)) == config

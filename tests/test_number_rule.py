@@ -92,7 +92,7 @@ BOUNDARIES = [
     ("UnitSpec.bandwidth_to_bytes_per_s", lambda v: UnitSpec().bandwidth_to_bytes_per_s(v), "bandwidth", float, REAL),
     ("ProducerDistribution.weight", lambda v: ProducerDistribution((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
     ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
-     "hash power shares", float, REAL),
+     "miners[0]: hash_power_share", float, REAL),
 ]
 
 
@@ -122,7 +122,9 @@ def test_real_rule():
 
 
 def test_simconfig_lists_every_share_that_is_not_a_number():
-    message = f"miners: hash power shares must be numbers, got True, {np.bool_(False)!r}, '0.5'"
+    message = (f"miners[0]: hash_power_share must be a number, got True; "
+               f"miners[1]: hash_power_share must be a number, got {np.bool_(False)!r}; "
+               "miners[2]: hash_power_share must be a number, got '0.5'")
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         SimConfig(miners=(("a", True), ("b", np.bool_(False)), ("c", "0.5"), ("d", 0.5)), chain=CHAIN, net=NET,
                   duration_blocks=5, topology_degree=2)
@@ -188,10 +190,13 @@ def test_config_lists_every_violation_when_a_section_fails(tmp_path):
     assert str(info.value) == (
         f"{path}: chain: tx_size_bytes must be a number, got True; "
         "miners[1]: hash_power_share must be a number, got False; "
-        "duration_blocks must be an integer, got True"
+        "duration_blocks must be an integer, got True; "
+        "topology_degree: must lie in [1, 1] for 2 miners, got 2"
     )
 
 
 def test_config_number_past_the_float_range_is_out_of_range(tmp_path):
     with pytest.raises(ValidationError, match="chain: tx_size_bytes must be positive and finite, got inf"):
         load_sim_config(config_with(tmp_path, "chain", "tx_size_bytes", 10**400))
+    with pytest.raises(ValidationError, match="miners: hash power shares must be finite and >= 0"):
+        load_sim_config(config_with(tmp_path, "miners", "hash_power_share", 10**400))

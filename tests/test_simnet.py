@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from chainmeter import cli
+from chainmeter import cli, simnet
 from chainmeter import (
     BlockTable,
     ChainParams,
@@ -209,7 +210,8 @@ class TestConfigValidation:
 
     def test_share_that_is_not_a_number_is_a_listed_problem(self):
         with pytest.raises(ValidationError, match=(
-            r"^miners: hash power shares must be numbers, got 'x', None; "
+            r"^miners\[0\]: hash_power_share must be a number, got 'x'; "
+            r"miners\[2\]: hash_power_share must be a number, got None; "
             r"duration_blocks: must be >= 1, got 0$"
         )):
             SimConfig(miners=(("a", "x"), ("b", 0.5), ("c", None)), chain=CHAIN, net=NET,
@@ -252,9 +254,24 @@ class TestConfigValidation:
             replace(config(), **{field: value})
 
     def test_numpy_integers_pass(self):
-        cfg = replace(config(seed=3), seed=np.int64(3))
-        assert cfg.seed == 3
+        cfg = replace(config(seed=3), seed=np.int64(3), duration_blocks=np.uint64(200), topology_degree=np.int32(4))
+        assert (cfg.seed, cfg.duration_blocks, cfg.topology_degree) == (3, 200, 4)
+        assert {type(cfg.seed), type(cfg.duration_blocks), type(cfg.topology_degree)} == {int}
         assert run_simulation(cfg) == run_simulation(config(seed=3))
+
+    def test_chain_and_net_of_another_type_are_listed_problems(self):
+        with pytest.raises(ValidationError, match=(
+            r"^chain: must be a ChainParams, got None; net: must be a NetworkParams, got 'x'$"
+        )):
+            SimConfig(miners=(("a", .5), ("b", .5)), chain=None, net="x", duration_blocks=5, topology_degree=1)
+
+    def test_lone_positive_share_becomes_one(self):
+        for share, stored in ((0.9, 1.0), (3, 1.0), (np.float32(0.5), 1.0), (0.0, 0.0)):
+            cfg = SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
+            assert cfg.miners == (("solo", stored),)
+        for share in (-0.5, math.inf, math.nan, 10**400):
+            with pytest.raises(ValidationError, match="^miners: hash power shares must be finite and >= 0$"):
+                SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
 
 
 class TestSingleMiner:
@@ -446,6 +463,20 @@ def relay_miners(n, hashing):
     return tuple((f"m{i:02d}", 0.0 if i < n - hashing else 1.0 / hashing) for i in range(n))
 
 
+def test_hop_sums_follow_the_blocks_in_flight():
+    # A 400-miner ring puts about 200 hops between winners. A table of every
+    # block's arrival at each hop count would hold 200 x 5,001 floats,
+    # 7.6 MiB; the window of blocks in flight holds about 2^16.
+    cfg = SimConfig(miners=equal_miners(400), chain=CHAIN, net=NET, duration_blocks=5_000, topology_degree=2, seed=1)
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 class TestAgainstOracle:
     """The windowed engine against two references it must match exactly.
 
@@ -541,6 +572,14 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("family, count", FAMILIES)
     def test_matches_the_inbox_engine(self, family, count):
+        for cfg in self.grid(family, count):
+            result = run_simulation(cfg)
+            assert (list(result.blocks.parent_ids), list(result.blocks.heights)) == oracle_inbox_engine(cfg), cfg
+
+    @pytest.mark.parametrize("family, count", FAMILIES)
+    def test_smallest_window_matches_the_inbox_engine(self, family, count, monkeypatch):
+        # The hop sums are rebuilt whenever a block past them is looked up.
+        monkeypatch.setattr(simnet, "_WINDOW_SUMS", 1)
         for cfg in self.grid(family, count):
             result = run_simulation(cfg)
             assert (list(result.blocks.parent_ids), list(result.blocks.heights)) == oracle_inbox_engine(cfg), cfg
