@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from chainmeter.errors import InputError, integer, real
+from chainmeter.errors import InputError, integer, plain, real
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,10 @@ class ChainParams:
         if not 0 < integer(self.block_size_bytes, "block_size_bytes"):
             raise InputError(f"block_size_bytes must be positive, got {self.block_size_bytes!r}")
         # Each test is also false for NaN.
-        if not 0 < real(self.tx_size_bytes, "tx_size_bytes") < math.inf:
-            raise InputError(f"tx_size_bytes must be positive and finite, got {self.tx_size_bytes!r}")
-        if not 0 < real(self.block_interval_s, "block_interval_s") < math.inf:
-            raise InputError(f"block_interval_s must be positive and finite, got {self.block_interval_s!r}")
+        for name in ("tx_size_bytes", "block_interval_s"):
+            if not 0 < real(getattr(self, name), name) < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, plain(getattr(self, name), name))
         if not 0 < integer(self.confirmations, "confirmations"):
             raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
         if self.block_size_bytes < self.tx_size_bytes:
@@ -62,6 +62,8 @@ class NetworkParams:
             raise InputError(f"bandwidth_bytes_per_s must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
         if not 0 <= real(self.latency_s, "latency_s") < math.inf:
             raise InputError(f"latency_s must be finite and >= 0, got {self.latency_s!r}")
+        for name in ("bandwidth_bytes_per_s", "latency_s"):
+            object.__setattr__(self, name, plain(getattr(self, name), name))
 
 
 def tx_latency(chain: ChainParams) -> float:

@@ -215,10 +215,10 @@ def _cmd_simulate(args) -> int:
     if len(seeds) == 1:
         kept: list[SimResult] = []
         violated = _simulate_seed(replace(config, seed=seeds[0]) if args.seeds else config, kept.append)
-        print(_bold("miner  share  canonical_blocks"))
         shares = dict(config.miners)
-        for miner_id, blocks in kept[0].per_miner_canonical.entries:
-            print(f"{miner_id}  {shares[miner_id]!r}  {int(blocks)}")
+        table = [_bold("miner  share  canonical_blocks")]
+        table += [f"{miner}  {shares[miner]!r}  {int(blocks)}" for miner, blocks in kept[0].per_miner_canonical.entries]
+        print("\n".join(table))
         if args.out:
             export_report(kept[0], args.out, "json")
     else:

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the number rules every
-boundary applies: ``integer`` for counts, ``real`` for any other number."""
+boundary applies: ``integer`` for counts, ``real`` for any other number, and
+``plain`` for the real a formula computes with."""
 
 import math
 import numbers
@@ -48,6 +49,13 @@ def real(value, name: str, index: int | None = None) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise InputError(f"{name} must be a number, got {value!r}", index)
+
+
+def plain(value, name: str) -> int | float:
+    """A number ``real`` passes, as formulas should compute with it: an int as
+    it is, so what prints from it stays the same, and any other number as the
+    float ``real`` gives, so a numpy ``float32`` computes in double precision."""
+    return value if type(value) is int else real(value, name)
 
 
 class ParseError(InputError):

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from chainmeter.errors import InputError, integer, real
+from chainmeter.errors import InputError, integer, plain, real
 from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
@@ -40,6 +40,7 @@ class BaselineChain:
         # Each test is also false for NaN.
         if not 0 < real(self.throughput_tps, "throughput_tps") < math.inf:
             raise InputError(f"throughput_tps must be positive and finite, got {self.throughput_tps!r}")
+        object.__setattr__(self, "throughput_tps", plain(self.throughput_tps, "throughput_tps"))
         if integer(self.centralization.n, "centralization level") < 1:
             raise InputError("centralization level must be >= 1")
         if integer(self.node_count, "node_count") < self.centralization.n:
@@ -64,7 +65,7 @@ def ctp(centralization_n: float, throughput_tps: float) -> float:
     for name, factor in (("centralization_n", centralization_n), ("throughput_tps", throughput_tps)):
         if not 0 < real(factor, f"ctp factor {name}") < math.inf:
             raise InputError(f"ctp factor {name} must be positive and finite, got {factor!r}")
-    product = centralization_n * throughput_tps
+    product = plain(centralization_n, "centralization_n") * plain(throughput_tps, "throughput_tps")
     if not math.isfinite(product):
         raise InputError(f"ctp centralization_n * throughput_tps must be finite, got {centralization_n!r} * {throughput_tps!r}")
     return product

@@ -8,23 +8,23 @@ exponential clocks, but simpler to reproduce bit for bit). Every node relays
 every block over a random degree-regular peer graph at
 ``latency + block_size/bandwidth`` seconds per hop, so a block reaches a node
 exactly its hop distance after it is mined (Decker & Wattenhofer, IEEE P2P
-2013). The winner extends the highest block that has reached it, the first
-to arrive on a tie in height and the lower block id on a tie in float
-arrival time. A block mined at least ``ecc`` hops before an event has
-reached the winner, ``ecc`` being the most hops between two miners that win
-a block (no other node mines one), so each event's settled prefix of block
-ids is one sorted search of the mining times plus ``ecc`` hops. Only the
-blocks past it, still in flight, are looked up in a window of per-hop sums
-that moves with them. Difficulty never retargets, blocks count as
-full (transactions are not simulated individually), and bandwidth
-contention is ignored.
+2013). The winner extends the highest block that has reached it, the first to
+arrive on a tie in height and the lower block id on a tie in float arrival
+time. A block mined at least ``ecc`` hops before an event has reached the
+winner, ``ecc`` being the most hops between two miners that win a block (no
+other node mines one), so each event's settled prefix of block ids is one
+sorted search of the mining times plus ``ecc`` hops. Only the blocks past it,
+still in flight, are looked up in a window of per-hop sums that moves with
+them. Difficulty never retargets, blocks count as full (transactions are not
+simulated individually), and bandwidth contention is ignored.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
 identical results, event for event. The peer graph's stubs are drawn in
 chunks that consume the generator exactly as one call per stub would; a lone
 rejected pair does not shrink the next chunk, a streak of them does. One
-breadth-first search gives every winner its hop distances up front.
+breadth-first search, a bit per winner packed 64 to a word, gives the hops
+between winners up front; from node 0 it tells if a peer graph is connected.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
@@ -182,26 +182,28 @@ class BoundCheck:
     violated: bool
 
 
-def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Breadth-first hop counts over the adjacency rows ``peers``, row k from
-    ``sources[k]``, in the smallest unsigned type holding n; unreached nodes
-    read n. One search serves every source: a node carries a bit per source,
-    packed eight to a byte, and each level ORs its peers' bits."""
-    n = len(peers)
-    count = len(sources)
-    dist = np.full((count, n), n, dtype=np.min_scalar_type(n))
-    newly = np.zeros((n, count), dtype=bool)
-    newly[sources, np.arange(count)] = True
-    frontier = np.packbits(newly, axis=1)
+def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Breadth-first hop counts between ``sources`` over the adjacency rows
+    ``peers``, [j, k] from ``sources[j]`` to ``sources[k]`` in the smallest
+    unsigned type holding n (n if unreached), and whether every node was
+    reached. A node carries a bit per source, 64 to a word in any byte order
+    (only OR, AND and NOT touch one), and each level ORs its peers' words."""
+    n, count = len(peers), len(sources)
+    words = -(-count // 64)
+    dist = np.full((count, count), n, dtype=np.min_scalar_type(n))
+    frontier = np.zeros((n, words), dtype=np.uint64)
+    frontier[sources] = np.packbits(np.eye(count, 64 * words, dtype=bool), axis=1, bitorder="little").view(np.uint64)
     seen = frontier.copy()
     depth = 0
-    while newly.any():
-        dist.T[newly] = depth
+    while frontier.any():
+        dist[np.unpackbits(frontier[sources].view(np.uint8), axis=1, count=count, bitorder="little").view(bool)] = depth
         depth += 1
-        frontier = np.bitwise_or.reduce(frontier[peers], axis=1) & ~seen
+        reached = np.zeros_like(frontier)
+        for column in peers.T:
+            reached |= frontier[column]
+        frontier = reached & ~seen
         seen |= frontier
-        newly = np.unpackbits(frontier, axis=1, count=count).view(bool)
-    return dist
+    return dist, not (np.bitwise_or.reduce(seen[sources], axis=0) & ~seen).any()
 
 
 def _hop_sums(times: np.ndarray, hops: int, hop: float) -> Iterator[np.ndarray]:
@@ -292,7 +294,7 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
                     break
         if not stuck:
             graph = tuple(tuple(sorted(peers)) for peers in adj)
-            if _hop_distances(np.array(graph), np.array([0])).max() < n:
+            if _hop_distances(np.array(graph), np.array([0]))[1]:
                 return graph
     raise TopologyError(
         f"no connected {degree}-regular graph over {n} nodes after 100 seeded attempts"
@@ -321,16 +323,14 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     parent, height = [-1], [0]
     mined_at = [0.0] + mine_times.tolist()
-    miner_of = [-1] + winners.tolist()
-    # Hop distances from each miner that wins a block, one row per winner,
-    # and ecc, the most hops between two winners (at least 1): only winners
-    # mine blocks, so no block comes from farther away.
+    # Only winners mine, so the engine knows a miner by its position among
+    # them: by_winner[b] is block b's, distances[j][k] the hops from winner j
+    # to k, and ecc, at least 1, the most, the farthest any block comes from.
     winning = np.flatnonzero(np.bincount(winners, minlength=n))
-    rows = _hop_distances(peers, winning)
-    distances: list[memoryview | None] = [None] * n
-    for miner, row in zip(winning.tolist(), rows):
-        distances[miner] = memoryview(row)
-    ecc = max(int(rows[:, winning].max()), 1)
+    by_winner = [-1] + np.searchsorted(winning, winners).tolist()
+    hops_between = _hop_distances(peers, winning)[0]
+    distances = list(map(memoryview, hops_between))
+    ecc = max(int(hops_between.max()), 1)
 
     # sent[k - 1]: the first id that has reached no other node by block k's
     # event (at most k), and settled[k - 1]: the last id of block k's settled
@@ -345,17 +345,17 @@ def run_simulation(config: SimConfig) -> SimResult:
     settled = np.clip(np.searchsorted(reach, mine_times, side="right") - 1, 0, np.arange(blocks_to_mine))
 
     # first[h] is the lowest block id at height h, more[h] the others in
-    # ascending order, top the greatest height, and own[m] the id of miner
-    # m's latest block, which m always has. at_hops[e][b - lo] is block b's
+    # ascending order, top the greatest height, and own[j] the id of winner
+    # j's latest block, which j always has. at_hops[e][b - lo] is block b's
     # arrival e hops from its miner: row 0, the mining times, runs to the
     # last block, and the others to ``hi``.
     first, top = [0], 0
     more: dict[int, list[int]] = {}
-    own = [0] * n
+    own = [0] * len(winning)
     lo, hi, at_hops = 0, 0, []
     for block_id, last, end in zip(range(1, blocks_to_mine + 1), memoryview(settled), memoryview(sent)):
         now = mined_at[block_id]
-        miner = miner_of[block_id]
+        miner = by_winner[block_id]
         dist = distances[miner]
         # The tip is the arrived block with the largest (height, -arrival
         # at the miner, -id). Every id up to ``last`` has arrived, and so
@@ -384,12 +384,12 @@ def run_simulation(config: SimConfig) -> SimResult:
         if start <= last:
             start = last + 1
         for b in range(start, end):
-            if height[b] >= tip_height and (hops := dist[miner_of[b]]) and at_hops[hops][b - lo] <= now:
+            if height[b] >= tip_height and (hops := dist[by_winner[b]]) and at_hops[hops][b - lo] <= now:
                 if height[b] > tip_height:
                     tip_height, tips = height[b], [b]
                 else:
                     tips.append(b)
-        tip = tips[0] if len(tips) == 1 else min([(at_hops[dist[miner_of[b]]][b - lo], b) for b in tips])[1]
+        tip = tips[0] if len(tips) == 1 else min([(at_hops[dist[by_winner[b]]][b - lo], b) for b in tips])[1]
         block_height = tip_height + 1
         parent.append(tip)
         height.append(block_height)
@@ -399,7 +399,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             first.append(block_id)
         else:
             more.setdefault(block_height, []).append(block_id)
-    del at_hops, mined, reach, settled, sent  # freed before the result build, which sets the peak memory
+    del at_hops, by_winner, mined, reach, settled, sent  # freed before the result build, which sets the peak memory
 
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
     # observer), then lowest id. Mining times never decrease with id, so
@@ -421,7 +421,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             parent_ids=tuple(parent),
             heights=tuple(height),
             mined_at_s=tuple(mined_at),
-            miner_index=tuple(miner_of),
+            miner_index=(-1, *winners.tolist()),
             size_bytes=chain.block_size_bytes,
             miner_ids=miner_ids,
         ),

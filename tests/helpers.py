@@ -6,14 +6,15 @@ The simulator oracle shares only config validation and the random draws with
 the library; it builds its peer graph with the library's former matcher (one
 generator call per stub), propagates blocks hop by hop, and builds its block
 records itself. ``oracle_inbox_engine`` is the library's former event loop,
-which kept a heap of blocks in flight per winner; it shares the graph and
-hop distances with the library and checks only the tip choice.
-``oracle_hop_distances`` is a plain queue-driven breadth-first search. The JSON export oracle is the library's former
-``json.dump(indent=2)`` path; it sees a ``SimResult`` as the records it used
-to hold (``as_records``). The shares oracle is the metrics module's former
-sort of ``(-weight, id)`` pairs. The CSV loader oracles are the former
-row-by-row loaders, with the entry-by-entry checks the distribution and
-payment graph types ran before they checked their values in bulk.
+which kept a heap of blocks in flight per winner; it shares the peer graph
+with the library, takes its hop distances from ``oracle_hop_distances``, a
+plain queue-driven breadth-first search, and checks only the tip choice.
+The JSON export oracle is the library's former ``json.dump(indent=2)`` path;
+it sees a ``SimResult`` as the records it used to hold (``as_records``). The
+shares oracle is the metrics module's former sort of ``(-weight, id)``
+pairs. The CSV loader oracles are the former row-by-row loaders, with the
+entry-by-entry checks the distribution and payment graph types ran before
+they checked their values in bulk.
 """
 
 from collections import deque
@@ -35,7 +36,6 @@ from chainmeter.simnet import (
     GENESIS_MINER,
     SimConfig,
     SimResult,
-    _hop_distances,
     random_regular_graph,
 )
 
@@ -337,7 +337,6 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     rng = np.random.default_rng(config.seed)
 
     adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
-    peers = np.array(adj, dtype=np.intp).reshape(n, -1)
 
     blocks_to_mine = config.duration_blocks
     mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
@@ -356,10 +355,9 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     offered = [1] * n
     inbox: list[list[tuple[float, int]]] = [[] for _ in range(n)]
     # Hop distances from each miner that wins a block, one row per winner.
-    winning = np.flatnonzero(np.bincount(winners, minlength=n))
-    distances: list[memoryview | None] = [None] * n
-    for miner, row in zip(winning.tolist(), _hop_distances(peers, winning)):
-        distances[miner] = memoryview(row)
+    distances: list[list[int] | None] = [None] * n
+    for miner in set(winners.tolist()):
+        distances[miner] = oracle_hop_distances(adj, miner)
 
     for block_id in range(1, blocks_to_mine + 1):
         now = mined_at[block_id]

@@ -31,6 +31,7 @@ from chainmeter import (
     ctp,
     lightning_analysis,
     load_sim_config,
+    max_throughput,
     propagation_delay,
     shard_analysis,
     throughput_upper_bound,
@@ -107,6 +108,37 @@ class TestEveryBoundary:
     def test_numbers_of_any_type_give_the_result_of_the_equal_one(self, call, name, rule, good):
         for value in good:
             assert call(value) == call(rule(value)), value
+
+
+# (id, a formula reading the field): a real field computes with the float
+# ``real`` gives, so a numpy real gives the result of the equal Python float.
+FORMULAS = [
+    ("ChainParams.tx_size_bytes", lambda v: max_throughput(chain(tx_size_bytes=v))),
+    ("ChainParams.block_interval_s", lambda v: max_throughput(chain(block_interval_s=v))),
+    ("NetworkParams.bandwidth_bytes_per_s", lambda v: propagation_delay(1, CHAIN, net(bandwidth_bytes_per_s=v))),
+    ("NetworkParams.latency_s", lambda v: propagation_delay(1, CHAIN, net(latency_s=v))),
+    ("BaselineChain.throughput_tps", lambda v: shard_analysis(baseline(throughput_tps=v), 3).sharded_tps),
+    ("ctp.centralization_n", lambda v: ctp(v, 3.0)),
+    ("ctp.throughput_tps", lambda v: ctp(3.0, v)),
+]
+
+
+@pytest.mark.parametrize("formula", [row[1] for row in FORMULAS], ids=[row[0] for row in FORMULAS])
+def test_numpy_reals_compute_as_python_floats(formula):
+    # 1.1 is not a float32: float32 arithmetic would round otherwise.
+    for value in (np.float32(1.1), np.float64(1.1), np.int64(3)):
+        result = formula(value)
+        assert type(result) is float and result == formula(float(value)), value
+
+
+def test_ints_and_floats_are_kept_as_given():
+    # So what prints from a field, and what a config exports, stays the same.
+    params = [(chain(tx_size_bytes=3, block_interval_s=0.5), ("tx_size_bytes", "block_interval_s")),
+              (net(bandwidth_bytes_per_s=3, latency_s=0.5), ("bandwidth_bytes_per_s", "latency_s")),
+              (baseline(throughput_tps=3), ("throughput_tps",))]
+    for obj, names in params:
+        assert [repr(getattr(obj, name)) for name in names] == ["3", "0.5"][:len(names)]
+    assert repr(ctp(3, 4)) == "12"
 
 
 def test_real_rule():

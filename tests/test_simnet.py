@@ -166,40 +166,71 @@ def test_sparse_graph_build_call_budget(n, seed):
 
 
 class TestHopDistances:
-    """The one multi-source search against a queue-driven search per source."""
+    """The one multi-source search against a queue-driven search per source:
+    every entry between two sources, and whether every node was reached."""
 
     @staticmethod
     def check(adj, sources):
         n = len(adj)
         peers = np.array(adj, dtype=np.intp).reshape(n, -1)
-        dist = _hop_distances(peers, np.array(sources, dtype=np.intp))
+        dist, reached_all = _hop_distances(peers, np.array(sources, dtype=np.intp))
+        rows = [oracle_hop_distances(adj, s) for s in sources]
         assert dist.dtype == np.min_scalar_type(n)
-        assert dist.shape == (len(sources), n)
-        assert dist.tolist() == [oracle_hop_distances(adj, s) for s in sources]
+        assert dist.tolist() == [[row[k] for k in sources] for row in rows]
+        assert reached_all == all(max(row) < n for row in rows)
+        return reached_all
 
-    @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 8)])
+    @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 2), (300, 8)])
     def test_random_regular_graphs(self, n, degree):
         rng = np.random.default_rng(n)
         adj = random_regular_graph(n, degree, rng)
-        # Every node, then source counts off a multiple of 8, in scrambled order.
-        self.check(adj, list(range(n)))
-        for count in {1, 7, 9, min(n, 13), min(n, 17)}:
-            self.check(adj, rng.permutation(n)[:count].tolist())
+        # Every node, then source counts on and either side of 64-bit word
+        # edges, in scrambled order.
+        assert self.check(adj, list(range(n)))
+        for count in {1, 63, 64, 65, 128, 129}:
+            self.check(adj, rng.permutation(n)[:min(n, count)].tolist())
 
     def test_disconnected_nodes_read_n(self):
         # Two disjoint rings, of 3 and 5 nodes.
         adj = ((1, 2), (0, 2), (0, 1), (4, 7), (3, 5), (4, 6), (5, 7), (3, 6))
-        self.check(adj, [5, 0, 3, 1])
-        assert _hop_distances(np.array(adj), np.array([0]))[0].tolist() == [0, 1, 1, 8, 8, 8, 8, 8]
+        assert not self.check(adj, [5, 0, 3, 1])
+        assert not self.check(adj, [6])
+        dist, reached_all = _hop_distances(np.array(adj), np.array([0, 1, 4]))
+        assert dist.tolist() == [[0, 1, 8], [1, 0, 8], [8, 8, 0]] and not reached_all
 
     def test_single_node(self):
-        self.check(((),), [0])
+        assert self.check(((),), [0])
 
     def test_dtype_widens_with_n(self):
         # uint8 holds 255 but not 256; a ring's far side is n/2 hops away.
         for n in (255, 256):
             ring = tuple(((i - 1) % n, (i + 1) % n) for i in range(n))
-            self.check(ring, [0, n - 1, 100])
+            self.check(ring, [0, n - 1, 100, n // 2])
+            self.check(ring, list(range(n))[::-1])
+
+
+class TestConnectivityCheck:
+    """The peer-graph build reads the search's reach flag from node 0."""
+
+    def test_disconnected_matching_is_retried(self, monkeypatch):
+        # A 2-regular matching over 7 nodes may come out as a 3-cycle and a
+        # 4-cycle: the build must throw it away and match again.
+        search, reach = simnet._hop_distances, []
+
+        def recording(peers, sources):
+            dist, reached_all = search(peers, sources)
+            reach.append(reached_all)
+            return dist, reached_all
+
+        monkeypatch.setattr(simnet, "_hop_distances", recording)
+        retried = 0
+        for seed in range(20):
+            reach.clear()
+            graph = random_regular_graph(7, 2, np.random.default_rng(seed))
+            assert graph == oracle_random_regular_graph(7, 2, np.random.default_rng(seed)), seed
+            assert reach[-1] and not any(reach[:-1]), seed
+            retried += len(reach) > 1
+        assert retried >= 3
 
 
 class TestConfigValidation:
