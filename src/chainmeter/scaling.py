@@ -249,6 +249,7 @@ def lightning_analysis(
     """
     if not 1 <= real(alpha, "batching factor alpha") < math.inf:
         raise InputError(f"batching factor alpha must be >= 1 and finite, got {alpha!r}")
+    alpha = plain(alpha, "batching factor alpha")
     if not graph.payments:
         raise InputError("payment graph has no payments to analyze")
     direct_cost = onchain_tx_count(graph, RelayPlan.direct())

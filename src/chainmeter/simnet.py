@@ -20,11 +20,12 @@ simulated individually), and bandwidth contention is ignored.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
 seeded generator consumed in a fixed order, so identical configs produce
-identical results, event for event. The peer graph's stubs are drawn in
-chunks that consume the generator exactly as one call per stub would; a lone
-rejected pair does not shrink the next chunk, a streak of them does. One
-breadth-first search, a bit per winner packed 64 to a word, gives the hops
-between winners up front; from node 0 it tells if a peer graph is connected.
+identical results, event for event. The peer graph's stub indices are
+computed in the matching loop from raw PCG64 words read ahead in blocks,
+each the value one ``integers`` call per stub would draw, and the generator
+is left where those calls leave it. One breadth-first search, a bit per
+winner packed 64 to a word, gives the hops between winners up front; from
+node 0 it tells if a peer graph is connected.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
@@ -35,6 +36,7 @@ A result holds its blocks as one :class:`BlockTable`, the engine's columns
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -228,49 +230,100 @@ def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
     return False
 
 
-# Stub pairs drawn per generator call, at most.
-_PAIRS_PER_DRAW = 256
+# Values a graph build reads ahead of its need, beyond the stubs left.
+_READ_AHEAD = 1024
+
+_LOW = 0xFFFFFFFF
 
 
-def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    """Connected degree-regular peer graph via random stub matching.
+class _Halves:
+    """The 32-bit values a PCG64 generator hands out one at a time, read
+    ahead into ``values`` in blocks of raw words: the half it holds
+    buffered, if any, then each word's low half and its high half, the
+    order of ``next_uint32``. Positions index ``values``; ``end(pos)``
+    leaves the generator where drawing every value before ``pos`` would."""
+
+    def __init__(self, bits: np.random.PCG64):
+        self.bits = bits
+        self.saved = bits.state
+        self.values = [self.saved["uinteger"]] if self.saved["has_uint32"] else []
+        self.dropped = -len(self.values)  # halves of raw words before values[0]
+
+    def ahead(self, pos: int, count: int) -> int:
+        """Drop the values before ``pos`` and read words until ``count``
+        lie ahead, in place in ``values``; returns the new position of
+        ``values[pos]``, 0."""
+        del self.values[:pos]
+        self.dropped += pos
+        if len(self.values) < count:
+            words = self.bits.random_raw((count - len(self.values) + _READ_AHEAD) // 2 + 1)
+            self.values += words.astype("<u8", copy=False).view("<u4").tolist()
+        return 0
+
+    def bounded(self, pos: int, size: int) -> tuple[int, int]:
+        """The index in [0, size) that ``Generator.integers(size)`` draws
+        from the values at ``pos`` on, for 0 < size < 2**32, and the next
+        position: the top half of value * size, redrawn while its low half
+        is under (2**32 - size) % size (Lemire, ACM TOMACS 2019)."""
+        while True:
+            if pos == len(self.values):
+                pos = self.ahead(pos, 1)
+            m = self.values[pos] * size
+            pos += 1
+            if m & _LOW >= size or m & _LOW >= (2**32 - size) % size:
+                return m >> 32, pos
+
+    def end(self, pos: int) -> None:
+        used = self.dropped + pos
+        self.bits.state = self.saved
+        last = int(self.bits.random_raw(-(-used // 2))[-1])
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = used % 2, last >> 32
+        self.bits.state = state
+
+
+def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.ndarray:
+    """Connected degree-regular peer graph via random stub matching, as an
+    ``(n, degree)`` ``np.intp`` array whose row v lists v's peers in
+    ascending order.
 
     Pairs stubs uniformly, rejecting self-loops and duplicate edges; a stuck
     or disconnected matching triggers a fresh attempt (up to 100, all driven
     by ``rng``, so the result is a pure function of the generator state).
 
-    Stub indices are drawn two per pair, ``rng.integers(len(stubs))`` each,
-    in chunks: one call with an array of bounds draws what the scalar calls
-    would if every pair were accepted (bounds ``L, L, L-2, L-2, ...``) or
-    rejected (``L, L, ...``); at the first pair that ends otherwise, or
-    stalls the matching, ``rng`` is rewound to replay only the draws used,
-    so it ends where one call per stub leaves it. A lone rejection keeps
-    acceptance assumed, the next chunk one pair longer than the pairs
-    accepted since the last switch; each end of a streak of rejections
-    switches the assumption and starts a one-pair chunk. A chunk that ends
-    as assumed doubles the next, up to ``_PAIRS_PER_DRAW``.
+    Each stub index is the value ``rng.integers(len(stubs))`` would draw,
+    computed from raw words of ``rng``'s bit generator, which must be a
+    ``PCG64`` (``TypeError`` otherwise); on return or error ``rng`` is left
+    where one such call per stub leaves it.
     """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"the peer graph is drawn from a PCG64 bit generator, got {type(bits).__name__}")
     if n == 1 or degree == 0:
-        return ((),) if n == 1 else tuple(() for _ in range(n))
-    for _attempt in range(100):
-        adj: list[set[int]] = [set() for _ in range(n)]
-        stubs = [node for node in range(n) for _ in range(degree)]
-        rejections = run = 0
-        stuck = False
-        accepting, chunk = True, _PAIRS_PER_DRAW
-        while stubs and not stuck:
-            size = len(stubs)
-            pairs = min(chunk, size // 2) if accepting else chunk
-            bounds = np.repeat(np.arange(size, size - 2 * pairs, -2) if accepting else np.full(pairs, size), 2)
-            state = rng.bit_generator.state
-            draws = rng.integers(bounds).reshape(pairs, 2).tolist()
-            chunk = min(2 * chunk, _PAIRS_PER_DRAW)
-            for k, (i, j) in enumerate(draws):
+        return np.empty((n, 0), dtype=np.intp)
+    stream = _Halves(bits)
+    values, pos = stream.values, 0
+    try:
+        for _attempt in range(100):
+            adj: list[set[int]] = [set() for _ in range(n)]
+            stubs = [node for node in range(n) for _ in range(degree)]
+            # At least size + 2 values lie ahead of each pair: an accepted
+            # one takes two and leaves two stubs fewer.
+            pos = stream.ahead(pos, len(stubs) + 2)
+            rejections = 0
+            while stubs:
+                size = len(stubs)
+                m, k = values[pos] * size, values[pos + 1] * size
+                if m & _LOW < size or k & _LOW < size:
+                    i, pos = stream.bounded(pos, size)
+                    j, pos = stream.bounded(pos, size)
+                    pos = stream.ahead(pos, size + 2)
+                else:
+                    i, j = m >> 32, k >> 32
+                    pos += 2
                 u, v = stubs[i], stubs[j]
-                accepted = i != j and u != v and v not in adj[u]
-                if accepted:
+                if i != j and u != v and v not in adj[u]:
                     rejections = 0
-                    run += 1
                     adj[u].add(v)
                     adj[v].add(u)
                     if i < j:
@@ -281,21 +334,18 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple
                     stubs.pop()
                 else:
                     rejections += 1
-                    if rejections > 50 + 10 * len(stubs):
-                        stuck = not _any_valid_pair(stubs, adj)
+                    if rejections > 50 + 10 * size:
+                        if not _any_valid_pair(stubs, adj):
+                            break  # stuck: match afresh
                         rejections = 0
-                if accepted != accepting or stuck:
-                    if k < pairs - 1:
-                        rng.bit_generator.state = state
-                        rng.integers(bounds[: 2 * k + 2])
-                    if rejections != 1:  # not a lone rejection: a streak starts or ends
-                        accepting, run = accepted, 0
-                    chunk = min(_PAIRS_PER_DRAW, run + 1)
-                    break
-        if not stuck:
-            graph = tuple(tuple(sorted(peers)) for peers in adj)
-            if _hop_distances(np.array(graph), np.array([0]))[1]:
-                return graph
+                    if len(values) - pos < size + 2:
+                        pos = stream.ahead(pos, size + 2)
+            else:  # every stub matched
+                graph = np.sort(np.fromiter(itertools.chain.from_iterable(adj), np.intp, n * degree).reshape(n, degree), axis=1)
+                if _hop_distances(graph, np.array([0]))[1]:
+                    return graph
+    finally:
+        stream.end(pos)
     raise TopologyError(
         f"no connected {degree}-regular graph over {n} nodes after 100 seeded attempts"
     )
@@ -309,8 +359,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
-    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
-    peers = np.array(adj, dtype=np.intp).reshape(n, -1)
+    peers = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
 
     # Pre-drawing the whole event stream keeps generator consumption
     # independent of chain/net parameters: the same seed replays the same

@@ -336,7 +336,7 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
-    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng).tolist()
 
     blocks_to_mine = config.duration_blocks
     mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)

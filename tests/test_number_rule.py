@@ -120,6 +120,7 @@ FORMULAS = [
     ("BaselineChain.throughput_tps", lambda v: shard_analysis(baseline(throughput_tps=v), 3).sharded_tps),
     ("ctp.centralization_n", lambda v: ctp(v, 3.0)),
     ("ctp.throughput_tps", lambda v: ctp(3.0, v)),
+    ("lightning_analysis.alpha", lambda v: lightning_analysis(BASE, GRAPH, RelayPlan.direct(), v).effective_tps),
 ]
 
 

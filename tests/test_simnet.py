@@ -72,14 +72,15 @@ class TestTopology:
     def test_regular_and_connected(self):
         rng = np.random.default_rng(0)
         adj = random_regular_graph(20, 8, rng)
-        assert all(len(peers) == 8 for peers in adj)
-        assert all(node not in peers for node, peers in enumerate(adj))
+        assert adj.shape == (20, 8) and adj.dtype == np.intp
+        assert (np.diff(adj, axis=1) > 0).all()
+        assert all(node not in peers for node, peers in enumerate(adj.tolist()))
 
     def test_single_node(self):
-        assert random_regular_graph(1, 0, np.random.default_rng(0)) == ((),)
+        assert random_regular_graph(1, 0, np.random.default_rng(0)).tolist() == [[]]
 
     def test_two_nodes_degree_one(self):
-        assert random_regular_graph(2, 1, np.random.default_rng(0)) == ((1,), (0,))
+        assert random_regular_graph(2, 1, np.random.default_rng(0)).tolist() == [[1], [0]]
 
     def test_impossible_connectivity_raises(self):
         # degree-1 over 4 nodes is always two disjoint edges
@@ -89,32 +90,53 @@ class TestTopology:
     def test_seed_determines_graph(self):
         a = random_regular_graph(16, 4, np.random.default_rng(9))
         b = random_regular_graph(16, 4, np.random.default_rng(9))
-        assert a == b
+        assert a.tolist() == b.tolist()
+
+    def test_other_bit_generators_are_refused(self):
+        with pytest.raises(TypeError, match="MT19937"):
+            random_regular_graph(20, 8, np.random.Generator(np.random.MT19937(0)))
 
 
-def graph_outcome(build, n, degree, seed):
-    """What a graph build leaves: the graph or the error type, the generator
-    state after it, and the next value the generator gives."""
+def graph_outcome(build, n, degree, seed, prepare=None):
+    """What a graph build leaves: the graph as lists of peers or the error
+    type, the generator state after it, and the next value the generator
+    gives. ``prepare`` is applied to the generator before the build."""
     rng = np.random.default_rng(seed)
+    if prepare:
+        prepare(rng)
     try:
         graph = build(n, degree, rng)
     except TopologyError:
         graph = TopologyError
+    else:
+        graph = graph.tolist() if isinstance(graph, np.ndarray) else [list(peers) for peers in graph]
     return graph, rng.bit_generator.state, rng.random()
 
 
+def hold_half(rng):
+    """Leave ``rng`` holding the high half of a word, as ``integers(7)`` does."""
+    rng.integers(7)
+
+
+def hold_zero(rng):
+    """Leave ``rng`` holding a buffered half of 0 for its next 32-bit draw."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+
+
 class TestGraphAgainstOracle:
-    """The chunked stub draw against the one-call-per-stub matcher it
-    replaced: the same graph, or the same ``TopologyError``, and the
-    generator left in the same state.
+    """The stub draw from raw generator words against the one-call-per-stub
+    matcher it replaced: the same graph, or the same ``TopologyError``, and
+    the generator left in the same state.
 
     ``sparse`` covers every degree up to n/2 for n <= 40, where pairs are
     rarely rejected; ``dense`` every higher degree for n <= 24, where
     accepted and rejected pairs alternate; ``stuck`` dense degrees at n=40
     whose matchings stall or come out disconnected until the 100 attempts
-    run out; ``large`` graphs whose draws span many chunks; ``mid`` degrees
-    near n/8, n/4 and n/3, where long runs of accepted pairs end in lone
-    rejections and streaks of rejections come between the runs.
+    run out; ``large`` graphs that read many blocks of words; ``mid``
+    degrees near n/8, n/4 and n/3, where long runs of accepted pairs end in
+    lone rejections and streaks of rejections come between the runs.
     """
 
     @staticmethod
@@ -139,30 +161,72 @@ class TestGraphAgainstOracle:
             if family == "stuck":
                 assert expected[0] is TopologyError
 
+    @pytest.mark.parametrize("family", ["sparse", "dense"])
+    def test_buffered_half_is_drawn_first(self, family):
+        # The build's first draw takes the half the generator holds.
+        for n, degree, seed in self.cases(family):
+            if seed == n % 3:
+                expected = graph_outcome(oracle_random_regular_graph, n, degree, seed, hold_half)
+                assert graph_outcome(random_regular_graph, n, degree, seed, hold_half) == expected, (n, degree, seed)
 
-class CountingGenerator:
-    """A seeded generator that counts its ``integers`` calls."""
+    def test_first_draw_redrawn(self):
+        # A held 0 makes the first stub draw's product 0, whose low half is
+        # under (2**32 - size) % size at these stub counts: the draw leaves
+        # the fast path and is redrawn from the next value.
+        for n, degree in ((20, 8), (24, 16), (200, 8)):
+            for seed in range(3):
+                expected = graph_outcome(oracle_random_regular_graph, n, degree, seed, hold_zero)
+                assert graph_outcome(random_regular_graph, n, degree, seed, hold_zero) == expected, (n, degree, seed)
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-        self.calls = 0
 
-    def integers(self, *args):
+class CountingPCG64(np.random.PCG64):
+    """A PCG64 that counts its ``random_raw`` calls."""
+
+    raw_calls = 0
+
+    def random_raw(self, *args, **kwargs):
+        self.raw_calls += 1
+        return super().random_raw(*args, **kwargs)
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its ``integers`` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
         self.calls += 1
-        return self._rng.integers(*args)
+        return super().integers(*args, **kwargs)
 
 
 @pytest.mark.parametrize("n", [200, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sparse_graph_build_call_budget(n, seed):
-    # Degree 8 rejects a pair now and then. The former policy went back to
-    # one pair per call after each one and took 92 calls at (200, seed 1),
-    # 146 at (1000, seed 1) and 136-204 at the other seeds; a lone rejection
-    # now keeps the next chunk as long as the run of accepted pairs before it.
-    rng = CountingGenerator(seed)
+def test_sparse_graph_build_reads_two_blocks_of_words(n, seed):
+    # One block read ahead holds every stub's draw and the rejected pairs'
+    # draws; one more sets the generator where one call per stub leaves it.
+    rng = CountingGenerator(CountingPCG64(seed))
     random_regular_graph(n, 8, rng)
-    assert rng.calls <= 64
+    assert rng.calls == 0
+    assert rng.bit_generator.raw_calls == 2
+
+
+@pytest.mark.parametrize("size", [3, 1000, 2**31 + 5, 3 * 2**30])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_bounded_draw_matches_integers(size, buffered):
+    # At these sizes the redraw fires from almost never (3) to about every
+    # other draw (2**31 + 5), and 2,000 draws cross blocks of words.
+    expected, rng = np.random.default_rng(size), np.random.default_rng(size)
+    if buffered:
+        hold_half(expected)
+        hold_half(rng)
+    stream = simnet._Halves(rng.bit_generator)
+    draws, pos = [], 0
+    for _ in range(2000):
+        index, pos = stream.bounded(pos, size)
+        draws.append(index)
+    stream.end(pos)
+    assert draws == [int(expected.integers(size)) for _ in range(2000)]
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestHopDistances:
@@ -183,7 +247,7 @@ class TestHopDistances:
     @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 2), (300, 8)])
     def test_random_regular_graphs(self, n, degree):
         rng = np.random.default_rng(n)
-        adj = random_regular_graph(n, degree, rng)
+        adj = random_regular_graph(n, degree, rng).tolist()
         # Every node, then source counts on and either side of 64-bit word
         # edges, in scrambled order.
         assert self.check(adj, list(range(n)))
@@ -227,7 +291,8 @@ class TestConnectivityCheck:
         for seed in range(20):
             reach.clear()
             graph = random_regular_graph(7, 2, np.random.default_rng(seed))
-            assert graph == oracle_random_regular_graph(7, 2, np.random.default_rng(seed)), seed
+            expected = oracle_random_regular_graph(7, 2, np.random.default_rng(seed))
+            assert graph.tolist() == [list(peers) for peers in expected], seed
             assert reach[-1] and not any(reach[:-1]), seed
             retried += len(reach) > 1
         assert retried >= 3
@@ -620,7 +685,7 @@ class TestAgainstOracle:
         # miner's farthest node is farther than its farthest fellow miner.
         differ = 0
         for cfg in self.grid("relays", 30):
-            adj = random_regular_graph(len(cfg.miners), cfg.topology_degree, np.random.default_rng(cfg.seed))
+            adj = random_regular_graph(len(cfg.miners), cfg.topology_degree, np.random.default_rng(cfg.seed)).tolist()
             hashing = [i for i, (_, share) in enumerate(cfg.miners) if share > 0]
             rows = [oracle_hop_distances(adj, m) for m in hashing]
             differ += any(max(row) > max(row[m] for m in hashing) for row in rows)
