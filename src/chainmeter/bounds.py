@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from chainmeter.errors import InputError, integer, plain, real
+from chainmeter.errors import InputError, integer, plain, positive, real
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,10 @@ class ChainParams:
     confirmations: int = 6
 
     def __post_init__(self):
-        if not 0 < integer(self.block_size_bytes, "block_size_bytes"):
-            raise InputError(f"block_size_bytes must be positive, got {self.block_size_bytes!r}")
-        # Each test is also false for NaN.
+        positive(integer(self.block_size_bytes, "block_size_bytes"), "block_size_bytes")
         for name in ("tx_size_bytes", "block_interval_s"):
-            if not 0 < real(getattr(self, name), name) < math.inf:
-                raise InputError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, plain(getattr(self, name), name))
-        if not 0 < integer(self.confirmations, "confirmations"):
-            raise InputError(f"confirmations must be positive and finite, got {self.confirmations!r}")
+            object.__setattr__(self, name, positive(getattr(self, name), name))
+        positive(integer(self.confirmations, "confirmations"), "confirmations")
         if self.block_size_bytes < self.tx_size_bytes:
             raise InputError(
                 "a block must hold at least one transaction: "
@@ -58,12 +53,11 @@ class NetworkParams:
     latency_s: float
 
     def __post_init__(self):
-        if not 0 < real(self.bandwidth_bytes_per_s, "bandwidth_bytes_per_s") < math.inf:
-            raise InputError(f"bandwidth_bytes_per_s must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
+        object.__setattr__(self, "bandwidth_bytes_per_s", positive(self.bandwidth_bytes_per_s, "bandwidth_bytes_per_s"))
+        # Also false for NaN.
         if not 0 <= real(self.latency_s, "latency_s") < math.inf:
             raise InputError(f"latency_s must be finite and >= 0, got {self.latency_s!r}")
-        for name in ("bandwidth_bytes_per_s", "latency_s"):
-            object.__setattr__(self, name, plain(getattr(self, name), name))
+        object.__setattr__(self, "latency_s", plain(self.latency_s, "latency_s"))
 
 
 def tx_latency(chain: ChainParams) -> float:
@@ -83,8 +77,7 @@ def max_throughput(chain: ChainParams) -> float:
 
 def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
     """Seconds for a block to travel ``hops`` links: each costs ``l + b/w``."""
-    if integer(hops, "hops") < 1:
-        raise InputError(f"hops must be >= 1, got {hops!r}")
+    positive(integer(hops, "hops"), "hops")
     return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
 
 
@@ -96,10 +89,7 @@ def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> fl
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
     """Hard ceiling ``w / s``: no block size can push throughput past it."""
-    s = real(tx_size_bytes, "tx_size_bytes")
-    if not 0 < s < math.inf:
-        raise InputError(f"tx_size_bytes must be positive and finite, got {tx_size_bytes!r}")
-    return net.bandwidth_bytes_per_s / s
+    return net.bandwidth_bytes_per_s / float(positive(tx_size_bytes, "tx_size_bytes"))
 
 
 def throughput_sweep(
@@ -112,12 +102,15 @@ def throughput_sweep(
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
     try:
-        # errors.integer's rule: operator.index, refusing booleans.
-        valid = (bool not in set(map(type, block_sizes))
-                 and min(map(operator.index, block_sizes)) >= chain.tx_size_bytes)
-    except TypeError:
-        valid = False
-    if not valid:
+        # errors.integer's rule: operator.index, refusing booleans. Then
+        # ChainParams' block-size rule, which is monotone in the size, so the
+        # smallest and the largest size decide it for every size.
+        if bool in set(map(type, block_sizes)):
+            raise TypeError
+        sizes = list(map(operator.index, block_sizes))
+        for b in (min(sizes), max(sizes)):
+            replace(chain, block_size_bytes=b)
+    except (TypeError, InputError):
         for b in block_sizes:
             replace(chain, block_size_bytes=b)
     s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s

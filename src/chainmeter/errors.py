@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the number rules every
-boundary applies: ``integer`` for counts, ``real`` for any other number, and
-``plain`` for the real a formula computes with."""
+"""Exception types shared across the toolkit, and the four number rules every
+boundary applies: ``integer`` for counts, ``real`` for any other number,
+``plain`` for the real a formula computes with, and ``positive`` for the range
+of a number a formula multiplies or divides by."""
 
 import math
 import numbers
@@ -56,6 +57,18 @@ def plain(value, name: str) -> int | float:
     it is, so what prints from it stays the same, and any other number as the
     float ``real`` gives, so a numpy ``float32`` computes in double precision."""
     return value if type(value) is int else real(value, name)
+
+
+def positive(value, name: str) -> int | float:
+    """``value`` as ``plain`` gives it, if ``real`` reads it as lying in
+    (0, inf); anything else, NaN and an int past the float range included,
+    raises ``InputError`` naming ``name``. A count is checked as
+    ``positive(integer(value, name), name)``."""
+    x = real(value, name)
+    # Also false for NaN.
+    if not 0 < x < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+    return value if type(value) is int else x
 
 
 class ParseError(InputError):

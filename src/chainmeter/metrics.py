@@ -53,7 +53,12 @@ class ProducerDistribution:
         except InputError:
             for index, (pid, w) in enumerate(self.entries):
                 real(w, f"weight of {str(pid)!r}", index)
-        entries = tuple((str(pid), float(w)) for pid, w in self.entries)
+        try:
+            entries = tuple((str(pid), float(w)) for pid, w in self.entries)
+        except OverflowError:
+            # An int past the float range reads as errors.real reads it, as
+            # infinite, for the finiteness check below to refuse.
+            entries = tuple((str(pid), real(w, "weight")) for pid, w in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("distribution has no producers")

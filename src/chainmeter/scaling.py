@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from chainmeter.errors import InputError, integer, plain, real
+from chainmeter.errors import InputError, integer, plain, positive, real
 from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
@@ -37,12 +37,8 @@ class BaselineChain:
     node_count: int
 
     def __post_init__(self):
-        # Each test is also false for NaN.
-        if not 0 < real(self.throughput_tps, "throughput_tps") < math.inf:
-            raise InputError(f"throughput_tps must be positive and finite, got {self.throughput_tps!r}")
-        object.__setattr__(self, "throughput_tps", plain(self.throughput_tps, "throughput_tps"))
-        if integer(self.centralization.n, "centralization level") < 1:
-            raise InputError("centralization level must be >= 1")
+        object.__setattr__(self, "throughput_tps", positive(self.throughput_tps, "throughput_tps"))
+        positive(integer(self.centralization.n, "centralization level"), "centralization level")
         if integer(self.node_count, "node_count") < self.centralization.n:
             raise InputError(
                 f"node_count ({self.node_count}) cannot be smaller than the "
@@ -62,10 +58,8 @@ class ShardingAnalysis:
 def ctp(centralization_n: float, throughput_tps: float) -> float:
     """Centralization-throughput product, of two positive finite factors;
     a product that overflows is rejected too."""
-    for name, factor in (("centralization_n", centralization_n), ("throughput_tps", throughput_tps)):
-        if not 0 < real(factor, f"ctp factor {name}") < math.inf:
-            raise InputError(f"ctp factor {name} must be positive and finite, got {factor!r}")
-    product = plain(centralization_n, "centralization_n") * plain(throughput_tps, "throughput_tps")
+    product = (positive(centralization_n, "ctp factor centralization_n")
+               * positive(throughput_tps, "ctp factor throughput_tps"))
     if not math.isfinite(product):
         raise InputError(f"ctp centralization_n * throughput_tps must be finite, got {centralization_n!r} * {throughput_tps!r}")
     return product
@@ -78,8 +72,7 @@ def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
     algebraically, so ``ctp_after`` is computed as the same product as
     ``ctp_before`` and the invariance is exact, not approximate.
     """
-    if integer(k, "shard count") < 1:
-        raise InputError(f"shard count must be >= 1, got {k!r}")
+    positive(integer(k, "shard count"), "shard count")
     if k > base.node_count:
         raise InputError(
             f"cannot split {base.node_count} nodes into {k} shards: a shard needs at least one node"

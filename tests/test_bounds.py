@@ -203,7 +203,7 @@ class TestSweep:
     def test_bad_sizes_raise_the_first_error_in_input_order(self):
         rng = random.Random("sweep/bad")
         good = [2**20, 514, np.int64(4096), 10**12]
-        bad = [0, -5, 4, 513, True, 1048576.9, 2.0, "1024", None, np.float64(1e6)]
+        bad = [0, -5, 4, 513, True, 1048576.9, 2.0, "1024", None, np.float64(1e6), 10**400]
         for _ in range(200):
             sizes = rng.choices(good, k=rng.randint(0, 6)) + rng.sample(bad, rng.randint(1, 3))
             rng.shuffle(sizes)

@@ -144,6 +144,13 @@ class TestBoundCommand:
     def test_sweep_without_out_is_usage_error(self, capsys):
         assert main(["bound", "--preset", "bitcoin", "--sweep", "65536"]) == EXIT_USAGE
 
+    def test_sweep_without_network_is_usage_error(self, tmp_path, capsys):
+        argv = ["bound", "--block-size-bytes", "1048576", "--tx-size-bytes", "500", "--block-interval-s", "600",
+                "--sweep", "65536", "--sweep-out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: --sweep needs network parameters" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_positive_param_exits_two(self, capsys):
         code = main(["bound", "--block-size-bytes", "-5", "--tx-size-bytes", "500",
                      "--block-interval-s", "600"])
@@ -372,6 +379,31 @@ class TestSimulateCommand:
     def test_check_bound_passes(self, config_json):
         assert main(["simulate", config_json, "--check-bound"]) == EXIT_OK
 
+    def test_check_bound_exceeded_exits_three(self, tmp_path, capsys):
+        # A full 1 MiB block every 0.01 s carries 209715.2 tx/s of 500 bytes,
+        # far past the 712500 / 500 = 1425 tx/s the bitcoin network can carry.
+        fast = dict(BASE_CONFIG, miners=[{"miner_id": "solo", "hash_power_share": 1.0}],
+                    chain={"block_size_bytes": 1_048_576, "tx_size_bytes": 500, "block_interval_s": 0.01})
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(fast))
+        outcome = run(["simulate", str(path), "--check-bound"])
+        assert outcome.exit_code == EXIT_RUNTIME
+        lines = outcome.stdout_report.splitlines()
+        assert lines[0] == "bandwidth ceiling w/s: 1425.0 tx/s"
+        assert lines[1].startswith("seed 5: observed_tps 209715.2, ")
+        assert capsys.readouterr().err == "error: observed throughput exceeded the w/s ceiling\n"
+        assert main(["simulate", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("5", "--seeds wants A..B, got '5'"),
+        ("a..b", "--seeds wants integer bounds, got 'a..b'"),
+        ("5..3", "--seeds range is empty: '5..3'"),
+    ], ids=["no-range", "not-integers", "empty"])
+    def test_bad_seed_range_is_usage_error(self, config_json, capsys, seeds, message):
+        outcome = run(["simulate", config_json, "--seeds", seeds])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_topology_failure_exits_three(self, config_json, tmp_path, capsys):
         bad = json.loads(Path(config_json).read_text())
         bad["miners"] = [{"miner_id": f"m{i:02d}", "hash_power_share": 1 / 24} for i in range(24)]
@@ -452,6 +484,13 @@ class TestSimulateCommand:
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert message in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([BASE_CONFIG]))
+        outcome = run(["simulate", str(path)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == f"error: {path}: config must be a JSON object\n"
+
     @pytest.mark.parametrize("duration_blocks", [0, True])
     def test_invalid_config_exits_two(self, tmp_path, capsys, duration_blocks):
         bad = dict(BASE_CONFIG, duration_blocks=duration_blocks)
@@ -459,6 +498,28 @@ class TestSimulateCommand:
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == EXIT_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--preset", "bitcoin", "--confirmations", HUGE],
+    ["bound", "--preset", "bitcoin", "--block-size-bytes", HUGE],
+    ["bound", "--preset", "bitcoin", "--sweep", HUGE, "--sweep-out", "{tmp}/s.csv"],
+    ["shard", "--t", "15", "--n", "100", "--k", HUGE, "--node-count", HUGE],
+    ["simulate", "{tmp}/huge.json"],
+], ids=["confirmations", "block-size-bytes", "sweep", "shard-k", "config-confirmations"])
+def test_int_past_the_float_range_exits_two(tmp_path, capsys, argv):
+    # Each of these counts is a factor of a formula, which would overflow.
+    huge = json.loads(json.dumps(BASE_CONFIG))
+    huge["chain"]["confirmations"] = 10**400
+    (tmp_path / "huge.json").write_text(json.dumps(huge))
+    outcome = run([arg.format(tmp=tmp_path) for arg in argv])
+    assert outcome.exit_code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "must be positive and finite" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestParserBasics:

@@ -339,6 +339,20 @@ class TestLoadSimConfig:
             load_sim_config(path)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("data, message", [
+        ([BASE_CONFIG], "config must be a JSON object"),
+        ({k: v for k, v in BASE_CONFIG.items() if k != "chain"}, "chain: required object is missing"),
+        (dict(BASE_CONFIG, net=dict(BASE_CONFIG["net"], jitter=0.1)), "net: unknown keys ['jitter']"),
+        (dict(BASE_CONFIG, units={"block_size_unit": "GB"}),
+         "units: block_size_unit must be one of ['MB', 'MiB', 'bytes'], got 'GB'"),
+        ({k: v for k, v in BASE_CONFIG.items() if k != "miners"}, "miners: required non-empty list is missing"),
+    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners"])
+    def test_structure_fault_is_named(self, tmp_path, data, message):
+        path = write(tmp_path / "c.json", json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            load_sim_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = write(tmp_path / "c.json", "{not json")
         with pytest.raises(ParseError):

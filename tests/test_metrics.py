@@ -55,6 +55,11 @@ class TestDistribution:
             ProducerDistribution((("a", "1.5"), ("b", 1)))
         assert info.value.index == 0
 
+    def test_int_weight_past_the_float_range_reads_as_infinite(self):
+        with pytest.raises(InputError, match="^weight of 'a' must be finite and >= 0, got inf$") as info:
+            ProducerDistribution((("a", 10**400), ("b", 1.0)))
+        assert info.value.index == 0
+
     def test_sorted_entries_breaks_ties_by_id(self):
         d = ProducerDistribution((("b", 2.0), ("a", 2.0), ("c", 5.0)))
         assert d.sorted_entries() == [("c", 5.0), ("a", 2.0), ("b", 2.0)]

@@ -36,7 +36,7 @@ from chainmeter import (
     shard_analysis,
     throughput_upper_bound,
 )
-from chainmeter.errors import real
+from chainmeter.errors import plain, positive, real
 
 CHAIN = ChainParams(1000, 250.0, 600.0)
 NET = NetworkParams(712_500.0, 0.1)
@@ -110,6 +110,32 @@ class TestEveryBoundary:
             assert call(value) == call(rule(value)), value
 
 
+# Boundaries whose value no formula multiplies or divides by, so an int past
+# the float range needs no refusal there: a node count is only compared with
+# the centralization level, and a bandwidth in config units converts to the
+# inf that NetworkParams refuses.
+FACTORS = [row for row in BOUNDARIES if row[0] not in ("BaselineChain.node_count", "UnitSpec.bandwidth_to_bytes_per_s")]
+# A share is one problem in the list SimConfig raises, named by its rule.
+SHARE_PROBLEM = "miners: hash power shares must be finite and >= 0"
+
+
+@pytest.mark.parametrize("row_id, call, name", [row[:3] for row in FACTORS], ids=[row[0] for row in FACTORS])
+def test_an_int_past_the_float_range_is_refused(row_id, call, name):
+    # epsilon's range is [0, 1), and its refusal says it "must lie in" it.
+    refusal = (re.escape(SHARE_PROBLEM) if row_id == "SimConfig.hash_power_share"
+               else f"{re.escape(name)} must (be|lie in) ")
+    with pytest.raises(InputError, match=refusal):
+        call(10**400)
+
+
+def test_the_boundaries_no_formula_reads_pass_a_huge_int_on():
+    assert baseline(node_count=10**400).node_count == 10**400
+    bandwidth = UnitSpec().bandwidth_to_bytes_per_s(10**400)
+    assert bandwidth == float("inf")
+    with pytest.raises(InputError, match="bandwidth_bytes_per_s must be positive and finite, got inf"):
+        net(bandwidth_bytes_per_s=bandwidth)
+
+
 # (id, a formula reading the field): a real field computes with the float
 # ``real`` gives, so a numpy real gives the result of the equal Python float.
 FORMULAS = [
@@ -152,6 +178,18 @@ def test_real_rule():
         with pytest.raises(InputError) as info:
             real(value, "x", index=4)
         assert str(info.value) == f"x must be a number, got {value!r}" and info.value.index == 4
+
+
+def test_positive_rule():
+    for value in (3, np.int64(3), np.float32(0.5), 0.5, 5e-324):
+        assert positive(value, "x") == plain(value, "x") and type(positive(value, "x")) is type(plain(value, "x"))
+    for value in (0, -1, 0.0, -0.5, float("nan"), float("inf"), 10**400, -10**400, np.float64("inf")):
+        with pytest.raises(InputError) as info:
+            positive(value, "x")
+        assert str(info.value) == f"x must be positive and finite, got {value!r}"
+    for value in BAD:
+        with pytest.raises(InputError, match="^x must be a number"):
+            positive(value, "x")
 
 
 def test_simconfig_lists_every_share_that_is_not_a_number():

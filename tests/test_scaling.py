@@ -246,6 +246,17 @@ class TestLightningAnalysis:
             direct = lightning_analysis(baseline(t=t, n=n, nodes=n), g, RelayPlan.direct(), alpha)
             assert direct.ctp == pytest.approx(n * t * alpha)
 
+    @pytest.mark.parametrize("routes, n0, plan_cost, effective, product", [
+        ({("a", "b"): ["a", "r1", "b"], ("c", "d"): ["c", "r2", "d"]}, 2, 8, 10.0, 20.0),
+        ({("a", "b"): ["a", "b"], ("c", "d"): ["c", "d"]}, 4, 4, 20.0, 80.0),
+    ], ids=["two-relays", "direct-routes"])
+    def test_custom_plan_n0_counts_interior_nodes(self, routes, n0, plan_cost, effective, product):
+        # Without an interior node, relay centralization falls back to the client count.
+        g = PaymentGraph(clients=frozenset("abcd"), payments=(("a", "b", 1), ("c", "d", 1)))
+        analysis = lightning_analysis(baseline(t=10.0, n=4, nodes=4), g, RelayPlan.custom(routes), 2)
+        assert (analysis.relay_centralization_n0, analysis.onchain_direct, analysis.onchain_plan) == (n0, 4, plan_cost)
+        assert (analysis.effective_tps, analysis.ctp) == (effective, product)
+
     def test_alpha_below_one_rejected(self):
         with pytest.raises(InputError):
             lightning_analysis(baseline(t=1.0, n=2, nodes=2), full_graph(2), RelayPlan.direct(), 0.5)
