@@ -17,7 +17,6 @@ from chainmeter import (
     centralization_level,
     max_throughput,
     preset,
-    produced_distribution,
     run_simulation,
     throughput_upper_bound,
 )
@@ -55,7 +54,7 @@ def main() -> None:
         chain=chain, net=NetworkParams(1e7, 0.01),
         duration_blocks=8000, topology_degree=4, seed=7,
     )
-    dist = produced_distribution(run_simulation(skew), canonical_only=True)
+    dist = run_simulation(skew).per_miner_canonical
     total = dist.total_weight()
     for (miner, count), share in zip(dist.entries, shares):
         print(f"  {miner:<4} power {share:.3f} -> canonical share {count / total:.3f}")

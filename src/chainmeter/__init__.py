@@ -53,7 +53,6 @@ from chainmeter.metrics import (
     central_trust,
     centralization_level,
     cumulative_share_curve,
-    merge_producers,
 )
 from chainmeter.presets import (
     PRESETS,
@@ -121,7 +120,6 @@ __all__ = [
     "load_payment_graph",
     "load_sim_config",
     "max_throughput",
-    "merge_producers",
     "onchain_tx_count",
     "preset",
     "produced_distribution",

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from typing import Callable
 
 from chainmeter.bounds import (
@@ -56,14 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    """Exit code plus everything the command printed to stdout."""
-
-    exit_code: int
-    stdout_report: str
 
 
 class _UsageError(Exception):
@@ -191,7 +182,7 @@ def _cmd_lightning(args) -> int:
     return EXIT_OK
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise _UsageError(f"--seeds wants A..B, got {text!r}")
@@ -201,7 +192,7 @@ def _parse_seeds(text: str) -> list[int]:
         raise _UsageError(f"--seeds wants integer bounds, got {text!r}") from None
     if stop < start:
         raise _UsageError(f"--seeds range is empty: {text!r}")
-    return list(range(start, stop + 1))
+    return range(start, stop + 1)
 
 
 def _cmd_simulate(args) -> int:
@@ -212,7 +203,7 @@ def _cmd_simulate(args) -> int:
 
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
     print(f"bandwidth ceiling w/s: {cap!r} tx/s")
-    if len(seeds) == 1:
+    if seeds[0] == seeds[-1]:  # one seed; len() of a range past sys.maxsize raises
         kept: list[SimResult] = []
         violated = _simulate_seed(replace(config, seed=seeds[0]) if args.seeds else config, kept.append)
         shares = dict(config.miners)
@@ -329,14 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     except ChainmeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def run(argv: list[str]) -> CommandOutcome:
-    """Run a command and capture its stdout (stderr passes through)."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(argv)
-    return CommandOutcome(exit_code=code, stdout_report=buffer.getvalue())
 
 
 def entrypoint() -> None:

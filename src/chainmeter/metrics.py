@@ -22,7 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -94,10 +93,6 @@ class ProducerDistribution:
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.entries))
 
-    def sorted_entries(self) -> list[tuple[str, float]]:
-        """Entries by weight descending; equal weights by producer_id ascending."""
-        return sorted(self.entries, key=lambda e: (-e[1], e[0]))
-
 
 class ConsensusKind(Enum):
     NAKAMOTO = "nakamoto"
@@ -167,18 +162,3 @@ def cumulative_share_curve(dist: ProducerDistribution) -> list[tuple[int, float]
     shares = dist._cumulative_shares
     return list(zip(range(1, len(shares) + 1), shares.tolist()))
 
-
-def merge_producers(dist: ProducerDistribution, ids: Iterable[str], merged_id: str) -> ProducerDistribution:
-    """Combine several producers into one (e.g. pool consolidation).
-
-    Merging never increases any centralization level.
-    """
-    ids = set(ids)
-    missing = ids - {pid for pid, _ in dist.entries}
-    if missing:
-        raise InputError(f"unknown producer ids: {sorted(missing)}")
-    kept = [(pid, w) for pid, w in dist.entries if pid not in ids]
-    merged_weight = sum(w for pid, w in dist.entries if pid in ids)
-    if any(pid == merged_id for pid, _ in kept):
-        raise InputError(f"merged id {merged_id!r} collides with an existing producer")
-    return ProducerDistribution(tuple(kept) + ((merged_id, merged_weight),))

@@ -50,6 +50,9 @@ from chainmeter.metrics import ProducerDistribution
 
 SHARE_SUM_TOLERANCE = 1e-9
 
+# The most float64 draws numpy makes in one array; past it a run fails with "array is too big".
+MAX_DURATION_BLOCKS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 GENESIS_MINER = "genesis"
 
 
@@ -112,6 +115,8 @@ class SimConfig:
                 problems.append(f"topology_degree: no {degree}-regular graph exists over {n} nodes")
         if ints.get("duration_blocks", 1) < 1:
             problems.append(f"duration_blocks: must be >= 1, got {self.duration_blocks}")
+        elif ints.get("duration_blocks", 1) > MAX_DURATION_BLOCKS:
+            problems.append(f"duration_blocks: must be <= {MAX_DURATION_BLOCKS}, got {self.duration_blocks}")
         if not 0 <= ints.get("seed", 0) < 2**64:
             problems.append(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if problems:
@@ -482,14 +487,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     )
 
 
-def produced_distribution(result: SimResult, canonical_only: bool) -> ProducerDistribution:
-    """Blocks per miner, over the canonical chain or over everything mined.
-
-    Genesis is excluded. Miners that mined nothing keep a zero entry so the
-    distribution lines up with the configured miner set.
-    """
-    if canonical_only:
-        return result.per_miner_canonical
+def produced_distribution(result: SimResult) -> ProducerDistribution:
+    """Blocks per miner over every block mined, stale ones included (the
+    canonical chain's are ``result.per_miner_canonical``). Genesis is
+    excluded; a miner that mined nothing keeps a zero entry, so the
+    distribution lines up with the configured miner set."""
     return _blocks_per_miner(result.blocks.miner_ids, result.blocks.miner_index[1:])
 
 

@@ -1,4 +1,4 @@
-"""Independent oracles and generators shared across test modules.
+"""Independent oracles, generators and tools shared across test modules.
 
 The oracles deliberately avoid the library's code paths: plain Python sums
 and scans only, so agreement with the library is evidence, not tautology.
@@ -15,13 +15,26 @@ shares oracle is the metrics module's former sort of ``(-weight, id)``
 pairs. The CSV loader oracles are the former row-by-row loaders, with the
 entry-by-entry checks the distribution and payment graph types ran before
 they checked their values in bulk.
+
+Both engine oracles stay while the engine is rewritten, and each guards one
+kind of rewrite. ``oracle_inbox_engine`` checks the tip choice alone: it
+guards rewrites of the tip loop, such as splitting the run into timed phases
+and giving withheld blocks a release time (ROADMAP items 1 and 10).
+``oracle_simulation`` guards the whole run, from the draws to the result.
+
+Three test tools that no command uses moved here from the library:
+``merged`` combines producers into one and validates nothing, since the
+tests control their inputs; ``run`` captures a CLI command's stdout as a
+``CommandOutcome``.
 """
 
 from collections import deque
+import contextlib
 import csv
 import dataclasses
 from enum import Enum
 from heapq import heappop, heappush
+import io
 import itertools
 from itertools import combinations
 import json
@@ -31,6 +44,7 @@ import random
 import numpy as np
 
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay
+from chainmeter.cli import main
 from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
@@ -58,9 +72,9 @@ def oracle_level(weights, epsilon):
 
 
 def oracle_descending_shares(dist: ProducerDistribution) -> np.ndarray:
-    """The library's former ``_descending_shares``, kept verbatim: weights in
-    ``sorted_entries`` order (ties by id), summed and normalized."""
-    weights = np.array([w for _, w in dist.sorted_entries()], dtype=float)
+    """The library's former ``_descending_shares``: weights sorted by
+    ``(-weight, id)``, summed and normalized."""
+    weights = np.array([w for _, w in sorted(dist.entries, key=lambda e: (-e[1], e[0]))], dtype=float)
     cum = np.cumsum(weights)
     return cum / cum[-1]
 
@@ -72,6 +86,28 @@ def random_distribution(rng: random.Random, max_producers: int = 20):
         weights = [rng.choice([0.0, rng.uniform(0.01, 100.0), float(rng.randint(1, 1000))]) for _ in range(n)]
         if sum(weights) > 0:
             return [(f"p{i:03d}", w) for i, w in enumerate(weights)]
+
+
+def merged(dist: ProducerDistribution, ids, merged_id: str) -> ProducerDistribution:
+    """``dist`` with the producers in ``ids`` combined into one, ``merged_id``."""
+    kept = tuple((pid, w) for pid, w in dist.entries if pid not in ids)
+    return ProducerDistribution(kept + ((merged_id, sum(w for pid, w in dist.entries if pid in ids)),))
+
+
+@dataclasses.dataclass(frozen=True)
+class CommandOutcome:
+    """Exit code plus everything the command printed to stdout."""
+
+    exit_code: int
+    stdout_report: str
+
+
+def run(argv: list[str]) -> CommandOutcome:
+    """Run a command and capture its stdout (stderr passes through)."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    return CommandOutcome(exit_code=code, stdout_report=buffer.getvalue())
 
 
 def all_payment_graphs(max_clients: int):

@@ -18,9 +18,9 @@ import time
 from contextlib import contextmanager
 
 import chainmeter as cm
-from chainmeter.cli import EXIT_OK, main, run
+from chainmeter.cli import EXIT_OK, main
 
-from helpers import all_payment_graphs, oracle_level, random_distribution
+from helpers import all_payment_graphs, merged, oracle_level, random_distribution, run
 
 
 @contextmanager
@@ -97,8 +97,8 @@ def test_c04_metrics_property_suite():
             # merge dominance
             if len(entries) >= 2:
                 a, b = rng.sample([p for p, _ in entries], 2)
-                merged = cm.merge_producers(dist, [a, b], "_merged")
-                assert cm.centralization_level(merged, e_chk).n <= cm.centralization_level(dist, e_chk).n
+                pooled = merged(dist, [a, b], "_merged")
+                assert cm.centralization_level(pooled, e_chk).n <= cm.centralization_level(dist, e_chk).n
 
 
 def test_c05_ctp_invariance_exact():
@@ -207,7 +207,7 @@ def test_c09_proportional_mining_with_skew():
             duration_blocks=20_000, topology_degree=4, seed=7,
         )
         result = cm.run_simulation(config)
-        dist = cm.produced_distribution(result, canonical_only=True)
+        dist = result.per_miner_canonical
         total = dist.total_weight()
         for (_, count), share in zip(dist.entries, shares):
             sigma = math.sqrt(share * (1 - share) / total)

@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -24,11 +25,11 @@ from chainmeter import (
 )
 import chainmeter
 from chainmeter import cli
-from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
+from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from chainmeter.presets import bitcoin_miner_distribution
-from chainmeter.simnet import SimConfig
+from chainmeter.simnet import MAX_DURATION_BLOCKS, SimConfig
 
-from helpers import as_records, oracle_export_json
+from helpers import as_records, oracle_export_json, run
 
 BASE_CONFIG = {
     "miners": [
@@ -471,6 +472,30 @@ class TestSimulateCommand:
         outcome = run(["simulate", config_json, "--duration-blocks", "0"])
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert "duration_blocks: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks", [10**400, 2**63], ids=["401-digits", "2**63"])
+    def test_duration_too_long_for_an_array_exits_two(self, config_json, capsys, blocks):
+        outcome = run(["simulate", config_json, "--duration-blocks", str(blocks)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err == f"error: duration_blocks: must be <= {MAX_DURATION_BLOCKS}, got {blocks}\n"
+
+    def test_seed_range_is_not_listed(self):
+        tracemalloc.start()
+        try:
+            seeds = cli._parse_seeds("0..999999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seeds == range(1_000_000) and peak < 2**20
+
+    def test_seed_range_past_sys_maxsize_runs_its_first_seed(self, config_json, monkeypatch, capsys):
+        def fails(config):
+            raise TopologyError(f"stopped at seed {config.seed}")
+
+        monkeypatch.setattr(cli, "run_simulation", fails)
+        assert main(["simulate", config_json, "--seeds", f"0..{2**64}"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: stopped at seed 0\n"
 
     @pytest.mark.parametrize("changes, message", [
         ({"chain": dict(BASE_CONFIG["chain"], tx_size_bytes="513")}, "chain: tx_size_bytes must be a number, got '513'"),

@@ -13,12 +13,11 @@ from chainmeter import (
     central_trust,
     centralization_level,
     cumulative_share_curve,
-    merge_producers,
 )
 from chainmeter.metrics import TRUST_EPSILON
 from chainmeter.presets import bitcoin_miner_distribution, ethereum_miner_distribution
 
-from helpers import COVERAGE_TOL, oracle_descending_shares, oracle_level, random_distribution
+from helpers import COVERAGE_TOL, merged, oracle_descending_shares, oracle_level, random_distribution
 
 
 def dist(*weights):
@@ -60,10 +59,6 @@ class TestDistribution:
             ProducerDistribution((("a", 10**400), ("b", 1.0)))
         assert info.value.index == 0
 
-    def test_sorted_entries_breaks_ties_by_id(self):
-        d = ProducerDistribution((("b", 2.0), ("a", 2.0), ("c", 5.0)))
-        assert d.sorted_entries() == [("c", 5.0), ("a", 2.0), ("b", 2.0)]
-
 
 class TestCentralizationLevel:
     def test_single_producer_is_fully_centralized(self):
@@ -80,6 +75,11 @@ class TestCentralizationLevel:
         level = centralization_level(d, 0.1)
         assert level.n == oracle_level([w for _, w in d.entries], 0.1) == 16
         assert level.covered_share == pytest.approx(0.9, abs=1e-12)
+
+    def test_ethereum_shaped_fixture(self):
+        d = ethereum_miner_distribution()
+        assert centralization_level(d, 0.1).n == 11
+        assert centralization_level(d, 0.39).n == 3
 
     def test_top_four_share_exactly_53_percent(self):
         d = bitcoin_miner_distribution()
@@ -187,25 +187,9 @@ class TestProperties:
                 continue
             d = ProducerDistribution(tuple(entries))
             a, b = rng.sample([pid for pid, _ in entries], 2)
-            merged = merge_producers(d, [a, b], "merged")
+            pooled = merged(d, [a, b], "merged")
             for eps in (0.0, 0.1, 0.49):
-                assert centralization_level(merged, eps).n <= centralization_level(d, eps).n
-
-
-class TestMergeProducers:
-    def test_merges_weights(self):
-        d = ProducerDistribution((("a", 1.0), ("b", 2.0), ("c", 3.0)))
-        merged = merge_producers(d, ["a", "c"], "ac")
-        assert dict(merged.entries) == {"b": 2.0, "ac": 4.0}
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(InputError):
-            merge_producers(dist(1.0, 2.0), ["nope"], "m")
-
-    def test_ethereum_shaped_fixture(self):
-        d = ethereum_miner_distribution()
-        assert centralization_level(d, 0.1).n == 11
-        assert centralization_level(d, 0.39).n == 3
+                assert centralization_level(pooled, eps).n <= centralization_level(d, eps).n
 
 
 class TestSortOnce:
@@ -240,7 +224,7 @@ class TestSortOnce:
             n = min(int(np.searchsorted(shares, (1.0 - eps) - COVERAGE_TOL, side="left")) + 1, len(shares))
             return CentralizationLevel(n=n, epsilon=float(eps), covered_share=float(shares[n - 1]))
 
-        top = d.sorted_entries()[0][1]
+        top = max(w for _, w in d.entries)
         trust = [level(TRUST_EPSILON[kind]) if kind in TRUST_EPSILON
                  else CentralizationLevel(n=1, epsilon=0.0, covered_share=top / d.total_weight())
                  for kind in ConsensusKind]

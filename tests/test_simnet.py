@@ -327,6 +327,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             run_simulation(config(blocks=0))
 
+    def test_duration_is_at_most_what_one_float64_array_holds(self):
+        # Only the configs are built: a run at the bound would allocate 8 EiB.
+        bound = np.iinfo(np.intp).max // 8
+        assert simnet.MAX_DURATION_BLOCKS == bound
+        assert replace(config(), duration_blocks=bound).duration_blocks == bound
+        with pytest.raises(ValidationError, match=f"^duration_blocks: must be <= {bound}, got {bound + 1}$"):
+            replace(config(), duration_blocks=bound + 1)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.random.default_rng(0).random(bound + 1)  # fails before it allocates
+
     def test_duplicate_miner_ids(self):
         with pytest.raises(ValidationError):
             SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
@@ -468,7 +478,7 @@ class TestProportionalProduction:
             miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
             chain=CHAIN, net=NET, duration_blocks=2000, topology_degree=2, seed=6,
         )
-        mined = dict(produced_distribution(run_simulation(cfg), False).entries)
+        mined = dict(produced_distribution(run_simulation(cfg)).entries)
         assert mined["m0"] == mined["m2"] == mined["m4"] == 0.0
         assert mined["m1"] + mined["m3"] == 2000.0
 
@@ -478,13 +488,13 @@ class TestProducedDistribution:
         cfg = SimConfig(miners=(("solo", 1.0),), chain=CHAIN, net=NET,
                         duration_blocks=40, topology_degree=0, seed=1)
         result = run_simulation(cfg)
-        assert dict(produced_distribution(result, True).entries) == {"solo": 40.0}
-        assert dict(produced_distribution(result, False).entries) == {"solo": 40.0}
+        assert dict(result.per_miner_canonical.entries) == {"solo": 40.0}
+        assert dict(produced_distribution(result).entries) == {"solo": 40.0}
 
     def test_all_blocks_dominate_canonical(self):
         result = run_simulation(config(n=10, blocks=1000, degree=4, seed=9))
-        canonical = dict(produced_distribution(result, True).entries)
-        everything = dict(produced_distribution(result, False).entries)
+        canonical = dict(result.per_miner_canonical.entries)
+        everything = dict(produced_distribution(result).entries)
         assert set(canonical) == set(everything)
         assert all(everything[m] >= canonical[m] for m in canonical)
         assert sum(everything.values()) == 1000.0
@@ -499,7 +509,7 @@ class TestProducedDistribution:
         counts = {m: 0.0 for m, _ in cfg.miners}
         for index in result.blocks.miner_index[1:]:
             counts[result.blocks.miner_ids[index]] += 1.0
-        everything = produced_distribution(result, False)
+        everything = produced_distribution(result)
         assert everything.entries == tuple(counts.items())
         assert {type(w) for _, w in everything.entries} == {float}
 
@@ -512,8 +522,7 @@ class TestProducedDistribution:
             duration_blocks=8000, topology_degree=4, seed=10,
         )
         result = run_simulation(cfg)
-        dist = produced_distribution(result, True)
-        level = centralization_level(dist, 0.47)
+        level = centralization_level(result.per_miner_canonical, 0.47)
         assert abs(level.n - 4) <= 1
 
 
@@ -536,7 +545,7 @@ class TestBlockTable:
     def test_holds_no_state_beyond_its_fields(self, tmp_path):
         result = run_simulation(config(n=6, blocks=50, seed=2))
         export_report(result, str(tmp_path / "r.json"), "json")
-        produced_distribution(result, False)
+        produced_distribution(result)
         for obj in (result, result.blocks):
             assert vars(obj).keys() == {f.name for f in fields(obj)}
 
