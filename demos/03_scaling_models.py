@@ -12,15 +12,7 @@ Run: python demos/03_scaling_models.py
 
 from itertools import combinations
 
-from chainmeter import (
-    BaselineChain,
-    CentralizationLevel,
-    PaymentGraph,
-    RelayPlan,
-    lightning_analysis,
-    onchain_tx_count,
-    shard_analysis,
-)
+from chainmeter import PaymentGraph, lightning_analysis, onchain_tx_count, shard_analysis
 
 
 def full_graph(n: int) -> PaymentGraph:
@@ -32,26 +24,17 @@ def full_graph(n: int) -> PaymentGraph:
 
 
 def main() -> None:
-    base = BaselineChain(
-        throughput_tps=15.0,
-        centralization=CentralizationLevel(n=100, epsilon=0.1),
-        node_count=100,
-    )
-
     print("Even sharding of a 15 tx/s chain with N_0.1 = 100:")
     print("  k    tx/s   N/k     CTP")
     for k in (1, 2, 4, 10, 25):
-        a = shard_analysis(base, k)
+        a = shard_analysis(15.0, 100, 100, k)
         print(f"  {k:<3d}  {a.sharded_tps:<6g} {a.sharded_centralization:<6g}  {a.ctp_after:g}")
     print("Throughput scales, centralization shrinks, the product never moves.")
 
     print("\nPayment channels on a fully connected 4-client graph, alpha = 20:")
     graph = full_graph(4)
-    small = BaselineChain(throughput_tps=15.0,
-                          centralization=CentralizationLevel(n=4, epsilon=0.0), node_count=4)
-    for label, plan in [("direct channels", RelayPlan.direct()),
-                        ("one relay", RelayPlan.single_relay("hub"))]:
-        a = lightning_analysis(small, graph, plan, alpha=20.0)
+    for label, relay_id in [("direct channels", None), ("one relay", "hub")]:
+        a = lightning_analysis(15.0, graph, relay_id, alpha=20.0)
         print(f"  {label:<16} on-chain {a.onchain_plan:>2}  tx/s {a.effective_tps:>6.1f}  "
               f"N0 {a.relay_centralization_n0}  CTP {a.ctp:.1f}")
 
@@ -66,8 +49,8 @@ def main() -> None:
         "fully connected n=6": full_graph(6),
     }
     for label, graph in cases.items():
-        direct = onchain_tx_count(graph, RelayPlan.direct())
-        relayed = onchain_tx_count(graph, RelayPlan.single_relay("hub"))
+        direct = onchain_tx_count(graph, None)
+        relayed = onchain_tx_count(graph, "hub")
         print(f"  {label:<25} {len(graph.channel_pairs()):>5}  {len(graph.active_clients()):>6}"
               f"  {direct:>6}  {relayed:>7}")
     print("A channel per active client beats a channel per pair exactly when")

@@ -61,10 +61,8 @@ from chainmeter.presets import (
     preset,
 )
 from chainmeter.scaling import (
-    BaselineChain,
     LightningAnalysis,
     PaymentGraph,
-    RelayPlan,
     ShardingAnalysis,
     ctp,
     lightning_analysis,
@@ -84,7 +82,6 @@ from chainmeter.simnet import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineChain",
     "BlockTable",
     "BoundCheck",
     "CentralizationLevel",
@@ -99,7 +96,6 @@ __all__ = [
     "ParseError",
     "PaymentGraph",
     "ProducerDistribution",
-    "RelayPlan",
     "ShardingAnalysis",
     "SimConfig",
     "SimResult",

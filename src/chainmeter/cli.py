@@ -8,8 +8,9 @@ flags (``--out``, ``--curve``, ``--sweep-out``); stdout carries the plain
 tables only.
 
 Exit codes: 0 success, 1 usage, 2 input/file error, 3 runtime error (e.g. a
-topology that cannot be built). Set ``CHAINMETER_NO_COLOR`` to disable the
-bold table headers emitted on terminals.
+topology that cannot be built, or running out of memory). Set
+``CHAINMETER_NO_COLOR`` to disable the bold table headers emitted on
+terminals.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from chainmeter.ingest import (
     load_sim_config,
 )
 from chainmeter.metrics import (
-    CentralizationLevel,
     ConsensusKind,
     central_trust,
     centralization_level,
     cumulative_share_curve,
 )
 from chainmeter.presets import PRESETS, preset
-from chainmeter.scaling import BaselineChain, RelayPlan, lightning_analysis, shard_analysis
+from chainmeter.scaling import lightning_analysis, shard_analysis
 from chainmeter.simnet import SimConfig, SimResult, bound_violation_check, run_simulation
 
 EXIT_OK = 0
@@ -151,13 +151,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_shard(args) -> int:
-    base = BaselineChain(
-        throughput_tps=args.t,
-        centralization=CentralizationLevel(n=args.n, epsilon=args.epsilon),
-        node_count=args.node_count if args.node_count is not None else args.n,
-    )
-    analysis = shard_analysis(base, args.k)
-    print(f"before: throughput {base.throughput_tps!r} tx/s, centralization N = {base.centralization.n}, CTP {analysis.ctp_before!r}")
+    node_count = args.node_count if args.node_count is not None else args.n
+    analysis = shard_analysis(args.t, args.n, node_count, args.k)
+    print(f"before: throughput {args.t!r} tx/s, centralization N = {args.n}, CTP {analysis.ctp_before!r}")
     print(
         f"after (k={analysis.k}): throughput {analysis.sharded_tps!r} tx/s, "
         f"centralization N/k = {analysis.sharded_centralization!r}, CTP {analysis.ctp_after!r}"
@@ -167,13 +163,7 @@ def _cmd_shard(args) -> int:
 
 def _cmd_lightning(args) -> int:
     graph = load_payment_graph(args.graph)
-    plan = RelayPlan.single_relay(args.relay) if args.relay else RelayPlan.direct()
-    base = BaselineChain(
-        throughput_tps=args.t,
-        centralization=CentralizationLevel(n=len(graph.clients), epsilon=0.0),
-        node_count=len(graph.clients),
-    )
-    analysis = lightning_analysis(base, graph, plan, args.alpha)
+    analysis = lightning_analysis(args.t, graph, args.relay, args.alpha)
     print(f"clients: {len(graph.clients)}, active: {len(graph.active_clients())}, payment pairs: {len(graph.channel_pairs())}")
     print(f"on-chain transactions: direct {analysis.onchain_direct} -> plan {analysis.onchain_plan}")
     print(f"effective throughput: {analysis.effective_tps!r} tx/s")
@@ -274,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="baseline throughput, tx/s")
     p.add_argument("--n", type=int, required=True, help="baseline centralization level")
     p.add_argument("--k", type=int, required=True, help="shard count")
-    p.add_argument("--epsilon", type=float, default=0.0, help="epsilon the level was measured at")
     p.add_argument("--node-count", type=int, help="total nodes (defaults to --n)")
     p.set_defaults(func=_cmd_shard)
 
@@ -319,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ChainmeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print("error: out of memory: the input or run is too large for this machine", file=sys.stderr)
         return EXIT_RUNTIME
 
 

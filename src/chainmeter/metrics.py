@@ -116,13 +116,12 @@ class CentralizationLevel:
     """Smallest count ``n`` of top producers covering at least ``1 - epsilon``.
 
     ``covered_share`` is the exact cumulative fraction held by those ``n``
-    producers. It is None when the level is asserted as a protocol constant
-    rather than computed from a concrete distribution.
+    producers.
     """
 
     n: int
     epsilon: float
-    covered_share: float | None = None
+    covered_share: float
 
 
 def centralization_level(dist: ProducerDistribution, epsilon: float) -> CentralizationLevel:

@@ -16,34 +16,14 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
 
 from chainmeter.errors import InputError, integer, plain, positive, real
-from chainmeter.metrics import CentralizationLevel
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
 CHANNEL_ONCHAIN_COST = 2
 
 # A payment row's sender, receiver and count.
 _FROM, _TO, _COUNT = map(operator.itemgetter, range(3))
-
-
-@dataclass(frozen=True)
-class BaselineChain:
-    """A chain before scaling: throughput, centralization level, node count."""
-
-    throughput_tps: float
-    centralization: CentralizationLevel
-    node_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "throughput_tps", positive(self.throughput_tps, "throughput_tps"))
-        positive(integer(self.centralization.n, "centralization level"), "centralization level")
-        if integer(self.node_count, "node_count") < self.centralization.n:
-            raise InputError(
-                f"node_count ({self.node_count}) cannot be smaller than the "
-                f"centralization level ({self.centralization.n})"
-            )
 
 
 @dataclass(frozen=True)
@@ -65,26 +45,35 @@ def ctp(centralization_n: float, throughput_tps: float) -> float:
     return product
 
 
-def shard_analysis(base: BaselineChain, k: int) -> ShardingAnalysis:
-    """Even k-way sharding: k times the throughput at 1/k the centralization.
+def shard_analysis(throughput_tps: float, centralization_n: int, node_count: int, k: int) -> ShardingAnalysis:
+    """Even k-way sharding of a chain with throughput ``throughput_tps``,
+    centralization level ``centralization_n`` and ``node_count`` nodes: k
+    times the throughput at 1/k the centralization.
 
     The product after sharding is ``(k*t) * (n/k)``; the k factors cancel
     algebraically, so ``ctp_after`` is computed as the same product as
     ``ctp_before`` and the invariance is exact, not approximate.
     """
-    positive(integer(k, "shard count"), "shard count")
-    if k > base.node_count:
+    t = positive(throughput_tps, "throughput_tps")
+    n = positive(integer(centralization_n, "centralization level"), "centralization level")
+    if integer(node_count, "node_count") < n:
         raise InputError(
-            f"cannot split {base.node_count} nodes into {k} shards: a shard needs at least one node"
+            f"node_count ({node_count}) cannot be smaller than the "
+            f"centralization level ({centralization_n})"
         )
-    product = ctp(base.centralization.n, base.throughput_tps)
-    sharded_tps = k * base.throughput_tps
+    positive(integer(k, "shard count"), "shard count")
+    if k > node_count:
+        raise InputError(
+            f"cannot split {node_count} nodes into {k} shards: a shard needs at least one node"
+        )
+    product = ctp(n, t)
+    sharded_tps = k * t
     if not math.isfinite(sharded_tps):
-        raise InputError(f"sharded throughput k * throughput_tps must be finite, got {k!r} * {base.throughput_tps!r}")
+        raise InputError(f"sharded throughput k * throughput_tps must be finite, got {k!r} * {t!r}")
     return ShardingAnalysis(
         k=k,
         sharded_tps=sharded_tps,
-        sharded_centralization=base.centralization.n / k,
+        sharded_centralization=n / k,
         ctp_before=product,
         ctp_after=product,
     )
@@ -147,73 +136,18 @@ class PaymentGraph:
         return self._channel_pairs
 
 
-@dataclass(frozen=True)
-class RelayPlan:
-    """How payments are carried: direct channels, one relay for everything,
-    or explicit per-pair routes. A plan checks itself when it is built: a
-    known mode, a relay id for a single relay, and routes that each run
-    between their pair's endpoints without repeating a node."""
+def onchain_tx_count(graph: PaymentGraph, relay_id: str | None) -> int:
+    """On-chain transactions needed to carry the graph's payments: 2 per
+    distinct channel.
 
-    mode: str
-    relay_id: str | None = None
-    routes: tuple[tuple[frozenset[str], tuple[str, ...]], ...] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("direct", "single_relay", "custom"):
-            raise InputError(f"unknown relay plan mode {self.mode!r}")
-        if self.mode == "single_relay" and self.relay_id is None:
-            raise InputError("single-relay plan is missing its relay id")
-        for pair, path in self.routes or ():
-            if len(path) < 2 or {path[0], path[-1]} != pair:
-                raise InputError(f"route for {tuple(sorted(pair))!r} must run between its endpoints, got {path!r}")
-            if len(set(path)) != len(path):
-                raise InputError(f"route for {tuple(sorted(pair))!r} revisits a node: {path!r}")
-
-    @classmethod
-    def direct(cls) -> "RelayPlan":
-        return cls(mode="direct")
-
-    @classmethod
-    def single_relay(cls, relay_id: str) -> "RelayPlan":
-        return cls(mode="single_relay", relay_id=str(relay_id))
-
-    @classmethod
-    def custom(cls, routes: Mapping[tuple[str, str], Sequence[str]]) -> "RelayPlan":
-        """Explicit routes: for each payment pair, the full node path from one
-        endpoint to the other (relays in between, no repeated nodes)."""
-        packed = tuple((frozenset((str(a), str(b))), tuple(map(str, path))) for (a, b), path in routes.items())
-        return cls(mode="custom", routes=packed)
-
-
-def _custom_channels(graph: PaymentGraph, plan: RelayPlan) -> set[frozenset[str]]:
-    routed = dict(plan.routes or ())
-    channels: set[frozenset[str]] = set()
-    for pair in graph.channel_pairs():
-        path = routed.get(pair)
-        if path is None:
-            a, b = sorted(pair)
-            raise InputError(f"plan has no route for payment pair ({a!r}, {b!r})")
-        channels.update(frozenset(edge) for edge in zip(path, path[1:]))
-    return channels
-
-
-def onchain_tx_count(graph: PaymentGraph, plan: RelayPlan) -> int:
-    """On-chain transactions needed to run the plan: 2 per distinct channel.
-
-    Direct plans fund one channel per payment pair. A single relay funds one
-    channel per active client (none for the relay itself if it happens to be
-    a payment endpoint: a node needs no channel to itself). Custom plans fund
-    every edge appearing on some route.
+    With no relay (``relay_id`` None), one direct channel funds each payment
+    pair. A single relay funds one channel per active client (none for the
+    relay itself if it happens to be a payment endpoint: a node needs no
+    channel to itself).
     """
-    if plan.mode == "direct":
-        channels: Collection[frozenset[str]] = graph.channel_pairs()
-    elif plan.mode == "single_relay":
-        channels = {
-            frozenset((c, plan.relay_id)) for c in graph.active_clients() if c != plan.relay_id
-        }
-    else:
-        channels = _custom_channels(graph, plan)
-    return CHANNEL_ONCHAIN_COST * len(channels)
+    if relay_id is None:
+        return CHANNEL_ONCHAIN_COST * len(graph.channel_pairs())
+    return CHANNEL_ONCHAIN_COST * len(graph.active_clients() - {relay_id})
 
 
 @dataclass(frozen=True)
@@ -229,35 +163,32 @@ class LightningAnalysis:
 
 
 def lightning_analysis(
-    base: BaselineChain, graph: PaymentGraph, plan: RelayPlan, alpha: float
+    throughput_tps: float, graph: PaymentGraph, relay_id: str | None, alpha: float
 ) -> LightningAnalysis:
-    """Throughput and centralization with channels batching ``alpha`` payments
-    per on-chain transaction.
+    """Throughput and centralization of a chain with throughput
+    ``throughput_tps`` when channels batch ``alpha`` payments per on-chain
+    transaction.
 
-    Without relays every client pair keeps its own channel: throughput rises
-    to ``t * alpha`` and relay centralization stays at the client count. One
-    relay scales throughput further by the ratio of direct to relayed on-chain
-    transactions (a gain only when the graph has more funded pairs than active
-    clients) and pins relay centralization at 1.
+    Without a relay (``relay_id`` None) every client pair keeps its own
+    channel: throughput rises to ``t * alpha`` and relay centralization stays
+    at the client count. One relay scales throughput further by the ratio of
+    direct to relayed on-chain transactions (a gain only when the graph has
+    more funded pairs than active clients) and pins relay centralization at 1.
     """
+    t = positive(throughput_tps, "throughput_tps")
     if not 1 <= real(alpha, "batching factor alpha") < math.inf:
         raise InputError(f"batching factor alpha must be >= 1 and finite, got {alpha!r}")
     alpha = plain(alpha, "batching factor alpha")
     if not graph.payments:
         raise InputError("payment graph has no payments to analyze")
-    direct_cost = onchain_tx_count(graph, RelayPlan.direct())
-    plan_cost = onchain_tx_count(graph, plan)
-    t = base.throughput_tps
-    if plan.mode == "direct":
+    direct_cost = onchain_tx_count(graph, None)
+    plan_cost = onchain_tx_count(graph, relay_id)
+    if relay_id is None:
         effective = t * alpha
         n0 = len(graph.clients)
     else:
         effective = t * alpha * (direct_cost / plan_cost)
-        if plan.mode == "single_relay":
-            n0 = 1
-        else:
-            interior = {node for _, path in (plan.routes or ()) for node in path[1:-1]}
-            n0 = len(interior) if interior else len(graph.clients)
+        n0 = 1
     return LightningAnalysis(
         effective_tps=effective,
         relay_centralization_n0=n0,

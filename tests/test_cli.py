@@ -204,6 +204,11 @@ class TestShardCommand:
     def test_too_many_shards_exits_two(self, capsys):
         assert main(["shard", "--t", "15", "--n", "100", "--k", "400"]) == EXIT_INPUT
 
+    def test_epsilon_is_not_a_flag(self, capsys):
+        # A level's epsilon changes no number the command prints.
+        assert main(["shard", "--t", "15", "--n", "100", "--k", "4", "--epsilon", "0.1"]) == EXIT_USAGE
+        assert "--epsilon" in capsys.readouterr().err
+
 
 class TestLightningCommand:
     def test_direct_alpha_one_is_baseline(self, full4_csv):
@@ -217,6 +222,13 @@ class TestLightningCommand:
         assert outcome.exit_code == EXIT_OK
         assert "on-chain transactions: direct 12 -> plan 8" in outcome.stdout_report
         assert "relay centralization N0: 1" in outcome.stdout_report
+
+    def test_empty_relay_id_is_a_relay(self, tmp_path):
+        path = tmp_path / "triangle.csv"
+        path.write_text("from,to,count\na,b,1\nb,c,1\na,c,1\n")
+        outcome = run(["lightning", str(path), "--t", "10", "--alpha", "2", "--relay", ""])
+        assert outcome.exit_code == EXIT_OK
+        assert outcome.stdout_report.splitlines()[-2:] == ["relay centralization N0: 1", "CTP: 20.0"]
 
     def test_mode_flag_required(self, full4_csv, capsys):
         assert main(["lightning", full4_csv, "--t", "10", "--alpha", "1"]) == EXIT_USAGE
@@ -413,6 +425,16 @@ class TestSimulateCommand:
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == EXIT_RUNTIME
         assert "no connected 22-regular graph over 24 nodes" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_three(self, config_json, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_simulation", exhausted)
+        out = tmp_path / "all.json"
+        assert main(["simulate", config_json, "--seeds", "1..2", "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: out of memory: the input or run is too large for this machine\n"
+        assert not out.exists()
 
     def test_degree_one_over_more_than_two_miners_exits_two(self, config_json, tmp_path, capsys):
         bad = json.loads(Path(config_json).read_text())

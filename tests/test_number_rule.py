@@ -16,14 +16,11 @@ import numpy as np
 import pytest
 
 from chainmeter import (
-    BaselineChain,
-    CentralizationLevel,
     ChainParams,
     InputError,
     NetworkParams,
     PaymentGraph,
     ProducerDistribution,
-    RelayPlan,
     SimConfig,
     UnitSpec,
     ValidationError,
@@ -40,7 +37,6 @@ from chainmeter.errors import plain, positive, real
 
 CHAIN = ChainParams(1000, 250.0, 600.0)
 NET = NetworkParams(712_500.0, 0.1)
-BASE = BaselineChain(throughput_tps=7.0, centralization=CentralizationLevel(n=4, epsilon=0.1), node_count=10)
 GRAPH = PaymentGraph(clients=frozenset("abc"), payments=(("a", "b", 1), ("b", "c", 2)))
 DIST = ProducerDistribution((("a", 3.0), ("b", 1.0)))
 
@@ -61,8 +57,8 @@ def net(**fields):
     return NetworkParams(**{"bandwidth_bytes_per_s": 712_500.0, "latency_s": 0.1, **fields})
 
 
-def baseline(**fields):
-    return BaselineChain(**{"throughput_tps": 7.0, "centralization": BASE.centralization, "node_count": 10, **fields})
+def shard(**fields):
+    return shard_analysis(**{"throughput_tps": 7.0, "centralization_n": 4, "node_count": 10, "k": 3, **fields})
 
 
 # (id, call, name in the refusal, rule, values that must pass)
@@ -74,19 +70,19 @@ BOUNDARIES = [
     ("ChainParams.confirmations", lambda v: chain(confirmations=v), "confirmations", int, INTEGER),
     ("NetworkParams.bandwidth_bytes_per_s", lambda v: net(bandwidth_bytes_per_s=v), "bandwidth_bytes_per_s", float, REAL),
     ("NetworkParams.latency_s", lambda v: net(latency_s=v), "latency_s", float, REAL),
-    ("BaselineChain.throughput_tps", lambda v: baseline(throughput_tps=v), "throughput_tps", float, REAL),
-    ("BaselineChain.centralization.n", lambda v: baseline(centralization=CentralizationLevel(n=v, epsilon=0.1)),
-     "centralization level", int, INTEGER),
-    ("BaselineChain.node_count", lambda v: baseline(node_count=v, centralization=CentralizationLevel(n=1, epsilon=0.1)),
-     "node_count", int, INTEGER),
+    ("shard_analysis.throughput_tps", lambda v: shard(throughput_tps=v), "throughput_tps", float, REAL),
+    ("shard_analysis.centralization_n", lambda v: shard(centralization_n=v), "centralization level", int, INTEGER),
+    ("shard_analysis.node_count", lambda v: shard(node_count=v, centralization_n=1), "node_count", int, INTEGER),
     ("ctp.centralization_n", lambda v: ctp(v, 4.0), "centralization_n", float, REAL),
     ("ctp.throughput_tps", lambda v: ctp(4.0, v), "throughput_tps", float, REAL),
-    ("lightning_analysis.alpha", lambda v: lightning_analysis(BASE, GRAPH, RelayPlan.direct(), v),
+    ("lightning_analysis.throughput_tps", lambda v: lightning_analysis(v, GRAPH, None, 2.0),
+     "throughput_tps", float, REAL),
+    ("lightning_analysis.alpha", lambda v: lightning_analysis(7.0, GRAPH, None, v),
      "alpha", float, (3, np.int64(3), np.float32(1.5), 3.0)),
     ("centralization_level.epsilon", lambda v: centralization_level(DIST, v), "epsilon", float,
      (0, np.int64(0), np.float32(0.5), 0.0)),
     ("throughput_upper_bound.tx_size_bytes", lambda v: throughput_upper_bound(NET, v), "tx_size_bytes", float, REAL),
-    ("shard_analysis.k", lambda v: shard_analysis(BASE, v), "shard count", int, INTEGER),
+    ("shard_analysis.k", lambda v: shard(k=v), "shard count", int, INTEGER),
     ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
     ("UnitSpec.block_size_to_bytes", lambda v: UnitSpec(block_size_unit="MiB").block_size_to_bytes(v),
      "block size", float, REAL),
@@ -112,9 +108,9 @@ class TestEveryBoundary:
 
 # Boundaries whose value no formula multiplies or divides by, so an int past
 # the float range needs no refusal there: a node count is only compared with
-# the centralization level, and a bandwidth in config units converts to the
-# inf that NetworkParams refuses.
-FACTORS = [row for row in BOUNDARIES if row[0] not in ("BaselineChain.node_count", "UnitSpec.bandwidth_to_bytes_per_s")]
+# the centralization level and the shard count, and a bandwidth in config
+# units converts to the inf that NetworkParams refuses.
+FACTORS = [row for row in BOUNDARIES if row[0] not in ("shard_analysis.node_count", "UnitSpec.bandwidth_to_bytes_per_s")]
 # A share is one problem in the list SimConfig raises, named by its rule.
 SHARE_PROBLEM = "miners: hash power shares must be finite and >= 0"
 
@@ -129,7 +125,7 @@ def test_an_int_past_the_float_range_is_refused(row_id, call, name):
 
 
 def test_the_boundaries_no_formula_reads_pass_a_huge_int_on():
-    assert baseline(node_count=10**400).node_count == 10**400
+    assert shard(node_count=10**400) == shard()
     bandwidth = UnitSpec().bandwidth_to_bytes_per_s(10**400)
     assert bandwidth == float("inf")
     with pytest.raises(InputError, match="bandwidth_bytes_per_s must be positive and finite, got inf"):
@@ -143,10 +139,11 @@ FORMULAS = [
     ("ChainParams.block_interval_s", lambda v: max_throughput(chain(block_interval_s=v))),
     ("NetworkParams.bandwidth_bytes_per_s", lambda v: propagation_delay(1, CHAIN, net(bandwidth_bytes_per_s=v))),
     ("NetworkParams.latency_s", lambda v: propagation_delay(1, CHAIN, net(latency_s=v))),
-    ("BaselineChain.throughput_tps", lambda v: shard_analysis(baseline(throughput_tps=v), 3).sharded_tps),
+    ("shard_analysis.throughput_tps", lambda v: shard(throughput_tps=v).sharded_tps),
     ("ctp.centralization_n", lambda v: ctp(v, 3.0)),
     ("ctp.throughput_tps", lambda v: ctp(3.0, v)),
-    ("lightning_analysis.alpha", lambda v: lightning_analysis(BASE, GRAPH, RelayPlan.direct(), v).effective_tps),
+    ("lightning_analysis.throughput_tps", lambda v: lightning_analysis(v, GRAPH, None, 2.0).effective_tps),
+    ("lightning_analysis.alpha", lambda v: lightning_analysis(7.0, GRAPH, None, v).effective_tps),
 ]
 
 
@@ -161,10 +158,10 @@ def test_numpy_reals_compute_as_python_floats(formula):
 def test_ints_and_floats_are_kept_as_given():
     # So what prints from a field, and what a config exports, stays the same.
     params = [(chain(tx_size_bytes=3, block_interval_s=0.5), ("tx_size_bytes", "block_interval_s")),
-              (net(bandwidth_bytes_per_s=3, latency_s=0.5), ("bandwidth_bytes_per_s", "latency_s")),
-              (baseline(throughput_tps=3), ("throughput_tps",))]
+              (net(bandwidth_bytes_per_s=3, latency_s=0.5), ("bandwidth_bytes_per_s", "latency_s"))]
     for obj, names in params:
-        assert [repr(getattr(obj, name)) for name in names] == ["3", "0.5"][:len(names)]
+        assert [repr(getattr(obj, name)) for name in names] == ["3", "0.5"]
+    assert repr(shard(throughput_tps=3, k=1).sharded_tps) == "3"
     assert repr(ctp(3, 4)) == "12"
 
 

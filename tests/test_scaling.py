@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from chainmeter import (
-    BaselineChain,
-    CentralizationLevel,
     InputError,
     PaymentGraph,
-    RelayPlan,
     ctp,
     lightning_analysis,
     onchain_tx_count,
@@ -20,12 +17,8 @@ from chainmeter import (
 from helpers import all_payment_graphs
 
 
-def baseline(t=15.0, n=100, nodes=None):
-    return BaselineChain(
-        throughput_tps=t,
-        centralization=CentralizationLevel(n=n, epsilon=0.1),
-        node_count=nodes if nodes is not None else n,
-    )
+def shard(k, t=15.0, n=100, nodes=None):
+    return shard_analysis(t, n, nodes if nodes is not None else n, k)
 
 
 def full_graph(n):
@@ -58,42 +51,40 @@ class TestCtp:
             ctp(*factors)
 
 
-class TestBaselineChain:
+class TestSharding:
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0])
     def test_throughput_must_be_positive_and_finite(self, t):
         with pytest.raises(InputError, match="^throughput_tps must be positive and finite"):
-            baseline(t=t)
+            shard(1, t=t)
 
     @pytest.mark.parametrize("nodes", [100.0, 100.5, float("nan"), "100"])
     def test_node_count_must_be_an_integer(self, nodes):
         with pytest.raises(InputError, match="^node_count must be an integer"):
-            baseline(n=100, nodes=nodes)
+            shard(1, n=100, nodes=nodes)
 
-
-class TestSharding:
     def test_four_way_example(self):
-        analysis = shard_analysis(baseline(), 4)
+        analysis = shard(4)
         assert analysis.sharded_tps == 60.0
         assert analysis.sharded_centralization == 25.0
         assert analysis.ctp_before == 1500.0
         assert analysis.ctp_after == 1500.0
 
     def test_k_one_is_identity(self):
-        analysis = shard_analysis(baseline(), 1)
+        analysis = shard(1)
         assert analysis.sharded_tps == 15.0
         assert analysis.sharded_centralization == 100.0
         assert analysis.ctp_after == analysis.ctp_before
 
     def test_doubling_k(self):
-        a2 = shard_analysis(baseline(), 2)
-        a4 = shard_analysis(baseline(), 4)
+        a2 = shard(2)
+        a4 = shard(4)
         assert a4.sharded_tps == 2 * a2.sharded_tps
         assert a4.sharded_centralization == a2.sharded_centralization / 2
         assert a4.ctp_after == a2.ctp_after
 
     def test_more_shards_than_nodes_rejected(self):
         with pytest.raises(InputError):
-            shard_analysis(baseline(nodes=100), 101)
+            shard(101, nodes=100)
 
     def test_ctp_exact_over_random_triples(self):
         rng = random.Random(31)
@@ -101,7 +92,7 @@ class TestSharding:
             t = rng.uniform(0.01, 5000.0)
             n = rng.randint(1, 10_000)
             k = rng.randint(1, n)
-            analysis = shard_analysis(baseline(t=t, n=n), k)
+            analysis = shard(k, t=t, n=n)
             assert analysis.ctp_after == analysis.ctp_before  # bitwise, no tolerance
             # the per-field route agrees up to rounding
             assert analysis.sharded_tps * analysis.sharded_centralization == pytest.approx(
@@ -111,61 +102,31 @@ class TestSharding:
 
 class TestOnchainCounting:
     def test_fully_connected_four_direct(self):
-        assert onchain_tx_count(full_graph(4), RelayPlan.direct()) == 12  # 2 * C(4,2)
+        assert onchain_tx_count(full_graph(4), None) == 12  # 2 * C(4,2)
 
     def test_fully_connected_four_single_relay(self):
-        assert onchain_tx_count(full_graph(4), RelayPlan.single_relay("hub")) == 8  # 2 * 4
+        assert onchain_tx_count(full_graph(4), "hub") == 8  # 2 * 4
 
     def test_single_pair_direct(self):
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 3),))
-        assert onchain_tx_count(g, RelayPlan.direct()) == 2
+        assert onchain_tx_count(g, None) == 2
 
     def test_relay_that_is_a_client_needs_no_self_channel(self):
         star = PaymentGraph(
             clients=frozenset({"hub", "x", "y", "z"}),
             payments=(("hub", "x", 1), ("hub", "y", 1), ("hub", "z", 1)),
         )
-        assert onchain_tx_count(star, RelayPlan.direct()) == 6
-        assert onchain_tx_count(star, RelayPlan.single_relay("hub")) == 6
-        assert onchain_tx_count(star, RelayPlan.single_relay("external")) == 8
+        assert onchain_tx_count(star, None) == 6
+        assert onchain_tx_count(star, "hub") == 6
+        assert onchain_tx_count(star, "external") == 8
 
     def test_repeated_payments_share_one_channel(self):
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 5), ("b", "a", 2)))
-        assert onchain_tx_count(g, RelayPlan.direct()) == 2
-
-    def test_custom_route_counts_path_edges(self):
-        g = PaymentGraph(clients=frozenset({"a", "b", "c"}), payments=(("a", "b", 1), ("a", "c", 1)))
-        plan = RelayPlan.custom({("a", "b"): ["a", "r", "b"], ("a", "c"): ["a", "r", "c"]})
-        # channels: a-r, r-b, r-c
-        assert onchain_tx_count(g, plan) == 6
-
-    def test_custom_plan_missing_route_rejected(self):
-        g = PaymentGraph(clients=frozenset({"a", "b", "c"}), payments=(("a", "b", 1), ("a", "c", 1)))
-        plan = RelayPlan.custom({("a", "b"): ["a", "b"]})
-        with pytest.raises(InputError):
-            onchain_tx_count(g, plan)
-
-    def test_custom_route_must_be_acyclic(self):
-        with pytest.raises(InputError):
-            RelayPlan.custom({("a", "b"): ["a", "r", "a", "b"]})
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"mode": "hub"}, "unknown relay plan mode 'hub'"),
-        ({"mode": "single_relay"}, "missing its relay id"),
-        ({"mode": "custom", "routes": ((frozenset("ab"), ("a",)), (frozenset("ac"), ("a", "c")))},
-         r"route for \('a', 'b'\) must run between its endpoints"),
-        ({"mode": "custom", "routes": ((frozenset("ab"), ("a", "r", "c")),)},
-         r"route for \('a', 'b'\) must run between its endpoints"),
-        ({"mode": "custom", "routes": ((frozenset("ab"), ("a", "r", "a", "b")),)},
-         r"route for \('a', 'b'\) revisits a node"),
-    ])
-    def test_bad_plan_rejected_when_built(self, kwargs, message):
-        with pytest.raises(InputError, match=message):
-            RelayPlan(**kwargs)
+        assert onchain_tx_count(g, None) == 2
 
     def test_relay_floor_is_two_per_active_client(self):
         for graph in all_payment_graphs(5):
-            count = onchain_tx_count(graph, RelayPlan.single_relay("ext"))
+            count = onchain_tx_count(graph, "ext")
             assert count == 2 * len(graph.active_clients())
 
     def test_relay_no_worse_than_direct_exactly_when_pairs_reach_active(self):
@@ -173,8 +134,8 @@ class TestOnchainCounting:
         # as many funded pairs as active clients (dense graphs); sparse
         # graphs such as a lone pair or a matching are cheaper kept direct.
         for graph in all_payment_graphs(5):
-            relay = onchain_tx_count(graph, RelayPlan.single_relay("ext"))
-            direct = onchain_tx_count(graph, RelayPlan.direct())
+            relay = onchain_tx_count(graph, "ext")
+            direct = onchain_tx_count(graph, None)
             dense = len(graph.channel_pairs()) >= len(graph.active_clients())
             assert (relay <= direct) == dense
 
@@ -185,8 +146,8 @@ class TestOnchainCounting:
             active = sorted(graph.active_clients())
             if not _connected(graph):
                 continue
-            relay = onchain_tx_count(graph, RelayPlan.single_relay(active[0]))
-            assert relay <= onchain_tx_count(graph, RelayPlan.direct())
+            relay = onchain_tx_count(graph, active[0])
+            assert relay <= onchain_tx_count(graph, None)
 
 
 def _connected(graph):
@@ -208,27 +169,25 @@ def _connected(graph):
 class TestLightningAnalysis:
     def test_direct_without_batching_is_identity(self):
         g = full_graph(4)
-        analysis = lightning_analysis(baseline(t=10.0, n=4, nodes=4), g, RelayPlan.direct(), 1.0)
+        analysis = lightning_analysis(10.0, g, None, 1.0)
         assert analysis.effective_tps == 10.0
         assert analysis.relay_centralization_n0 == 4
         assert analysis.ctp == 40.0
 
     def test_fully_connected_four_with_relay(self):
         g = full_graph(4)
-        analysis = lightning_analysis(
-            baseline(t=10.0, n=4, nodes=4), g, RelayPlan.single_relay("hub"), 2.0
-        )
+        analysis = lightning_analysis(10.0, g, "hub", 2.0)
         assert analysis.onchain_direct == 12
         assert analysis.onchain_plan == 8
         assert analysis.relay_centralization_n0 == 1
         assert analysis.effective_tps == pytest.approx(10.0 * 2.0 * 1.5)
         assert analysis.ctp == pytest.approx(30.0)
 
-    def test_builtin_modes_pin_n0_to_one_or_n(self):
+    def test_relay_pins_n0_to_one_direct_to_n(self):
         g = full_graph(5)
-        base = baseline(t=3.0, n=5, nodes=5)
-        direct = lightning_analysis(base, g, RelayPlan.direct(), 2.0)
-        relayed = lightning_analysis(base, g, RelayPlan.single_relay("hub"), 2.0)
+        t = 3.0
+        direct = lightning_analysis(t, g, None, 2.0)
+        relayed = lightning_analysis(t, g, "hub", 2.0)
         assert direct.relay_centralization_n0 == len(g.clients)
         assert relayed.relay_centralization_n0 == 1
 
@@ -238,38 +197,25 @@ class TestLightningAnalysis:
         for n in (3, 4, 6):
             g = full_graph(n)
             t, alpha = 7.0, 3.0
-            analysis = lightning_analysis(
-                baseline(t=t, n=n, nodes=n), g, RelayPlan.single_relay("hub"), alpha
-            )
+            analysis = lightning_analysis(t, g, "hub", alpha)
             pairs = n * (n - 1) / 2
             assert analysis.ctp == pytest.approx(t * alpha * pairs / n)
-            direct = lightning_analysis(baseline(t=t, n=n, nodes=n), g, RelayPlan.direct(), alpha)
+            direct = lightning_analysis(t, g, None, alpha)
             assert direct.ctp == pytest.approx(n * t * alpha)
-
-    @pytest.mark.parametrize("routes, n0, plan_cost, effective, product", [
-        ({("a", "b"): ["a", "r1", "b"], ("c", "d"): ["c", "r2", "d"]}, 2, 8, 10.0, 20.0),
-        ({("a", "b"): ["a", "b"], ("c", "d"): ["c", "d"]}, 4, 4, 20.0, 80.0),
-    ], ids=["two-relays", "direct-routes"])
-    def test_custom_plan_n0_counts_interior_nodes(self, routes, n0, plan_cost, effective, product):
-        # Without an interior node, relay centralization falls back to the client count.
-        g = PaymentGraph(clients=frozenset("abcd"), payments=(("a", "b", 1), ("c", "d", 1)))
-        analysis = lightning_analysis(baseline(t=10.0, n=4, nodes=4), g, RelayPlan.custom(routes), 2)
-        assert (analysis.relay_centralization_n0, analysis.onchain_direct, analysis.onchain_plan) == (n0, 4, plan_cost)
-        assert (analysis.effective_tps, analysis.ctp) == (effective, product)
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(InputError):
-            lightning_analysis(baseline(t=1.0, n=2, nodes=2), full_graph(2), RelayPlan.direct(), 0.5)
+            lightning_analysis(1.0, full_graph(2), None, 0.5)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_alpha_not_finite_rejected(self, alpha):
         with pytest.raises(InputError, match="^batching factor alpha must be >= 1 and finite"):
-            lightning_analysis(baseline(t=1.0, n=2, nodes=2), full_graph(2), RelayPlan.direct(), alpha)
+            lightning_analysis(1.0, full_graph(2), None, alpha)
 
     def test_empty_payments_rejected(self):
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
         with pytest.raises(InputError):
-            lightning_analysis(baseline(t=1.0, n=2, nodes=2), g, RelayPlan.direct(), 1.0)
+            lightning_analysis(1.0, g, None, 1.0)
 
 
 class TestPaymentGraphValidation:
@@ -313,6 +259,6 @@ class TestPaymentGraphCache:
     def test_each_set_is_built_once(self):
         graph = full_graph(5)
         pairs, active = graph.channel_pairs(), graph.active_clients()
-        lightning_analysis(baseline(t=1.0, n=5, nodes=5), graph, RelayPlan.single_relay("c0"), 2.0)
-        lightning_analysis(baseline(t=1.0, n=5, nodes=5), graph, RelayPlan.direct(), 2.0)
+        lightning_analysis(1.0, graph, "c0", 2.0)
+        lightning_analysis(1.0, graph, None, 2.0)
         assert graph.channel_pairs() is pairs and graph.active_clients() is active
