@@ -86,6 +86,19 @@ class TestSharding:
         with pytest.raises(InputError):
             shard(101, nodes=100)
 
+    # Each call breaks its own check and every later one, so the first check
+    # in order is the one that must speak.
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0, 1.5, 0), "^throughput_tps must be positive and finite, got 0.0$"),
+        ((7.0, 0, 1.5, 0), "^centralization level must be positive and finite, got 0$"),
+        ((7.0, 4, 1.5, 0), "^node_count must be an integer"),
+        ((7.0, 4, 2, 0), r"^node_count \(2\) cannot be smaller than the centralization level \(4\)$"),
+        ((7.0, 4, 10, 0), "^shard count must be positive and finite, got 0$"),
+    ], ids=["throughput", "centralization", "node-count-type", "node-count-range", "shard-count"])
+    def test_checks_run_in_order(self, args, message):
+        with pytest.raises(InputError, match=message):
+            shard_analysis(*args)
+
     def test_ctp_exact_over_random_triples(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -123,6 +136,17 @@ class TestOnchainCounting:
     def test_repeated_payments_share_one_channel(self):
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 5), ("b", "a", 2)))
         assert onchain_tx_count(g, None) == 2
+
+    def test_idle_client_relay_funds_every_active_client(self):
+        # A declared client with no payments of its own relays like an outsider.
+        g = PaymentGraph(clients=frozenset("abci"), payments=(("a", "b", 1), ("b", "c", 1)))
+        assert onchain_tx_count(g, "i") == onchain_tx_count(g, "ext") == 6
+
+    def test_empty_relay_id_is_a_relay(self):
+        # Only None means direct channels; any string names a relay node.
+        g = full_graph(4)
+        assert onchain_tx_count(g, "") == 8
+        assert lightning_analysis(10.0, g, "", 2.0).relay_centralization_n0 == 1
 
     def test_relay_floor_is_two_per_active_client(self):
         for graph in all_payment_graphs(5):
@@ -216,6 +240,24 @@ class TestLightningAnalysis:
         g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
         with pytest.raises(InputError):
             lightning_analysis(1.0, g, None, 1.0)
+
+    @pytest.mark.parametrize("t, message", [
+        (0.0, "^throughput_tps must be positive and finite, got 0.0$"),
+        (1.0, "^batching factor alpha must be >= 1 and finite, got 0.5$"),
+    ], ids=["throughput", "alpha"])
+    def test_checks_run_in_order(self, t, message):
+        # Throughput, then alpha, then the payments: all three are bad here.
+        g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
+        with pytest.raises(InputError, match=message):
+            lightning_analysis(t, g, None, 0.5)
+
+    def test_relay_on_a_lone_pair_halves_throughput(self):
+        # One pair: a direct channel costs 2 on-chain transactions, an
+        # outside relay 4, so the relay plan carries half of t * alpha.
+        g = PaymentGraph(clients=frozenset("ab"), payments=(("a", "b", 1),))
+        analysis = lightning_analysis(10.0, g, "ext", 2.0)
+        assert (analysis.onchain_direct, analysis.onchain_plan) == (2, 4)
+        assert (analysis.effective_tps, analysis.relay_centralization_n0, analysis.ctp) == (10.0, 1, 10.0)
 
 
 class TestPaymentGraphValidation:
