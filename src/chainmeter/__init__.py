@@ -40,7 +40,6 @@ from chainmeter.errors import (
     ValidationError,
 )
 from chainmeter.ingest import (
-    UnitSpec,
     export_report,
     load_distribution,
     load_payment_graph,
@@ -100,7 +99,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "TopologyError",
-    "UnitSpec",
     "ValidationError",
     "bitcoin_miner_distribution",
     "block_capacity",

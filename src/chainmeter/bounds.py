@@ -7,8 +7,9 @@ before the next one is useful, the interval has a floor ``l + b/w``; pushing
 increases monotonically in the block size and approaches the hard ceiling
 ``w / s`` from below.
 
-Formulas take raw bytes and bytes per second; unit conversion is the
-loader's job (see :mod:`chainmeter.ingest`). Throughputs are average rates
+Formulas take raw bytes and bytes per second, as configs hold them; only
+the ``bound`` command's ``--block-size-mib`` and ``--bandwidth-mbps`` flags
+convert (see :mod:`chainmeter.cli`). Throughputs are average rates
 and are never floored. All functions are pure.
 """
 

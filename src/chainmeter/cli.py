@@ -8,16 +8,14 @@ flags (``--out``, ``--curve``, ``--sweep-out``); stdout carries the plain
 tables only.
 
 Exit codes: 0 success, 1 usage, 2 input/file error, 3 runtime error (e.g. a
-topology that cannot be built, or running out of memory). Set
-``CHAINMETER_NO_COLOR`` to disable the bold table headers emitted on
-terminals.
+topology that cannot be built, or running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
+import math
 import sys
 from dataclasses import fields, replace
 from typing import Callable
@@ -34,7 +32,6 @@ from chainmeter.bounds import (
 )
 from chainmeter.errors import ChainmeterError, InputError
 from chainmeter.ingest import (
-    UnitSpec,
     export_report,
     json_array,
     load_distribution,
@@ -67,15 +64,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _bold(text: str) -> str:
-    if os.environ.get("CHAINMETER_NO_COLOR") or not sys.stdout.isatty():
-        return text
-    return f"\x1b[1m{text}\x1b[0m"
-
-
 def _cmd_metrics(args) -> int:
     dist = load_distribution(args.distribution)
-    print(_bold("epsilon  n  covered_share"))
+    print("epsilon  n  covered_share")
     for eps in args.epsilon:
         level = centralization_level(dist, eps)
         print(f"{eps!r}  {level.n}  {level.covered_share!r}")
@@ -91,8 +82,15 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-# Block-size and bandwidth flags are read in the config file's units.
-_FLAG_UNITS = UnitSpec(block_size_unit="MiB", bandwidth_unit="Mbps_decimal")
+def _mib_to_bytes(value: float) -> int:
+    """``--block-size-mib`` in bytes, 2**20 to a MiB; a size that is not
+    finite, or not a whole number of bytes, is refused."""
+    raw = value * 2**20
+    if not math.isfinite(raw):
+        raise InputError(f"block size must be finite, got {value!r}")
+    if abs(raw - round(raw)) > 1e-6:
+        raise InputError(f"block size {value!r} MiB is not a whole number of bytes")
+    return int(round(raw))
 
 
 def _given(args, names) -> dict:
@@ -111,10 +109,11 @@ def _construct(cls, flags: dict):
 def _build_chain_net(args) -> tuple[ChainParams, NetworkParams | None]:
     chain_flags = _given(args, (f.name for f in fields(ChainParams)))
     if args.block_size_mib is not None:
-        chain_flags["block_size_bytes"] = _FLAG_UNITS.block_size_to_bytes(args.block_size_mib)
+        chain_flags["block_size_bytes"] = _mib_to_bytes(args.block_size_mib)
     net_flags = _given(args, (f.name for f in fields(NetworkParams)))
     if args.bandwidth_mbps is not None:
-        net_flags["bandwidth_bytes_per_s"] = _FLAG_UNITS.bandwidth_to_bytes_per_s(args.bandwidth_mbps)
+        # Decimal megabits per second: 10**6 / 8 bytes per second each.
+        net_flags["bandwidth_bytes_per_s"] = args.bandwidth_mbps * (1e6 / 8)
     if args.preset:
         chain, net = preset(args.preset)
         return replace(chain, **chain_flags), replace(net, **net_flags)
@@ -197,7 +196,7 @@ def _cmd_simulate(args) -> int:
         kept: list[SimResult] = []
         violated = _simulate_seed(replace(config, seed=seeds[0]) if args.seeds else config, kept.append)
         shares = dict(config.miners)
-        table = [_bold("miner  share  canonical_blocks")]
+        table = ["miner  share  canonical_blocks"]
         table += [f"{miner}  {shares[miner]!r}  {int(blocks)}" for miner, blocks in kept[0].per_miner_canonical.entries]
         print("\n".join(table))
         if args.out:

@@ -1,13 +1,15 @@
-"""File loading, unit conversion, and report export.
+"""File loading and report export.
 
 Producer distributions and payment graphs travel as CSV (the natural shape of
 block-explorer exports); simulator configs and full results travel as JSON.
 The loaders only parse: the types they build validate their own values
 (``SimConfig`` too, so a config is checked once, however it is made), and a
 loader adds where a rejected value came from (the file, and for a CSV row
-the line). Integer fields and shares are handed over as read, never
-truncated; every other number in a config is read with ``errors.real``, so a
-JSON boolean or string is refused as it is in the library.
+the line). A config holds raw bytes and bytes per second, as the types do.
+Integer fields, ``block_size_bytes`` among them, and shares are handed over
+as read, never truncated; every other number in a config is read with
+``errors.real``, so a JSON boolean or string is refused as it is in the
+library.
 
 A CSV is opened once and read a column at a time: one reader pass collects
 its rows, one test checks that they all have the header's width, and each
@@ -16,9 +18,8 @@ weight) parsed, as a whole. Only when that fails, or the reader raised, are
 the rows in hand walked one by one, to skip blank rows and name the first
 line at fault in file order, a read error last. Lines count records, so a
 quoted field spanning lines counts once, but a read error names the
-physical line. Unit conversions are exact: MiB is 2**20 bytes, MB is 10**6
-bytes, and decimal megabits per second are 10**6/8 bytes per second.
-Numbers are written with full double precision so that load(export(x)) == x.
+physical line. Numbers are written with full double precision so that
+load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
@@ -44,10 +45,8 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import operator
 import os
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -57,38 +56,6 @@ from chainmeter.metrics import ProducerDistribution
 from chainmeter.presets import PRESETS
 from chainmeter.scaling import PaymentGraph
 from chainmeter.simnet import BlockTable, SimConfig
-
-BLOCK_SIZE_FACTORS = {"bytes": 1, "MiB": 2**20, "MB": 10**6}
-BANDWIDTH_FACTORS = {"bytes_per_s": 1.0, "Mbps_decimal": 1e6 / 8}
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    """How the raw numbers in a config file are to be read."""
-
-    block_size_unit: str = "bytes"
-    bandwidth_unit: str = "bytes_per_s"
-
-    def __post_init__(self):
-        if self.block_size_unit not in BLOCK_SIZE_FACTORS:
-            raise InputError(
-                f"block_size_unit must be one of {sorted(BLOCK_SIZE_FACTORS)}, got {self.block_size_unit!r}"
-            )
-        if self.bandwidth_unit not in BANDWIDTH_FACTORS:
-            raise InputError(
-                f"bandwidth_unit must be one of {sorted(BANDWIDTH_FACTORS)}, got {self.bandwidth_unit!r}"
-            )
-
-    def block_size_to_bytes(self, value: float) -> int:
-        raw = real(value, "block size") * BLOCK_SIZE_FACTORS[self.block_size_unit]
-        if not math.isfinite(raw):
-            raise InputError(f"block size must be finite, got {value!r}")
-        if abs(raw - round(raw)) > 1e-6:
-            raise InputError(f"block size {value!r} {self.block_size_unit} is not a whole number of bytes")
-        return int(round(raw))
-
-    def bandwidth_to_bytes_per_s(self, value: float) -> float:
-        return real(value, "bandwidth") * BANDWIDTH_FACTORS[self.bandwidth_unit]
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
@@ -206,18 +173,19 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
 
 
 def load_sim_config(path: str) -> SimConfig:
-    """Read a simulator config JSON, apply units, and build the config.
+    """Read a simulator config JSON and build the config.
 
     Field names mirror the in-memory records (miners, chain, net,
-    topology_degree, duration_blocks, seed); an optional ``units`` object says
-    how block size and bandwidth are denominated. Defaults: topology_degree 8,
-    seed 0, confirmations 6, raw byte units. The chain and net reals are read
-    with ``errors.real``; shares and integer fields are passed as read, for
-    the types to apply ``errors.real`` and ``errors.integer``: a JSON boolean
-    or string is no number, and ``6.0`` is no integer. All violations are
-    reported at once: when ``chain``, ``net`` or the ``miners`` list fails,
-    it is stood in for and ``SimConfig`` still checks the other fields (a
-    failed list by one miner, so the degree's range goes unchecked).
+    topology_degree, duration_blocks, seed), in bytes and bytes per second;
+    any other key is refused. Defaults: topology_degree 8, seed 0,
+    confirmations 6. The chain and net reals are read with ``errors.real``;
+    shares and integer fields, ``block_size_bytes`` among them, are passed
+    as read, for the types to apply ``errors.real`` and ``errors.integer``: a
+    JSON boolean or string is no number, and ``6.0`` is no integer. All
+    violations are reported at once: when ``chain``, ``net`` or the
+    ``miners`` list fails, it is stood in for and ``SimConfig`` still checks
+    the other fields (a failed list by one miner, so the degree's range goes
+    unchecked).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -230,25 +198,12 @@ def load_sim_config(path: str) -> SimConfig:
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = set(data) - {*_field_names(SimConfig), "units"}
+    unknown = set(data) - set(_field_names(SimConfig))
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
 
-    try:
-        units = UnitSpec(**data.get("units", {}))
-    except (InputError, TypeError) as exc:
-        problems.append(f"units: {exc}")
-        units = UnitSpec()
-
-    chain = _params(ChainParams, data, "chain", problems, {
-        "block_size_bytes": lambda value, _: units.block_size_to_bytes(value),
-        "tx_size_bytes": real,
-        "block_interval_s": real,
-    })
-    net = _params(NetworkParams, data, "net", problems, {
-        "bandwidth_bytes_per_s": lambda value, _: units.bandwidth_to_bytes_per_s(value),
-        "latency_s": real,
-    })
+    chain = _params(ChainParams, data, "chain", problems, {"tx_size_bytes": real, "block_interval_s": real})
+    net = _params(NetworkParams, data, "net", problems, {"bandwidth_bytes_per_s": real, "latency_s": real})
 
     raw_miners = data.get("miners")
     if not isinstance(raw_miners, list) or not raw_miners:
@@ -504,7 +459,7 @@ def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] 
 
 
 def _config_payload(config: SimConfig) -> dict:
-    """Config as loadable JSON, in resolved raw units (bytes, bytes/s)."""
+    """Config as loadable JSON, in the bytes and bytes/s its fields hold."""
     return {
         "miners": [
             {"miner_id": m, "hash_power_share": s} for m, s in config.miners

@@ -386,16 +386,14 @@ def run_simulation(config: SimConfig) -> SimResult:
     distances = list(map(memoryview, hops_between))
     ecc = max(int(hops_between.max()), 1)
 
-    # sent[k - 1]: the first id that has reached no other node by block k's
-    # event (at most k), and settled[k - 1]: the last id of block k's settled
-    # prefix. Each block up to it was mined at least ecc hops before k, so it
-    # has reached k's winner: float addition is monotone and mining times
-    # never decrease with id, so every row of hop sums is sorted and the
-    # prefix exact. Genesis has always arrived.
+    # settled[k - 1]: the last id of block k's settled prefix. Each block up
+    # to it was mined at least ecc hops before k, so it has reached k's
+    # winner: float addition is monotone and mining times never decrease
+    # with id, so every row of hop sums is sorted and the prefix exact.
+    # Genesis has always arrived.
     mined = np.concatenate(([0.0], mine_times))
-    for e, reach in enumerate(_hop_sums(mined, ecc, hop), 1):
-        if e == 1:
-            sent = np.minimum(np.searchsorted(reach, mine_times, side="right"), np.arange(1, blocks_to_mine + 1))
+    for reach in _hop_sums(mined, ecc, hop):  # kept: the last row, ecc hops on
+        pass
     settled = np.clip(np.searchsorted(reach, mine_times, side="right") - 1, 0, np.arange(blocks_to_mine))
 
     # first[h] is the lowest block id at height h, more[h] the others in
@@ -407,7 +405,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     more: dict[int, list[int]] = {}
     own = [0] * len(winning)
     lo, hi, at_hops = 0, 0, []
-    for block_id, last, end in zip(range(1, blocks_to_mine + 1), memoryview(settled), memoryview(sent)):
+    for block_id, last in zip(range(1, blocks_to_mine + 1), memoryview(settled)):
         now = mined_at[block_id]
         miner = by_winner[block_id]
         dist = distances[miner]
@@ -416,11 +414,11 @@ def run_simulation(config: SimConfig) -> SimResult:
         # has the miner's latest block; the others after ``last`` count once
         # they arrive.
         tip_height = top if last >= first[top] else bisect_right(first, last) - 1
-        if end > hi:
+        if block_id > hi:
             # No block before first[tip_height] is looked up again, and none
-            # from ``end`` on: build the hop sums between, with room ahead.
+            # from ``block_id`` on: build the hop sums between, with room ahead.
             lo = first[tip_height]
-            hi = min(end + max(end - lo, _WINDOW_SUMS // ecc), blocks_to_mine + 1)
+            hi = min(block_id + max(block_id - lo, _WINDOW_SUMS // ecc), blocks_to_mine + 1)
             at_hops = [memoryview(mined)[lo:], *map(memoryview, _hop_sums(mined[lo:hi], ecc, hop))]
         tips = [first[tip_height]]
         if tip_height in more:
@@ -432,12 +430,12 @@ def run_simulation(config: SimConfig) -> SimResult:
             else:
                 tips.append(b)
         # A block at this height or above has an id of first[tip_height] or
-        # more, and none from ``end`` on has reached another node. The
-        # miner's older blocks cannot win.
+        # more. One mined less than a hop ago has reached no other node, so
+        # its hop sums exceed ``now``. The miner's older blocks cannot win.
         start = first[tip_height]
         if start <= last:
             start = last + 1
-        for b in range(start, end):
+        for b in range(start, block_id):
             if height[b] >= tip_height and (hops := dist[by_winner[b]]) and at_hops[hops][b - lo] <= now:
                 if height[b] > tip_height:
                     tip_height, tips = height[b], [b]
@@ -453,7 +451,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             first.append(block_id)
         else:
             more.setdefault(block_height, []).append(block_id)
-    del at_hops, by_winner, mined, reach, settled, sent  # freed before the result build, which sets the peak memory
+    del at_hops, by_winner, mined, reach, settled  # freed before the result build, which sets the peak memory
 
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
     # observer), then lowest id. Mining times never decrease with id, so

@@ -134,6 +134,15 @@ class TestBoundCommand:
         assert outcome.exit_code == EXIT_OK
         assert "bandwidth ceiling w/s: 1386.5644338925 tx/s" in outcome.stdout_report
 
+    def test_mib_and_mbps_flags_print_the_bitcoin_preset(self):
+        # The preset holds 2**20 bytes and 5.7 * 10**6 / 8 bytes per second.
+        outcome = run([
+            "bound", "--block-size-mib", "1", "--bandwidth-mbps", "5.7", "--tx-size-bytes", "513.86",
+            "--block-interval-s", "600", "--latency-s", "0.1",
+        ])
+        assert outcome == run(["bound", "--preset", "bitcoin"])
+        assert outcome.exit_code == EXIT_OK and len(outcome.stdout_report.splitlines()) == 5
+
     def test_sweep_output_strictly_increasing(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
         sizes = ",".join(str(2**k) for k in range(16, 24))
@@ -448,7 +457,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("section, key, value, message", [
         ("net", "latency_s", float("nan"), "latency_s must be finite and >= 0, got nan"),
         ("chain", "block_interval_s", float("inf"), "block_interval_s must be positive and finite, got inf"),
-        ("chain", "block_size_bytes", float("inf"), "block size must be finite, got inf"),
+        ("chain", "block_size_bytes", float("inf"), "block_size_bytes must be an integer, got inf"),
     ])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, section, key, value, message):
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -531,6 +540,15 @@ class TestSimulateCommand:
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("units", [{"block_size_unit": "MiB"}, {}], ids=["mib", "empty"])
+    def test_config_with_units_exits_two_naming_it(self, tmp_path, capsys, units):
+        # A config holds bytes and bytes per second; it has no units object.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, units=units)))
+        outcome = run(["simulate", str(path)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == f"error: {path}: unknown keys: ['units']\n"
+
     def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([BASE_CONFIG]))
@@ -584,6 +602,19 @@ class TestParserBasics:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["metrics", "simulate"])
+    def test_tables_read_the_same_on_a_terminal(self, dist_csv, config_json, monkeypatch, command):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        argv = [command, dist_csv if command == "metrics" else config_json]
+        piped = run(argv)
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        assert main(argv) == piped.exit_code == EXIT_OK
+        assert terminal.getvalue() == piped.stdout_report
 
 
 class TestPackageSurface:

@@ -13,11 +13,11 @@ import pytest
 from chainmeter import (
     ChainParams,
     FormatError,
+    InputError,
     NetworkParams,
     ParseError,
     ProducerDistribution,
     SimConfig,
-    UnitSpec,
     ValidationError,
     cumulative_share_curve,
     export_report,
@@ -236,25 +236,6 @@ class TestLoadersAgainstOracle:
         assert opened == [path]
 
 
-class TestUnitSpec:
-    def test_mib_is_binary(self):
-        assert UnitSpec(block_size_unit="MiB").block_size_to_bytes(1) == 1_048_576
-
-    def test_mb_is_decimal(self):
-        assert UnitSpec(block_size_unit="MB").block_size_to_bytes(2) == 2_000_000
-
-    def test_mbps_decimal(self):
-        assert UnitSpec(bandwidth_unit="Mbps_decimal").bandwidth_to_bytes_per_s(5.7) == 712_500.0
-
-    def test_unknown_unit_rejected(self):
-        with pytest.raises(Exception):
-            UnitSpec(block_size_unit="MiBs")
-
-    def test_fractional_bytes_rejected(self):
-        with pytest.raises(Exception):
-            UnitSpec(block_size_unit="bytes").block_size_to_bytes(0.5)
-
-
 class TestLoadSimConfig:
     def test_full_config(self, tmp_path):
         path = write(tmp_path / "c.json", json.dumps(BASE_CONFIG))
@@ -280,19 +261,23 @@ class TestLoadSimConfig:
         with pytest.raises(ValidationError, match="sum to 1"):
             load_sim_config(path)
 
-    def test_mib_units_applied(self, tmp_path):
-        data = dict(BASE_CONFIG)
-        data["chain"] = dict(data["chain"], block_size_bytes=1)
-        data["units"] = {"block_size_unit": "MiB"}
-        path = write(tmp_path / "c.json", json.dumps(data))
-        assert load_sim_config(path).chain.block_size_bytes == 1_048_576
+    def test_block_size_past_the_float_mantissa_loads_exactly(self, tmp_path):
+        data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], block_size_bytes=2**53 + 1))
+        config = load_sim_config(write(tmp_path / "c.json", json.dumps(data)))
+        assert config.chain == ChainParams(2**53 + 1, 513.86, 600)
+        out = tmp_path / "resolved.json"
+        export_report(config, str(out), "json")
+        assert json.loads(out.read_text())["chain"]["block_size_bytes"] == 2**53 + 1
+        assert load_sim_config(str(out)) == config
 
-    def test_mbps_units_applied(self, tmp_path):
-        data = dict(BASE_CONFIG)
-        data["net"] = {"bandwidth_bytes_per_s": 5.7, "latency_s": 0.1}
-        data["units"] = {"bandwidth_unit": "Mbps_decimal"}
+    def test_whole_float_block_size_is_refused_as_chain_params_refuses_it(self, tmp_path):
+        data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], block_size_bytes=1048576.0))
         path = write(tmp_path / "c.json", json.dumps(data))
-        assert load_sim_config(path).net.bandwidth_bytes_per_s == 712_500.0
+        with pytest.raises(ValidationError) as err:
+            load_sim_config(path)
+        assert str(err.value) == f"{path}: chain: block_size_bytes must be an integer, got 1048576.0"
+        with pytest.raises(InputError, match="^block_size_bytes must be an integer, got 1048576.0$"):
+            ChainParams(1048576.0, 513.86, 600)
 
     def test_all_violations_reported_at_once(self, tmp_path):
         data = dict(BASE_CONFIG)
@@ -343,10 +328,8 @@ class TestLoadSimConfig:
         ([BASE_CONFIG], "config must be a JSON object"),
         ({k: v for k, v in BASE_CONFIG.items() if k != "chain"}, "chain: required object is missing"),
         (dict(BASE_CONFIG, net=dict(BASE_CONFIG["net"], jitter=0.1)), "net: unknown keys ['jitter']"),
-        (dict(BASE_CONFIG, units={"block_size_unit": "GB"}),
-         "units: block_size_unit must be one of ['MB', 'MiB', 'bytes'], got 'GB'"),
         ({k: v for k, v in BASE_CONFIG.items() if k != "miners"}, "miners: required non-empty list is missing"),
-    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners"])
+    ], ids=["array", "no-chain", "unknown-net-key", "no-miners"])
     def test_structure_fault_is_named(self, tmp_path, data, message):
         path = write(tmp_path / "c.json", json.dumps(data))
         with pytest.raises(ValidationError) as err:

@@ -22,7 +22,6 @@ from chainmeter import (
     PaymentGraph,
     ProducerDistribution,
     SimConfig,
-    UnitSpec,
     ValidationError,
     centralization_level,
     ctp,
@@ -84,9 +83,6 @@ BOUNDARIES = [
     ("throughput_upper_bound.tx_size_bytes", lambda v: throughput_upper_bound(NET, v), "tx_size_bytes", float, REAL),
     ("shard_analysis.k", lambda v: shard(k=v), "shard count", int, INTEGER),
     ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
-    ("UnitSpec.block_size_to_bytes", lambda v: UnitSpec(block_size_unit="MiB").block_size_to_bytes(v),
-     "block size", float, REAL),
-    ("UnitSpec.bandwidth_to_bytes_per_s", lambda v: UnitSpec().bandwidth_to_bytes_per_s(v), "bandwidth", float, REAL),
     ("ProducerDistribution.weight", lambda v: ProducerDistribution((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
     ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
      "miners[0]: hash_power_share", float, REAL),
@@ -106,11 +102,10 @@ class TestEveryBoundary:
             assert call(value) == call(rule(value)), value
 
 
-# Boundaries whose value no formula multiplies or divides by, so an int past
-# the float range needs no refusal there: a node count is only compared with
-# the centralization level and the shard count, and a bandwidth in config
-# units converts to the inf that NetworkParams refuses.
-FACTORS = [row for row in BOUNDARIES if row[0] not in ("shard_analysis.node_count", "UnitSpec.bandwidth_to_bytes_per_s")]
+# The boundary whose value no formula multiplies or divides by, so an int
+# past the float range needs no refusal there: a node count is only compared
+# with the centralization level and the shard count.
+FACTORS = [row for row in BOUNDARIES if row[0] != "shard_analysis.node_count"]
 # A share is one problem in the list SimConfig raises, named by its rule.
 SHARE_PROBLEM = "miners: hash power shares must be finite and >= 0"
 
@@ -126,10 +121,6 @@ def test_an_int_past_the_float_range_is_refused(row_id, call, name):
 
 def test_the_boundaries_no_formula_reads_pass_a_huge_int_on():
     assert shard(node_count=10**400) == shard()
-    bandwidth = UnitSpec().bandwidth_to_bytes_per_s(10**400)
-    assert bandwidth == float("inf")
-    with pytest.raises(InputError, match="bandwidth_bytes_per_s must be positive and finite, got inf"):
-        net(bandwidth_bytes_per_s=bandwidth)
 
 
 # (id, a formula reading the field): a real field computes with the float
@@ -210,11 +201,11 @@ BASE_CONFIG = {
 # (section, field, name in the refusal, rule, values that must pass); JSON has
 # no numpy types, so a config file is tried with JSON's own values.
 CONFIG_FIELDS = [
-    ("chain", "block_size_bytes", "chain: block size", float, (1000, 1000.0)),
+    ("chain", "block_size_bytes", "chain: block_size_bytes", int, (1000,)),
     ("chain", "tx_size_bytes", "chain: tx_size_bytes", float, (3, 3.0, 0.5)),
     ("chain", "block_interval_s", "chain: block_interval_s", float, (3, 3.0, 0.5)),
     ("chain", "confirmations", "chain: confirmations", int, (3,)),
-    ("net", "bandwidth_bytes_per_s", "net: bandwidth", float, (3, 3.0, 0.5)),
+    ("net", "bandwidth_bytes_per_s", "net: bandwidth_bytes_per_s", float, (3, 3.0, 0.5)),
     ("net", "latency_s", "net: latency_s", float, (3, 3.0, 0.5)),
     ("miners", "hash_power_share", "miners[0]: hash_power_share", float, (3, 3.0, 0.5)),
     (None, "duration_blocks", "duration_blocks", int, (3,)),
