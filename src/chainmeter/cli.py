@@ -85,12 +85,14 @@ def _cmd_metrics(args) -> int:
 def _mib_to_bytes(value: float) -> int:
     """``--block-size-mib`` in bytes, 2**20 to a MiB; a size that is not
     finite, or not a whole number of bytes, is refused."""
+    # Scaling by a power of two is exact, so raw is whole exactly when the
+    # flag names a whole number of bytes.
     raw = value * 2**20
     if not math.isfinite(raw):
         raise InputError(f"block size must be finite, got {value!r}")
-    if abs(raw - round(raw)) > 1e-6:
+    if not raw.is_integer():
         raise InputError(f"block size {value!r} MiB is not a whole number of bytes")
-    return int(round(raw))
+    return int(raw)
 
 
 def _given(args, names) -> dict:

@@ -143,6 +143,20 @@ class TestBoundCommand:
         assert outcome == run(["bound", "--preset", "bitcoin"])
         assert outcome.exit_code == EXIT_OK and len(outcome.stdout_report.splitlines()) == 5
 
+    @pytest.mark.parametrize("flags, same", [
+        (["--block-size-mib", "1"], ["--block-size-bytes", "1048576"]),
+        (["--block-size-mib", "0.5"], ["--block-size-bytes", "524288"]),
+        (["--bandwidth-mbps", "5.7"], ["--bandwidth-bytes-per-s", "712500"]),
+        (["--bandwidth-mbps", "8"], ["--bandwidth-bytes-per-s", "1000000"]),
+    ], ids=["mib-is-binary", "half-mib", "mbps-is-decimal", "eight-mbps"])
+    def test_unit_flags_give_the_bytes_they_name(self, flags, same):
+        size = [] if flags[0] == "--block-size-mib" else ["--block-size-bytes", "1048576"]
+        bandwidth = [] if flags[0] == "--bandwidth-mbps" else ["--bandwidth-bytes-per-s", "712500"]
+        argv = ["bound", "--tx-size-bytes", "1", "--block-interval-s", "600", "--latency-s", "0.1", *size, *bandwidth]
+        outcome = run([*argv, *flags])
+        assert outcome.exit_code == EXIT_OK
+        assert outcome == run([*argv, *same])
+
     def test_sweep_output_strictly_increasing(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
         sizes = ",".join(str(2**k) for k in range(16, 24))
@@ -178,8 +192,10 @@ class TestBoundCommand:
         (["--block-size-mib", "nan"], "block size must be finite, got nan"),
         (["--block-size-mib", "1e400"], "block size must be finite, got inf"),
         (["--block-size-mib", "1.0000001"], "block size 1.0000001 MiB is not a whole number of bytes"),
+        (["--block-size-mib", "1e-300"], "block size 1e-300 MiB is not a whole number of bytes"),
+        (["--block-size-mib", "1.0000000000001"], "block size 1.0000000000001 MiB is not a whole number of bytes"),
         (["--block-size-bytes", "1048576", "--confirmations", "0"], "confirmations must be positive and finite, got 0"),
-    ], ids=["mib-inf", "mib-nan", "mib-1e400", "mib-fraction", "confirmations-0"])
+    ], ids=["mib-inf", "mib-nan", "mib-1e400", "mib-fraction", "mib-tiny", "mib-past-a-whole-byte", "confirmations-0"])
     def test_chain_flags_checked_by_the_types_exit_two(self, capsys, flags, message):
         argv = ["bound", "--tx-size-bytes", "500", "--block-interval-s", "600", *flags]
         assert main(argv) == EXIT_INPUT

@@ -328,8 +328,10 @@ class TestLoadSimConfig:
         ([BASE_CONFIG], "config must be a JSON object"),
         ({k: v for k, v in BASE_CONFIG.items() if k != "chain"}, "chain: required object is missing"),
         (dict(BASE_CONFIG, net=dict(BASE_CONFIG["net"], jitter=0.1)), "net: unknown keys ['jitter']"),
+        # A config holds bytes and bytes per second; it names no units.
+        (dict(BASE_CONFIG, units={"block_size_unit": "GB"}), "unknown keys: ['units']"),
         ({k: v for k, v in BASE_CONFIG.items() if k != "miners"}, "miners: required non-empty list is missing"),
-    ], ids=["array", "no-chain", "unknown-net-key", "no-miners"])
+    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners"])
     def test_structure_fault_is_named(self, tmp_path, data, message):
         path = write(tmp_path / "c.json", json.dumps(data))
         with pytest.raises(ValidationError) as err:
