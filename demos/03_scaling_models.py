@@ -51,7 +51,7 @@ def main() -> None:
     for label, graph in cases.items():
         direct = onchain_tx_count(graph, None)
         relayed = onchain_tx_count(graph, "hub")
-        print(f"  {label:<25} {len(graph.channel_pairs()):>5}  {len(graph.active_clients()):>6}"
+        print(f"  {label:<25} {graph.channel_pair_count():>5}  {len(graph.active_clients()):>6}"
               f"  {direct:>6}  {relayed:>7}")
     print("A channel per active client beats a channel per pair exactly when")
     print("there are at least as many funded pairs as active clients.")

@@ -73,11 +73,8 @@ def _cmd_metrics(args) -> int:
     if args.consensus:
         trust = central_trust(dist, ConsensusKind(args.consensus))
         print(f"central trust ({args.consensus}): N = {trust.n}")
-    if args.curve:
-        export_report(
-            cumulative_share_curve(dist), args.curve, "csv",
-            columns=("rank", "cumulative_share"),
-        )
+    if args.curve is not None:
+        export_report(cumulative_share_curve(dist), args.curve, "csv", columns=("rank", "cumulative_share"))
         print(f"curve written to {args.curve}", file=sys.stderr)
     return EXIT_OK
 
@@ -129,6 +126,8 @@ def _build_chain_net(args) -> tuple[ChainParams, NetworkParams | None]:
 
 
 def _cmd_bound(args) -> int:
+    if args.sweep_out is not None and args.sweep is None:
+        raise _UsageError("--sweep-out needs --sweep")
     chain, net = _build_chain_net(args)
     print(f"confirmation latency L: {tx_latency(chain)!r} s")
     print(f"block capacity: {block_capacity(chain)!r} tx/block")
@@ -136,10 +135,10 @@ def _cmd_bound(args) -> int:
     if net is not None:
         print(f"propagation-limited throughput: {propagation_limited_throughput(chain, net)!r} tx/s")
         print(f"bandwidth ceiling w/s: {throughput_upper_bound(net, chain.tx_size_bytes)!r} tx/s")
-    if args.sweep:
+    if args.sweep is not None:
         if net is None:
             raise _UsageError("--sweep needs network parameters (--latency-s and a bandwidth flag, or a preset)")
-        if not args.sweep_out:
+        if args.sweep_out is None:
             raise _UsageError("--sweep needs --sweep-out FILE for its CSV")
         try:
             sizes = list(map(int, filter(None, args.sweep.split(","))))
@@ -165,7 +164,7 @@ def _cmd_shard(args) -> int:
 def _cmd_lightning(args) -> int:
     graph = load_payment_graph(args.graph)
     analysis = lightning_analysis(args.t, graph, args.relay, args.alpha)
-    print(f"clients: {len(graph.clients)}, active: {len(graph.active_clients())}, payment pairs: {len(graph.channel_pairs())}")
+    print(f"clients: {len(graph.clients)}, active: {len(graph.active_clients())}, payment pairs: {graph.channel_pair_count()}")
     print(f"on-chain transactions: direct {analysis.onchain_direct} -> plan {analysis.onchain_plan}")
     print(f"effective throughput: {analysis.effective_tps!r} tx/s")
     print(f"relay centralization N0: {analysis.relay_centralization_n0}")
@@ -201,14 +200,14 @@ def _cmd_simulate(args) -> int:
         table = ["miner  share  canonical_blocks"]
         table += [f"{miner}  {shares[miner]!r}  {int(blocks)}" for miner, blocks in kept[0].per_miner_canonical.entries]
         print("\n".join(table))
-        if args.out:
+        if args.out is not None:
             export_report(kept[0], args.out, "json")
     else:
-        with json_array(args.out) if args.out else contextlib.nullcontext() as keep:
+        with json_array(args.out) if args.out is not None else contextlib.nullcontext() as keep:
             violated = False
             for s in seeds:
                 violated = _simulate_seed(replace(config, seed=s), keep) or violated
-    if args.out:
+    if args.out is not None:
         print(f"result written to {args.out}", file=sys.stderr)
     if args.check_bound and violated:
         print("error: observed throughput exceeded the w/s ceiling", file=sys.stderr)
@@ -234,6 +233,13 @@ def _simulate_seed(config: SimConfig, keep: Callable[[SimResult], None] | None) 
     return check.violated
 
 
+def _path(text: str) -> str:
+    """An output file flag's value; an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("wants a file name, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainmeter", description="Blockchain decentralization and scalability analysis")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distribution", help="CSV file with header producer_id,weight")
     p.add_argument("--epsilon", type=float, nargs="+", default=[0.1], help="one or more epsilon values")
     p.add_argument("--consensus", choices=[k.value for k in ConsensusKind], help="also print the central-trust level")
-    p.add_argument("--curve", metavar="FILE", help="write the cumulative-share curve CSV here")
+    p.add_argument("--curve", metavar="FILE", type=_path, help="write the cumulative-share curve CSV here")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("bound", help="latency, throughput, and the bandwidth ceiling")
@@ -258,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     bandwidth.add_argument("--bandwidth-mbps", type=float, help="access bandwidth in decimal megabits per second")
     bandwidth.add_argument("--bandwidth-bytes-per-s", type=float)
     p.add_argument("--sweep", metavar="B1,B2,...", help="evaluate these block sizes")
-    p.add_argument("--sweep-out", metavar="FILE", help="write the sweep CSV here")
+    p.add_argument("--sweep-out", metavar="FILE", type=_path, help="write the sweep CSV here")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("shard", help="even-sharding throughput/centralization trade")
@@ -284,23 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seeds", metavar="A..B", help="run one simulation per seed in the range")
     p.add_argument("--duration-blocks", type=int)
     p.add_argument("--topology-degree", type=int)
-    p.add_argument("--out", metavar="FILE", help="write the full result JSON here")
+    p.add_argument("--out", metavar="FILE", type=_path, help="write the full result JSON here")
     p.add_argument("--check-bound", action="store_true", help="exit 3 if observed throughput exceeds w/s")
     p.set_defaults(func=_cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

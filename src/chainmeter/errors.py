@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, and the four number rules every
 boundary applies: ``integer`` for counts, ``real`` for any other number,
 ``plain`` for the real a formula computes with, and ``positive`` for the range
-of a number a formula multiplies or divides by."""
+of a number a formula multiplies or divides by. ``exact_rows`` tells when a
+type can keep the rows it is given as they are."""
 
 import math
 import numbers
@@ -69,6 +70,13 @@ def positive(value, name: str) -> int | float:
     if not 0 < x < math.inf:
         raise InputError(f"{name} must be positive and finite, got {value!r}")
     return value if type(value) is int else x
+
+
+def exact_rows(rows, kinds: tuple[type, ...]) -> bool:
+    """Whether ``rows`` is a tuple of tuples whose cells have exactly the types
+    ``kinds``, in order; each test is a ``map`` pass, making nothing per row."""
+    return (type(rows) is tuple and set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {len(kinds)}
+            and all(set(map(type, map(operator.itemgetter(i), rows))) <= {kind} for i, kind in enumerate(kinds)))
 
 
 class ParseError(InputError):

@@ -11,15 +11,17 @@ as read, never truncated; every other number in a config is read with
 ``errors.real``, so a JSON boolean or string is refused as it is in the
 library.
 
-A CSV is opened once and read a column at a time: one reader pass collects
-its rows, one test checks that they all have the header's width, and each
-column is then stripped, and the file's one number column (a count or a
-weight) parsed, as a whole. Only when that fails, or the reader raised, are
-the rows in hand walked one by one, to skip blank rows and name the first
-line at fault in file order, a read error last. Lines count records, so a
-quoted field spanning lines counts once, but a read error names the
-physical line. Numbers are written with full double precision so that
-load(export(x)) == x.
+A CSV is read once, as bytes. If ``csv.reader`` would read it as a plain
+split does (UTF-8; no ``"``, NUL or ``\r`` outside ``\r\n``; the header's
+comma count on every line; no cell over ``csv.field_size_limit()``), one
+``split`` cuts it into cells, each column is stripped, and its one number
+column (a count or a weight) parsed, as a whole, into rows of exact types
+that the type built keeps. Any other file, or one with a blank row or a bad
+number, goes through ``csv.reader``, and its rows are walked one by one, to
+skip blank rows and name the first line at fault in file order, a read
+error last. Lines count records, so a quoted field spanning lines counts
+once, but a read error names the physical line. Numbers are written with
+full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
@@ -44,8 +46,8 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import json
-import operator
 import os
 from enum import Enum
 from typing import Any, Callable
@@ -58,60 +60,57 @@ from chainmeter.scaling import PaymentGraph
 from chainmeter.simnet import BlockTable, SimConfig
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
-    """The error naming the first line of ``path`` that is not UTF-8 text.
-    Text is decoded a block at a time, so the line is found in the bytes."""
-    with open(path, "rb") as raw:
-        for lineno, line in enumerate(raw, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                return ParseError(f"{path}:{lineno}: not UTF-8 text: {line_exc}")
-    return ParseError(f"{path}: not UTF-8 text: {exc}")
-
-
 def _read_columns(path: str, expected_header: list[str], number: str,
                   parse: type[int] | type[float]) -> tuple[list[list], range | list[int]]:
     """The data cells of the CSV at ``path``, stripped, one list per column
     of ``expected_header``, the column named ``number`` read with ``parse``
     (``int`` or ``float``); and the line of each row kept. The module
-    docstring tells how the file is read once and which fault is rejected
-    first."""
-    rows: list[list[str]] = []
-    error = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != expected_header:
-                raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
-            # Extending keeps the rows read before a read error.
-            rows.extend(reader)
-        except csv.Error as exc:
-            error = ParseError(f"{path}:{reader.line_num}: {exc}")
-        except UnicodeDecodeError as exc:
-            error = _not_utf8(path, exc)
-    width = len(expected_header)
-    k = expected_header.index(number)
-    if error is None and set(map(len, rows)) <= {width}:
-        columns = [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)]
-        del rows
-        # A blank row of the header's width has an empty first cell.
-        if "" not in columns[0]:
+    docstring tells when the split reads it and which fault is named first."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    k, width = expected_header.index(number), len(expected_header)
+    # Bytes that are not UTF-8 and numbers that do not parse (ValueErrors) go
+    # to the reader. A line break starts the cell after it, for str.strip to
+    # drop; rows have the header's width if each starts a cell at a multiple.
+    with contextlib.suppress(ValueError):
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").removesuffix("\n")
+        if '"' not in text and "\0" not in text and "\r" not in text:
+            cells, breaks = text.replace("\n", ",\n").split(","), text.count("\n")
+            if (len(cells) == width * (breaks + 1) and "".join(cells[width::width]).count("\n") == breaks
+                    and max(map(len, cells)) <= csv.field_size_limit() and list(map(str.strip, cells[:width])) == expected_header):
+                columns = [list(map(str.strip, cells[i::width])) for i in range(width, 2 * width)]
+                # A blank row has an empty first cell.
+                if "" not in columns[0]:
+                    columns[k] = list(map(parse, columns[k]))
+                    return columns, range(2, len(columns[0]) + 2)
+    rows, error = [], None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != expected_header:
+            raise ParseError(f"{path}:1: expected header {','.join(expected_header)!r}")
+        # Extending keeps the rows read before a read error.
+        rows.extend(reader)
+    except csv.Error as exc:
+        error = ParseError(f"{path}:{reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        # Text is decoded a block at a time, so the line is found in the bytes.
+        for lineno, line in enumerate(io.BytesIO(data), start=1):
             try:
-                columns[k] = list(map(parse, columns[k]))
-                return columns, range(2, len(columns[0]) + 2)
-            except ValueError:
-                pass
-        rows = zip(*columns)
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                error = ParseError(f"{path}:{lineno}: not UTF-8 text: {line_exc}")
+                break
+        else:
+            error = ParseError(f"{path}: not UTF-8 text: {exc}")
     kept: list[list] = [[] for _ in expected_header]
     lines = []
     for lineno, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        row = list(map(str.strip, row))
+        if not any(row):
             continue
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        row = [cell.strip() for cell in row]
         try:
             row[k] = parse(row[k])
         except ValueError:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from chainmeter.errors import InputError, real
+from chainmeter.errors import InputError, exact_rows, real
 
 # Cumulative shares are compared against 1 - epsilon with this slack so that
 # targets like 0.9 are not missed by one representation ULP.
@@ -44,21 +44,12 @@ class ProducerDistribution:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        # errors.real's rule turns on the type alone, so one weight of each
-        # type decides; the entries are walked only to name the first bad one.
-        try:
-            for w in {type(w): w for _, w in self.entries}.values():
-                real(w, "weight")
-        except InputError:
-            for index, (pid, w) in enumerate(self.entries):
-                real(w, f"weight of {str(pid)!r}", index)
-        try:
-            entries = tuple((str(pid), float(w)) for pid, w in self.entries)
-        except OverflowError:
-            # An int past the float range reads as errors.real reads it, as
-            # infinite, for the finiteness check below to refuse.
-            entries = tuple((str(pid), real(w, "weight")) for pid, w in self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
+        # Rows of exactly (str, float) are kept as given; any others are read
+        # with errors.real, an int past the float range as infinite.
+        if not exact_rows(entries, (str, float)):
+            entries = tuple((str(pid), real(w, f"weight of {str(pid)!r}", index)) for index, (pid, w) in enumerate(entries))
+            object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("distribution has no producers")
         # Duplicates, finiteness and sign are checked in bulk; the entries are

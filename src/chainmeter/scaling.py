@@ -13,11 +13,12 @@ no path through which a relay could alter a balance.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
-from chainmeter.errors import InputError, integer, plain, positive, real
+from chainmeter.errors import InputError, exact_rows, integer, plain, positive, real
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
 CHANNEL_ONCHAIN_COST = 2
@@ -82,26 +83,19 @@ def shard_analysis(throughput_tps: float, centralization_n: int, node_count: int
 @dataclass(frozen=True)
 class PaymentGraph:
     """Clients and the payments flowing between them within a channel window.
-    Its active clients and channel pairs are built once, on first use, and
-    take no part in ``==``, ``hash``, pickling or ``dataclasses.replace``."""
+    Its active clients and channel pair count are built once, on first use,
+    and take no part in ``==``, ``hash``, pickling or ``dataclasses.replace``."""
 
     clients: frozenset[str]
     payments: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "clients", frozenset(map(str, self.clients)))
-        # Counts follow errors.integer's rule: operator.index in the pass that
-        # builds the rows, and one test for the booleans it lets through. Only
-        # a failure walks the rows again, to name the first bad one.
-        try:
-            payments = tuple((str(a), str(b), operator.index(c)) for a, b, c in self.payments)
-            if bool in set(map(type, map(_COUNT, self.payments))):
-                raise TypeError
-        except TypeError:
-            for index, (_, _, c) in enumerate(self.payments):
-                integer(c, "payment count", index)
-            raise
-        object.__setattr__(self, "payments", payments)
+        payments = self.payments
+        # Rows of exactly (str, str, int) are kept; others' counts go through errors.integer.
+        if not exact_rows(payments, (str, str, int)):
+            payments = tuple((str(a), str(b), integer(c, "payment count", index)) for index, (a, b, c) in enumerate(payments))
+            object.__setattr__(self, "payments", payments)
         # Self-payments, counts and endpoints are checked a column at a time;
         # the rows are walked only to name the first bad one.
         src, dst = list(map(_FROM, payments)), list(map(_TO, payments))
@@ -116,7 +110,7 @@ class PaymentGraph:
                     raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
 
     def __getstate__(self):
-        # The cached sets are rebuilt on demand, so a pickle holds only the fields.
+        # The cached values are rebuilt on demand, so a pickle holds only the fields.
         return {"clients": self.clients, "payments": self.payments}
 
     @functools.cached_property
@@ -124,16 +118,22 @@ class PaymentGraph:
         return frozenset(map(_FROM, self.payments)).union(map(_TO, self.payments))
 
     @functools.cached_property
-    def _channel_pairs(self) -> frozenset[frozenset[str]]:
-        return frozenset(map(frozenset, zip(map(_FROM, self.payments), map(_TO, self.payments))))
+    def _channel_pair_count(self) -> int:
+        # With integer codes, a*b and a+b fix the pair {a, b} (the roots of
+        # x^2 - (a+b)x + ab), so a*b*K + a+b, K above any sum, names it.
+        code = dict(zip(self.clients, range(len(self.clients))))
+        a = list(map(code.__getitem__, map(_FROM, self.payments)))
+        b = list(map(code.__getitem__, map(_TO, self.payments)))
+        products = map(operator.mul, map(operator.mul, a, b), itertools.repeat(2 * len(code)))
+        return len(set(map(operator.add, products, map(operator.add, a, b))))
 
     def active_clients(self) -> frozenset[str]:
         """Clients that send or receive at least one payment."""
         return self._active_clients
 
-    def channel_pairs(self) -> frozenset[frozenset[str]]:
+    def channel_pair_count(self) -> int:
         """Distinct unordered client pairs with at least one payment."""
-        return self._channel_pairs
+        return self._channel_pair_count
 
 
 def onchain_tx_count(graph: PaymentGraph, relay_id: str | None) -> int:
@@ -146,7 +146,7 @@ def onchain_tx_count(graph: PaymentGraph, relay_id: str | None) -> int:
     channel to itself).
     """
     if relay_id is None:
-        return CHANNEL_ONCHAIN_COST * len(graph.channel_pairs())
+        return CHANNEL_ONCHAIN_COST * graph.channel_pair_count()
     return CHANNEL_ONCHAIN_COST * len(graph.active_clients() - {relay_id})
 
 

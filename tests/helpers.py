@@ -14,7 +14,8 @@ it sees a ``SimResult`` as the records it used to hold (``as_records``). The
 shares oracle is the metrics module's former sort of ``(-weight, id)``
 pairs. The CSV loader oracles are the former row-by-row loaders, with the
 entry-by-entry checks the distribution and payment graph types ran before
-they checked their values in bulk.
+they checked their values in bulk. The channel pair oracle is the payment
+graph's former set of endpoint sets, which the pair count replaced.
 
 Both engine oracles stay while the engine is rewritten, and each guards one
 kind of rewrite. ``oracle_inbox_engine`` checks the tip choice alone: it
@@ -121,6 +122,12 @@ def all_payment_graphs(max_clients: int):
                 clients=frozenset(clients),
                 payments=tuple((a, b, 1) for a, b in chosen),
             )
+
+
+def oracle_channel_pairs(graph: PaymentGraph) -> frozenset[frozenset[str]]:
+    """The library's former ``channel_pairs()``: one frozenset per payment's
+    endpoints, gathered into a frozenset."""
+    return frozenset(frozenset((a, b)) for a, b, _ in graph.payments)
 
 
 def oracle_hop_distances(adj, source):

@@ -129,7 +129,7 @@ def test_c06_single_relay_counting_exhaustive():
             if relay_count > cm.onchain_tx_count(graph, direct):
                 worse_than_direct.add(index)
             # sparseness is read off the graph's structure, not off the counts
-            if len(graph.channel_pairs()) < active:
+            if graph.channel_pair_count() < active:
                 sparse.add(index)
         assert formula_failures == 0, f"relay floor formula failed on {formula_failures} graphs"
         # relay <= direct holds exactly on the graphs with pairs >= active
@@ -141,7 +141,7 @@ def test_c06_single_relay_counting_exhaustive():
 
         full4 = next(
             g for g in all_payment_graphs(4)
-            if len(g.clients) == 4 and len(g.channel_pairs()) == 6
+            if len(g.clients) == 4 and g.channel_pair_count() == 6
         )
         assert cm.onchain_tx_count(full4, direct) == 12
         assert cm.onchain_tx_count(full4, relay) == 8

@@ -108,6 +108,11 @@ class TestMetricsCommand:
         assert main(["metrics", dist_csv, "--frobnicate"]) == EXIT_USAGE
         assert capsys.readouterr().err
 
+    def test_empty_curve_path_is_usage_error_before_any_run(self, dist_csv, capsys):
+        assert main(["metrics", dist_csv, "--curve", ""]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: argument --curve: wants a file name, got ''\n"
+
 
 class TestBoundCommand:
     def test_bitcoin_preset_matches_library(self):
@@ -210,6 +215,24 @@ class TestBoundCommand:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"argument {flags[2]}: not allowed with argument {flags[0]}" in err
+
+    @pytest.mark.parametrize("sweep", ["", ",,,"], ids=["empty", "commas"])
+    def test_sweep_without_sizes_exits_two(self, tmp_path, capsys, sweep):
+        argv = ["bound", "--preset", "bitcoin", "--sweep", sweep, "--sweep-out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert "error: block_sizes must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_sweep_out_without_sweep_is_usage_error(self, tmp_path, capsys):
+        assert main(["bound", "--preset", "bitcoin", "--sweep-out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: --sweep-out needs --sweep\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_empty_sweep_out_path_is_usage_error(self, capsys):
+        assert main(["bound", "--preset", "bitcoin", "--sweep", "65536", "--sweep-out", ""]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: argument --sweep-out: wants a file name, got ''\n"
 
     @pytest.mark.parametrize("sweep", ["abc", "1.5", "1048576,2e6"])
     def test_non_integer_sweep_is_usage_error(self, tmp_path, capsys, sweep):
@@ -413,6 +436,12 @@ class TestSimulateCommand:
             argv += ["--out", str(tmp_path / "all.json")]
         assert main(argv) == EXIT_OK
         assert alive == [[], [False], [False, False], [False, False, False]]
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "1..2"]], ids=["one_seed", "seed_range"])
+    def test_empty_out_path_is_usage_error_before_any_run(self, config_json, capsys, seeds):
+        assert main(["simulate", config_json, "--out", "", *seeds]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: argument --out: wants a file name, got ''\n"
 
     def test_check_bound_passes(self, config_json):
         assert main(["simulate", config_json, "--check-bound"]) == EXIT_OK

@@ -1,4 +1,5 @@
 from collections import namedtuple
+import csv
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ from chainmeter import (
     throughput_sweep,
 )
 from chainmeter import ingest
+from chainmeter.errors import exact_rows
 from chainmeter.ingest import CHUNK, json_array, to_jsonable
 
 from helpers import (
@@ -216,6 +218,83 @@ class TestLoadersAgainstOracle:
             # out; the loader names the file and the line instead.
             assert _outcome(oracle_load_payment_graph, str(path))[0] is not ParseError
             assert outcome[0] is ParseError and outcome[1].startswith(f"{path}:5003: ")
+
+    @pytest.mark.parametrize("data, split", [
+        (b"producer_id,weight\rA,1\rB,2\r", False),
+        (b"producer_id,weight\nA,1\r\nB,2\rC,3\n", False),
+        (b"producer_id,weight\nA\rB,1\n", False),
+        (b"producer_id,weight\r\nA,1\r\nB,2\r\n", True),
+        (b'producer_id,weight\n"A",1\nB,2\n', False),
+        (b'producer_id,weight\n"A,B",1\r\n"C""D",2\r\n', False),
+        (b'producer_id,weight\nA"B,1\nC,2\n', False),
+        (b"producer_id,weight\nA\x00B,1\n", False),
+        (b"\xef\xbb\xbfproducer_id,weight\nA,1\n", True),
+        (b"\xef\xbb\xbfproducer_id,weight\r\nA,1", True),
+        (b"producer_id,weight\nA,1\nB,2", True),
+        (b"producer_id,weight\nA,1\nB,2\n\n\n", False),
+        (b"producer_id,weight\n\nA,1\n", False),
+        (b"producer_id,weight\nA,1\n , \nB,2\n", False),
+        (b"producer_id,weight\nA,1\n\t,2\n", False),
+        (b"producer_id,weight\nA,1\n,\n", False),
+        (b" producer_id , weight\t\nA , 1\n\tB,  2 \n", True),
+        (b"producer_id,weight,\nA,1,\n", False),
+        (b"producer_id,weight\nA,1,\nB,2\n", False),
+        (b"producer_id,weight\nA,1,2\nB\n", False),
+        (b"producer_id,weight\nA,1,2\n3\n", False),
+        (b"producer_id,count\nA,1\n", False),
+        (b"producer_id,weight\nA,x\nB,1\n", False),
+        (b"producer_id\nA\n", False),
+        (b"", False),
+        (b"producer_id,weight\n", True),
+        (b"producer_id,weight\nA,x\n" + b"B,1\n" * 5000 + b"\xff,1\n", False),
+        (b"producer_id,weight\nA,1\nA,2\n" + b"B,1\n" * 5000 + b"\xff,1\n", False),
+        (b"producer_id,weight\nA,1\n\xff,1\n", False),
+    ])
+    def test_split_path_boundary(self, tmp_path, monkeypatch, data, split):
+        """Each file loads as the row-by-row oracle loads it, whichever path
+        reads it, and only the files a plain split reads skip the reader."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        expected = _outcome(oracle_load_distribution, str(path))
+        readers = []
+        monkeypatch.setattr(csv, "reader", lambda *args, reader=csv.reader: readers.append(1) or reader(*args))
+        outcome = _outcome(load_distribution, str(path))
+        assert (not readers) == split
+        if isinstance(expected, tuple) and expected[0] is UnicodeDecodeError:
+            # The former loader let the decoder's error out; the loader names
+            # the file and the line, the last one here.
+            last = data.count(b"\n")
+            assert outcome[0] is ParseError and outcome[1].startswith(f"{path}:{last}: not UTF-8 text: ")
+        elif isinstance(expected, tuple) and expected[0] is csv.Error:
+            # Python 3.10's reader refuses the NUL byte on line 2, and the
+            # loader names the line.
+            assert outcome == (ParseError, f"{path}:2: {expected[1]}")
+        else:
+            assert outcome == expected
+        if isinstance(outcome, ProducerDistribution):
+            # Rows of exact types, which the distribution keeps as they are.
+            assert exact_rows(outcome.entries, (str, float))
+
+    @pytest.mark.parametrize("extra, split", [(-1, True), (0, True), (1, False)], ids=["under", "at", "over"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["from", "to"])
+    def test_split_path_field_size_limit(self, tmp_path, monkeypatch, extra, split, column):
+        """A cell at ``csv.field_size_limit()`` loads, one char over it is the
+        reader's error, named; a first cell counts the line break before it,
+        so at the limit it goes to the reader, which reads it the same."""
+        long_id = "c" * (csv.field_size_limit() + extra)
+        row = [long_id, "d", "1"] if column == 0 else ["d", long_id, "1"]
+        path = write(tmp_path / "in.csv", "from,to,count\na,b,1\n" + ",".join(row) + "\n")
+        readers = []
+        monkeypatch.setattr(csv, "reader", lambda *args, reader=csv.reader: readers.append(1) or reader(*args))
+        outcome = _outcome(load_payment_graph, path)
+        assert (not readers) == (split and not (column == 0 and extra == 0))
+        monkeypatch.undo()
+        expected = _outcome(oracle_load_payment_graph, path)
+        if extra <= 0:
+            assert outcome == expected and long_id in outcome.clients
+        else:
+            assert expected[0] is csv.Error
+            assert outcome == (ParseError, f"{path}:3: {expected[1]}")
 
     @pytest.mark.parametrize("load, oracle, text", [
         (load_distribution, oracle_load_distribution, "producer_id,weight\nA,1\nB,1,2\nC,1\n"),

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from chainmeter.metrics import TRUST_EPSILON
 from chainmeter.presets import bitcoin_miner_distribution, ethereum_miner_distribution
 
 from helpers import COVERAGE_TOL, merged, oracle_descending_shares, oracle_level, random_distribution
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
 
 
 def dist(*weights):
@@ -53,6 +62,36 @@ class TestDistribution:
         with pytest.raises(InputError, match="^weight of 'a' must be a number, got '1.5'$") as info:
             ProducerDistribution((("a", "1.5"), ("b", 1)))
         assert info.value.index == 0
+
+    def test_exact_rows_are_kept_as_given(self):
+        entries = (("a", 1.0), ("b", 2.5))
+        assert ProducerDistribution(entries).entries is entries
+
+    @pytest.mark.parametrize("entries", [
+        [("a", 1.0), ("b", 2.5)],
+        (["a", 1.0], ("b", 2.5)),
+        (("a", 1), ("b", 2.5)),
+        (("a", Count(1)), ("b", 2.5)),
+        (("a", np.float64(1.0)), ("b", np.float32(2.5))),
+        (("a", np.int64(1)), ("b", 2.5)),
+        ((Tag("a"), 1.0), (Tag("b"), 2.5)),
+        (tuple.__new__(type("Entry", (tuple,), {}), ("a", 1.0)), ("b", 2.5)),
+    ], ids=["list", "list_row", "int", "int_subclass", "numpy_floats", "numpy_int", "str_subclass", "tuple_subclass"])
+    def test_other_rows_are_converted_as_before(self, entries):
+        converted = ProducerDistribution(entries).entries
+        assert converted is not entries and type(converted) is tuple
+        # The former conversion, applied to every entry.
+        assert converted == tuple((str(pid), float(w)) for pid, w in entries)
+        assert [tuple(map(type, row)) for row in converted] == [(str, float)] * 2
+        assert set(map(type, converted)) == {tuple}
+
+    @pytest.mark.parametrize("entries, message", [
+        ((("a", 1.0, "x"), ("b", 2.0)), "too many values to unpack (expected 2)"),
+        ((("a", 1.0), ("b",)), "not enough values to unpack (expected 2, got 1)"),
+    ], ids=["long_row", "short_row"])
+    def test_rows_of_another_width_are_refused_as_before(self, entries, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ProducerDistribution(entries)
 
     def test_int_weight_past_the_float_range_reads_as_infinite(self):
         with pytest.raises(InputError, match="^weight of 'a' must be finite and >= 0, got inf$") as info:

@@ -1,6 +1,8 @@
 import dataclasses
+import operator
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,15 @@ from chainmeter import (
     shard_analysis,
 )
 
-from helpers import all_payment_graphs
+from helpers import all_payment_graphs, oracle_channel_pairs
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
 
 
 def shard(k, t=15.0, n=100, nodes=None):
@@ -160,7 +170,7 @@ class TestOnchainCounting:
         for graph in all_payment_graphs(5):
             relay = onchain_tx_count(graph, "ext")
             direct = onchain_tx_count(graph, None)
-            dense = len(graph.channel_pairs()) >= len(graph.active_clients())
+            dense = graph.channel_pair_count() >= len(graph.active_clients())
             assert (relay <= direct) == dense
 
     def test_client_relay_never_loses_on_connected_graphs(self):
@@ -276,6 +286,34 @@ class TestPaymentGraphValidation:
             PaymentGraph(clients=frozenset("abc"), payments=payments)
         assert err.value.index == 2
 
+    def test_exact_rows_are_kept_as_given(self):
+        payments = (("a", "b", 1), ("b", "c", 2))
+        assert PaymentGraph(frozenset("abc"), payments).payments is payments
+
+    @pytest.mark.parametrize("payments", [
+        [("a", "b", 1), ("b", "c", 2)],
+        (["a", "b", 1], ("b", "c", 2)),
+        (("a", "b", np.int64(1)), ("b", "c", np.uint8(2))),
+        (("a", "b", Count(1)), ("b", "c", 2)),
+        ((Tag("a"), "b", 1), ("b", Tag("c"), 2)),
+        (tuple.__new__(type("Payment", (tuple,), {}), ("a", "b", 1)), ("b", "c", 2)),
+    ], ids=["list", "list_row", "numpy_ints", "int_subclass", "str_subclass", "tuple_subclass"])
+    def test_other_rows_are_converted_as_before(self, payments):
+        converted = PaymentGraph(frozenset("abc"), payments).payments
+        assert converted is not payments and type(converted) is tuple
+        # The former conversion, applied to every row.
+        assert converted == tuple((str(a), str(b), operator.index(c)) for a, b, c in payments)
+        assert [tuple(map(type, row)) for row in converted] == [(str, str, int)] * 2
+        assert set(map(type, converted)) == {tuple}
+
+    @pytest.mark.parametrize("payments, message", [
+        ((("a", "b", 1, "x"), ("b", "c", 2)), "too many values to unpack (expected 3)"),
+        ((("a", "b", 1), ("b", "c")), "not enough values to unpack (expected 3, got 2)"),
+    ], ids=["long_row", "short_row"])
+    def test_rows_of_another_width_are_refused_as_before(self, payments, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            PaymentGraph(frozenset("abc"), payments)
+
     def test_numpy_integer_counts_become_ints(self):
         g = PaymentGraph(clients=frozenset("ab"), payments=(("a", "b", np.int64(3)),))
         assert g.payments == (("a", "b", 3),) and type(g.payments[0][2]) is int
@@ -286,21 +324,58 @@ class TestPaymentGraphValidation:
 
 
 class TestPaymentGraphCache:
-    def test_cached_sets_take_no_part_in_the_value(self):
+    def test_cached_values_take_no_part_in_the_value(self):
         graph, fresh = full_graph(6), full_graph(6)
-        pairs, active = graph.channel_pairs(), graph.active_clients()
+        pairs, active = graph.channel_pair_count(), graph.active_clients()
         assert graph == fresh and hash(graph) == hash(fresh)
         assert pickle.dumps(graph) == pickle.dumps(fresh)
         copy = pickle.loads(pickle.dumps(graph))
-        assert copy == graph and not {"_channel_pairs", "_active_clients"} & vars(copy).keys()
-        assert copy.channel_pairs() == pairs and copy.active_clients() == active
+        assert copy == graph and not {"_channel_pair_count", "_active_clients"} & vars(copy).keys()
+        assert copy.channel_pair_count() == pairs and copy.active_clients() == active
         smaller = dataclasses.replace(graph, payments=graph.payments[:3])
-        assert smaller.channel_pairs() == frozenset(frozenset(p[:2]) for p in graph.payments[:3])
+        assert smaller.channel_pair_count() == len(oracle_channel_pairs(smaller)) == 3
         assert smaller.active_clients() == frozenset(c for p in graph.payments[:3] for c in p[:2])
 
-    def test_each_set_is_built_once(self):
+    def test_each_value_is_built_once(self):
         graph = full_graph(5)
-        pairs, active = graph.channel_pairs(), graph.active_clients()
-        lightning_analysis(1.0, graph, "c0", 2.0)
-        lightning_analysis(1.0, graph, None, 2.0)
-        assert graph.channel_pairs() is pairs and graph.active_clients() is active
+        pairs, active = graph.channel_pair_count(), graph.active_clients()
+        assert vars(graph)["_channel_pair_count"] == pairs == 10
+        # A planted count shows that later calls read the cache, not the payments.
+        vars(graph)["_channel_pair_count"] = 99
+        assert lightning_analysis(1.0, graph, "c0", 2.0).onchain_direct == 198
+        assert lightning_analysis(1.0, graph, None, 2.0).onchain_plan == 198
+        assert graph.channel_pair_count() == 99 and graph.active_clients() is active
+
+
+def _seeded_graph(rng):
+    """A payment graph with repeated pairs and both directions of some."""
+    clients = [f"c{i}" for i in range(rng.randint(2, 30))]
+    payments = []
+    for _ in range(rng.randint(1, 80)):
+        a, b = rng.sample(clients, 2)
+        payments.append((a, b, rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            payments.append(rng.choice([(a, b, 1), (b, a, 2)]))
+    return PaymentGraph(clients=frozenset(clients), payments=tuple(payments))
+
+
+class TestChannelPairCount:
+    def test_equals_the_pair_set_on_every_small_graph(self):
+        for graph in all_payment_graphs(5):
+            assert graph.channel_pair_count() == len(oracle_channel_pairs(graph))
+
+    def test_equals_the_pair_set_with_both_directions_and_repeats(self):
+        rng = random.Random("channel-pairs")
+        both = repeated = 0
+        for _ in range(300):
+            graph = _seeded_graph(rng)
+            assert graph.channel_pair_count() == len(oracle_channel_pairs(graph))
+            ordered = [p[:2] for p in graph.payments]
+            both += any((b, a) in ordered for a, b in ordered)
+            repeated += len(set(ordered)) < len(ordered)
+        assert both > 50 and repeated > 50
+
+    def test_both_directions_fund_one_channel(self):
+        graph = PaymentGraph(frozenset("abc"), (("a", "b", 1), ("b", "a", 2), ("a", "b", 3), ("c", "a", 1)))
+        assert graph.channel_pair_count() == 2
+        assert onchain_tx_count(graph, None) == 4
