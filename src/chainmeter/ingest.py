@@ -213,6 +213,8 @@ def load_sim_config(path: str) -> SimConfig:
                  if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}]
     problems += malformed
     miners = () if malformed else tuple((raw["miner_id"], raw["hash_power_share"]) for raw in raw_miners)
+    if "duration_blocks" not in data:
+        problems.append("duration_blocks: required integer is missing")
     # A failed section is stood in for, so that SimConfig checks the other fields.
     stand_chain, stand_net = PRESETS["bitcoin"]
 
@@ -221,7 +223,7 @@ def load_sim_config(path: str) -> SimConfig:
             miners=miners or (("", 1.0),),
             chain=chain or stand_chain,
             net=net or stand_net,
-            duration_blocks=data.get("duration_blocks", 0),
+            duration_blocks=data.get("duration_blocks", 1),
             topology_degree=data.get("topology_degree", 8),
             seed=data.get("seed", 0),
         )

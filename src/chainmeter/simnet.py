@@ -8,14 +8,15 @@ exponential clocks, but simpler to reproduce bit for bit). Every node relays
 every block over a random degree-regular peer graph at
 ``latency + block_size/bandwidth`` seconds per hop, so a block reaches a node
 exactly its hop distance after it is mined (Decker & Wattenhofer, IEEE P2P
-2013). The winner extends the highest block that has reached it, the first to
-arrive on a tie in height and the lower block id on a tie in float arrival
-time. A block mined at least ``ecc`` hops before an event has reached the
-winner, ``ecc`` being the most hops between two miners that win a block (no
-other node mines one), so each event's settled prefix of block ids is one
-sorted search of the mining times plus ``ecc`` hops. Only the blocks past it,
-still in flight, are looked up in a window of per-hop sums that moves with
-them. Difficulty never retargets, blocks count as full (transactions are not
+2013), its miner at 0 hops: one arrival rule for every block. The winner
+extends the highest block that has reached it, the first to arrive on a tie
+in height and the lower block id on a tie in float arrival time. A block
+mined at least ``ecc`` hops before an event has reached the winner, ``ecc``
+being the most hops between two miners that win a block (no other node mines
+one), so each event's settled prefix of block ids is one sorted search of
+the mining times plus ``ecc`` hops. Only the blocks past it, still in
+flight, are looked up in a window of per-hop sums that moves with them.
+Difficulty never retargets, blocks count as full (transactions are not
 simulated individually), and bandwidth contention is ignored.
 
 Everything random (peer graph, event spacing, winner choice) comes from one
@@ -29,9 +30,12 @@ node 0 it tells if a peer graph is connected.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
-A result holds its blocks as one :class:`BlockTable`, the engine's columns
-(parent, height, mining time and miner index per block id), built once by
-``run_simulation``; the JSON export encodes it as rows a chunk at a time.
+After the peer graph a run has three phases, each owning its working data:
+the event draws, the parent choice (hops between winners, settled prefixes
+and the tip loop) and the result build. A result holds its blocks as one
+:class:`BlockTable`, the engine's columns (parent, height, mining time and
+miner index per block id); the JSON export encodes it as rows a chunk at a
+time.
 """
 
 from __future__ import annotations
@@ -258,7 +262,7 @@ class _Halves:
         """Drop the values before ``pos`` and read words until ``count``
         lie ahead, in place in ``values``; returns the new position of
         ``values[pos]``, 0."""
-        del self.values[:pos]
+        self.values[:pos] = []
         self.dropped += pos
         if len(self.values) < count:
             words = self.bits.random_raw((count - len(self.values) + _READ_AHEAD) // 2 + 1)
@@ -358,29 +362,37 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full mining + gossip simulation described by ``config``."""
-    chain, net = config.chain, config.net
-    n = len(config.miners)
-    interval = chain.block_interval_s
-    hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
-
+    n = len(config.miners)
     peers = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    mined, winners = _draw_events(config, rng)
+    parent, height = _choose_parents(peers, mined, winners, propagation_delay(1, config.chain, config.net))
+    return _result(config, mined, winners, parent, height)
 
-    # Pre-drawing the whole event stream keeps generator consumption
-    # independent of chain/net parameters: the same seed replays the same
-    # winners and (scaled) spacings at any interval or block size.
-    blocks_to_mine = config.duration_blocks
-    mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
-    winner_draws = rng.random(blocks_to_mine)
+
+def _draw_events(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Mining times, genesis's 0.0 first, and winners (indices into
+    ``config.miners``), drawn up front so the same seed replays the same
+    winners and (scaled) spacings at any chain or net. A draw past the
+    share sum, up to 1e-9 short of 1, goes to the last miner with a share."""
+    mine_times = np.cumsum(rng.standard_exponential(config.duration_blocks) * config.chain.block_interval_s)
+    winner_draws = rng.random(config.duration_blocks)
     share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), n - 1)
+    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
+    return np.concatenate(([0.0], mine_times)), winners
 
-    parent, height = [-1], [0]
-    mined_at = [0.0] + mine_times.tolist()
+
+def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray, hop: float) -> tuple[list[int | None], list[int]]:
+    """Every block's parent (None for genesis) and height, the second of a
+    run's three phases: the tip at its winner when it is mined. One arrival
+    rule covers every block: it reaches a node one ``hop`` per hop after it
+    is mined (``_hop_sums``), so its own miner, 0 hops away, when mined."""
+    blocks_to_mine = len(winners)
+    mined_at = mined.tolist()
     # Only winners mine, so the engine knows a miner by its position among
     # them: by_winner[b] is block b's, distances[j][k] the hops from winner j
     # to k, and ecc, at least 1, the most, the farthest any block comes from.
-    winning = np.flatnonzero(np.bincount(winners, minlength=n))
+    winning = np.flatnonzero(np.bincount(winners))
     by_winner = [-1] + np.searchsorted(winning, winners).tolist()
     hops_between = _hop_distances(peers, winning)[0]
     distances = list(map(memoryview, hops_between))
@@ -391,28 +403,24 @@ def run_simulation(config: SimConfig) -> SimResult:
     # winner: float addition is monotone and mining times never decrease
     # with id, so every row of hop sums is sorted and the prefix exact.
     # Genesis has always arrived.
-    mined = np.concatenate(([0.0], mine_times))
     for reach in _hop_sums(mined, ecc, hop):  # kept: the last row, ecc hops on
         pass
-    settled = np.clip(np.searchsorted(reach, mine_times, side="right") - 1, 0, np.arange(blocks_to_mine))
+    settled = np.clip(np.searchsorted(reach, mined[1:], side="right") - 1, 0, np.arange(blocks_to_mine))
 
     # first[h] is the lowest block id at height h, more[h] the others in
-    # ascending order, top the greatest height, and own[j] the id of winner
-    # j's latest block, which j always has. at_hops[e][b - lo] is block b's
-    # arrival e hops from its miner: row 0, the mining times, runs to the
-    # last block, and the others to ``hi``.
+    # ascending order and top the greatest height. at_hops[e][b - lo] is
+    # block b's arrival e hops from its miner: row 0, the mining times, runs
+    # to the last block, and the others to ``hi``.
+    parent, height = [None], [0]
     first, top = [0], 0
     more: dict[int, list[int]] = {}
-    own = [0] * len(winning)
     lo, hi, at_hops = 0, 0, []
     for block_id, last in zip(range(1, blocks_to_mine + 1), memoryview(settled)):
         now = mined_at[block_id]
-        miner = by_winner[block_id]
-        dist = distances[miner]
+        dist = distances[by_winner[block_id]]
         # The tip is the arrived block with the largest (height, -arrival
-        # at the miner, -id). Every id up to ``last`` has arrived, and so
-        # has the miner's latest block; the others after ``last`` count once
-        # they arrive.
+        # at the miner, -id). Every id up to ``last`` has arrived; the others
+        # count once they arrive.
         tip_height = top if last >= first[top] else bisect_right(first, last) - 1
         if block_id > hi:
             # No block before first[tip_height] is looked up again, and none
@@ -423,20 +431,11 @@ def run_simulation(config: SimConfig) -> SimResult:
         tips = [first[tip_height]]
         if tip_height in more:
             tips += [b for b in more[tip_height] if b <= last]
-        b = own[miner]
-        if b > last and height[b] >= tip_height:
-            if height[b] > tip_height:
-                tip_height, tips = height[b], [b]
-            else:
-                tips.append(b)
-        # A block at this height or above has an id of first[tip_height] or
-        # more. One mined less than a hop ago has reached no other node, so
-        # its hop sums exceed ``now``. The miner's older blocks cannot win.
-        start = first[tip_height]
-        if start <= last:
-            start = last + 1
-        for b in range(start, block_id):
-            if height[b] >= tip_height and (hops := dist[by_winner[b]]) and at_hops[hops][b - lo] <= now:
+        # A block mined less than a hop ago has reached no other node, so its
+        # hop sums exceed ``now``; the miner's own are 0 hops away, arrived
+        # when mined, and its older ones sit below its latest.
+        for b in range(last + 1, block_id):
+            if height[b] >= tip_height and at_hops[dist[by_winner[b]]][b - lo] <= now:
                 if height[b] > tip_height:
                     tip_height, tips = height[b], [b]
                 else:
@@ -445,28 +444,30 @@ def run_simulation(config: SimConfig) -> SimResult:
         block_height = tip_height + 1
         parent.append(tip)
         height.append(block_height)
-        own[miner] = block_id
         if block_height > top:
             top = block_height
             first.append(block_id)
         else:
             more.setdefault(block_height, []).append(block_id)
-    del at_hops, by_winner, mined, reach, settled  # freed before the result build, which sets the peak memory
+    return parent, height
 
+
+def _result(config: SimConfig, mined: np.ndarray, winners: np.ndarray, parent: list[int | None], height: list[int]) -> SimResult:
+    """The canonical chain, the block table and the rates of a run."""
+    chain, blocks_to_mine = config.chain, config.duration_blocks
+    mined_at = mined.tolist()
     # Longest chain; ties by earliest creation (= arrival at the end-of-run
     # observer), then lowest id. Mining times never decrease with id, so
     # that is the lowest id at the greatest height.
-    best = first[-1]
-    canonical = []
-    cursor = best
-    while cursor != -1:
+    best = height.index(max(height))
+    canonical, cursor = [], best
+    while cursor is not None:
         canonical.append(cursor)
         cursor = parent[cursor]
     canonical.reverse()
 
     n_canonical = len(canonical) - 1
     miner_ids = tuple(m for m, _ in config.miners)
-    parent[0] = None
 
     return SimResult(
         blocks=BlockTable(
@@ -480,7 +481,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         canonical_chain=tuple(canonical),
         per_miner_canonical=_blocks_per_miner(miner_ids, winners[np.array(canonical[1:]) - 1]),
         stale_rate=1.0 - n_canonical / blocks_to_mine,
-        observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
+        observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / chain.block_interval_s,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
     )
 

@@ -275,7 +275,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
     winner_draws = rng.random(blocks_to_mine)
     share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), n - 1)
+    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
 
     parent = [-1]
     height = [0]
@@ -385,7 +385,7 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
     winner_draws = rng.random(blocks_to_mine)
     share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), n - 1)
+    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
 
     parent = [-1]
     height = [0]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import hashlib
 import io
 import json
 import os
@@ -549,6 +550,14 @@ class TestSimulateCommand:
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
         assert "duration_blocks: must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--duration-blocks", "20"]], ids=["plain", "override"])
+    def test_config_without_duration_names_the_missing_key(self, tmp_path, capsys, flags):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "duration_blocks"}))
+        outcome = run(["simulate", str(path), *flags])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == f"error: {path}: duration_blocks: required integer is missing\n"
+
     @pytest.mark.parametrize("blocks", [10**400, 2**63], ids=["401-digits", "2**63"])
     def test_duration_too_long_for_an_array_exits_two(self, config_json, capsys, blocks):
         outcome = run(["simulate", config_json, "--duration-blocks", str(blocks)])
@@ -608,6 +617,49 @@ class TestSimulateCommand:
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == EXIT_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _pinned_config(shares, degree, blocks, seed, interval_s):
+    """A config over miners ``m00``, ``m01``, ... at a hop of 1.05 s."""
+    return {
+        "miners": [{"miner_id": f"m{i:02d}", "hash_power_share": s} for i, s in enumerate(shares)],
+        "chain": {"block_size_bytes": 1_000_000, "tx_size_bytes": 500, "block_interval_s": interval_s},
+        "net": {"bandwidth_bytes_per_s": 1_000_000, "latency_s": 0.05},
+        "topology_degree": degree, "duration_blocks": blocks, "seed": seed,
+    }
+
+
+# SHA-256 of the ``--out`` bytes and of stdout, computed before the engine's
+# phase split. Like bench/pinned.json they rest on numpy's PCG64 streams, so
+# they must hold on every numpy CI runs, 1.24 included.
+PINNED_SIMULATE = {
+    "tiered": (
+        _pinned_config([0.53 / 4] * 4 + [0.37 / 12] * 12 + [0.10 / 8] * 8, 4, 1500, 7, 2.1),
+        "0bfe0445d5f6e09e276940558aa09ab21344df7d9e3cfb123b1ca68cb5dd2308",
+        "ebcc7b626d1d75dba6262749cc7747a68f2de4e4fc34e7e1b6376af195cbdca5",
+    ),
+    "relays": (
+        _pinned_config([0.0] * 26 + [0.25] * 4, 3, 400, 11, 2.1),
+        "dd93c4cdd457b88873893d720233fabdbb8c99c4f9fc5c5b096b03560a9d4560",
+        "c0d3abd5182290c0aed7002dda6af2aadcb6974e24b731f29a138fd99172a4bd",
+    ),
+    "pair": (
+        _pinned_config([0.6, 0.4], 1, 200, 3, 1.0),
+        "15dd9d6aebcd005172711531f71a93852a4ee12fd26ab193b76c961b9c6051f6",
+        "5bae08350734bc49d80653dc43ed32deaccb1c0e875cd7403efa942a11f296ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SIMULATE)
+def test_simulate_bytes_are_pinned(tmp_path, name):
+    config, out_digest, stdout_digest = PINNED_SIMULATE[name]
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    outcome = run(["simulate", str(path), "--out", str(out)])
+    assert outcome.exit_code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(outcome.stdout_report.encode()).hexdigest() == stdout_digest
 
 
 HUGE = str(10**400)

@@ -410,7 +410,10 @@ class TestLoadSimConfig:
         # A config holds bytes and bytes per second; it names no units.
         (dict(BASE_CONFIG, units={"block_size_unit": "GB"}), "unknown keys: ['units']"),
         ({k: v for k, v in BASE_CONFIG.items() if k != "miners"}, "miners: required non-empty list is missing"),
-    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners"])
+        ({k: v for k, v in BASE_CONFIG.items() if k != "duration_blocks"}, "duration_blocks: required integer is missing"),
+        ({**{k: v for k, v in BASE_CONFIG.items() if k != "duration_blocks"}, "seed": -1},
+         "duration_blocks: required integer is missing; seed: must be an unsigned 64-bit integer, got -1"),
+    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners", "no-duration", "no-duration-bad-seed"])
     def test_structure_fault_is_named(self, tmp_path, data, message):
         path = write(tmp_path / "c.json", json.dumps(data))
         with pytest.raises(ValidationError) as err:

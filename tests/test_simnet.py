@@ -483,6 +483,38 @@ class TestProportionalProduction:
         assert mined["m1"] + mined["m3"] == 2000.0
 
 
+class ForcedDraw(np.random.Generator):
+    """A PCG64 generator whose ``random`` arrays hold ``value`` at ``index``."""
+
+    def __init__(self, seed, index, value):
+        super().__init__(np.random.PCG64(seed))
+        self.index, self.value = index, value
+
+    def random(self, *args, **kwargs):
+        draws = super().random(*args, **kwargs)
+        draws[self.index] = self.value
+        return draws
+
+
+class TestWinnerDraw:
+    def test_draw_past_a_short_share_sum_goes_to_the_last_miner_with_a_share(self, monkeypatch):
+        # The shares sum to 1 - 5e-10, inside the tolerance; a draw above
+        # that sum used to go to the zero-share relay listed last.
+        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4999999995), ("relay", 0.0)), chain=CHAIN, net=NET,
+                        duration_blocks=5, topology_degree=2, seed=1)
+        mined, winners = simnet._draw_events(cfg, ForcedDraw(1, 2, 0.9999999999))
+        plain = simnet._draw_events(cfg, np.random.default_rng(1))[1]
+        assert winners.tolist() == [*plain[:2], 1, *plain[3:]]
+        assert mined[0] == 0.0 and len(mined) == 6
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ForcedDraw(seed, 2, 0.9999999999))
+        assert dict(produced_distribution(run_simulation(cfg)).entries)["relay"] == 0.0
+
+    def test_lone_zero_share_miner_keeps_index_zero(self):
+        cfg = SimConfig(miners=(("solo", 0.0),), chain=CHAIN, net=NET, duration_blocks=50, seed=2)
+        assert simnet._draw_events(cfg, ForcedDraw(2, 0, 0.9999999999))[1].tolist() == [0] * 50
+        assert dict(produced_distribution(run_simulation(cfg)).entries) == {"solo": 50.0}
+
+
 class TestProducedDistribution:
     def test_single_miner_counts_duration(self):
         cfg = SimConfig(miners=(("solo", 1.0),), chain=CHAIN, net=NET,
