@@ -27,9 +27,10 @@ JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
 are streamed: ``json_array`` writes an array one item at a time, and a
 ``SimResult``'s ``BlockTable`` is encoded as its rows a chunk at a time,
-column by column, straight from the table's columns, through one table of
-per-type encoders, so a 20k-block export never becomes 20k dicts. Every other
-value is written by ``json``'s own encoder.
+each chunk in one ``%`` format straight from the table's columns (a column of
+plain scalars that is not all ints or all finite floats goes in as texts), so
+a 20k-block export never becomes 20k dicts. Every other value is written by
+``json``'s own encoder.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -47,7 +48,9 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
+import math
 import os
 from enum import Enum
 from typing import Any, Callable
@@ -278,12 +281,13 @@ def to_jsonable(obj: Any) -> Any:
 # JSON writer. It writes exactly the bytes of
 # ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
 # dataclasses itself field by field, and sequences CHUNK items at a time; a
-# BlockTable's rows are encoded CHUNK at a time, column by column, without
-# becoming dicts. Each column of plain scalars goes through _SCALAR_TEXT,
-# mapped over the whole column when it holds one type. Every other value goes through to_jsonable
-# exactly once, and what that returns is written as it stands by _ENCODER, the
-# encoder json.dump uses: converting it again would accept an Enum member
-# nested in an Enum's value, which json.dump rejects.
+# BlockTable's rows are encoded CHUNK at a time, in one % format, without
+# becoming dicts: exact ints as %d, exact finite floats as %r, and any other
+# column of plain scalars, like a chunk of a sequence, through _SCALAR_TEXT,
+# mapped over it whole when it holds one type. Every other value goes through
+# to_jsonable exactly once, and what that returns is written as it stands by
+# _ENCODER, the encoder json.dump uses: converting it again would accept an
+# Enum member nested in an Enum's value, which json.dump rejects.
 
 CHUNK = 1024
 _INDENT = "  "
@@ -310,16 +314,22 @@ def _column(values: tuple | list) -> list[str] | None:
     return texts
 
 
-def _table(columns: dict[str, Any], level: int) -> list[str] | None:
-    """Texts of the rows whose fields are ``columns``, encoded column by
-    column; None unless every column holds only plain scalars."""
-    texts = [_column(values) for values in columns.values()]
-    if None in texts:
+def _table(columns: dict[str, Any], level: int) -> str | None:
+    """Text of the rows whose fields are ``columns``, joined as a chunk's
+    items are, in one ``%`` format; None unless every column holds only
+    plain scalars. A float sum is finite only if every term is."""
+    specs, values = [], []
+    for column in columns.values():
+        kinds = set(map(type, column))
+        exact = kinds == {int} or kinds == {float} and math.isfinite(sum(column))
+        specs.append("%s" if not exact else "%d" if int in kinds else "%r")
+        values.append(column if exact else _column(column))
+    if None in values:
         return None
     inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(_str(name) + ": %s" for name in columns)
+    fields = ("," + inner).join(_str(name).replace("%", "%%") + ": " + spec for name, spec in zip(columns, specs))
     template = "{" + inner + fields + "\n" + _INDENT * level + "}"
-    return list(map(template.__mod__, zip(*texts)))
+    return (",\n" + _INDENT * level).join([template] * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
 def _encode(value: Any, level: int) -> str:
@@ -349,16 +359,17 @@ def _dump(obj: Any, level: int, write) -> None:
         for start in range(0, len(obj), CHUNK):
             if isinstance(obj, BlockTable):
                 columns = obj.columns(start, start + CHUNK)
-                texts, chunk = _table(columns, level + 1), _rows(columns)
+                text, chunk = _table(columns, level + 1), _rows(columns)
             else:
                 chunk = obj[start:start + CHUNK]
                 texts = _column(chunk)
-            if texts is None:
+                text = None if texts is None else ("," + inner).join(texts)
+            if text is None:
                 for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)
                     _dump(item, level + 1, write)
             else:
-                write(("," if start else "[") + inner + ("," + inner).join(texts))
+                write(("," if start else "[") + inner + text)
         write("\n" + _INDENT * level + "]")
     else:
         write(_encode(to_jsonable(obj), level))

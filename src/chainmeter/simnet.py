@@ -15,7 +15,10 @@ mined at least ``ecc`` hops before an event has reached the winner, ``ecc``
 being the most hops between two miners that win a block (no other node mines
 one), so each event's settled prefix of block ids is one sorted search of
 the mining times plus ``ecc`` hops. Only the blocks past it, still in
-flight, are looked up in a window of per-hop sums that moves with them.
+flight, are looked up in a window of per-hop sums that moves with them. A
+block whose settled prefix holds every earlier block is full: after a new
+lone top, the one block at a new greatest height, each full block in a row
+has it alone for its tip and becomes the next, so the run takes one step.
 Difficulty never retargets, blocks count as full (transactions are not
 simulated individually), and bandwidth contention is ignored.
 
@@ -366,8 +369,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     n = len(config.miners)
     peers = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
     mined, winners = _draw_events(config, rng)
-    parent, height = _choose_parents(peers, mined, winners, propagation_delay(1, config.chain, config.net))
-    return _result(config, mined, winners, parent, height)
+    parent, height, best, mined_at = _choose_parents(peers, mined, winners, propagation_delay(1, config.chain, config.net))
+    return _result(config, mined_at, winners, parent, height, best)
 
 
 def _draw_events(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -382,11 +385,13 @@ def _draw_events(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarra
     return np.concatenate(([0.0], mine_times)), winners
 
 
-def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray, hop: float) -> tuple[list[int | None], list[int]]:
+def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray,
+                    hop: float) -> tuple[list[int | None], list[int], int, list[float]]:
     """Every block's parent (None for genesis) and height, the second of a
     run's three phases: the tip at its winner when it is mined. One arrival
     rule covers every block: it reaches a node one ``hop`` per hop after it
-    is mined (``_hop_sums``), so its own miner, 0 hops away, when mined."""
+    is mined (``_hop_sums``), so its own miner, 0 hops away, when mined.
+    Then the lowest id at the greatest height and the mining times."""
     blocks_to_mine = len(winners)
     mined_at = mined.tolist()
     # Only winners mine, so the engine knows a miner by its position among
@@ -406,6 +411,9 @@ def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray, h
     for reach in _hop_sums(mined, ecc, hop):  # kept: the last row, ecc hops on
         pass
     settled = np.clip(np.searchsorted(reach, mined[1:], side="right") - 1, 0, np.arange(blocks_to_mine))
+    # A block is full when every earlier block has reached its winner; the
+    # ids of those that are not, then one past the last block.
+    partial = [*(np.flatnonzero(settled != np.arange(blocks_to_mine)) + 1).tolist(), blocks_to_mine + 1]
 
     # first[h] is the lowest block id at height h, more[h] the others in
     # ascending order and top the greatest height. at_hops[e][b - lo] is
@@ -415,7 +423,8 @@ def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray, h
     first, top = [0], 0
     more: dict[int, list[int]] = {}
     lo, hi, at_hops = 0, 0, []
-    for block_id, last in zip(range(1, blocks_to_mine + 1), memoryview(settled)):
+    events = zip(range(1, blocks_to_mine + 1), memoryview(settled))
+    for block_id, last in events:
         now = mined_at[block_id]
         dist = distances[by_winner[block_id]]
         # The tip is the arrived block with the largest (height, -arrival
@@ -445,21 +454,28 @@ def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray, h
         parent.append(tip)
         height.append(block_height)
         if block_height > top:
-            top = block_height
-            first.append(block_id)
+            # A lone top: each full block after it has received every
+            # earlier block, so the top alone is its tip, and it becomes the
+            # next lone top. The run of them extends the chain in one step.
+            end = partial[bisect_right(partial, block_id)]
+            run = end - block_id - 1
+            parent += range(block_id, end - 1)
+            height += range(block_height + 1, block_height + run + 1)
+            first += range(block_id, end)
+            top = block_height + run
+            next(itertools.islice(events, run, run), None)
         else:
             more.setdefault(block_height, []).append(block_id)
-    return parent, height
+    return parent, height, first[-1], mined_at
 
 
-def _result(config: SimConfig, mined: np.ndarray, winners: np.ndarray, parent: list[int | None], height: list[int]) -> SimResult:
-    """The canonical chain, the block table and the rates of a run."""
+def _result(config: SimConfig, mined_at: list[float], winners: np.ndarray, parent: list[int | None],
+            height: list[int], best: int) -> SimResult:
+    """The canonical chain, the block table and the rates of a run. The
+    canonical tip ``best`` is the lowest id at the greatest height: ties by
+    earliest creation (= arrival at the end-of-run observer), then lowest
+    id, and mining times never decrease with id."""
     chain, blocks_to_mine = config.chain, config.duration_blocks
-    mined_at = mined.tolist()
-    # Longest chain; ties by earliest creation (= arrival at the end-of-run
-    # observer), then lowest id. Mining times never decrease with id, so
-    # that is the lowest id at the greatest height.
-    best = height.index(max(height))
     canonical, cursor = [], best
     while cursor is not None:
         canonical.append(cursor)

@@ -49,6 +49,7 @@ from chainmeter.cli import main
 from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
 from chainmeter.simnet import (
     GENESIS_MINER,
+    BlockTable,
     SimConfig,
     SimResult,
     random_regular_graph,
@@ -238,18 +239,19 @@ class RecordResult:
 
 
 def as_records(report):
-    """``report`` with a ``SimResult``, or each one in a list, repackaged as
-    a ``RecordResult``: one ``BlockRecord`` per block, from the table's
-    columns, and the other fields as they are."""
-    if isinstance(report, SimResult):
-        table = report.blocks
-        names = [*table.miner_ids, GENESIS_MINER]
-        records = tuple(
-            BlockRecord(b, names[m], parent, height, mined_at, table.size_bytes)
+    """``report`` with a ``BlockTable`` repackaged as one ``BlockRecord`` per
+    block, from the table's columns, and a ``SimResult``, or each one in a
+    list, as a ``RecordResult``: its blocks so, the other fields as they are."""
+    if isinstance(report, BlockTable):
+        names = [*report.miner_ids, GENESIS_MINER]
+        return tuple(
+            BlockRecord(b, names[m], parent, height, mined_at, report.size_bytes)
             for b, (m, parent, height, mined_at) in enumerate(
-                zip(table.miner_index, table.parent_ids, table.heights, table.mined_at_s))
+                zip(report.miner_index, report.parent_ids, report.heights, report.mined_at_s))
         )
-        return RecordResult(records, *(getattr(report, f.name) for f in dataclasses.fields(RecordResult)[1:]))
+    if isinstance(report, SimResult):
+        fields = dataclasses.fields(RecordResult)[1:]
+        return RecordResult(as_records(report.blocks), *(getattr(report, f.name) for f in fields))
     if isinstance(report, list):
         return [as_records(item) for item in report]
     return report

@@ -31,6 +31,7 @@ from chainmeter import (
 from chainmeter import ingest
 from chainmeter.errors import exact_rows
 from chainmeter.ingest import CHUNK, json_array, to_jsonable
+from chainmeter.simnet import BlockTable
 
 from helpers import (
     as_records,
@@ -635,6 +636,20 @@ def numpy_times(result):
     return dataclasses.replace(result, blocks=blocks)
 
 
+def block_table(n, tail=None, miner_ids=("a", "b", "c")):
+    """An ``n``-block ``BlockTable`` of plain values; ``tail`` maps column
+    names to the values that end them instead."""
+    columns = {
+        "parent_ids": (None, *range(n - 1)),
+        "heights": tuple(range(n)),
+        "mined_at_s": tuple(i * 0.25 for i in range(n)),
+        "miner_index": (-1, *(i % len(miner_ids) for i in range(n - 1))),
+    }
+    for name, values in (tail or {}).items():
+        columns[name] = columns[name][:n - len(values)] + values
+    return BlockTable(**columns, size_bytes=1_000_000, miner_ids=miner_ids)
+
+
 class TestJsonExportAgainstOracle:
     """``export_report(..., "json")`` writes the bytes of the former
     ``json.dump(to_jsonable(report), fh, indent=2)`` path, kept in helpers."""
@@ -675,6 +690,30 @@ class TestJsonExportAgainstOracle:
         self.assert_same_bytes(tmp_path, rows(n))
         self.assert_same_bytes(tmp_path, Nested(scalars(0), rows(n)))
         self.assert_same_bytes(tmp_path, list(range(n)))
+
+    # Block columns that a chunk's one format takes as texts, or refuses.
+    FALLBACKS = {
+        "infinities_and_nan": {"tail": {"mined_at_s": (math.inf, -math.inf, math.nan)}},
+        "inf": {"tail": {"mined_at_s": (math.inf,)}},
+        "neg_inf": {"tail": {"mined_at_s": (-math.inf,)}},
+        "nan": {"tail": {"mined_at_s": (math.nan,)}},
+        "finite_sum_overflows": {"tail": {"mined_at_s": (1e308, 1e308)}},
+        "bool_height": {"tail": {"heights": (True,)}},
+        "numpy_height": {"tail": {"heights": (np.int64(7),)}},
+        "percent_and_non_ascii_ids": {"miner_ids": ("%", "%%s", "\u00e9t\u00e9 \U0001F600")},
+    }
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_block_chunk_fallbacks(self, tmp_path, case, n):
+        table = block_table(n, **self.FALLBACKS[case])
+        if case == "numpy_height":  # json writes no numpy integer
+            with pytest.raises(FormatError):
+                oracle_export_json(as_records(table), str(tmp_path / "expected.json"))
+            with pytest.raises(FormatError):
+                export_report(table, str(tmp_path / "out.json"), "json")
+        else:
+            self.assert_same_bytes(tmp_path, table)
 
     @pytest.mark.parametrize("case", ["one_miner_one_block", "fork_heavy", "result_list", "result_numpy_times"])
     def test_to_jsonable_equals_oracle(self, case):

@@ -637,11 +637,15 @@ class TestAgainstOracle:
     shares, an interval of about two hops and 2,000 to 3,000 blocks. In the
     ``relays`` family most nodes are zero-share relays on a sparse graph, so
     a winner's most hops to another winner is often fewer than to any node.
+    In the ``runs`` family the interval is 3 to 50 hops over 1,000 to 3,000
+    blocks, so most blocks have received every earlier one and the engine
+    takes them in runs after a lone top; every config forks, so runs start
+    after forks as well as after genesis.
     """
 
     FAMILIES = [
         ("single", 10), ("pair", 40), ("ring", 40), ("dense", 40), ("mixed", 140), ("forky", 40),
-        ("ulp", 40), ("tiered", 6), ("relays", 30),
+        ("ulp", 40), ("tiered", 6), ("relays", 30), ("runs", 20),
     ]
 
     @staticmethod
@@ -663,6 +667,9 @@ class TestAgainstOracle:
             elif family == "relays":
                 n = rng.randint(20, 50)
                 degree = rng.choice([d for d in (3, 4) if n * d % 2 == 0])
+            elif family == "runs":
+                n = rng.choice((2, rng.randint(3, 30)))
+                degree = 1 if n == 2 else rng.choice([d for d in range(2, min(n, 9)) if n * d % 2 == 0])
             else:
                 n = rng.randint(3, 30)
                 degree = rng.choice([d for d in range(2, min(n, 9)) if n * d % 2 == 0])
@@ -681,6 +688,10 @@ class TestAgainstOracle:
                 hop = propagation_delay(1, chain, net)
                 chain = replace(chain, block_interval_s=hop * rng.uniform(1.0, 4.0))
                 blocks = rng.randint(200, 600)
+            elif family == "runs":
+                hop = propagation_delay(1, chain, net)
+                chain = replace(chain, block_interval_s=hop * rng.uniform(3.0, 50.0))
+                blocks = rng.randint(1_000, 3_000)
             elif family == "ulp":
                 chain = replace(chain, block_interval_s=10 ** rng.uniform(13, 16))
                 # Half an ulp of a mining time somewhere in the run.
@@ -706,6 +717,8 @@ class TestAgainstOracle:
             assert min(stale) > 0.5
         if family == "tiered":
             assert min(stale) > 0.3
+        if family == "runs":
+            assert min(stale) > 0
 
     @pytest.mark.parametrize("family, count", FAMILIES)
     def test_matches_the_inbox_engine(self, family, count):
@@ -731,6 +744,25 @@ class TestAgainstOracle:
             rows = [oracle_hop_distances(adj, m) for m in hashing]
             differ += any(max(row) > max(row[m] for m in hashing) for row in rows)
         assert differ >= 20
+
+    @pytest.mark.parametrize("window", [simnet._WINDOW_SUMS, 1])
+    def test_tie_at_the_top_before_a_run(self, window, monkeypatch):
+        # Blocks 33 (miner a) and 34 (miner b) are mined 0.24 s apart, under
+        # the 1 s hop, so both sit at the top height. Block 35, b's, has
+        # received every earlier block; the tie rule gives it b's own block,
+        # which reached b first, not the lower id. Block 35 is then a lone
+        # top, and block 36, also full, extends it in a run.
+        monkeypatch.setattr(simnet, "_WINDOW_SUMS", window)
+        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.5)), chain=ChainParams(1_000_000, 500.0, 5.0, 6),
+                        net=NetworkParams(1e6, 0.0), duration_blocks=40, topology_degree=1, seed=1)
+        result = run_simulation(cfg)
+        blocks = result.blocks
+        assert blocks.heights[33] == blocks.heights[34] == max(blocks.heights[:35]) == 33
+        assert blocks.miner_index[33:37] == (0, 1, 1, 1)
+        assert blocks.mined_at_s[34] + 1.0 <= blocks.mined_at_s[35] and blocks.mined_at_s[35] + 1.0 <= blocks.mined_at_s[36]
+        assert blocks.parent_ids[35:37] == (34, 35)
+        assert as_records(result) == oracle_simulation(cfg)
+        assert (list(blocks.parent_ids), list(blocks.heights)) == oracle_inbox_engine(cfg)
 
     def test_hop_longer_than_the_run(self):
         # Nothing is ever delivered: every miner extends only its own blocks.
