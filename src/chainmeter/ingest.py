@@ -14,10 +14,12 @@ library.
 A CSV is read once, as bytes. If ``csv.reader`` would read it as a plain
 split does (UTF-8; no ``"``, NUL or ``\r`` outside ``\r\n``; the header's
 comma count on every line; no cell over ``csv.field_size_limit()``), one
-``split`` cuts it into cells, each column is stripped, and its one number
-column (a count or a weight) parsed, as a whole, into rows of exact types
-that the type built keeps. Any other file, or one with a blank row or a bad
-number, goes through ``csv.reader``, and its rows are walked one by one, to
+``split`` cuts it into cells. Any other file goes through ``csv.reader``;
+when the reader raises no error and every row has the header's width, its
+rows are transposed into the same cells. Either way each column is stripped
+and its one number column (a count or a weight) parsed, as a whole, into rows
+of exact types that the type built keeps. A file with a read error, a row of
+another width, a blank row or a bad number has its rows walked one by one, to
 skip blank rows and name the first line at fault in file order, a read
 error last. Lines count records, so a quoted field spanning lines counts
 once, but a read error names the physical line. Numbers are written with
@@ -31,6 +33,16 @@ each chunk in one ``%`` format straight from the table's columns (a column of
 plain scalars that is not all ints or all finite floats goes in as texts), so
 a 20k-block export never becomes 20k dicts. Every other value is written by
 ``json``'s own encoder.
+
+A CSV export has its header written by ``csv.writer``, and its rows a chunk
+at a time. A chunk whose every column holds only exact ints or only exact
+floats is written in one ``%`` format, ``%d`` or ``%r`` per column, each row
+ended by ``\r\n``: the bytes ``csv.writer`` writes, since it writes ``str``
+of an int and ``repr`` of a float, ``nan`` and ``inf`` included. Any other
+chunk (strings, ``bool``, numpy scalars, ``IntEnum`` members, a column
+mixing ints and floats) goes through ``csv.writer``. The JSON table chunk
+takes its ``%d`` and ``%r`` columns by the same rule, adding that a float
+column's sum must be finite.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -72,20 +84,17 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     with open(path, "rb") as fh:
         data = fh.read()
     k, width = expected_header.index(number), len(expected_header)
-    # Bytes that are not UTF-8 and numbers that do not parse (ValueErrors) go
-    # to the reader. A line break starts the cell after it, for str.strip to
-    # drop; rows have the header's width if each starts a cell at a multiple.
+    # Bytes that are not UTF-8 go to the reader. A line break starts the cell
+    # after it, for str.strip to drop; rows have the header's width if each
+    # starts a cell at a multiple.
     with contextlib.suppress(ValueError):
         text = data.decode("utf-8-sig").replace("\r\n", "\n").removesuffix("\n")
         if '"' not in text and "\0" not in text and "\r" not in text:
             cells, breaks = text.replace("\n", ",\n").split(","), text.count("\n")
             if (len(cells) == width * (breaks + 1) and "".join(cells[width::width]).count("\n") == breaks
                     and max(map(len, cells)) <= csv.field_size_limit() and list(map(str.strip, cells[:width])) == expected_header):
-                columns = [list(map(str.strip, cells[i::width])) for i in range(width, 2 * width)]
-                # A blank row has an empty first cell.
-                if "" not in columns[0]:
-                    columns[k] = list(map(parse, columns[k]))
-                    return columns, range(2, len(columns[0]) + 2)
+                if found := _parsed((cells[i::width] for i in range(width, 2 * width)), k, parse):
+                    return found
     rows, error = [], None
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
@@ -106,6 +115,10 @@ def _read_columns(path: str, expected_header: list[str], number: str,
                 break
         else:
             error = ParseError(f"{path}: not UTF-8 text: {exc}")
+    # A file read whole, in rows of the header's width (a blank line reads as
+    # an empty row), is transposed as the split's cells are.
+    if error is None and set(map(len, rows)) == {width} and (found := _parsed(zip(*rows), k, parse)):
+        return found
     kept: list[list] = [[] for _ in expected_header]
     lines = []
     for lineno, row in enumerate(rows, start=2):
@@ -125,6 +138,18 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     if error is not None:
         raise error
     return kept, lines
+
+
+def _parsed(columns, k: int, parse: type[int] | type[float]) -> tuple[list[list], range] | None:
+    """``columns`` stripped, column ``k`` read with ``parse``, and the line of
+    each row; None if a row is blank (its first cell is empty) or a number
+    does not parse, for the row walk to name the first fault."""
+    columns = [list(map(str.strip, column)) for column in columns]
+    with contextlib.suppress(ValueError):
+        if "" not in columns[0]:
+            columns[k] = list(map(parse, columns[k]))
+            return columns, range(2, len(columns[0]) + 2)
+    return None
 
 
 def _validated(path: str, lines: range | list[int], build):
@@ -314,15 +339,22 @@ def _column(values: tuple | list) -> list[str] | None:
     return texts
 
 
+def _spec(column: tuple | list) -> str | None:
+    """``%d`` for a column of exact ints, ``%r`` for one of exact floats, whose
+    texts these give as ``str`` and ``repr`` do; None for any other."""
+    kinds = set(map(type, column))
+    return "%d" if kinds == {int} else "%r" if kinds == {float} else None
+
+
 def _table(columns: dict[str, Any], level: int) -> str | None:
     """Text of the rows whose fields are ``columns``, joined as a chunk's
     items are, in one ``%`` format; None unless every column holds only
     plain scalars. A float sum is finite only if every term is."""
     specs, values = [], []
     for column in columns.values():
-        kinds = set(map(type, column))
-        exact = kinds == {int} or kinds == {float} and math.isfinite(sum(column))
-        specs.append("%s" if not exact else "%d" if int in kinds else "%r")
+        spec = _spec(column)
+        exact = spec == "%d" or spec == "%r" and math.isfinite(sum(column))
+        specs.append(spec if exact else "%s")
         values.append(column if exact else _column(column))
     if None in values:
         return None
@@ -465,7 +497,13 @@ def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] 
         with _replacing(path, newline="") as fh, _naming(path):
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            for start in range(0, len(rows), CHUNK):
+                chunk = rows[start:start + CHUNK]
+                specs = list(map(_spec, zip(*chunk)))
+                if None in specs:
+                    writer.writerows(chunk)
+                else:
+                    fh.write((",".join(specs) + "\r\n") * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
     else:
         raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
 

@@ -11,11 +11,13 @@ with the library, takes its hop distances from ``oracle_hop_distances``, a
 plain queue-driven breadth-first search, and checks only the tip choice.
 The JSON export oracle is the library's former ``json.dump(indent=2)`` path;
 it sees a ``SimResult`` as the records it used to hold (``as_records``). The
-shares oracle is the metrics module's former sort of ``(-weight, id)``
-pairs. The CSV loader oracles are the former row-by-row loaders, with the
-entry-by-entry checks the distribution and payment graph types ran before
-they checked their values in bulk. The channel pair oracle is the payment
-graph's former set of endpoint sets, which the pair count replaced.
+CSV export oracle is the former ``csv.writer`` path, every row written by the
+writer. The shares oracle is the metrics module's former sort of
+``(-weight, id)`` pairs. The CSV loader oracles are the former row-by-row
+loaders, with the entry-by-entry checks the distribution and payment graph
+types ran before they checked their values in bulk. The channel pair oracle
+is the payment graph's former set of endpoint sets, which the pair count
+replaced.
 
 Both engine oracles stay while the engine is rewritten, and each guards one
 kind of rewrite. ``oracle_inbox_engine`` checks the tip choice alone: it
@@ -469,6 +471,19 @@ def oracle_export_json(report, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def oracle_export_csv(report, path, columns=None) -> None:
+    """The library's CSV export before it wrote rows a chunk at a time, its
+    writer kept verbatim: one ``csv.writer`` writes the header and every row.
+    It takes the tables the library takes and checks none."""
+    if isinstance(report, ProducerDistribution):
+        report, columns = report.entries, columns or ("producer_id", "weight")
+    header = columns or tuple(f"col{i + 1}" for i in range(len(report[0])))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(report)
 
 
 # The CSV loaders as they were before they read a column at a time: every

@@ -2,7 +2,7 @@ from collections import namedtuple
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 import json
 import math
 import os
@@ -35,6 +35,7 @@ from chainmeter.simnet import BlockTable
 
 from helpers import (
     as_records,
+    oracle_export_csv,
     oracle_export_json,
     oracle_load_distribution,
     oracle_load_payment_graph,
@@ -810,6 +811,64 @@ class TestJsonExportFailure:
         assert os.listdir(tmp_path) == []
 
 
+class Grade(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-05, 5e-324)
+Point = namedtuple("Point", "rank share")
+
+
+class TestCsvExportAgainstOracle:
+    """``export_report(..., "csv")`` writes the bytes of the former path, one
+    ``csv.writer`` for every row, kept in helpers, whether a chunk goes in
+    one ``%`` format or through the writer."""
+
+    CELLS = {
+        "int_and_float": lambda i: (i, SPECIAL_FLOATS[i % 7] if i % 3 else i / 3),
+        "special_floats": lambda i: (SPECIAL_FLOATS[i % 7], -i),
+        "bool": lambda i: (i, i % 2 == 0),
+        "numpy_int": lambda i: (np.int64(i), 0.5),
+        "numpy_float": lambda i: (i, np.float64(i / 3)),
+        "int_enum": lambda i: (Grade.LOW if i % 2 else Grade.HIGH, 1.5),
+        "mixed_int_float": lambda i: (i, i if i % 2 else i / 7),
+    }
+    SHAPES = {"list": list, "tuple": tuple, "namedtuple": lambda cells: Point(*cells)}
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("case", sorted(CELLS))
+    def test_bytes_equal_oracle(self, tmp_path, case, shape, n):
+        table = [self.SHAPES[shape](self.CELLS[case](i)) for i in range(n)]
+        if not table:  # no table to write, as before
+            with pytest.raises(FormatError):
+                export_report(table, str(tmp_path / "out.csv"), "csv")
+            assert os.listdir(tmp_path) == []
+        else:
+            self.assert_same_bytes(tmp_path, table, ("rank", "share"))
+
+    @pytest.mark.parametrize("table", [
+        [(i, i / 3) for i in range(CHUNK)] + [(CHUNK, "a,b"), (CHUNK + 1, 0.5)],
+        [(0, "a,b")] + [(i, i / 3) for i in range(1, CHUNK + 3)],
+        [()] * (CHUNK + 1),
+    ], ids=["formatted_then_written", "written_then_formatted", "no_columns"])
+    def test_chunks_take_their_own_path(self, tmp_path, table):
+        self.assert_same_bytes(tmp_path, table, None)
+
+    def test_distribution_ids_that_need_quoting(self, tmp_path):
+        ids = ["a,b", 'q"q', "x\ny", "cr\rid", " lead", "tail ", "\u00e9t\u00e9", "%s %d %%"]
+        dist = ProducerDistribution(tuple((f"{ids[i % len(ids)]}{i}", i + 0.5) for i in range(CHUNK + 3)))
+        self.assert_same_bytes(tmp_path, dist, None)
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, report, columns):
+        expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+        oracle_export_csv(report, str(expected), columns)
+        export_report(report, str(out), "csv", columns)
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class Unprintable:
     def __str__(self):
         raise RuntimeError("field has no text")
@@ -832,6 +891,19 @@ class TestCsvExportFailure:
         with pytest.raises(RuntimeError):
             export_report(self.BAD_ROWS, str(tmp_path / "t.csv"), "csv")
         assert os.listdir(tmp_path) == []
+
+    def test_a_fault_past_the_first_chunk(self, tmp_path):
+        """The first chunk is written in one format before the second fails."""
+        bad = [(i, i / 3) for i in range(CHUNK + 1)] + [(CHUNK + 1, Unprintable())]
+        out = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError):
+            export_report(bad, str(out), "csv")
+        assert os.listdir(tmp_path) == []
+        out.write_bytes(b"col1,col2\r\nold,0\r\n")
+        with pytest.raises(RuntimeError):
+            export_report(bad, str(out), "csv")
+        assert out.read_bytes() == b"col1,col2\r\nold,0\r\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
 
     def test_rows_end_in_crlf(self, tmp_path):
         out = tmp_path / "t.csv"
