@@ -28,11 +28,14 @@ full double precision so that load(export(x)) == x.
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
 are streamed: ``json_array`` writes an array one item at a time, and a
-``SimResult``'s ``BlockTable`` is encoded as its rows a chunk at a time,
-each chunk in one ``%`` format straight from the table's columns (a column of
-plain scalars that is not all ints or all finite floats goes in as texts), so
-a 20k-block export never becomes 20k dicts. Every other value is written by
-``json``'s own encoder.
+sequence or a ``SimResult``'s ``BlockTable`` a chunk of items at a time. A
+chunk of a table's rows is one ``%`` format read from the table's own
+fields, so a 20k-block export never becomes 20k dicts. The texts of its
+miner ids and of its ``size_bytes`` are made once per table, and each row
+picks its miner's by ``miner_index``; block ids are a range, always ``%d``.
+Only the parents, heights and mining times are checked per chunk. A table
+whose ids or size are not plain scalars, or a chunk whose columns are not,
+goes row by row. Every other value is written by ``json``'s own encoder.
 
 A CSV export has its header written by ``csv.writer``, and its rows a chunk
 at a time. A chunk whose every column holds only exact ints or only exact
@@ -40,9 +43,10 @@ floats is written in one ``%`` format, ``%d`` or ``%r`` per column, each row
 ended by ``\r\n``: the bytes ``csv.writer`` writes, since it writes ``str``
 of an int and ``repr`` of a float, ``nan`` and ``inf`` included. Any other
 chunk (strings, ``bool``, numpy scalars, ``IntEnum`` members, a column
-mixing ints and floats) goes through ``csv.writer``. The JSON table chunk
-takes its ``%d`` and ``%r`` columns by the same rule, adding that a float
-column's sum must be finite.
+mixing ints and floats) goes through ``csv.writer``. A JSON chunk, of a
+table's checked columns or of a sequence, takes ``%d`` and ``%r`` by the same
+rule, adding that a float column's sum must be finite; any other column of
+plain scalars goes in as texts.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -72,7 +76,7 @@ from chainmeter.errors import FormatError, InputError, ParseError, ValidationErr
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.presets import PRESETS
 from chainmeter.scaling import PaymentGraph
-from chainmeter.simnet import BlockTable, SimConfig
+from chainmeter.simnet import BLOCK_FIELDS, GENESIS_MINER, BlockTable, SimConfig
 
 
 def _read_columns(path: str, expected_header: list[str], number: str,
@@ -305,11 +309,14 @@ def to_jsonable(obj: Any) -> Any:
 
 # JSON writer. It writes exactly the bytes of
 # ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
-# dataclasses itself field by field, and sequences CHUNK items at a time; a
-# BlockTable's rows are encoded CHUNK at a time, in one % format, without
-# becoming dicts: exact ints as %d, exact finite floats as %r, and any other
-# column of plain scalars, like a chunk of a sequence, through _SCALAR_TEXT,
-# mapped over it whole when it holds one type. Every other value goes through
+# dataclasses itself field by field, and sequences and BlockTables CHUNK
+# items at a time, each chunk in one % format where it can. A BlockTable's
+# miner id and size texts are made once per table by _block_texts, and its
+# block ids are a range; per chunk, _block_rows checks only the parent,
+# height and mining-time columns. In a chunk of a sequence, or in one of
+# those columns, exact ints go in as %d and exact floats with a finite sum
+# as %r; any other plain scalars as texts from _SCALAR_TEXT, mapped over the
+# column whole when it holds one type. Every other value goes through
 # to_jsonable exactly once, and what that returns is written as it stands by
 # _ENCODER, the encoder json.dump uses: converting it again would accept an
 # Enum member nested in an Enum's value, which json.dump rejects.
@@ -346,22 +353,48 @@ def _spec(column: tuple | list) -> str | None:
     return "%d" if kinds == {int} else "%r" if kinds == {float} else None
 
 
-def _table(columns: dict[str, Any], level: int) -> str | None:
-    """Text of the rows whose fields are ``columns``, joined as a chunk's
-    items are, in one ``%`` format; None unless every column holds only
-    plain scalars. A float sum is finite only if every term is."""
-    specs, values = [], []
-    for column in columns.values():
-        spec = _spec(column)
-        exact = spec == "%d" or spec == "%r" and math.isfinite(sum(column))
-        specs.append(spec if exact else "%s")
-        values.append(column if exact else _column(column))
+def _exact(column: tuple | list) -> str | None:
+    """``_spec(column)`` where it gives json.dump's texts: a float column's
+    only if its sum is finite, which it is only if every term is."""
+    spec = _spec(column)
+    return spec if spec == "%d" or spec == "%r" and math.isfinite(sum(column)) else None
+
+
+def _items(chunk: tuple | list, level: int) -> str | None:
+    """Text of a chunk of a sequence's items, joined as json.dump joins
+    them; None unless it holds only plain scalars."""
+    sep = ",\n" + _INDENT * level
+    if spec := _exact(chunk):
+        return sep.join([spec] * len(chunk)) % tuple(chunk)
+    texts = _column(chunk)
+    return None if texts is None else sep.join(texts)
+
+
+def _block_texts(table: BlockTable) -> tuple[list[str], str] | None:
+    """The texts of ``table``'s miner ids, genesis's last, where a
+    ``miner_index`` of -1 picks it, and of its ``size_bytes``, with ``%``
+    escaped; None unless all are plain scalars."""
+    miners, size = _column((*table.miner_ids, GENESIS_MINER)), _column((table.size_bytes,))
+    return None if miners is None or size is None else (miners, size[0].replace("%", "%%"))
+
+
+def _block_rows(table: BlockTable, start: int, miners: list[str], size: str, level: int) -> str | None:
+    """Text of the table's rows from ``start``, CHUNK of them at most, joined
+    as a chunk's items are, in one ``%`` format from ``_block_texts``'
+    ``miners`` and ``size``; None unless the parents, heights and mining
+    times hold only plain scalars."""
+    stop = min(start + CHUNK, len(table))
+    specs, values = ["%d", "%s"], [range(start, stop), list(map(miners.__getitem__, table.miner_index[start:stop]))]
+    for column in (table.parent_ids[start:stop], table.heights[start:stop], table.mined_at_s[start:stop]):
+        spec = _exact(column)
+        specs.append(spec or "%s")
+        values.append(column if spec else _column(column))
     if None in values:
         return None
     inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(_str(name).replace("%", "%%") + ": " + spec for name, spec in zip(columns, specs))
+    fields = ("," + inner).join(f'"{name}": {spec}' for name, spec in zip(BLOCK_FIELDS, [*specs, size]))
     template = "{" + inner + fields + "\n" + _INDENT * level + "}"
-    return (",\n" + _INDENT * level).join([template] * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
+    return (",\n" + _INDENT * level).join([template] * (stop - start)) % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
 def _encode(value: Any, level: int) -> str:
@@ -378,9 +411,8 @@ def _encode(value: Any, level: int) -> str:
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
     field by field, and sequences and block tables CHUNK items at a time: a
-    chunk of plain scalars, or of block rows whose columns hold only plain
-    scalars, is encoded column by column, and any other item is dumped on
-    its own."""
+    chunk of plain scalars, or of block rows whose fields are plain scalars,
+    is encoded as one text, and any other chunk item by item."""
     inner = "\n" + _INDENT * (level + 1)
     if _is_record(obj) and _field_names(type(obj)):
         for i, name in enumerate(_field_names(type(obj))):
@@ -388,15 +420,14 @@ def _dump(obj: Any, level: int, write) -> None:
             _dump(getattr(obj, name), level + 1, write)
         write("\n" + _INDENT * level + "}")
     elif isinstance(obj, (list, tuple, BlockTable)) and obj:
+        texts = _block_texts(obj) if isinstance(obj, BlockTable) else None
         for start in range(0, len(obj), CHUNK):
             if isinstance(obj, BlockTable):
-                columns = obj.columns(start, start + CHUNK)
-                text, chunk = _table(columns, level + 1), _rows(columns)
+                text = None if texts is None else _block_rows(obj, start, *texts, level + 1)
             else:
-                chunk = obj[start:start + CHUNK]
-                texts = _column(chunk)
-                text = None if texts is None else ("," + inner).join(texts)
+                text = _items(obj[start:start + CHUNK], level + 1)
             if text is None:
+                chunk = _rows(obj.columns(start, start + CHUNK)) if isinstance(obj, BlockTable) else obj[start:start + CHUNK]
                 for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)
                     _dump(item, level + 1, write)

@@ -27,9 +27,10 @@ seeded generator consumed in a fixed order, so identical configs produce
 identical results, event for event. The peer graph's stub indices are
 computed in the matching loop from raw PCG64 words read ahead in blocks,
 each the value one ``integers`` call per stub would draw, and the generator
-is left where those calls leave it. One breadth-first search, a bit per
-winner packed 64 to a word, gives the hops between winners up front; from
-node 0 it tells if a peer graph is connected.
+is left where those calls leave it. A breadth-first search from node 0, a
+flag per node, tells if a matching is connected; one search of the final
+graph, a bit per winner packed 64 to a word, gives the hops between winners
+up front.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
@@ -61,6 +62,9 @@ SHARE_SUM_TOLERANCE = 1e-9
 MAX_DURATION_BLOCKS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 GENESIS_MINER = "genesis"
+
+# The fields of a block's row, in export order.
+BLOCK_FIELDS = ("block_id", "miner_id", "parent_id", "height", "mined_at_s", "size_bytes")
 
 
 @dataclass(frozen=True)
@@ -153,17 +157,17 @@ class BlockTable:
 
     def columns(self, start: int, stop: int) -> dict[str, Sequence]:
         """Blocks ``start`` up to ``stop`` (clipped to the table) as the rows
-        they export as: one column per field, in field order."""
+        they export as: one column per ``BLOCK_FIELDS`` entry, in its order."""
         stop = min(stop, len(self))
         names = (*self.miner_ids, GENESIS_MINER)
-        return {
-            "block_id": range(start, stop),
-            "miner_id": list(map(names.__getitem__, self.miner_index[start:stop])),
-            "parent_id": self.parent_ids[start:stop],
-            "height": self.heights[start:stop],
-            "mined_at_s": self.mined_at_s[start:stop],
-            "size_bytes": (self.size_bytes,) * (stop - start),
-        }
+        return dict(zip(BLOCK_FIELDS, (
+            range(start, stop),
+            list(map(names.__getitem__, self.miner_index[start:stop])),
+            self.parent_ids[start:stop],
+            self.heights[start:stop],
+            self.mined_at_s[start:stop],
+            (self.size_bytes,) * (stop - start),
+        )))
 
 
 @dataclass(frozen=True)
@@ -196,12 +200,12 @@ class BoundCheck:
     violated: bool
 
 
-def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, bool]:
+def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Breadth-first hop counts between ``sources`` over the adjacency rows
     ``peers``, [j, k] from ``sources[j]`` to ``sources[k]`` in the smallest
-    unsigned type holding n (n if unreached), and whether every node was
-    reached. A node carries a bit per source, 64 to a word in any byte order
-    (only OR, AND and NOT touch one), and each level ORs its peers' words."""
+    unsigned type holding n (n if unreached). A node carries a bit per
+    source, 64 to a word in any byte order (only OR, AND and NOT touch one),
+    and each level ORs its peers' words."""
     n, count = len(peers), len(sources)
     words = -(-count // 64)
     dist = np.full((count, count), n, dtype=np.min_scalar_type(n))
@@ -217,7 +221,22 @@ def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, 
             reached |= frontier[column]
         frontier = reached & ~seen
         seen |= frontier
-    return dist, not (np.bitwise_or.reduce(seen[sources], axis=0) & ~seen).any()
+    return dist
+
+
+def _connected(peers: np.ndarray) -> bool:
+    """Whether a breadth-first search from node 0 over the adjacency rows
+    ``peers`` reaches every node: each level marks the frontier's peers and
+    keeps those not yet seen, until none are new."""
+    seen = np.zeros(len(peers), dtype=bool)
+    frontier = seen.copy()
+    seen[0] = frontier[0] = True
+    while frontier.any():
+        reached = np.zeros_like(seen)
+        reached[peers[frontier]] = True
+        frontier = reached > seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def _hop_sums(times: np.ndarray, hops: int, hop: float) -> Iterator[np.ndarray]:
@@ -354,7 +373,7 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
                         pos = stream.ahead(pos, size + 2)
             else:  # every stub matched
                 graph = np.sort(np.fromiter(itertools.chain.from_iterable(adj), np.intp, n * degree).reshape(n, degree), axis=1)
-                if _hop_distances(graph, np.array([0]))[1]:
+                if _connected(graph):
                     return graph
     finally:
         stream.end(pos)
@@ -399,7 +418,7 @@ def _choose_parents(peers: np.ndarray, mined: np.ndarray, winners: np.ndarray,
     # to k, and ecc, at least 1, the most, the farthest any block comes from.
     winning = np.flatnonzero(np.bincount(winners))
     by_winner = [-1] + np.searchsorted(winning, winners).tolist()
-    hops_between = _hop_distances(peers, winning)[0]
+    hops_between = _hop_distances(peers, winning)
     distances = list(map(memoryview, hops_between))
     ecc = max(int(hops_between.max()), 1)
 

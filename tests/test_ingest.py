@@ -637,18 +637,19 @@ def numpy_times(result):
     return dataclasses.replace(result, blocks=blocks)
 
 
-def block_table(n, tail=None, miner_ids=("a", "b", "c")):
+def block_table(n, tail=None, miner_ids=("a", "b", "c"), size_bytes=1_000_000, index=int):
     """An ``n``-block ``BlockTable`` of plain values; ``tail`` maps column
-    names to the values that end them instead."""
+    names to the values that end them instead, and ``index`` makes each
+    miner index."""
     columns = {
         "parent_ids": (None, *range(n - 1)),
         "heights": tuple(range(n)),
         "mined_at_s": tuple(i * 0.25 for i in range(n)),
-        "miner_index": (-1, *(i % len(miner_ids) for i in range(n - 1))),
+        "miner_index": tuple(map(index, (-1, *(i % len(miner_ids) for i in range(n - 1))))),
     }
     for name, values in (tail or {}).items():
         columns[name] = columns[name][:n - len(values)] + values
-    return BlockTable(**columns, size_bytes=1_000_000, miner_ids=miner_ids)
+    return BlockTable(**columns, size_bytes=size_bytes, miner_ids=miner_ids)
 
 
 class TestJsonExportAgainstOracle:
@@ -692,7 +693,21 @@ class TestJsonExportAgainstOracle:
         self.assert_same_bytes(tmp_path, Nested(scalars(0), rows(n)))
         self.assert_same_bytes(tmp_path, list(range(n)))
 
-    # Block columns that a chunk's one format takes as texts, or refuses.
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("kind", ["ints", "floats", "nan_floats", "overflowing_floats", "ints_and_floats"])
+    def test_sequences_around_chunk_size(self, tmp_path, kind, n):
+        values = {
+            "ints": [(-1) ** i * 7 ** (i % 40) for i in range(n)],
+            "floats": [i / 7 - 100.0 for i in range(n)],
+            "nan_floats": [i / 7 for i in range(n - 1)] + [math.nan],
+            "overflowing_floats": [1e308] * n,
+            "ints_and_floats": [i if i % 2 else i * 0.5 for i in range(n)],
+        }[kind]
+        self.assert_same_bytes(tmp_path, values)
+        self.assert_same_bytes(tmp_path, tuple(values))
+
+    # Block tables whose rows a chunk's one format takes with texts, or that
+    # go row by row: ids and sizes once per table, the other columns per chunk.
     FALLBACKS = {
         "infinities_and_nan": {"tail": {"mined_at_s": (math.inf, -math.inf, math.nan)}},
         "inf": {"tail": {"mined_at_s": (math.inf,)}},
@@ -702,19 +717,31 @@ class TestJsonExportAgainstOracle:
         "bool_height": {"tail": {"heights": (True,)}},
         "numpy_height": {"tail": {"heights": (np.int64(7),)}},
         "percent_and_non_ascii_ids": {"miner_ids": ("%", "%%s", "\u00e9t\u00e9 \U0001F600")},
+        "escaped_ids": {"miner_ids": ('q"uote', "back\\slash", "bel\x07", "\u2028sep")},
+        "numpy_str_id": {"miner_ids": ("a", np.str_("b"), "c")},
+        "repeated_ids": {"miner_ids": ("x", "%s", "x")},
+        "numpy_miner_index": {"index": np.int64},
+        "bool_size": {"size_bytes": True},
+        "float_size": {"size_bytes": 1e6},
+        "nan_size": {"size_bytes": math.nan},
+        "numpy_size": {"size_bytes": np.int64(7)},
+        "percent_text_size": {"size_bytes": "%d"},
     }
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
     def test_block_chunk_fallbacks(self, tmp_path, case, n):
         table = block_table(n, **self.FALLBACKS[case])
-        if case == "numpy_height":  # json writes no numpy integer
+        if case in ("numpy_height", "numpy_size"):  # json writes no numpy integer
             with pytest.raises(FormatError):
                 oracle_export_json(as_records(table), str(tmp_path / "expected.json"))
             with pytest.raises(FormatError):
                 export_report(table, str(tmp_path / "out.json"), "json")
         else:
             self.assert_same_bytes(tmp_path, table)
+
+    def test_genesis_only_table(self, tmp_path):
+        self.assert_same_bytes(tmp_path, block_table(1, miner_ids=()))
 
     @pytest.mark.parametrize("case", ["one_miner_one_block", "fork_heavy", "result_list", "result_numpy_times"])
     def test_to_jsonable_equals_oracle(self, case):

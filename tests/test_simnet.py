@@ -231,18 +231,16 @@ def test_bounded_draw_matches_integers(size, buffered):
 
 class TestHopDistances:
     """The one multi-source search against a queue-driven search per source:
-    every entry between two sources, and whether every node was reached."""
+    every entry between two sources."""
 
     @staticmethod
     def check(adj, sources):
         n = len(adj)
         peers = np.array(adj, dtype=np.intp).reshape(n, -1)
-        dist, reached_all = _hop_distances(peers, np.array(sources, dtype=np.intp))
+        dist = _hop_distances(peers, np.array(sources, dtype=np.intp))
         rows = [oracle_hop_distances(adj, s) for s in sources]
         assert dist.dtype == np.min_scalar_type(n)
         assert dist.tolist() == [[row[k] for k in sources] for row in rows]
-        assert reached_all == all(max(row) < n for row in rows)
-        return reached_all
 
     @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 2), (300, 8)])
     def test_random_regular_graphs(self, n, degree):
@@ -250,43 +248,77 @@ class TestHopDistances:
         adj = random_regular_graph(n, degree, rng).tolist()
         # Every node, then source counts on and either side of 64-bit word
         # edges, in scrambled order.
-        assert self.check(adj, list(range(n)))
+        self.check(adj, list(range(n)))
         for count in {1, 63, 64, 65, 128, 129}:
             self.check(adj, rng.permutation(n)[:min(n, count)].tolist())
 
     def test_disconnected_nodes_read_n(self):
-        # Two disjoint rings, of 3 and 5 nodes.
-        adj = ((1, 2), (0, 2), (0, 1), (4, 7), (3, 5), (4, 6), (5, 7), (3, 6))
-        assert not self.check(adj, [5, 0, 3, 1])
-        assert not self.check(adj, [6])
-        dist, reached_all = _hop_distances(np.array(adj), np.array([0, 1, 4]))
-        assert dist.tolist() == [[0, 1, 8], [1, 0, 8], [8, 8, 0]] and not reached_all
+        self.check(TWO_RINGS, [5, 0, 3, 1])
+        self.check(TWO_RINGS, [6])
+        dist = _hop_distances(np.array(TWO_RINGS), np.array([0, 1, 4]))
+        assert dist.tolist() == [[0, 1, 8], [1, 0, 8], [8, 8, 0]]
 
     def test_single_node(self):
-        assert self.check(((),), [0])
+        self.check(((),), [0])
 
     def test_dtype_widens_with_n(self):
         # uint8 holds 255 but not 256; a ring's far side is n/2 hops away.
         for n in (255, 256):
-            ring = tuple(((i - 1) % n, (i + 1) % n) for i in range(n))
-            self.check(ring, [0, n - 1, 100, n // 2])
-            self.check(ring, list(range(n))[::-1])
+            self.check(ring(n), [0, n - 1, 100, n // 2])
+            self.check(ring(n), list(range(n))[::-1])
+
+
+# Two disjoint rings, of 3 and 5 nodes.
+TWO_RINGS = ((1, 2), (0, 2), (0, 1), (4, 7), (3, 5), (4, 6), (5, 7), (3, 6))
+
+
+def ring(n):
+    return tuple(tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
+
+
+class TestConnected:
+    """``_connected`` against a queue-driven search from node 0: true only
+    if it reaches every node."""
+
+    @staticmethod
+    def check(adj):
+        n = len(adj)
+        connected = simnet._connected(np.array(adj, dtype=np.intp).reshape(n, -1))
+        assert connected == (max(oracle_hop_distances(adj, 0)) < n)
+        return connected
+
+    @pytest.mark.parametrize("n, degree", [(2, 1), (9, 2), (10, 3), (37, 4), (300, 2), (300, 8)])
+    def test_random_regular_graphs(self, n, degree):
+        assert self.check(random_regular_graph(n, degree, np.random.default_rng(n)).tolist())
+
+    def test_two_disjoint_rings(self):
+        assert not self.check(TWO_RINGS)
+        # Node 0 in the larger ring, of 5 nodes.
+        assert not self.check(((1, 4), (0, 2), (1, 3), (2, 4), (0, 3), (6, 7), (5, 7), (5, 6)))
+
+    def test_single_node(self):
+        assert self.check(((),))
+
+    def test_long_rings(self):
+        # Searches about n/2 levels deep: one 2,000-node ring, then two
+        # rings of 1,000 nodes each.
+        assert self.check(ring(2000))
+        assert not self.check(ring(1000) + tuple(tuple(p + 1000 for p in peers) for peers in ring(1000)))
 
 
 class TestConnectivityCheck:
-    """The peer-graph build reads the search's reach flag from node 0."""
+    """The peer-graph build checks each full matching with ``_connected``."""
 
     def test_disconnected_matching_is_retried(self, monkeypatch):
         # A 2-regular matching over 7 nodes may come out as a 3-cycle and a
         # 4-cycle: the build must throw it away and match again.
-        search, reach = simnet._hop_distances, []
+        check, reach = simnet._connected, []
 
-        def recording(peers, sources):
-            dist, reached_all = search(peers, sources)
-            reach.append(reached_all)
-            return dist, reached_all
+        def recording(peers):
+            reach.append(check(peers))
+            return reach[-1]
 
-        monkeypatch.setattr(simnet, "_hop_distances", recording)
+        monkeypatch.setattr(simnet, "_connected", recording)
         retried = 0
         for seed in range(20):
             reach.clear()
