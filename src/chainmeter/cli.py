@@ -189,13 +189,18 @@ def _cmd_simulate(args) -> int:
     config = load_sim_config(args.config)
     if overrides := _given(args, ("duration_blocks", "topology_degree", "seed")):
         config = replace(config, **overrides)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [config.seed]
+    if args.seeds:
+        seeds = _parse_seeds(args.seeds)
+        # A range's seeds are valid when both ends are: build those configs before anything prints.
+        ends = {s: replace(config, seed=s) for s in dict.fromkeys((seeds[0], seeds[-1]))}
+    else:
+        seeds, ends = [config.seed], {config.seed: config}
 
     cap = throughput_upper_bound(config.net, config.chain.tx_size_bytes)
     print(f"bandwidth ceiling w/s: {cap!r} tx/s")
     if seeds[0] == seeds[-1]:  # one seed; len() of a range past sys.maxsize raises
         kept: list[SimResult] = []
-        violated = _simulate_seed(replace(config, seed=seeds[0]) if args.seeds else config, kept.append)
+        violated = _simulate_seed(ends[seeds[0]], kept.append)
         shares = dict(config.miners)
         table = ["miner  share  canonical_blocks"]
         table += [f"{miner}  {shares[miner]!r}  {int(blocks)}" for miner, blocks in kept[0].per_miner_canonical.entries]
@@ -206,7 +211,7 @@ def _cmd_simulate(args) -> int:
         with json_array(args.out) if args.out is not None else contextlib.nullcontext() as keep:
             violated = False
             for s in seeds:
-                violated = _simulate_seed(replace(config, seed=s), keep) or violated
+                violated = _simulate_seed(ends.get(s) or replace(config, seed=s), keep) or violated
     if args.out is not None:
         print(f"result written to {args.out}", file=sys.stderr)
     if args.check_bound and violated:

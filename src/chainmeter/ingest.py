@@ -210,13 +210,13 @@ def load_sim_config(path: str) -> SimConfig:
     topology_degree, duration_blocks, seed), in bytes and bytes per second;
     any other key is refused. Defaults: topology_degree 8, seed 0,
     confirmations 6. The chain and net reals are read with ``errors.real``;
-    shares and integer fields, ``block_size_bytes`` among them, are passed
-    as read, for the types to apply ``errors.real`` and ``errors.integer``: a
-    JSON boolean or string is no number, and ``6.0`` is no integer. All
-    violations are reported at once: when ``chain``, ``net`` or the
-    ``miners`` list fails, it is stood in for and ``SimConfig`` still checks
-    the other fields (a failed list by one miner, so the degree's range goes
-    unchecked).
+    miner weights (``hash_power_share``, any unit) and integer fields,
+    ``block_size_bytes`` among them, are passed as read, for the types to
+    apply ``errors.real`` and ``errors.integer``: a JSON boolean or string is
+    no number, and ``6.0`` is no integer. Every violation is reported, the
+    miners' first among them: when ``chain``, ``net`` or the ``miners`` list
+    fails, it is stood in for and ``SimConfig`` still checks the other fields
+    (a failed list by one miner, so the degree's range goes unchecked).
     """
     with open(path, encoding="utf-8") as fh:
         try:

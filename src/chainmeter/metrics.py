@@ -34,7 +34,7 @@ COVERAGE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ProducerDistribution:
-    """Multiset of ``(producer_id, weight)`` pairs with positive total weight.
+    """Multiset of ``(producer_id, weight)`` pairs with positive finite total.
 
     Weights may be block counts, transaction counts, or hash-power shares;
     the math is identical and no unit conversion is applied. Producer ids
@@ -66,6 +66,8 @@ class ProducerDistribution:
                     raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
         if total <= 0:
             raise InputError("total weight must be positive")
+        if total == math.inf:  # each weight is finite, but their sum overflows
+            raise InputError("total weight must be finite, got inf")
 
     def __getstate__(self):
         # The cached shares are rebuilt on demand, so a pickle holds only the entries.
@@ -138,8 +140,7 @@ def central_trust(dist: ProducerDistribution, kind: ConsensusKind) -> Centraliza
     dictated producer is 1 by definition regardless of the distribution.
     """
     if kind is ConsensusKind.SINGLE:
-        top_weight = max(w for _, w in dist.entries)
-        return CentralizationLevel(n=1, epsilon=0.0, covered_share=top_weight / dist.total_weight())
+        return CentralizationLevel(n=1, epsilon=0.0, covered_share=float(dist._cumulative_shares[0]))
     return centralization_level(dist, TRUST_EPSILON[kind])
 
 

@@ -45,7 +45,6 @@ time.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -53,10 +52,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, propagation_delay, throughput_upper_bound
-from chainmeter.errors import InputError, TopologyError, ValidationError, integer, real
+from chainmeter.errors import InputError, TopologyError, ValidationError, integer
 from chainmeter.metrics import ProducerDistribution
-
-SHARE_SUM_TOLERANCE = 1e-9
 
 # The most float64 draws numpy makes in one array; past it a run fails with "array is too big".
 MAX_DURATION_BLOCKS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -69,12 +66,14 @@ BLOCK_FIELDS = ("block_id", "miner_id", "parent_id", "height", "mined_at_s", "si
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full simulator input. ``miners`` pairs ids with hash-power shares that
-    must sum to 1; a lone miner holds all the hash power, so its positive
-    share becomes 1.0, and ``topology_degree`` is ignored for it.
+    """Full simulator input. ``miners`` pairs ids with hash-power weights in
+    any unit, stored as the entries of the ``ProducerDistribution`` that
+    checks them; a miner wins a block with its weight over the total.
+    ``topology_degree`` is ignored for a lone miner.
 
     A config checks itself when it is built, ``dataclasses.replace`` included:
-    it raises one ``ValidationError`` that lists every violated field.
+    it raises one ``ValidationError`` that lists every violated field, the
+    miners by the distribution's first fault.
     ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
     (numpy integers too, stored as ints, but not ``6.0``).
     """
@@ -88,25 +87,11 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
+        try:
+            object.__setattr__(self, "miners", ProducerDistribution(self.miners).entries)
+        except InputError as exc:
+            problems.append(f"miners: {exc}" if exc.index is None else f"miners[{exc.index}]: {exc}")
         n = len(self.miners)
-        if n == 0:
-            problems.append("miners: at least one miner is required")
-        ids = [str(m) for m, _ in self.miners]
-        if len(set(ids)) != len(ids):
-            problems.append("miners: miner ids must be unique")
-        shares = []
-        for i, (_, s) in enumerate(self.miners):
-            try:
-                shares.append(real(s, "hash_power_share"))
-            except InputError as exc:
-                problems.append(f"miners[{i}]: {exc}")
-        if len(shares) == n:  # each share that is not a number is listed
-            if any(not math.isfinite(s) or s < 0 for s in shares):
-                problems.append("miners: hash power shares must be finite and >= 0")
-            elif n > 1 and abs(sum(shares) - 1.0) > SHARE_SUM_TOLERANCE:
-                problems.append(f"miners: hash power shares must sum to 1, got {sum(shares)!r}")
-            else:
-                object.__setattr__(self, "miners", tuple(zip(ids, [1.0] if n == 1 and shares[0] > 0 else shares)))
         for name, kind in (("chain", ChainParams), ("net", NetworkParams)):
             if not isinstance(getattr(self, name), kind):
                 problems.append(f"{name}: must be a {kind.__name__}, got {getattr(self, name)!r}")
@@ -395,12 +380,13 @@ def run_simulation(config: SimConfig) -> SimResult:
 def _draw_events(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mining times, genesis's 0.0 first, and winners (indices into
     ``config.miners``), drawn up front so the same seed replays the same
-    winners and (scaled) spacings at any chain or net. A draw past the
-    share sum, up to 1e-9 short of 1, goes to the last miner with a share."""
+    winners and (scaled) spacings at any chain or net. The cumulative
+    weights over their total end at exactly 1.0 and repeat at a zero
+    weight, so each draw in [0, 1) goes to a miner with a positive weight."""
     mine_times = np.cumsum(rng.standard_exponential(config.duration_blocks) * config.chain.block_interval_s)
     winner_draws = rng.random(config.duration_blocks)
-    share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
+    cum = np.cumsum(np.array([w for _, w in config.miners], dtype=float))
+    winners = np.searchsorted(cum / cum[-1], winner_draws, side="right")
     return np.concatenate(([0.0], mine_times)), winners
 
 

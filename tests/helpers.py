@@ -2,11 +2,12 @@
 
 The oracles deliberately avoid the library's code paths: plain Python sums
 and scans only, so agreement with the library is evidence, not tautology.
-The simulator oracle shares only config validation and the random draws with
-the library; it builds its peer graph with the library's former matcher (one
-generator call per stub), propagates blocks hop by hop, and builds its block
-records itself. ``oracle_inbox_engine`` is the library's former event loop,
-which kept a heap of blocks in flight per winner; it shares the peer graph
+The simulator oracle shares only config validation and the random draws
+(``simnet._draw_events``) with the library; it builds its peer graph with
+the library's former matcher (one generator call per stub), propagates
+blocks hop by hop, and builds its block records itself.
+``oracle_inbox_engine`` is the library's former event loop, which kept a
+heap of blocks in flight per winner; it shares the peer graph and the draws
 with the library, takes its hop distances from ``oracle_hop_distances``, a
 plain queue-driven breadth-first search, and checks only the tip choice.
 The JSON export oracle is the library's former ``json.dump(indent=2)`` path;
@@ -46,7 +47,7 @@ import random
 
 import numpy as np
 
-from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay
+from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay, simnet
 from chainmeter.cli import main
 from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
 from chainmeter.simnet import (
@@ -272,14 +273,11 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
 
     adj = oracle_random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
 
-    # Pre-drawing the whole event stream keeps generator consumption
-    # independent of chain/net parameters: the same seed replays the same
-    # winners and (scaled) spacings at any interval or block size.
+    # The library's draws: the whole event stream up front, so generator
+    # consumption does not depend on chain/net parameters.
     blocks_to_mine = config.duration_blocks
-    mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
-    winner_draws = rng.random(blocks_to_mine)
-    share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
+    mined, winners = simnet._draw_events(config, rng)
+    mine_times = mined[1:]
 
     parent = [-1]
     height = [0]
@@ -379,21 +377,17 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     arrival go to the lower id, as in the library."""
     chain, net = config.chain, config.net
     n = len(config.miners)
-    interval = chain.block_interval_s
     hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
     adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng).tolist()
 
     blocks_to_mine = config.duration_blocks
-    mine_times = np.cumsum(rng.standard_exponential(blocks_to_mine) * interval)
-    winner_draws = rng.random(blocks_to_mine)
-    share_cum = np.cumsum(np.array([s for _, s in config.miners], dtype=float))
-    winners = np.minimum(np.searchsorted(share_cum, winner_draws, side="right"), np.searchsorted(share_cum, share_cum[-1]))
+    mined, winners = simnet._draw_events(config, rng)
 
     parent = [-1]
     height = [0]
-    mined_at = [0.0] + mine_times.tolist()
+    mined_at = mined.tolist()
     miner_of = [-1] + winners.tolist()
     tip = [0] * n
     tip_height = [0] * n
@@ -533,6 +527,8 @@ def _oracle_distribution(entries) -> ProducerDistribution:
             raise InputError(f"weight of {pid!r} must be finite and >= 0, got {w!r}", index)
     if sum(w for _, w in converted) <= 0:
         raise InputError("total weight must be positive")
+    if sum(w for _, w in converted) == math.inf:
+        raise InputError("total weight must be finite, got inf")
     return ProducerDistribution(entries)
 
 

@@ -579,13 +579,30 @@ class TestSimulateCommand:
             raise TopologyError(f"stopped at seed {config.seed}")
 
         monkeypatch.setattr(cli, "run_simulation", fails)
-        assert main(["simulate", config_json, "--seeds", f"0..{2**64}"]) == EXIT_RUNTIME
+        assert main(["simulate", config_json, "--seeds", f"0..{2**64 - 1}"]) == EXIT_RUNTIME
         assert capsys.readouterr().err == "error: stopped at seed 0\n"
+
+    @pytest.mark.parametrize("seeds, bad", [
+        (f"{2**64 - 2}..{2**64}", 2**64), (f"0..{2**64}", 2**64), ("-1..1", -1),
+    ], ids=["last-two-valid", "huge-range", "negative-start"])
+    def test_seed_range_with_an_invalid_end_exits_two_before_any_run(self, config_json, tmp_path, capsys, seeds, bad):
+        out = tmp_path / "r.json"
+        outcome = run(["simulate", config_json, f"--seeds={seeds}", "--out", str(out)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == f"error: seed: must be an unsigned 64-bit integer, got {bad}\n"
+        assert not out.exists()
+
+    def test_lone_miner_prints_its_share_as_given(self, tmp_path):
+        path = tmp_path / "solo.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, miners=[{"miner_id": "solo", "hash_power_share": 0.9}])))
+        outcome = run(["simulate", str(path)])
+        assert outcome.exit_code == EXIT_OK
+        assert outcome.stdout_report.splitlines()[-2:] == ["miner  share  canonical_blocks", "solo  0.9  30"]
 
     @pytest.mark.parametrize("changes, message", [
         ({"chain": dict(BASE_CONFIG["chain"], tx_size_bytes="513")}, "chain: tx_size_bytes must be a number, got '513'"),
         ({"miners": [dict(BASE_CONFIG["miners"][0], hash_power_share="0.5"), BASE_CONFIG["miners"][1]]},
-         "miners[0]: hash_power_share must be a number, got '0.5'"),
+         "miners[0]: weight of 'a' must be a number, got '0.5'"),
     ], ids=["tx_size_bytes", "hash_power_share"])
     def test_numeric_string_exits_two(self, tmp_path, capsys, changes, message):
         path = tmp_path / "bad.json"

@@ -326,21 +326,20 @@ class TestLoadSimConfig:
         assert config.net == NetworkParams(712_500.0, 0.1)
         assert config.seed == 0  # default
 
-    def test_single_miner_share_normalized(self, tmp_path):
+    def test_single_miner_keeps_its_share(self, tmp_path):
         data = dict(BASE_CONFIG, miners=[{"miner_id": "solo", "hash_power_share": 0.9}], topology_degree=8)
         path = write(tmp_path / "c.json", json.dumps(data))
         config = load_sim_config(path)
-        assert config.miners == (("solo", 1.0),)
+        assert config.miners == (("solo", 0.9),)
         run_simulation(config)  # degree is irrelevant for one miner
 
-    def test_shares_not_summing_rejected(self, tmp_path):
+    def test_shares_are_weights_that_need_not_sum_to_one(self, tmp_path):
         data = dict(BASE_CONFIG, miners=[
-            {"miner_id": "a", "hash_power_share": 0.5},
+            {"miner_id": "a", "hash_power_share": 3},
             {"miner_id": "b", "hash_power_share": 0.4},
         ])
         path = write(tmp_path / "c.json", json.dumps(data))
-        with pytest.raises(ValidationError, match="sum to 1"):
-            load_sim_config(path)
+        assert load_sim_config(path).miners == (("a", 3.0), ("b", 0.4))
 
     def test_block_size_past_the_float_mantissa_loads_exactly(self, tmp_path):
         data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], block_size_bytes=2**53 + 1))
@@ -364,7 +363,7 @@ class TestLoadSimConfig:
         data = dict(BASE_CONFIG)
         data["miners"] = [
             {"miner_id": "a", "hash_power_share": 0.5},
-            {"miner_id": "b", "hash_power_share": 0.4},
+            {"miner_id": "a", "hash_power_share": 0.5},
         ]
         data["duration_blocks"] = 0
         data["typo_key"] = 1
@@ -374,7 +373,7 @@ class TestLoadSimConfig:
         message = str(err.value)
         assert "typo_key" in message
         assert "duration_blocks" in message
-        assert "sum to 1" in message
+        assert "miners[1]: duplicate producer_id 'a'" in message
 
     @pytest.mark.parametrize("section, key, message", [
         ("chain", "tx_size_bytes", "chain: tx_size_bytes must be positive and finite, got -1.0"),
@@ -391,7 +390,7 @@ class TestLoadSimConfig:
         ("chain", "tx_size_bytes", "chain: tx_size_bytes must be a number, got True"),
         ("chain", "confirmations", "chain: confirmations must be an integer, got True"),
         ("net", "latency_s", "net: latency_s must be a number, got True"),
-        ("miners", "hash_power_share", "miners[1]: hash_power_share must be a number, got True"),
+        ("miners", "hash_power_share", "miners[1]: weight of 'b' must be a number, got True"),
         (None, "topology_degree", "topology_degree must be an integer, got True"),
     ])
     def test_json_booleans_are_not_numbers(self, tmp_path, section, key, message):

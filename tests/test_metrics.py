@@ -93,6 +93,11 @@ class TestDistribution:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             ProducerDistribution(entries)
 
+    def test_weights_whose_sum_overflows_are_refused(self):
+        with pytest.raises(InputError, match="^total weight must be finite, got inf$") as info:
+            ProducerDistribution((("a", 1e308), ("b", 1e308)))
+        assert info.value.index is None
+
     def test_int_weight_past_the_float_range_reads_as_infinite(self):
         with pytest.raises(InputError, match="^weight of 'a' must be finite and >= 0, got inf$") as info:
             ProducerDistribution((("a", 10**400), ("b", 1.0)))
@@ -139,6 +144,12 @@ class TestCentralTrust:
         level = central_trust(d, ConsensusKind.SINGLE)
         assert level.n == 1
         assert level.covered_share == pytest.approx(1 / 3)
+
+    def test_single_covers_the_top_share_the_level_reports(self):
+        # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 in entry order, so the
+        # top weight over that total would read 0.4999999999999999.
+        d = dist(0.1, 0.2, 0.3)
+        assert central_trust(d, ConsensusKind.SINGLE).covered_share == centralization_level(d, 0.5).covered_share == 0.5
 
     def test_nakamoto_with_dominant_top_three(self):
         weights = [0.25, 0.20, 0.16] + [0.39 / 47] * 47  # top 3 hold 61%
@@ -263,9 +274,8 @@ class TestSortOnce:
             n = min(int(np.searchsorted(shares, (1.0 - eps) - COVERAGE_TOL, side="left")) + 1, len(shares))
             return CentralizationLevel(n=n, epsilon=float(eps), covered_share=float(shares[n - 1]))
 
-        top = max(w for _, w in d.entries)
         trust = [level(TRUST_EPSILON[kind]) if kind in TRUST_EPSILON
-                 else CentralizationLevel(n=1, epsilon=0.0, covered_share=top / d.total_weight())
+                 else CentralizationLevel(n=1, epsilon=0.0, covered_share=float(shares[0]))
                  for kind in ConsensusKind]
         return [level(eps) for eps in TestSortOnce.EPSILONS], trust, [(k + 1, float(f)) for k, f in enumerate(shares)]
 

@@ -85,7 +85,7 @@ BOUNDARIES = [
     ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
     ("ProducerDistribution.weight", lambda v: ProducerDistribution((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
     ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
-     "miners[0]: hash_power_share", float, REAL),
+     "miners[0]: weight of 'a'", float, REAL),
 ]
 
 
@@ -106,15 +106,12 @@ class TestEveryBoundary:
 # past the float range needs no refusal there: a node count is only compared
 # with the centralization level and the shard count.
 FACTORS = [row for row in BOUNDARIES if row[0] != "shard_analysis.node_count"]
-# A share is one problem in the list SimConfig raises, named by its rule.
-SHARE_PROBLEM = "miners: hash power shares must be finite and >= 0"
 
 
-@pytest.mark.parametrize("row_id, call, name", [row[:3] for row in FACTORS], ids=[row[0] for row in FACTORS])
-def test_an_int_past_the_float_range_is_refused(row_id, call, name):
+@pytest.mark.parametrize("call, name", [row[1:3] for row in FACTORS], ids=[row[0] for row in FACTORS])
+def test_an_int_past_the_float_range_is_refused(call, name):
     # epsilon's range is [0, 1), and its refusal says it "must lie in" it.
-    refusal = (re.escape(SHARE_PROBLEM) if row_id == "SimConfig.hash_power_share"
-               else f"{re.escape(name)} must (be|lie in) ")
+    refusal = f"{re.escape(name)} must (be|lie in) "
     with pytest.raises(InputError, match=refusal):
         call(10**400)
 
@@ -180,13 +177,11 @@ def test_positive_rule():
             positive(value, "x")
 
 
-def test_simconfig_lists_every_share_that_is_not_a_number():
-    message = (f"miners[0]: hash_power_share must be a number, got True; "
-               f"miners[1]: hash_power_share must be a number, got {np.bool_(False)!r}; "
-               "miners[2]: hash_power_share must be a number, got '0.5'")
+def test_simconfig_names_the_first_miner_fault_beside_every_other_field():
+    message = "miners[0]: weight of 'a' must be a number, got True; duration_blocks: must be >= 1, got 0"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         SimConfig(miners=(("a", True), ("b", np.bool_(False)), ("c", "0.5"), ("d", 0.5)), chain=CHAIN, net=NET,
-                  duration_blocks=5, topology_degree=2)
+                  duration_blocks=0, topology_degree=2)
 
 
 BASE_CONFIG = {
@@ -207,7 +202,7 @@ CONFIG_FIELDS = [
     ("chain", "confirmations", "chain: confirmations", int, (3,)),
     ("net", "bandwidth_bytes_per_s", "net: bandwidth_bytes_per_s", float, (3, 3.0, 0.5)),
     ("net", "latency_s", "net: latency_s", float, (3, 3.0, 0.5)),
-    ("miners", "hash_power_share", "miners[0]: hash_power_share", float, (3, 3.0, 0.5)),
+    ("miners", "hash_power_share", "miners[0]: weight of 'a'", float, (3, 3.0, 0.5)),
     (None, "duration_blocks", "duration_blocks", int, (3,)),
     (None, "topology_degree", "topology_degree", int, (3,)),
     (None, "seed", "seed", int, (3,)),
@@ -248,7 +243,7 @@ def test_config_lists_every_violation_when_a_section_fails(tmp_path):
         load_sim_config(str(path))
     assert str(info.value) == (
         f"{path}: chain: tx_size_bytes must be a number, got True; "
-        "miners[1]: hash_power_share must be a number, got False; "
+        "miners[1]: weight of 'b' must be a number, got False; "
         "duration_blocks must be an integer, got True; "
         "topology_degree: must lie in [1, 1] for 2 miners, got 2"
     )
@@ -257,5 +252,5 @@ def test_config_lists_every_violation_when_a_section_fails(tmp_path):
 def test_config_number_past_the_float_range_is_out_of_range(tmp_path):
     with pytest.raises(ValidationError, match="chain: tx_size_bytes must be positive and finite, got inf"):
         load_sim_config(config_with(tmp_path, "chain", "tx_size_bytes", 10**400))
-    with pytest.raises(ValidationError, match="miners: hash power shares must be finite and >= 0"):
+    with pytest.raises(ValidationError, match=r"miners\[0\]: weight of 'a' must be finite and >= 0, got inf"):
         load_sim_config(config_with(tmp_path, "miners", "hash_power_share", 10**400))

@@ -331,15 +331,14 @@ class TestConnectivityCheck:
 
 
 class TestConfigValidation:
-    def test_shares_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
-                      duration_blocks=10, topology_degree=1)
+    def test_shares_are_weights_that_need_not_sum_to_one(self):
+        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET, duration_blocks=10, topology_degree=1)
+        assert cfg.miners == (("a", 0.5), ("b", 0.4))
 
-    def test_share_that_is_not_a_number_is_a_listed_problem(self):
+    def test_first_miner_fault_is_a_listed_problem(self):
+        # The miners are checked as a ProducerDistribution, which names its first fault.
         with pytest.raises(ValidationError, match=(
-            r"^miners\[0\]: hash_power_share must be a number, got 'x'; "
-            r"miners\[2\]: hash_power_share must be a number, got None; "
+            r"^miners\[0\]: weight of 'a' must be a number, got 'x'; "
             r"duration_blocks: must be >= 1, got 0$"
         )):
             SimConfig(miners=(("a", "x"), ("b", 0.5), ("c", None)), chain=CHAIN, net=NET,
@@ -370,16 +369,24 @@ class TestConfigValidation:
             np.random.default_rng(0).random(bound + 1)  # fails before it allocates
 
     def test_duplicate_miner_ids(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^miners\[1\]: duplicate producer_id 'a'$"):
             SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
                       duration_blocks=10, topology_degree=1)
 
+    def test_no_miners(self):
+        with pytest.raises(ValidationError, match="^miners: distribution has no producers$"):
+            SimConfig(miners=(), chain=CHAIN, net=NET, duration_blocks=10)
+
+    def test_weights_whose_sum_overflows_are_refused(self):
+        with pytest.raises(ValidationError, match="^miners: total weight must be finite, got inf$"):
+            SimConfig(miners=(("a", 1e308), ("b", 1e308)), chain=CHAIN, net=NET, duration_blocks=10, topology_degree=1)
+
     def test_error_lists_every_violation(self):
         with pytest.raises(ValidationError) as err:
-            SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET,
+            SimConfig(miners=(("a", 0.5), ("a", 0.4)), chain=CHAIN, net=NET,
                       duration_blocks=0, topology_degree=5, seed=-1)
         message = str(err.value)
-        for field in ("miners", "topology_degree", "duration_blocks", "seed"):
+        for field in ("miners[1]: duplicate", "topology_degree", "duration_blocks", "seed"):
             assert field in message
 
     @pytest.mark.parametrize("field, value", [
@@ -403,12 +410,15 @@ class TestConfigValidation:
         )):
             SimConfig(miners=(("a", .5), ("b", .5)), chain=None, net="x", duration_blocks=5, topology_degree=1)
 
-    def test_lone_positive_share_becomes_one(self):
-        for share, stored in ((0.9, 1.0), (3, 1.0), (np.float32(0.5), 1.0), (0.0, 0.0)):
+    def test_lone_miner_keeps_its_share(self):
+        for share, stored in ((0.9, 0.9), (3, 3.0), (np.float32(0.5), 0.5)):
             cfg = SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
-            assert cfg.miners == (("solo", stored),)
-        for share in (-0.5, math.inf, math.nan, 10**400):
-            with pytest.raises(ValidationError, match="^miners: hash power shares must be finite and >= 0$"):
+            assert cfg.miners == (("solo", stored),) and type(cfg.miners[0][1]) is float
+            assert dict(produced_distribution(run_simulation(cfg)).entries) == {"solo": 5.0}
+        with pytest.raises(ValidationError, match="^miners: total weight must be positive$"):
+            SimConfig(miners=(("solo", 0.0),), chain=CHAIN, net=NET, duration_blocks=5)
+        for share, read in ((-0.5, "-0.5"), (math.inf, "inf"), (math.nan, "nan"), (10**400, "inf")):
+            with pytest.raises(ValidationError, match=rf"^miners\[0\]: weight of 'solo' must be finite and >= 0, got {read}$"):
                 SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
 
 
@@ -529,22 +539,32 @@ class ForcedDraw(np.random.Generator):
 
 
 class TestWinnerDraw:
-    def test_draw_past_a_short_share_sum_goes_to_the_last_miner_with_a_share(self, monkeypatch):
-        # The shares sum to 1 - 5e-10, inside the tolerance; a draw above
-        # that sum used to go to the zero-share relay listed last.
-        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4999999995), ("relay", 0.0)), chain=CHAIN, net=NET,
-                        duration_blocks=5, topology_degree=2, seed=1)
-        mined, winners = simnet._draw_events(cfg, ForcedDraw(1, 2, 0.9999999999))
-        plain = simnet._draw_events(cfg, np.random.default_rng(1))[1]
-        assert winners.tolist() == [*plain[:2], 1, *plain[3:]]
-        assert mined[0] == 0.0 and len(mined) == 6
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ForcedDraw(seed, 2, 0.9999999999))
-        assert dict(produced_distribution(run_simulation(cfg)).entries)["relay"] == 0.0
+    # The largest float below 1, the most a draw in [0, 1) can be.
+    TOP = np.nextafter(1.0, 0.0)
 
-    def test_lone_zero_share_miner_keeps_index_zero(self):
-        cfg = SimConfig(miners=(("solo", 0.0),), chain=CHAIN, net=NET, duration_blocks=50, seed=2)
-        assert simnet._draw_events(cfg, ForcedDraw(2, 0, 0.9999999999))[1].tolist() == [0] * 50
-        assert dict(produced_distribution(run_simulation(cfg)).entries) == {"solo": 50.0}
+    @pytest.mark.parametrize("index, value, winner", [(1, 0.0, 1), (2, TOP, 2)], ids=["lowest", "highest"])
+    def test_extreme_draws_skip_zero_weights_listed_first_and_last(self, monkeypatch, index, value, winner):
+        # The weights sum to 1 - 5e-10, so the highest draw lies past the
+        # raw cumulative sum; over the total the last weight ends at 1.0.
+        cfg = SimConfig(miners=(("relay0", 0.0), ("a", 0.5), ("b", 0.4999999995), ("relay", 0.0)), chain=CHAIN,
+                        net=NET, duration_blocks=5, topology_degree=2, seed=1)
+        mined, winners = simnet._draw_events(cfg, ForcedDraw(1, index, value))
+        plain = simnet._draw_events(cfg, np.random.default_rng(1))[1]
+        assert winners.tolist() == [*plain[:index], winner, *plain[index + 1:]]
+        assert mined[0] == 0.0 and len(mined) == 6
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ForcedDraw(seed, index, value))
+        mined_by = dict(produced_distribution(run_simulation(cfg)).entries)
+        assert mined_by["relay0"] == mined_by["relay"] == 0.0
+
+    def test_weights_draw_as_their_shares(self):
+        # Dividing by a power of two is exact, so weights 2**k times the
+        # shares, and counts in their ratio, give the same winners and result.
+        shares = (("a", 0.75), ("b", 0.0), ("c", 0.25))
+        base = SimConfig(miners=shares, chain=CHAIN, net=NET, duration_blocks=300, topology_degree=2, seed=8)
+        result = run_simulation(base)
+        for k in (-3, 2, 60):
+            assert run_simulation(replace(base, miners=tuple((m, math.ldexp(s, k)) for m, s in shares))) == result
+        assert run_simulation(replace(base, miners=(("a", 3), ("b", 0), ("c", 1)))) == result
 
 
 class TestProducedDistribution:
