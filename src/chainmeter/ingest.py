@@ -14,28 +14,25 @@ library.
 A CSV is read once, as bytes. If ``csv.reader`` would read it as a plain
 split does (UTF-8; no ``"``, NUL or ``\r`` outside ``\r\n``; the header's
 comma count on every line; no cell over ``csv.field_size_limit()``), one
-``split`` cuts it into cells. Any other file goes through ``csv.reader``;
-when the reader raises no error and every row has the header's width, its
-rows are transposed into the same cells. Either way each column is stripped
-and its one number column (a count or a weight) parsed, as a whole, into rows
-of exact types that the type built keeps. A file with a read error, a row of
-another width, a blank row or a bad number has its rows walked one by one, to
-skip blank rows and name the first line at fault in file order, a read
-error last. Lines count records, so a quoted field spanning lines counts
-once, but a read error names the physical line. Numbers are written with
-full double precision so that load(export(x)) == x.
+``split`` cuts it into cells; each column is stripped and its one number
+column (a count or a weight) parsed, as a whole, into rows of exact types
+that the type built keeps. Any other file, and a split file with a blank
+row or a bad number, goes through ``csv.reader``, whose rows are walked one
+by one, to skip blank rows and name the first line at fault in file order,
+a read error last. Lines count records, so a quoted field spanning lines
+counts once, but a read error names the physical line. Numbers are written
+with full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
 followed by a newline, as the running interpreter's ``json`` writes them. They
 are streamed: ``json_array`` writes an array one item at a time, and a
 sequence or a ``SimResult``'s ``BlockTable`` a chunk of items at a time. A
 chunk of a table's rows is one ``%`` format read from the table's own
-fields, so a 20k-block export never becomes 20k dicts. The texts of its
-miner ids and of its ``size_bytes`` are made once per table, and each row
-picks its miner's by ``miner_index``; block ids are a range, always ``%d``.
-Only the parents, heights and mining times are checked per chunk. A table
-whose ids or size are not plain scalars, or a chunk whose columns are not,
-goes row by row. Every other value is written by ``json``'s own encoder.
+fields, so a 20k-block export never becomes 20k dicts. The texts of miner
+ids that are plain scalars are made once per table, and each row picks its
+miner's by ``miner_index``; block ids are a range, always ``%d``. Any other
+value is written as json writes it, in its column. Every value outside a
+table or a sequence of plain scalars is written by ``json``'s own encoder.
 
 A CSV export has its header written by ``csv.writer``, and its rows a chunk
 at a time. A chunk whose every column holds only exact ints or only exact
@@ -45,8 +42,8 @@ of an int and ``repr`` of a float, ``nan`` and ``inf`` included. Any other
 chunk (strings, ``bool``, numpy scalars, ``IntEnum`` members, a column
 mixing ints and floats) goes through ``csv.writer``. A JSON chunk, of a
 table's checked columns or of a sequence, takes ``%d`` and ``%r`` by the same
-rule, adding that a float column's sum must be finite; any other column of
-plain scalars goes in as texts.
+rule, adding that a float column's sum must be finite; any other column
+goes in as texts.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -76,7 +73,12 @@ from chainmeter.errors import FormatError, InputError, ParseError, ValidationErr
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.presets import PRESETS
 from chainmeter.scaling import PaymentGraph
-from chainmeter.simnet import BLOCK_FIELDS, GENESIS_MINER, BlockTable, SimConfig
+from chainmeter.simnet import BlockTable, SimConfig
+
+GENESIS_MINER = "genesis"
+
+# The fields of a block's exported row, in order.
+BLOCK_FIELDS = ("block_id", "miner_id", "parent_id", "height", "mined_at_s", "size_bytes")
 
 
 def _read_columns(path: str, expected_header: list[str], number: str,
@@ -88,17 +90,20 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     with open(path, "rb") as fh:
         data = fh.read()
     k, width = expected_header.index(number), len(expected_header)
-    # Bytes that are not UTF-8 go to the reader. A line break starts the cell
-    # after it, for str.strip to drop; rows have the header's width if each
-    # starts a cell at a multiple.
+    # Bytes that are not UTF-8, a blank row (an empty first cell) and a number
+    # that does not parse leave the file to the row walk. A line break starts
+    # the cell after it, for str.strip to drop; rows have the header's width
+    # if each starts a cell at a multiple.
     with contextlib.suppress(ValueError):
         text = data.decode("utf-8-sig").replace("\r\n", "\n").removesuffix("\n")
         if '"' not in text and "\0" not in text and "\r" not in text:
             cells, breaks = text.replace("\n", ",\n").split(","), text.count("\n")
             if (len(cells) == width * (breaks + 1) and "".join(cells[width::width]).count("\n") == breaks
                     and max(map(len, cells)) <= csv.field_size_limit() and list(map(str.strip, cells[:width])) == expected_header):
-                if found := _parsed((cells[i::width] for i in range(width, 2 * width)), k, parse):
-                    return found
+                columns = [list(map(str.strip, itertools.islice(cells, i, None, width))) for i in range(width, 2 * width)]
+                if "" not in columns[0]:
+                    columns[k] = list(map(parse, columns[k]))
+                    return columns, range(2, len(columns[0]) + 2)
     rows, error = [], None
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
@@ -119,10 +124,6 @@ def _read_columns(path: str, expected_header: list[str], number: str,
                 break
         else:
             error = ParseError(f"{path}: not UTF-8 text: {exc}")
-    # A file read whole, in rows of the header's width (a blank line reads as
-    # an empty row), is transposed as the split's cells are.
-    if error is None and set(map(len, rows)) == {width} and (found := _parsed(zip(*rows), k, parse)):
-        return found
     kept: list[list] = [[] for _ in expected_header]
     lines = []
     for lineno, row in enumerate(rows, start=2):
@@ -142,18 +143,6 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     if error is not None:
         raise error
     return kept, lines
-
-
-def _parsed(columns, k: int, parse: type[int] | type[float]) -> tuple[list[list], range] | None:
-    """``columns`` stripped, column ``k`` read with ``parse``, and the line of
-    each row; None if a row is blank (its first cell is empty) or a number
-    does not parse, for the row walk to name the first fault."""
-    columns = [list(map(str.strip, column)) for column in columns]
-    with contextlib.suppress(ValueError):
-        if "" not in columns[0]:
-            columns[k] = list(map(parse, columns[k]))
-            return columns, range(2, len(columns[0]) + 2)
-    return None
 
 
 def _validated(path: str, lines: range | list[int], build):
@@ -208,15 +197,16 @@ def load_sim_config(path: str) -> SimConfig:
 
     Field names mirror the in-memory records (miners, chain, net,
     topology_degree, duration_blocks, seed), in bytes and bytes per second;
-    any other key is refused. Defaults: topology_degree 8, seed 0,
-    confirmations 6. The chain and net reals are read with ``errors.real``;
-    miner weights (``hash_power_share``, any unit) and integer fields,
-    ``block_size_bytes`` among them, are passed as read, for the types to
-    apply ``errors.real`` and ``errors.integer``: a JSON boolean or string is
-    no number, and ``6.0`` is no integer. Every violation is reported, the
-    miners' first among them: when ``chain``, ``net`` or the ``miners`` list
-    fails, it is stood in for and ``SimConfig`` still checks the other fields
-    (a failed list by one miner, so the degree's range goes unchecked).
+    any other key is refused, and a miner_id must be a string. Defaults:
+    topology_degree 8, seed 0, confirmations 6. The chain and net reals are
+    read with ``errors.real``; miner weights (``hash_power_share``, any unit)
+    and integer fields, ``block_size_bytes`` among them, are passed as read,
+    for the types to apply ``errors.real`` and ``errors.integer``: a JSON
+    boolean or string is no number, and ``6.0`` is no integer. Every
+    violation is reported, the miners' first among them: when ``chain``,
+    ``net`` or the ``miners`` list fails, it is stood in for and
+    ``SimConfig`` still checks the other fields (a failed list by one miner,
+    so the degree's range goes unchecked).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -240,9 +230,12 @@ def load_sim_config(path: str) -> SimConfig:
     if not isinstance(raw_miners, list) or not raw_miners:
         problems.append("miners: required non-empty list is missing")
         raw_miners = []
-    malformed = [f"miners[{idx}]: expected an object with miner_id and hash_power_share"
-                 for idx, raw in enumerate(raw_miners)
-                 if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}]
+    malformed = []
+    for idx, raw in enumerate(raw_miners):
+        if not isinstance(raw, dict) or set(raw) != {"miner_id", "hash_power_share"}:
+            malformed.append(f"miners[{idx}]: expected an object with miner_id and hash_power_share")
+        elif not isinstance(raw["miner_id"], str):
+            malformed.append(f"miners[{idx}]: miner_id must be a string, got {raw['miner_id']!r}")
     problems += malformed
     miners = () if malformed else tuple((raw["miner_id"], raw["hash_power_share"]) for raw in raw_miners)
     if "duration_blocks" not in data:
@@ -277,11 +270,6 @@ def _is_record(obj: Any) -> bool:
     return dataclasses.is_dataclass(obj) and not isinstance(obj, (type, BlockTable))
 
 
-def _rows(columns: dict[str, Any]):
-    """The rows of equal-length ``columns``, as dicts keyed by column name."""
-    return (dict(zip(columns, row)) for row in zip(*columns.values()))
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively turn dataclasses, enums, containers and block tables
     (as their rows) into JSON values. Dict keys stay as they are: ``json``
@@ -297,7 +285,10 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, BlockTable):
-        return [to_jsonable(row) for row in _rows(obj.columns(0, len(obj)))]
+        names = (*obj.miner_ids, GENESIS_MINER)
+        return [to_jsonable(dict(zip(BLOCK_FIELDS, row))) for row in zip(
+            range(len(obj)), map(names.__getitem__, obj.miner_index), obj.parent_ids, obj.heights, obj.mined_at_s,
+            itertools.repeat(obj.size_bytes))]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
     if isinstance(obj, dict):
@@ -310,16 +301,18 @@ def to_jsonable(obj: Any) -> Any:
 # JSON writer. It writes exactly the bytes of
 # ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
 # dataclasses itself field by field, and sequences and BlockTables CHUNK
-# items at a time, each chunk in one % format where it can. A BlockTable's
-# miner id and size texts are made once per table by _block_texts, and its
-# block ids are a range; per chunk, _block_rows checks only the parent,
-# height and mining-time columns. In a chunk of a sequence, or in one of
-# those columns, exact ints go in as %d and exact floats with a finite sum
-# as %r; any other plain scalars as texts from _SCALAR_TEXT, mapped over the
-# column whole when it holds one type. Every other value goes through
-# to_jsonable exactly once, and what that returns is written as it stands by
-# _ENCODER, the encoder json.dump uses: converting it again would accept an
-# Enum member nested in an Enum's value, which json.dump rejects.
+# items at a time. Every chunk of a BlockTable is one % format: its block
+# ids are a range, its miner ids' texts are made once per table when they
+# are plain scalars and per chunk otherwise, and _block_chunks reads the
+# parent, height, mining-time and size columns per chunk. In a chunk of a
+# sequence, or in one of those columns, exact ints go in as %d and exact
+# floats with a finite sum as %r; any other values as texts from _column, a
+# sequence's only if they are plain scalars. A plain scalar's text comes
+# from _SCALAR_TEXT, mapped over the column whole when it holds one type.
+# Every other value goes through to_jsonable exactly once, and what that
+# returns is written as it stands by _ENCODER, the encoder json.dump uses:
+# converting it again would accept an Enum member nested in an Enum's
+# value, which json.dump rejects.
 
 CHUNK = 1024
 _INDENT = "  "
@@ -331,16 +324,17 @@ _literal = {None: "null", True: "true", False: "false"}.__getitem__
 _SCALAR_TEXT = {str: _str, int: int.__repr__, float: float.__repr__, bool: _literal, type(None): _literal}
 
 
-def _column(values: tuple | list) -> list[str] | None:
-    """Texts of a column of plain scalars; None if it holds anything else."""
+def _column(values: tuple | list, level: int) -> list[str]:
+    """json.dump's texts of ``values`` at nesting ``level``: a plain scalar's
+    from ``_SCALAR_TEXT``, mapped over the column whole when it holds one
+    type, and any other value's from ``_encode(to_jsonable(value), level)``."""
     kinds = set(map(type, values))
-    if not kinds <= _SCALAR_TEXT.keys():
-        return None
-    if len(kinds) == 1:
+    if len(kinds) == 1 and kinds <= _SCALAR_TEXT.keys():
         texts = list(map(_SCALAR_TEXT[next(iter(kinds))], values))
     else:
-        texts = [_SCALAR_TEXT[type(value)](value) for value in values]
-    # Strings are quoted, so only a float's text can be one of these keys.
+        texts = [_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT else _encode(to_jsonable(v), level)
+                 for v in values]
+    # No JSON text reads nan or inf, so only an exact float's can be one of these keys.
     if float in kinds and not _NONFINITE.keys().isdisjoint(texts):
         texts = list(map(_NONFINITE.get, texts, texts))
     return texts
@@ -366,35 +360,31 @@ def _items(chunk: tuple | list, level: int) -> str | None:
     sep = ",\n" + _INDENT * level
     if spec := _exact(chunk):
         return sep.join([spec] * len(chunk)) % tuple(chunk)
-    texts = _column(chunk)
-    return None if texts is None else sep.join(texts)
+    return sep.join(_column(chunk, level)) if set(map(type, chunk)) <= _SCALAR_TEXT.keys() else None
 
 
-def _block_texts(table: BlockTable) -> tuple[list[str], str] | None:
-    """The texts of ``table``'s miner ids, genesis's last, where a
-    ``miner_index`` of -1 picks it, and of its ``size_bytes``, with ``%``
-    escaped; None unless all are plain scalars."""
-    miners, size = _column((*table.miner_ids, GENESIS_MINER)), _column((table.size_bytes,))
-    return None if miners is None or size is None else (miners, size[0].replace("%", "%%"))
-
-
-def _block_rows(table: BlockTable, start: int, miners: list[str], size: str, level: int) -> str | None:
-    """Text of the table's rows from ``start``, CHUNK of them at most, joined
-    as a chunk's items are, in one ``%`` format from ``_block_texts``'
-    ``miners`` and ``size``; None unless the parents, heights and mining
-    times hold only plain scalars."""
-    stop = min(start + CHUNK, len(table))
-    specs, values = ["%d", "%s"], [range(start, stop), list(map(miners.__getitem__, table.miner_index[start:stop]))]
-    for column in (table.parent_ids[start:stop], table.heights[start:stop], table.mined_at_s[start:stop]):
-        spec = _exact(column)
-        specs.append(spec or "%s")
-        values.append(column if spec else _column(column))
-    if None in values:
-        return None
-    inner = "\n" + _INDENT * (level + 1)
-    fields = ("," + inner).join(f'"{name}": {spec}' for name, spec in zip(BLOCK_FIELDS, [*specs, size]))
-    template = "{" + inner + fields + "\n" + _INDENT * level + "}"
-    return (",\n" + _INDENT * level).join([template] * (stop - start)) % tuple(itertools.chain.from_iterable(zip(*values)))
+def _block_chunks(table: BlockTable, level: int):
+    """Texts of the table's rows, CHUNK of them at a time, each joined as a
+    chunk's items are, in one ``%`` format. The texts of miner ids that are
+    all plain scalars, genesis's last where a ``miner_index`` of -1 picks it,
+    are made once per table; any others per chunk, of the ids its rows pick."""
+    names = (*table.miner_ids, GENESIS_MINER)
+    miners = _column(names, 0) if set(map(type, names)) <= _SCALAR_TEXT.keys() else None
+    inner, sep = "\n" + _INDENT * (level + 1), ",\n" + _INDENT * level
+    for start in range(0, len(table), CHUNK):
+        stop = min(start + CHUNK, len(table))
+        picked = table.miner_index[start:stop]
+        specs = ["%d", "%s"]
+        values = [range(start, stop), list(map(miners.__getitem__, picked)) if miners
+                  else _column(list(map(names.__getitem__, picked)), level + 1)]
+        for column in (table.parent_ids[start:stop], table.heights[start:stop], table.mined_at_s[start:stop]):
+            spec = _exact(column)
+            specs.append(spec or "%s")
+            values.append(column if spec else _column(column, level + 1))
+        specs.append(_column((table.size_bytes,), level + 1)[0].replace("%", "%%"))
+        fields = ("," + inner).join(f'"{name}": {spec}' for name, spec in zip(BLOCK_FIELDS, specs))
+        template = "{" + inner + fields + "\n" + _INDENT * level + "}"
+        yield sep.join([template] * (stop - start)) % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
 def _encode(value: Any, level: int) -> str:
@@ -411,8 +401,8 @@ def _encode(value: Any, level: int) -> str:
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
     field by field, and sequences and block tables CHUNK items at a time: a
-    chunk of plain scalars, or of block rows whose fields are plain scalars,
-    is encoded as one text, and any other chunk item by item."""
+    chunk of block rows, or of plain scalars, is encoded as one text, and any
+    other chunk item by item."""
     inner = "\n" + _INDENT * (level + 1)
     if _is_record(obj) and _field_names(type(obj)):
         for i, name in enumerate(_field_names(type(obj))):
@@ -420,15 +410,14 @@ def _dump(obj: Any, level: int, write) -> None:
             _dump(getattr(obj, name), level + 1, write)
         write("\n" + _INDENT * level + "}")
     elif isinstance(obj, (list, tuple, BlockTable)) and obj:
-        texts = _block_texts(obj) if isinstance(obj, BlockTable) else None
-        for start in range(0, len(obj), CHUNK):
-            if isinstance(obj, BlockTable):
-                text = None if texts is None else _block_rows(obj, start, *texts, level + 1)
-            else:
-                text = _items(obj[start:start + CHUNK], level + 1)
+        starts = range(0, len(obj), CHUNK)
+        if isinstance(obj, BlockTable):
+            texts = _block_chunks(obj, level + 1)
+        else:
+            texts = (_items(obj[start:start + CHUNK], level + 1) for start in starts)
+        for start, text in zip(starts, texts):
             if text is None:
-                chunk = _rows(obj.columns(start, start + CHUNK)) if isinstance(obj, BlockTable) else obj[start:start + CHUNK]
-                for i, item in enumerate(chunk, start):
+                for i, item in enumerate(obj[start:start + CHUNK], start):
                     write(("," if i else "[") + inner)
                     _dump(item, level + 1, write)
             else:

@@ -38,8 +38,7 @@ After the peer graph a run has three phases, each owning its working data:
 the event draws, the parent choice (hops between winners, settled prefixes
 and the tip loop) and the result build. A result holds its blocks as one
 :class:`BlockTable`, the engine's columns (parent, height, mining time and
-miner index per block id); the JSON export encodes it as rows a chunk at a
-time.
+miner index per block id). The row a block exports as is ``ingest``'s.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ from chainmeter.metrics import ProducerDistribution
 
 # The most float64 draws numpy makes in one array; past it a run fails with "array is too big".
 MAX_DURATION_BLOCKS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
-
-GENESIS_MINER = "genesis"
-
-# The fields of a block's row, in export order.
-BLOCK_FIELDS = ("block_id", "miner_id", "parent_id", "height", "mined_at_s", "size_bytes")
 
 
 @dataclass(frozen=True)
@@ -139,20 +133,6 @@ class BlockTable:
 
     def __len__(self) -> int:
         return len(self.heights)
-
-    def columns(self, start: int, stop: int) -> dict[str, Sequence]:
-        """Blocks ``start`` up to ``stop`` (clipped to the table) as the rows
-        they export as: one column per ``BLOCK_FIELDS`` entry, in its order."""
-        stop = min(stop, len(self))
-        names = (*self.miner_ids, GENESIS_MINER)
-        return dict(zip(BLOCK_FIELDS, (
-            range(start, stop),
-            list(map(names.__getitem__, self.miner_index[start:stop])),
-            self.parent_ids[start:stop],
-            self.heights[start:stop],
-            self.mined_at_s[start:stop],
-            (self.size_bytes,) * (stop - start),
-        )))
 
 
 @dataclass(frozen=True)

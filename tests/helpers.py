@@ -50,8 +50,8 @@ import numpy as np
 from chainmeter import PaymentGraph, ProducerDistribution, block_capacity, propagation_delay, simnet
 from chainmeter.cli import main
 from chainmeter.errors import FormatError, InputError, ParseError, TopologyError
+from chainmeter.ingest import GENESIS_MINER
 from chainmeter.simnet import (
-    GENESIS_MINER,
     BlockTable,
     SimConfig,
     SimResult,

@@ -545,6 +545,14 @@ class TestSimulateCommand:
         for message in messages:
             assert message in err
 
+    @pytest.mark.parametrize("miner_id, shown", [(None, "None"), ({"x": [1]}, "{'x': [1]}")], ids=["null", "object"])
+    def test_non_string_miner_id_exits_two(self, tmp_path, capsys, miner_id, shown):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, miners=[{"miner_id": miner_id, "hash_power_share": 1.0}])))
+        outcome = run(["simulate", str(path)])
+        assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == f"error: {path}: miners[0]: miner_id must be a string, got {shown}\n"
+
     def test_invalid_override_exits_two_before_any_output(self, config_json, capsys):
         outcome = run(["simulate", config_json, "--duration-blocks", "0"])
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_INPUT, "")

@@ -414,7 +414,14 @@ class TestLoadSimConfig:
         ({k: v for k, v in BASE_CONFIG.items() if k != "duration_blocks"}, "duration_blocks: required integer is missing"),
         ({**{k: v for k, v in BASE_CONFIG.items() if k != "duration_blocks"}, "seed": -1},
          "duration_blocks: required integer is missing; seed: must be an unsigned 64-bit integer, got -1"),
-    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners", "no-duration", "no-duration-bad-seed"])
+        (dict(BASE_CONFIG, miners=[{"miner_id": None, "hash_power_share": 0.6}, {"miner_id": {"x": [1]}, "hash_power_share": 0.4}]),
+         "miners[0]: miner_id must be a string, got None; miners[1]: miner_id must be a string, got {'x': [1]}"),
+        (dict(BASE_CONFIG, miners=[{"miner_id": 7, "hash_power_share": 0.6}, ["b", 0.4]], seed=-1),
+         "miners[0]: miner_id must be a string, got 7; "
+         "miners[1]: expected an object with miner_id and hash_power_share; "
+         "seed: must be an unsigned 64-bit integer, got -1"),
+    ], ids=["array", "no-chain", "unknown-net-key", "unknown-unit", "no-miners", "no-duration", "no-duration-bad-seed",
+            "non-string-miner-ids", "int-miner-id-beside-other-faults"])
     def test_structure_fault_is_named(self, tmp_path, data, message):
         path = write(tmp_path / "c.json", json.dumps(data))
         with pytest.raises(ValidationError) as err:
@@ -631,7 +638,7 @@ def scalars(i):
 
 def numpy_times(result):
     """``result`` with numpy floats for mining times: a block column that is
-    not plain scalars, so each block is encoded on its own."""
+    not plain scalars, so each of its values is written as json writes it."""
     blocks = dataclasses.replace(result.blocks, mined_at_s=tuple(map(np.float64, result.blocks.mined_at_s)))
     return dataclasses.replace(result, blocks=blocks)
 
@@ -705,8 +712,9 @@ class TestJsonExportAgainstOracle:
         self.assert_same_bytes(tmp_path, values)
         self.assert_same_bytes(tmp_path, tuple(values))
 
-    # Block tables whose rows a chunk's one format takes with texts, or that
-    # go row by row: ids and sizes once per table, the other columns per chunk.
+    # Block tables whose rows a chunk's one format takes with texts: ids once
+    # per table when they are plain scalars and per chunk otherwise, the
+    # other columns per chunk.
     FALLBACKS = {
         "infinities_and_nan": {"tail": {"mined_at_s": (math.inf, -math.inf, math.nan)}},
         "inf": {"tail": {"mined_at_s": (math.inf,)}},
@@ -725,17 +733,28 @@ class TestJsonExportAgainstOracle:
         "nan_size": {"size_bytes": math.nan},
         "numpy_size": {"size_bytes": np.int64(7)},
         "percent_text_size": {"size_bytes": "%d"},
+        # No row picks the id json cannot encode, so the table exports.
+        "unused_unencodable_id": {"miner_ids": ("a", "b", object()), "index": lambda i: min(i, 1)},
+        # A multi-line text inside a row.
+        "enum_list_id": {"miner_ids": ("a", Color.PAIR, "c")},
+        "numpy_str_escaped_id": {"miner_ids": (np.str_('%d "q" \u00e9'),)},
+        "three_encoded_types_in_a_row": {"miner_ids": (Color.TABLE,),
+                                         "tail": {"parent_ids": (frozenset({2, 1}),), "mined_at_s": (np.float64(0.5),)}},
+        "two_unencodable_types_in_a_row": {"miner_ids": (object(),), "tail": {"heights": (np.int64(7),)}},
     }
+    # json writes no numpy integer and no plain object.
+    FAILS = {"numpy_height", "numpy_size", "two_unencodable_types_in_a_row"}
 
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
     def test_block_chunk_fallbacks(self, tmp_path, case, n):
         table = block_table(n, **self.FALLBACKS[case])
-        if case in ("numpy_height", "numpy_size"):  # json writes no numpy integer
-            with pytest.raises(FormatError):
+        if case in self.FAILS:
+            with pytest.raises(FormatError) as expected:
                 oracle_export_json(as_records(table), str(tmp_path / "expected.json"))
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError) as err:
                 export_report(table, str(tmp_path / "out.json"), "json")
+            assert str(err.value) == str(expected.value)
         else:
             self.assert_same_bytes(tmp_path, table)
 
@@ -746,6 +765,17 @@ class TestJsonExportAgainstOracle:
     def test_to_jsonable_equals_oracle(self, case):
         report = self.CASES[case]()
         assert to_jsonable(report) == oracle_to_jsonable(as_records(report))
+
+    @pytest.mark.parametrize("case", ["fork_heavy", "result_numpy_times", "enum_list_id", "unused_unencodable_id",
+                                      "three_encoded_types_in_a_row"])
+    def test_table_in_a_dict_equals_oracle(self, tmp_path, case):
+        # A dict is written by to_jsonable whole, so its table takes to_jsonable's table branch.
+        report = self.CASES[case]() if case in self.CASES else block_table(CHUNK + 1, **self.FALLBACKS[case])
+        expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+        oracle_export_json({"run": as_records(report)}, str(expected))
+        export_report({"run": report}, str(out), "json")
+        assert out.read_bytes() == expected.read_bytes()
+        assert to_jsonable({"run": report}) == oracle_to_jsonable({"run": as_records(report)})
 
     def test_fork_heavy_case_forks(self):
         assert self.CASES["fork_heavy"]().stale_rate > 0.3
