@@ -41,10 +41,8 @@ def main() -> None:
     print("needs only 4 of them; Ethereum concentrates even harder (11 and 3).")
 
     print("\nCumulative-share curve, bitcoin-shaped (first 20 ranks):")
-    curve = cumulative_share_curve(btc)
-    bars = {rank: share for rank, share in curve}
-    for rank in range(1, 21):
-        share = bars[rank]
+    curve = cumulative_share_curve(btc)  # curve[k - 1]: the top k's share
+    for rank, share in enumerate(curve[:20], start=1):
         print(f"  top {rank:>2}  {'#' * int(share * 50):<50} {share:.3f}")
 
     print("\nContrast: a uniform 100-producer chain needs 90 producers for the")

@@ -39,7 +39,7 @@ def main() -> None:
           f"(w/s = {cap:.1f} tx/s at 5.7 Mbps):")
     sizes = [2**k for k in range(17, 33, 2)]
     print("  block size        tx/s     % of ceiling")
-    for size, tps in throughput_sweep(chain, net, sizes):
+    for size, tps in zip(sizes, throughput_sweep(chain, net, sizes)):
         print(f"  {size:>12,} B  {tps:>8.1f}   {100 * tps / cap:>6.2f}%")
     print("Each doubling beyond a few MiB buys almost nothing: the ceiling binds.")
 

@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from chainmeter.errors import InputError, integer, plain, positive, real
 
 
@@ -85,7 +87,7 @@ def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> floa
 def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> float:
     """Throughput with the interval pushed down to its floor ``l + b/w``, the
     delay of one hop: the one-size ``throughput_sweep``."""
-    return throughput_sweep(chain, net, (chain.block_size_bytes,))[0][1]
+    return throughput_sweep(chain, net, (chain.block_size_bytes,))[0]
 
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
@@ -93,13 +95,12 @@ def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
     return net.bandwidth_bytes_per_s / float(positive(tx_size_bytes, "tx_size_bytes"))
 
 
-def throughput_sweep(
-    chain: ChainParams, net: NetworkParams, block_sizes: Sequence[int]
-) -> list[tuple[int, float]]:
+def throughput_sweep(chain: ChainParams, net: NetworkParams, block_sizes: Sequence[int]) -> list[float]:
     """Propagation-limited throughput at each block size, in input order:
-    ``b / (s * (l + b/w))``, the one formula for it. Only when some size is
-    bad do the sizes go through ``ChainParams`` one by one, to reject the
-    first with its message."""
+    ``b / (s * (l + b/w))``, the one formula for it, in one numpy pass of
+    Python's own float operations, so each rate has the scalar formula's
+    bits. Only when some size is bad do the sizes go through ``ChainParams``
+    one by one, to reject the first with its message."""
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
     try:
@@ -117,5 +118,6 @@ def throughput_sweep(
     s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s
     if latency == 0.0:
         # The floor degenerates to b/w and the rate is exactly the ceiling.
-        return [(b, w / s) for b in block_sizes]
-    return [(b, b / (s * (latency + b / w))) for b in block_sizes]
+        return [w / s] * len(sizes)
+    b = np.array(sizes, dtype=float)
+    return (b / (s * (latency + b / w))).tolist()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -74,7 +75,8 @@ def _cmd_metrics(args) -> int:
         trust = central_trust(dist, ConsensusKind(args.consensus))
         print(f"central trust ({args.consensus}): N = {trust.n}")
     if args.curve is not None:
-        export_report(cumulative_share_curve(dist), args.curve, "csv", columns=("rank", "cumulative_share"))
+        curve = cumulative_share_curve(dist)
+        export_report({"rank": range(1, len(curve) + 1), "cumulative_share": curve}, args.curve, "csv")
         print(f"curve written to {args.curve}", file=sys.stderr)
     return EXIT_OK
 
@@ -144,8 +146,8 @@ def _cmd_bound(args) -> int:
             sizes = list(map(int, filter(None, args.sweep.split(","))))
         except ValueError:
             raise _UsageError(f"--sweep wants comma-separated integer block sizes, got {args.sweep!r}") from None
-        table = throughput_sweep(chain, net, sizes)
-        export_report(table, args.sweep_out, "csv", columns=("block_size_bytes", "tps"))
+        rates = throughput_sweep(chain, net, sizes)
+        export_report({"block_size_bytes": sizes, "tps": rates}, args.sweep_out, "csv")
         print(f"sweep written to {args.sweep_out}", file=sys.stderr)
     return EXIT_OK
 
@@ -245,6 +247,7 @@ def _path(text: str) -> str:
     return text
 
 
+@functools.cache  # a parse leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainmeter", description="Blockchain decentralization and scalability analysis")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

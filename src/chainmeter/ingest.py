@@ -34,13 +34,15 @@ miner's by ``miner_index``; block ids are a range, always ``%d``. Any other
 value is written as json writes it, in its column. Every value outside a
 table or a sequence of plain scalars is written by ``json``'s own encoder.
 
-A CSV export has its header written by ``csv.writer``, and its rows a chunk
-at a time. A chunk whose every column holds only exact ints or only exact
-floats is written in one ``%`` format, ``%d`` or ``%r`` per column, each row
-ended by ``\r\n``: the bytes ``csv.writer`` writes, since it writes ``str``
-of an int and ``repr`` of a float, ``nan`` and ``inf`` included. Any other
-chunk (strings, ``bool``, numpy scalars, ``IntEnum`` members, a column
-mixing ints and floats) goes through ``csv.writer``. A JSON chunk, of a
+A CSV export has its header written by ``csv.writer``, and its data a chunk
+of columns at a time: slices of a dict's columns, or a chunk of rows
+transposed. A chunk whose every column holds only exact ints or only exact
+floats is interleaved into one list and written in one ``%`` format, ``%d``
+or ``%r`` per column, rows ended by ``\r\n``: the bytes ``csv.writer``
+writes, since it writes ``str`` of an int and ``repr`` of a float, ``nan``
+and ``inf`` included. Any other chunk (strings, ``bool``, numpy scalars,
+``IntEnum`` members, a column mixing ints and floats, rows of no cells) goes
+through ``csv.writer``. A JSON chunk, of a
 table's checked columns or of a sequence, takes ``%d`` and ``%r`` by the same
 rule, adding that a float column's sum must be finite; any other column
 goes in as texts.
@@ -483,9 +485,19 @@ def json_array(path: str):
             fh.write("\n]\n" if count else "[]\n")
 
 
-def _csv_rows(report: Any, columns: tuple[str, ...] | None):
+def _csv_chunks(report: Any, columns: tuple[str, ...] | None):
+    """The header of a CSV export, and its data CHUNK rows at a time, each
+    chunk as its column slices and its rows."""
     if isinstance(report, ProducerDistribution):
         report, columns = report.entries, columns or ("producer_id", "weight")
+    if isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values()):
+        if columns is not None:
+            raise FormatError("a dict's keys are its header; give no column names")
+        lengths = set(map(len, report.values()))
+        if len(lengths) != 1:
+            raise FormatError(f"columns differ in length: {sorted(lengths)}")
+        slices = ([part[i:i + CHUNK] for part in report.values()] for i in range(0, lengths.pop(), CHUNK))
+        return tuple(report), ((parts, zip(*parts)) for parts in slices)
     # One check per distinct row type and width, not one per row.
     if (isinstance(report, (list, tuple)) and report
             and all(issubclass(kind, (list, tuple)) for kind in set(map(type, report)))
@@ -494,36 +506,37 @@ def _csv_rows(report: Any, columns: tuple[str, ...] | None):
         header = columns or tuple(f"col{i + 1}" for i in range(width))
         if len(header) != width:
             raise FormatError(f"got {len(header)} column names for {width}-column rows")
-        return header, report
-    raise FormatError(
-        f"cannot flatten {type(report).__name__} to CSV; export it as json instead"
-    )
+        chunks = (report[i:i + CHUNK] for i in range(0, len(report), CHUNK))
+        return header, ((list(zip(*rows)), rows) for rows in chunks)
+    raise FormatError(f"cannot flatten {type(report).__name__} to CSV; export it as json instead")
 
 
 def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] | None = None) -> None:
     """Write an analysis or result to ``path`` as ``json`` or ``csv``.
 
-    JSON takes any report and nests it fully. CSV takes flat tables only:
-    distributions (``producer_id,weight``) and row sequences such as
-    cumulative-share curves or throughput sweeps, with ``columns`` naming the
-    header cells.
+    JSON takes any report and nests it fully. CSV takes flat tables only: a
+    dict of equal-length columns (lists, tuples or ranges) keyed by header
+    cell, a distribution (``producer_id,weight``), or a sequence of rows
+    with ``columns`` naming the header cells.
     """
     if format == "json":
         with _replacing(path) as fh, _naming(path):
             _dump(_config_payload(report) if isinstance(report, SimConfig) else report, 0, fh.write)
             fh.write("\n")
     elif format == "csv":
-        header, rows = _csv_rows(report, columns)
+        header, chunks = _csv_chunks(report, columns)
         with _replacing(path, newline="") as fh, _naming(path):
             writer = csv.writer(fh)
             writer.writerow(header)
-            for start in range(0, len(rows), CHUNK):
-                chunk = rows[start:start + CHUNK]
-                specs = list(map(_spec, zip(*chunk)))
-                if None in specs:
-                    writer.writerows(chunk)
+            for parts, rows in chunks:
+                specs = list(map(_spec, parts))
+                if parts and None not in specs:
+                    flat = [None] * (len(parts) * len(parts[0]))
+                    for k, part in enumerate(parts):
+                        flat[k::len(parts)] = part
+                    fh.write((",".join(specs) + "\r\n") * len(parts[0]) % tuple(flat))
                 else:
-                    fh.write((",".join(specs) + "\r\n") * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
+                    writer.writerows(rows)
     else:
         raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
 

@@ -9,9 +9,9 @@ system. A consensus protocol implies a natural epsilon through its fault
 threshold, which yields the central-trust level.
 
 A distribution sorts its weights once, with numpy, the first time a level,
-trust level or curve asks for them, and keeps the cumulative shares for every
-later call. Equal weights are equal floats and the total is positive, so
-these shares are bit for bit those of a sort that breaks ties by producer id.
+trust level or curve asks for them, and keeps the cumulative shares (the
+curve) for every later call. Equal weights are equal floats and the total is
+positive, so the shares are bit for bit those of a sort breaking ties by id.
 
 All functions are pure and safe to call concurrently.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,7 +78,7 @@ class ProducerDistribution:
     def _cumulative_shares(self) -> np.ndarray:
         """Fraction of the total weight the ``k`` heaviest producers hold, for
         k = 1..n; read-only. The last entry is exactly 1.0."""
-        weights = np.fromiter((w for _, w in self.entries), float, len(self.entries))
+        weights = np.fromiter(map(operator.itemgetter(1), self.entries), float, len(self.entries))
         cum = np.cumsum(np.sort(weights)[::-1])
         shares = cum / cum[-1]
         shares.flags.writeable = False
@@ -144,12 +145,12 @@ def central_trust(dist: ProducerDistribution, kind: ConsensusKind) -> Centraliza
     return centralization_level(dist, TRUST_EPSILON[kind])
 
 
-def cumulative_share_curve(dist: ProducerDistribution) -> list[tuple[int, float]]:
-    """``(rank, cumulative fraction)`` for producers ordered heaviest first.
+def cumulative_share_curve(dist: ProducerDistribution) -> list[float]:
+    """Cumulative fraction held by the heaviest producers: index ``k - 1``
+    holds the top ``k``'s share, so the ranks are ``range(1, n + 1)``.
 
     The final fraction is exactly 1.0. Increments are non-increasing along
     the ranking, so the curve is concave in rank.
     """
-    shares = dist._cumulative_shares
-    return list(zip(range(1, len(shares) + 1), shares.tolist()))
+    return dist._cumulative_shares.tolist()
 

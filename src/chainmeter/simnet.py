@@ -131,6 +131,11 @@ class BlockTable:
     size_bytes: int
     miner_ids: tuple[str, ...]
 
+    def __post_init__(self):
+        lengths = tuple(map(len, (self.parent_ids, self.heights, self.mined_at_s, self.miner_index)))
+        if len(set(lengths)) != 1:
+            raise InputError("parent_ids, heights, mined_at_s and miner_index differ in length: %d, %d, %d, %d" % lengths)
+
     def __len__(self) -> int:
         return len(self.heights)
 

@@ -14,7 +14,8 @@ The JSON export oracle is the library's former ``json.dump(indent=2)`` path;
 it sees a ``SimResult`` as the records it used to hold (``as_records``). The
 CSV export oracle is the former ``csv.writer`` path, every row written by the
 writer. The shares oracle is the metrics module's former sort of
-``(-weight, id)`` pairs. The CSV loader oracles are the former row-by-row
+``(-weight, id)`` pairs. The sweep oracle is the bounds module's former
+per-size formula, which the one numpy pass replaced. The CSV loader oracles are the former row-by-row
 loaders, with the entry-by-entry checks the distribution and payment graph
 types ran before they checked their values in bulk. The channel pair oracle
 is the payment graph's former set of endpoint sets, which the pair count
@@ -82,6 +83,16 @@ def oracle_descending_shares(dist: ProducerDistribution) -> np.ndarray:
     weights = np.array([w for _, w in sorted(dist.entries, key=lambda e: (-e[1], e[0]))], dtype=float)
     cum = np.cumsum(weights)
     return cum / cum[-1]
+
+
+def oracle_throughput_sweep(chain, net, block_sizes) -> list[tuple[int, float]]:
+    """The former ``throughput_sweep`` rows, its formula verbatim: Python
+    arithmetic on each size as given, one ``(size, rate)`` row per size."""
+    s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s
+    if latency == 0.0:
+        # The floor degenerates to b/w and the rate is exactly the ceiling.
+        return [(b, w / s) for b in block_sizes]
+    return [(b, b / (s * (latency + b / w))) for b in block_sizes]
 
 
 def random_distribution(rng: random.Random, max_producers: int = 20):

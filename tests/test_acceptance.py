@@ -236,8 +236,7 @@ def test_c11_monotone_sweep_approaches_ceiling():
         chain = cm.ChainParams(5000, tx_size, 1.0, 1)
         net = cm.NetworkParams(bandwidth_bytes_per_s=1e6, latency_s=1.0)
         sizes = [int(10**k * tx_size) for k in range(1, 10)]
-        table = cm.throughput_sweep(chain, net, sizes)
-        values = [tps for _, tps in table]
+        values = cm.throughput_sweep(chain, net, sizes)
         assert all(a < b for a, b in zip(values, values[1:]))
         cap = cm.throughput_upper_bound(net, tx_size)
         assert values[-1] < cap

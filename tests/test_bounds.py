@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import oracle_throughput_sweep
 
 from chainmeter import (
     ChainParams,
@@ -153,23 +154,24 @@ class TestUpperBound:
 class TestSweep:
     def test_ascending_sizes_give_increasing_tps(self):
         sizes = [2**16, 2**18, 2**20, 2**22]
-        table = throughput_sweep(BITCOIN, WAN, sizes)
-        tps = [v for _, v in table]
+        tps = throughput_sweep(BITCOIN, WAN, sizes)
         assert tps == sorted(tps)
         assert all(a < b for a, b in zip(tps, tps[1:]))
 
     def test_all_values_below_ceiling(self):
         cap = throughput_upper_bound(WAN, BITCOIN.tx_size_bytes)
-        for _, v in throughput_sweep(BITCOIN, WAN, [2**k for k in range(10, 30)]):
+        for v in throughput_sweep(BITCOIN, WAN, [2**k for k in range(10, 30)]):
             assert v < cap
 
     def test_singleton_matches_single_point(self):
-        table = throughput_sweep(BITCOIN, WAN, [BITCOIN.block_size_bytes])
-        assert table == [(BITCOIN.block_size_bytes, propagation_limited_throughput(BITCOIN, WAN))]
+        rates = throughput_sweep(BITCOIN, WAN, [BITCOIN.block_size_bytes])
+        assert rates == [propagation_limited_throughput(BITCOIN, WAN)]
 
     def test_preserves_input_order(self):
         sizes = [2**20, 2**16, 2**22]
-        assert [b for b, _ in throughput_sweep(BITCOIN, WAN, sizes)] == sizes
+        rates = throughput_sweep(BITCOIN, WAN, sizes)
+        assert rates == [throughput_sweep(BITCOIN, WAN, [b])[0] for b in sizes]
+        assert rates[1] < rates[0] < rates[2]
 
     def test_rejects_empty_and_tiny_blocks(self):
         with pytest.raises(InputError):
@@ -196,9 +198,24 @@ class TestSweep:
             sizes = [rng.randrange(900, 2**rng.randrange(11, 64)) for _ in range(40)] + [np.int64(2**20), 2**53 + 1]
             rng.shuffle(sizes)
             expected = [propagation_limited_throughput(replace(chain, block_size_bytes=b), net) for b in sizes]
-            table = throughput_sweep(chain, net, sizes)
-            assert [b for b, _ in table] == sizes
-            assert [(type(v), float.hex(v)) for _, v in table] == [(type(v), float.hex(v)) for v in expected]
+            rates = throughput_sweep(chain, net, sizes)
+            assert [(type(v), float.hex(v)) for v in rates] == [(type(v), float.hex(v)) for v in expected]
+
+    @pytest.mark.parametrize("latency", [0.0, -0.0, 1e-300, 0.1])
+    def test_bit_identical_to_the_former_formula(self, latency):
+        """Sizes past 2**53, 2**63 and 2**64, and numpy ints, convert to the
+        float Python's division rounds them to."""
+        rng = random.Random(f"sweep/oracle/{latency!r}")
+        edges = [2**53 + 1, 2**63 - 1, 2**63 + 5, 2**64 - 1, 2**64 + 1, 2**70, np.int64(2**62 + 3),
+                 np.uint64(2**64 - 3), np.int32(7919)]
+        for _ in range(40):
+            chain = ChainParams(rng.randrange(10**3, 10**7), rng.uniform(1.0, 900.0), rng.uniform(1.0, 600.0))
+            net = NetworkParams(10 ** rng.uniform(3, 9), latency)
+            sizes = edges + [rng.randrange(1000, 2**rng.randrange(11, 71)) for _ in range(60)]
+            rng.shuffle(sizes)
+            rates = throughput_sweep(chain, net, sizes)
+            expected = oracle_throughput_sweep(chain, net, sizes)
+            assert [(type(v), v.hex()) for v in rates] == [(float, float(v).hex()) for _, v in expected]
 
     def test_bad_sizes_raise_the_first_error_in_input_order(self):
         rng = random.Random("sweep/bad")

@@ -739,6 +739,33 @@ class TestParserBasics:
         assert terminal.getvalue() == piped.stdout_report
 
 
+class TestParserReuse:
+    """The parser is built once per process, and no parse leaves anything
+    behind for the next one."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_plain_metrics_after_a_given_epsilon_prints_the_default_row(self, dist_csv):
+        level = centralization_level(bitcoin_miner_distribution(), 0.1)
+        given = run(["metrics", dist_csv, "--epsilon", "0.2"])
+        plain = run(["metrics", dist_csv])
+        assert given.stdout_report.splitlines()[1].startswith("0.2  ")
+        assert plain.stdout_report.splitlines()[1:] == [f"0.1  {level.n}  {level.covered_share!r}"]
+        assert cli.build_parser().parse_args(["metrics", dist_csv]).epsilon == [0.1]
+
+    def test_one_seed_after_a_seed_range_runs_alone(self, config_json):
+        assert run(["simulate", config_json, "--seeds", "1..2"]).exit_code == EXIT_OK
+        outcome = run(["simulate", config_json, "--seed", "3"])
+        seeds = [line.split(":")[0] for line in outcome.stdout_report.splitlines() if line.startswith("seed ")]
+        assert outcome.exit_code == EXIT_OK and seeds == ["seed 3"]
+
+    def test_a_usage_error_leaves_the_next_parse_alone(self, dist_csv):
+        before = run(["metrics", dist_csv])
+        assert run(["metrics", dist_csv, "--epsilon"]).exit_code == EXIT_USAGE
+        assert run(["metrics", dist_csv]) == before and before.exit_code == EXIT_OK
+
+
 class TestPackageSurface:
     def test_every_exported_name_resolves(self):
         missing = [name for name in chainmeter.__all__ if not hasattr(chainmeter, name)]

@@ -453,19 +453,20 @@ class TestExportReport:
     def test_curve_csv_rows(self, tmp_path):
         dist = ProducerDistribution((("A", 3.0), ("B", 1.0)))
         out = tmp_path / "curve.csv"
-        export_report(cumulative_share_curve(dist), str(out), "csv", columns=("rank", "cumulative_share"))
+        curve = cumulative_share_curve(dist)
+        export_report({"rank": range(1, len(curve) + 1), "cumulative_share": curve}, str(out), "csv")
         assert out.read_text().splitlines() == ["rank,cumulative_share", "1,0.75", "2,1.0"]
 
     def test_sweep_csv_one_row_per_size_in_order(self, tmp_path):
         chain = ChainParams(1_048_576, 513.86, 600.0, 6)
         net = NetworkParams(712_500.0, 0.1)
         sizes = [2**20, 2**16, 2**22]
-        table = throughput_sweep(chain, net, sizes)
+        rates = throughput_sweep(chain, net, sizes)
         out = tmp_path / "sweep.csv"
-        export_report(table, str(out), "csv", columns=("block_size_bytes", "tps"))
+        export_report({"block_size_bytes": sizes, "tps": rates}, str(out), "csv")
         lines = out.read_text().splitlines()
-        assert len(lines) == 1 + len(sizes)
-        assert [int(line.split(",")[0]) for line in lines[1:]] == sizes
+        assert lines[0] == "block_size_bytes,tps"
+        assert [(int(b), float(r)) for b, r in (line.split(",") for line in lines[1:])] == list(zip(sizes, rates))
 
     def test_sim_result_json_round_trip_exact(self, tmp_path):
         config = SimConfig(
@@ -645,8 +646,8 @@ def numpy_times(result):
 
 def block_table(n, tail=None, miner_ids=("a", "b", "c"), size_bytes=1_000_000, index=int):
     """An ``n``-block ``BlockTable`` of plain values; ``tail`` maps column
-    names to the values that end them instead, and ``index`` makes each
-    miner index."""
+    names to the values that end them instead, as many of its first values
+    as the table has rows, and ``index`` makes each miner index."""
     columns = {
         "parent_ids": (None, *range(n - 1)),
         "heights": tuple(range(n)),
@@ -654,6 +655,7 @@ def block_table(n, tail=None, miner_ids=("a", "b", "c"), size_bytes=1_000_000, i
         "miner_index": tuple(map(index, (-1, *(i % len(miner_ids) for i in range(n - 1))))),
     }
     for name, values in (tail or {}).items():
+        values = values[:n]
         columns[name] = columns[name][:n - len(values)] + values
     return BlockTable(**columns, size_bytes=size_bytes, miner_ids=miner_ids)
 
@@ -757,6 +759,17 @@ class TestJsonExportAgainstOracle:
             assert str(err.value) == str(expected.value)
         else:
             self.assert_same_bytes(tmp_path, table)
+
+    def test_table_with_a_short_column_never_reaches_the_file(self, tmp_path):
+        """A short ``parent_ids`` once ended the export in a raw TypeError
+        from the chunk's ``%`` format; now the table itself refuses it."""
+        result = sim_result(2, 1, 5)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old\n")
+        with pytest.raises(InputError, match="differ in length: 5, 6, 6, 6$"):
+            export_report(dataclasses.replace(result, blocks=dataclasses.replace(
+                result.blocks, parent_ids=result.blocks.parent_ids[:-1])), str(out), "json")
+        assert os.listdir(tmp_path) == ["out.json"] and out.read_bytes() == b"old\n"
 
     def test_genesis_only_table(self, tmp_path):
         self.assert_same_bytes(tmp_path, block_table(1, miner_ids=()))
@@ -911,6 +924,43 @@ class TestCsvExportAgainstOracle:
     ], ids=["formatted_then_written", "written_then_formatted", "no_columns"])
     def test_chunks_take_their_own_path(self, tmp_path, table):
         self.assert_same_bytes(tmp_path, table, None)
+
+    # Columns of a dict, written as the oracle writes their rows zipped.
+    COLUMNS = {
+        "range_and_floats": lambda n: {"rank": range(1, n + 1), "share": [i / 3 for i in range(n)]},
+        "list_ints_tuple_floats": lambda n: {"b": [2**70 - i for i in range(n)], "tps": tuple(i * 0.1 for i in range(n))},
+        "special_floats": lambda n: {"x": tuple(SPECIAL_FLOATS[i % 7] for i in range(n)), "y": range(-n, 0)},
+        "one_column": lambda n: {"only": [float(i) for i in range(n)]},
+        # Every chunk with a mixed column goes through csv.writer.
+        "mixed_column": lambda n: {"rank": range(n), "cell": [i if i % 2 else i / 7 for i in range(n)]},
+        "string_in_last_row": lambda n: {"rank": range(n), "id": [i / 3 for i in range(1, n)] + ["a,b"] * (n > 0)},
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("case", sorted(COLUMNS))
+    def test_columns_equal_oracle(self, tmp_path, case, n):
+        columns = self.COLUMNS[case](n)
+        expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+        oracle_export_csv(list(zip(*columns.values())), str(expected), tuple(columns))
+        export_report(columns, str(out), "csv")
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("report, message", [
+        ({"a": [1, 2], "b": (0.5,)}, "columns differ in length: [1, 2]"),
+        ({}, "cannot flatten dict to CSV; export it as json instead"),
+        ({"a": 1}, "cannot flatten dict to CSV; export it as json instead"),
+        ({"a": "text"}, "cannot flatten dict to CSV; export it as json instead"),
+    ], ids=["unequal", "empty", "scalar", "string"])
+    def test_refused_columns_leave_no_file(self, tmp_path, report, message):
+        with pytest.raises(FormatError) as err:
+            export_report(report, str(tmp_path / "out.csv"), "csv")
+        assert str(err.value) == message
+        assert os.listdir(tmp_path) == []
+
+    def test_columns_name_their_own_header(self, tmp_path):
+        with pytest.raises(FormatError, match="^a dict's keys are its header; give no column names$"):
+            export_report({"a": [1]}, str(tmp_path / "out.csv"), "csv", columns=("b",))
+        assert os.listdir(tmp_path) == []
 
     def test_distribution_ids_that_need_quoting(self, tmp_path):
         ids = ["a,b", 'q"q', "x\ny", "cr\rid", " lead", "tail ", "\u00e9t\u00e9", "%s %d %%"]

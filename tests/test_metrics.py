@@ -164,12 +164,12 @@ class TestCentralTrust:
 class TestCumulativeShareCurve:
     def test_two_point_distribution(self):
         d = ProducerDistribution((("A", 3.0), ("B", 1.0)))
-        assert cumulative_share_curve(d) == [(1, 0.75), (2, 1.0)]
+        assert cumulative_share_curve(d) == [0.75, 1.0]
 
     def test_uniform_curve_is_linear(self):
         n = 8
         d = ProducerDistribution(tuple((f"p{i}", 2.0) for i in range(n)))
-        for rank, share in cumulative_share_curve(d):
+        for rank, share in enumerate(cumulative_share_curve(d), start=1):
             assert share == pytest.approx(rank / n, abs=1e-12)
 
     def test_last_point_is_one(self):
@@ -177,13 +177,13 @@ class TestCumulativeShareCurve:
         for _ in range(50):
             d = ProducerDistribution(tuple(random_distribution(rng)))
             curve = cumulative_share_curve(d)
-            assert abs(curve[-1][1] - 1.0) <= 1e-12
+            assert abs(curve[-1] - 1.0) <= 1e-12
 
     def test_curve_non_decreasing_and_concave(self):
         rng = random.Random(12)
         for _ in range(100):
             d = ProducerDistribution(tuple(random_distribution(rng)))
-            curve = [share for _, share in cumulative_share_curve(d)]
+            curve = cumulative_share_curve(d)
             increments = [b - a for a, b in zip([0.0] + curve, curve)]
             assert all(x >= -1e-12 for x in increments)
             assert all(b <= a + 1e-12 for a, b in zip(increments, increments[1:]))
@@ -277,7 +277,7 @@ class TestSortOnce:
         trust = [level(TRUST_EPSILON[kind]) if kind in TRUST_EPSILON
                  else CentralizationLevel(n=1, epsilon=0.0, covered_share=float(shares[0]))
                  for kind in ConsensusKind]
-        return [level(eps) for eps in TestSortOnce.EPSILONS], trust, [(k + 1, float(f)) for k, f in enumerate(shares)]
+        return [level(eps) for eps in TestSortOnce.EPSILONS], trust, [float(f) for f in shares]
 
     def assert_as_before(self, entries):
         d = ProducerDistribution(entries)
@@ -321,4 +321,4 @@ class TestSortOnce:
         assert restored == used and cumulative_share_curve(restored) == cumulative_share_curve(used)
         assert dataclasses.replace(used) == fresh
         other = dataclasses.replace(used, entries=(("p0", 1.0), ("p1", 1.0)))
-        assert cumulative_share_curve(other) == [(1, 0.5), (2, 1.0)]
+        assert cumulative_share_curve(other) == [0.5, 1.0]

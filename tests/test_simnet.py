@@ -633,6 +633,17 @@ class TestBlockTable:
         for obj in (result, result.blocks):
             assert vars(obj).keys() == {f.name for f in fields(obj)}
 
+    @pytest.mark.parametrize("column, lengths", [
+        ("parent_ids", "2, 3, 3, 3"), ("heights", "3, 2, 3, 3"),
+        ("mined_at_s", "3, 3, 2, 3"), ("miner_index", "3, 3, 3, 2"),
+    ])
+    def test_columns_of_unequal_length_are_refused(self, column, lengths):
+        columns = {"parent_ids": (None, 0, 1), "heights": (0, 1, 2), "mined_at_s": (0.0, 1.0, 2.0),
+                   "miner_index": (-1, 0, 0)}
+        columns[column] = columns[column][:-1]
+        with pytest.raises(InputError, match=f"^parent_ids, heights, mined_at_s and miner_index differ in length: {lengths}$"):
+            BlockTable(**columns, size_bytes=1000, miner_ids=("a",))
+
     def test_equal_seeds_give_equal_equally_hashed_results(self, tmp_path):
         a, b = run_simulation(config(seed=7)), run_simulation(config(seed=7))
         export_report(a, str(tmp_path / "a.json"), "json")
