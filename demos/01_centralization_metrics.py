@@ -46,7 +46,7 @@ def main() -> None:
         print(f"  top {rank:>2}  {'#' * int(share * 50):<50} {share:.3f}")
 
     print("\nContrast: a uniform 100-producer chain needs 90 producers for the")
-    uniform = ProducerDistribution(tuple((f"p{i}", 1.0) for i in range(100)))
+    uniform = ProducerDistribution.from_entries(tuple((f"p{i}", 1.0) for i in range(100)))
     level = centralization_level(uniform, 0.1)
     print(f"same 90% share: N_0.1 = {level.n}.")
 

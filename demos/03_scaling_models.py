@@ -17,9 +17,9 @@ from chainmeter import PaymentGraph, lightning_analysis, onchain_tx_count, shard
 
 def full_graph(n: int) -> PaymentGraph:
     clients = [f"c{i}" for i in range(n)]
-    return PaymentGraph(
-        clients=frozenset(clients),
-        payments=tuple((a, b, 4) for a, b in combinations(clients, 2)),
+    return PaymentGraph.from_payments(
+        frozenset(clients),
+        tuple((a, b, 4) for a, b in combinations(clients, 2)),
     )
 
 
@@ -41,8 +41,8 @@ def main() -> None:
     print("\nWhen does the relay pay off? Only on dense graphs:")
     print("  graph                     pairs  active  direct  relayed")
     cases = {
-        "single pair": PaymentGraph(frozenset({"a", "b"}), (("a", "b", 9),)),
-        "three disjoint pairs": PaymentGraph(
+        "single pair": PaymentGraph.from_payments(frozenset({"a", "b"}), (("a", "b", 9),)),
+        "three disjoint pairs": PaymentGraph.from_payments(
             frozenset("abcdef"),
             (("a", "b", 1), ("c", "d", 1), ("e", "f", 1)),
         ),

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit, and the four number rules every
 boundary applies: ``integer`` for counts, ``real`` for any other number,
 ``plain`` for the real a formula computes with, and ``positive`` for the range
-of a number a formula multiplies or divides by. ``exact_rows`` tells when a
-type can keep the rows it is given as they are."""
+of a number a formula multiplies or divides by. ``exact`` tells when a type
+can keep a column it is given as it is."""
 
 import math
 import numbers
@@ -72,11 +72,10 @@ def positive(value, name: str) -> int | float:
     return value if type(value) is int else x
 
 
-def exact_rows(rows, kinds: tuple[type, ...]) -> bool:
-    """Whether ``rows`` is a tuple of tuples whose cells have exactly the types
-    ``kinds``, in order; each test is a ``map`` pass, making nothing per row."""
-    return (type(rows) is tuple and set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {len(kinds)}
-            and all(set(map(type, map(operator.itemgetter(i), rows))) <= {kind} for i, kind in enumerate(kinds)))
+def exact(column, kind: type) -> bool:
+    """Whether ``column`` is a tuple whose cells are all exactly of type
+    ``kind``, which a type can keep as it is given."""
+    return type(column) is tuple and set(map(type, column)) <= {kind}
 
 
 class ParseError(InputError):

@@ -15,8 +15,9 @@ A CSV is read once, as bytes. If ``csv.reader`` would read it as a plain
 split does (UTF-8; no ``"``, NUL or ``\r`` outside ``\r\n``; the header's
 comma count on every line; no cell over ``csv.field_size_limit()``), one
 ``split`` cuts it into cells; each column is stripped and its one number
-column (a count or a weight) parsed, as a whole, into rows of exact types
-that the type built keeps. Any other file, and a split file with a blank
+column (a count or a weight) parsed, as a whole, into a column of exact
+types; the type built keeps each column as it is, and no tuple per row is
+made. Any other file, and a split file with a blank
 row or a bad number, goes through ``csv.reader``, whose rows are walked one
 by one, to skip blank rows and name the first line at fault in file order,
 a read error last. Lines count records, so a quoted field spanning lines
@@ -84,8 +85,8 @@ BLOCK_FIELDS = ("block_id", "miner_id", "parent_id", "height", "mined_at_s", "si
 
 
 def _read_columns(path: str, expected_header: list[str], number: str,
-                  parse: type[int] | type[float]) -> tuple[list[list], range | list[int]]:
-    """The data cells of the CSV at ``path``, stripped, one list per column
+                  parse: type[int] | type[float]) -> tuple[list[tuple | list], range | list[int]]:
+    """The data cells of the CSV at ``path``, stripped, one sequence per column
     of ``expected_header``, the column named ``number`` read with ``parse``
     (``int`` or ``float``); and the line of each row kept. The module
     docstring tells when the split reads it and which fault is named first."""
@@ -102,9 +103,9 @@ def _read_columns(path: str, expected_header: list[str], number: str,
             cells, breaks = text.replace("\n", ",\n").split(","), text.count("\n")
             if (len(cells) == width * (breaks + 1) and "".join(cells[width::width]).count("\n") == breaks
                     and max(map(len, cells)) <= csv.field_size_limit() and list(map(str.strip, cells[:width])) == expected_header):
-                columns = [list(map(str.strip, itertools.islice(cells, i, None, width))) for i in range(width, 2 * width)]
+                columns = [tuple(map(str.strip, itertools.islice(cells, i, None, width))) for i in range(width, 2 * width)]
                 if "" not in columns[0]:
-                    columns[k] = list(map(parse, columns[k]))
+                    columns[k] = tuple(map(parse, columns[k]))
                     return columns, range(2, len(columns[0]) + 2)
     rows, error = [], None
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
@@ -161,7 +162,7 @@ def _validated(path: str, lines: range | list[int], build):
 def load_distribution(path: str) -> ProducerDistribution:
     """Read a ``producer_id,weight`` CSV into a validated distribution."""
     (ids, weights), lines = _read_columns(path, ["producer_id", "weight"], "weight", float)
-    return _validated(path, lines, lambda: ProducerDistribution(tuple(zip(ids, weights))))
+    return _validated(path, lines, lambda: ProducerDistribution(tuple(ids), tuple(weights)))
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
@@ -171,7 +172,7 @@ def load_payment_graph(path: str) -> PaymentGraph:
     if not counts:
         raise ParseError(f"{path}: no data rows")
     clients = frozenset(src).union(dst)
-    return _validated(path, lines, lambda: PaymentGraph(clients=clients, payments=tuple(zip(src, dst, counts))))
+    return _validated(path, lines, lambda: PaymentGraph(clients, tuple(src), tuple(dst), tuple(counts)))
 
 
 def _params(cls: type, data: dict, section: str, problems: list[str],
@@ -266,22 +267,31 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def _is_record(obj: Any) -> bool:
-    """Whether ``obj`` exports as a record of its fields: a dataclass
-    instance, but not a ``BlockTable``, which exports as its rows."""
-    return dataclasses.is_dataclass(obj) and not isinstance(obj, (type, BlockTable))
+def _record(obj: Any) -> dict[str, Any] | None:
+    """The named values ``obj`` exports as a JSON object, in order: a
+    distribution's rows as ``entries``, a payment graph's clients and rows as
+    ``clients`` and ``payments``, and any other dataclass instance's fields;
+    None for anything else, a ``BlockTable`` included, which exports as its rows."""
+    if isinstance(obj, ProducerDistribution):
+        return {"entries": obj.entries}
+    if isinstance(obj, PaymentGraph):
+        return {"clients": obj.clients, "payments": obj.payments}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, (type, BlockTable)):
+        return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    return None
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively turn dataclasses, enums, containers and block tables
-    (as their rows) into JSON values. Dict keys stay as they are: ``json``
+    """Recursively turn dataclasses (distributions and payment graphs as
+    ``_record`` gives them), enums, containers and block tables (as their
+    rows) into JSON values. Dict keys stay as they are: ``json``
     spells ``True`` as ``"true"`` and ``None`` as ``"null"``, whether the dict
     is a report's or an Enum's value, and a key it cannot spell fails the
     export with ``FormatError``."""
     if type(obj) in _SCALAR_TEXT:
         return obj
-    if _is_record(obj):
-        return {name: to_jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
+    if (record := _record(obj)) is not None:
+        return {name: to_jsonable(value) for name, value in record.items()}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):
@@ -302,7 +312,7 @@ def to_jsonable(obj: Any) -> Any:
 
 # JSON writer. It writes exactly the bytes of
 # ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
-# dataclasses itself field by field, and sequences and BlockTables CHUNK
+# dataclasses itself, as _record names their values, and sequences and BlockTables CHUNK
 # items at a time. Every chunk of a BlockTable is one % format: its block
 # ids are a range, its miner ids' texts are made once per table when they
 # are plain scalars and per chunk otherwise, and _block_chunks reads the
@@ -402,14 +412,14 @@ def _encode(value: Any, level: int) -> str:
 
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
-    field by field, and sequences and block tables CHUNK items at a time: a
+    name by name as ``_record`` gives them, and sequences and block tables CHUNK items at a time: a
     chunk of block rows, or of plain scalars, is encoded as one text, and any
     other chunk item by item."""
     inner = "\n" + _INDENT * (level + 1)
-    if _is_record(obj) and _field_names(type(obj)):
-        for i, name in enumerate(_field_names(type(obj))):
+    if record := _record(obj):
+        for i, (name, value) in enumerate(record.items()):
             write(("," if i else "{") + inner + _str(name) + ": ")
-            _dump(getattr(obj, name), level + 1, write)
+            _dump(value, level + 1, write)
         write("\n" + _INDENT * level + "}")
     elif isinstance(obj, (list, tuple, BlockTable)) and obj:
         starts = range(0, len(obj), CHUNK)
@@ -489,17 +499,18 @@ def _csv_chunks(report: Any, columns: tuple[str, ...] | None):
     """The header of a CSV export, and its data CHUNK rows at a time, each
     chunk as its column slices and its rows."""
     if isinstance(report, ProducerDistribution):
-        report, columns = report.entries, columns or ("producer_id", "weight")
-    if isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values()):
+        header, parts = columns or ("producer_id", "weight"), (report.ids, report.weights)
+        if len(header) != len(parts):
+            raise FormatError(f"got {len(header)} column names for {len(parts)}-column rows")
+    elif isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values()):
         if columns is not None:
             raise FormatError("a dict's keys are its header; give no column names")
-        lengths = set(map(len, report.values()))
+        header, parts = tuple(report), tuple(report.values())
+        lengths = set(map(len, parts))
         if len(lengths) != 1:
             raise FormatError(f"columns differ in length: {sorted(lengths)}")
-        slices = ([part[i:i + CHUNK] for part in report.values()] for i in range(0, lengths.pop(), CHUNK))
-        return tuple(report), ((parts, zip(*parts)) for parts in slices)
     # One check per distinct row type and width, not one per row.
-    if (isinstance(report, (list, tuple)) and report
+    elif (isinstance(report, (list, tuple)) and report
             and all(issubclass(kind, (list, tuple)) for kind in set(map(type, report)))
             and len(set(map(len, report))) == 1):
         width = len(report[0])
@@ -508,7 +519,10 @@ def _csv_chunks(report: Any, columns: tuple[str, ...] | None):
             raise FormatError(f"got {len(header)} column names for {width}-column rows")
         chunks = (report[i:i + CHUNK] for i in range(0, len(report), CHUNK))
         return header, ((list(zip(*rows)), rows) for rows in chunks)
-    raise FormatError(f"cannot flatten {type(report).__name__} to CSV; export it as json instead")
+    else:
+        raise FormatError(f"cannot flatten {type(report).__name__} to CSV; export it as json instead")
+    slices = ([part[i:i + CHUNK] for part in parts] for i in range(0, len(parts[0]), CHUNK))
+    return header, ((chunk, zip(*chunk)) for chunk in slices)
 
 
 def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] | None = None) -> None:

@@ -8,10 +8,12 @@ production. At a fixed epsilon, a smaller number means a more centralized
 system. A consensus protocol implies a natural epsilon through its fault
 threshold, which yields the central-trust level.
 
-A distribution sorts its weights once, with numpy, the first time a level,
-trust level or curve asks for them, and keeps the cumulative shares (the
-curve) for every later call. Equal weights are equal floats and the total is
-positive, so the shares are bit for bit those of a sort breaking ties by id.
+A distribution holds two columns, ids and weights, and builds no tuple per
+producer unless its ``entries`` are read. It sorts its weights once, with
+numpy, the first time a level, trust level or curve asks for them, and keeps
+the cumulative shares (the curve) for every later call. Equal weights are
+equal floats and the total is positive, so the shares are bit for bit those
+of a sort breaking ties by id.
 
 All functions are pure and safe to call concurrently.
 """
@@ -20,13 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from chainmeter.errors import InputError, exact_rows, real
+from chainmeter.errors import InputError, exact, real
 
 # Cumulative shares are compared against 1 - epsilon with this slack so that
 # targets like 0.9 are not missed by one representation ULP.
@@ -35,31 +36,37 @@ COVERAGE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ProducerDistribution:
-    """Multiset of ``(producer_id, weight)`` pairs with positive finite total.
+    """Producers and the weights they produced, as two columns: ``ids[i]``
+    produced ``weights[i]``. The total must be positive and finite.
 
     Weights may be block counts, transaction counts, or hash-power shares;
     the math is identical and no unit conversion is applied. Producer ids
-    must be unique, weights finite and non-negative.
+    must be unique, weights finite and non-negative. Rows of
+    ``(producer_id, weight)`` go through ``from_entries``, and ``entries``
+    gives them back, built when read.
     """
 
-    entries: tuple[tuple[str, float], ...]
+    ids: tuple[str, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        entries = self.entries
-        # Rows of exactly (str, float) are kept as given; any others are read
-        # with errors.real, an int past the float range as infinite.
-        if not exact_rows(entries, (str, float)):
-            entries = tuple((str(pid), real(w, f"weight of {str(pid)!r}", index)) for index, (pid, w) in enumerate(entries))
-            object.__setattr__(self, "entries", entries)
-        if not entries:
+        # Columns of exactly str and float are kept as given; any others are
+        # read with str and errors.real, an int past the float range as infinite.
+        ids = self.ids if exact(self.ids, str) else tuple(map(str, self.ids))
+        weights = self.weights if exact(self.weights, float) else list(self.weights)
+        if len(ids) != len(weights):
+            raise InputError(f"distribution has {len(ids)} producer ids but {len(weights)} weights")
+        if weights is not self.weights:
+            weights = tuple(map(real, weights, map("weight of {!r}".format, ids), range(len(ids))))
+        vars(self).update(ids=ids, weights=weights)
+        if not ids:
             raise InputError("distribution has no producers")
-        # Duplicates, finiteness and sign are checked in bulk; the entries are
-        # walked only to name the first bad one.
-        by_id = dict(entries)
-        total = sum(by_id.values())
-        if len(by_id) < len(entries) or not (math.isfinite(total) and min(by_id.values()) >= 0):
+        # Duplicates, finiteness and sign are checked in bulk; the columns are
+        # walked only to name the first bad entry.
+        total = sum(weights)
+        if len(set(ids)) < len(ids) or not (math.isfinite(total) and min(weights) >= 0):
             seen = set()
-            for index, (pid, w) in enumerate(entries):
+            for index, (pid, w) in enumerate(zip(ids, weights)):
                 if pid in seen:
                     raise InputError(f"duplicate producer_id {pid!r}", index)
                 seen.add(pid)
@@ -70,22 +77,35 @@ class ProducerDistribution:
         if total == math.inf:  # each weight is finite, but their sum overflows
             raise InputError("total weight must be finite, got inf")
 
+    @classmethod
+    def from_entries(cls, rows) -> ProducerDistribution:
+        """The distribution of ``(producer_id, weight)`` rows. A tuple of exact
+        pairs is transposed in one pass; any other row is unpacked on its own,
+        so a row of another width raises unpacking's ``ValueError``."""
+        if not (exact(rows, tuple) and set(map(len, rows)) <= {2}):
+            rows = tuple((pid, w) for pid, w in rows)
+        return cls(*(tuple(zip(*rows)) or ((), ())))
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        """The ``(producer_id, weight)`` rows, zipped from the columns when read."""
+        return tuple(zip(self.ids, self.weights))
+
     def __getstate__(self):
-        # The cached shares are rebuilt on demand, so a pickle holds only the entries.
-        return {"entries": self.entries}
+        # The cached shares are rebuilt on demand, so a pickle holds only the columns.
+        return {"ids": self.ids, "weights": self.weights}
 
     @functools.cached_property
     def _cumulative_shares(self) -> np.ndarray:
         """Fraction of the total weight the ``k`` heaviest producers hold, for
         k = 1..n; read-only. The last entry is exactly 1.0."""
-        weights = np.fromiter(map(operator.itemgetter(1), self.entries), float, len(self.entries))
-        cum = np.cumsum(np.sort(weights)[::-1])
+        cum = np.cumsum(np.sort(np.array(self.weights, float))[::-1])
         shares = cum / cum[-1]
         shares.flags.writeable = False
         return shares
 
     def total_weight(self) -> float:
-        return float(sum(w for _, w in self.entries))
+        return float(sum(self.weights))
 
 
 class ConsensusKind(Enum):

@@ -48,7 +48,7 @@ def _tiered(tiers: list[tuple[str, int, int]]) -> ProducerDistribution:
     for prefix, count, weight in tiers:
         width = len(str(count))
         entries.extend((f"{prefix}-{i + 1:0{width}d}", weight) for i in range(count))
-    return ProducerDistribution(tuple(entries))
+    return ProducerDistribution.from_entries(tuple(entries))
 
 
 def bitcoin_miner_distribution() -> ProducerDistribution:

@@ -7,7 +7,8 @@ product is invariant. Payment channels (Lightning-style) multiply throughput
 by an off-chain batching factor and, with relays, cut on-chain transactions
 down to one channel per active client, at the price of concentrating relay
 trust in a single node. Relays can only withhold payments; the data model has
-no path through which a relay could alter a balance.
+no path through which a relay could alter a balance. A payment graph holds
+its payments as three columns, and counts its channel pairs from them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ import math
 import operator
 from dataclasses import dataclass
 
-from chainmeter.errors import InputError, exact_rows, integer, plain, positive, real
+from chainmeter.errors import InputError, exact, integer, plain, positive, real
 
 # On-chain transactions per payment channel: one to fund it, one to settle it.
 CHANNEL_ONCHAIN_COST = 2
-
-# A payment row's sender, receiver and count.
-_FROM, _TO, _COUNT = map(operator.itemgetter, range(3))
 
 
 @dataclass(frozen=True)
@@ -82,50 +80,68 @@ def shard_analysis(throughput_tps: float, centralization_n: int, node_count: int
 
 @dataclass(frozen=True)
 class PaymentGraph:
-    """Clients and the payments flowing between them within a channel window.
-    Its active clients and channel pair count are built once, on first use,
-    and take no part in ``==``, ``hash``, pickling or ``dataclasses.replace``."""
+    """Clients and the payments flowing between them within a channel window,
+    as three columns: ``sources[i]`` paid ``targets[i]`` ``counts[i]`` times.
+    Rows of ``(from, to, count)`` go through ``from_payments``, and
+    ``payments`` gives them back, built when read. Its active clients and
+    channel pair count are built once and take no part in ``==``, ``hash``,
+    pickling or ``dataclasses.replace``."""
 
     clients: frozenset[str]
-    payments: tuple[tuple[str, str, int], ...]
+    sources: tuple[str, ...]
+    targets: tuple[str, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clients", frozenset(map(str, self.clients)))
-        payments = self.payments
-        # Rows of exactly (str, str, int) are kept; others' counts go through errors.integer.
-        if not exact_rows(payments, (str, str, int)):
-            payments = tuple((str(a), str(b), integer(c, "payment count", index)) for index, (a, b, c) in enumerate(payments))
-            object.__setattr__(self, "payments", payments)
+        clients = frozenset(map(str, self.clients))
+        # Columns of exactly str and int are kept as given; others' cells go
+        # through str and errors.integer.
+        sources, targets = (c if exact(c, str) else tuple(map(str, c)) for c in (self.sources, self.targets))
+        counts = self.counts if exact(self.counts, int) else list(self.counts)
+        if not len(sources) == len(targets) == len(counts):
+            raise InputError(f"payment graph has {len(sources)} sources, {len(targets)} targets and {len(counts)} counts")
+        if counts is not self.counts:
+            counts = tuple(map(integer, counts, itertools.repeat("payment count"), range(len(counts))))
         # Self-payments, counts and endpoints are checked a column at a time;
-        # the rows are walked only to name the first bad one.
-        src, dst = list(map(_FROM, payments)), list(map(_TO, payments))
-        if (any(map(operator.eq, src, dst)) or min(map(_COUNT, payments), default=1) < 1
-                or not self.clients.issuperset(src) or not self.clients.issuperset(dst)):
-            for index, (a, b, count) in enumerate(payments):
+        # the columns are walked only to name the first bad payment.
+        active = frozenset(sources).union(targets)
+        if any(map(operator.eq, sources, targets)) or min(counts, default=1) < 1 or not clients.issuperset(active):
+            for index, (a, b, count) in enumerate(zip(sources, targets, counts)):
                 if a == b:
                     raise InputError(f"payment from {a!r} to itself", index)
                 if count < 1:
                     raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
-                if a not in self.clients or b not in self.clients:
+                if a not in clients or b not in clients:
                     raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
+        vars(self).update(clients=clients, sources=sources, targets=targets, counts=counts, _active_clients=active)
+
+    @classmethod
+    def from_payments(cls, clients, rows) -> PaymentGraph:
+        """The graph of ``clients`` and ``(from, to, count)`` rows. A tuple of
+        exact triples is transposed in one pass; any other row is unpacked on
+        its own, so a row of another width raises unpacking's ``ValueError``."""
+        if not (exact(rows, tuple) and set(map(len, rows)) <= {3}):
+            rows = tuple((a, b, count) for a, b, count in rows)
+        return cls(clients, *(tuple(zip(*rows)) or ((), (), ())))
+
+    @property
+    def payments(self) -> tuple[tuple[str, str, int], ...]:
+        """The ``(from, to, count)`` rows, zipped from the columns when read."""
+        return tuple(zip(self.sources, self.targets, self.counts))
 
     def __getstate__(self):
         # The cached values are rebuilt on demand, so a pickle holds only the fields.
-        return {"clients": self.clients, "payments": self.payments}
+        return {"clients": self.clients, "sources": self.sources, "targets": self.targets, "counts": self.counts}
 
     @functools.cached_property
     def _active_clients(self) -> frozenset[str]:
-        return frozenset(map(_FROM, self.payments)).union(map(_TO, self.payments))
+        return frozenset(self.sources).union(self.targets)
 
     @functools.cached_property
     def _channel_pair_count(self) -> int:
-        # With integer codes, a*b and a+b fix the pair {a, b} (the roots of
-        # x^2 - (a+b)x + ab), so a*b*K + a+b, K above any sum, names it.
-        code = dict(zip(self.clients, range(len(self.clients))))
-        a = list(map(code.__getitem__, map(_FROM, self.payments)))
-        b = list(map(code.__getitem__, map(_TO, self.payments)))
-        products = map(operator.mul, map(operator.mul, a, b), itertools.repeat(2 * len(code)))
-        return len(set(map(operator.add, products, map(operator.add, a, b))))
+        # No payment is to itself, so each pair paid both ways is two ordered pairs.
+        pairs = set(zip(self.sources, self.targets))
+        return len(pairs) - len(pairs.intersection(zip(self.targets, self.sources))) // 2
 
     def active_clients(self) -> frozenset[str]:
         """Clients that send or receive at least one payment."""
@@ -179,7 +195,7 @@ def lightning_analysis(
     if not 1 <= real(alpha, "batching factor alpha") < math.inf:
         raise InputError(f"batching factor alpha must be >= 1 and finite, got {alpha!r}")
     alpha = plain(alpha, "batching factor alpha")
-    if not graph.payments:
+    if not graph.counts:
         raise InputError("payment graph has no payments to analyze")
     direct_cost = onchain_tx_count(graph, None)
     plan_cost = onchain_tx_count(graph, relay_id)

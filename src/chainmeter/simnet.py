@@ -82,7 +82,7 @@ class SimConfig:
     def __post_init__(self):
         problems = []
         try:
-            object.__setattr__(self, "miners", ProducerDistribution(self.miners).entries)
+            object.__setattr__(self, "miners", ProducerDistribution.from_entries(self.miners).entries)
         except InputError as exc:
             problems.append(f"miners: {exc}" if exc.index is None else f"miners[{exc.index}]: {exc}")
         n = len(self.miners)
@@ -504,7 +504,7 @@ def _blocks_per_miner(miner_ids: Sequence[str], miner_index: Sequence[int]) -> P
     """Blocks per miner, from one index into ``miner_ids`` per block; a miner
     with no block keeps a zero entry."""
     counts = np.bincount(np.asarray(miner_index, dtype=np.intp), minlength=len(miner_ids))
-    return ProducerDistribution(tuple(zip(miner_ids, counts.astype(float).tolist())))
+    return ProducerDistribution(tuple(miner_ids), tuple(counts.astype(float).tolist()))
 
 
 def bound_violation_check(result: SimResult, net: NetworkParams, chain: ChainParams) -> BoundCheck:

@@ -107,7 +107,7 @@ def random_distribution(rng: random.Random, max_producers: int = 20):
 def merged(dist: ProducerDistribution, ids, merged_id: str) -> ProducerDistribution:
     """``dist`` with the producers in ``ids`` combined into one, ``merged_id``."""
     kept = tuple((pid, w) for pid, w in dist.entries if pid not in ids)
-    return ProducerDistribution(kept + ((merged_id, sum(w for pid, w in dist.entries if pid in ids)),))
+    return ProducerDistribution.from_entries(kept + ((merged_id, sum(w for pid, w in dist.entries if pid in ids)),))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,10 +133,7 @@ def all_payment_graphs(max_clients: int):
         pairs = list(combinations(clients, 2))
         for mask in range(1, 2 ** len(pairs)):
             chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            yield PaymentGraph(
-                clients=frozenset(clients),
-                payments=tuple((a, b, 1) for a, b in chosen),
-            )
+            yield PaymentGraph.from_payments(frozenset(clients), tuple((a, b, 1) for a, b in chosen))
 
 
 def oracle_channel_pairs(graph: PaymentGraph) -> frozenset[frozenset[str]]:
@@ -371,7 +368,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     return RecordResult(
         blocks=tuple(records),
         canonical_chain=tuple(canonical),
-        per_miner_canonical=ProducerDistribution(
+        per_miner_canonical=ProducerDistribution.from_entries(
             tuple((m, float(counts[m])) for m in miner_ids)
         ),
         stale_rate=1.0 - n_canonical / blocks_to_mine,
@@ -441,7 +438,13 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
 
 def oracle_to_jsonable(obj):
     """The library's original ``to_jsonable``, kept verbatim but for dict
-    keys, which it now leaves to ``json`` to spell, as the library does."""
+    keys, which it now leaves to ``json`` to spell, as the library does, and
+    for a distribution and a payment graph, which hold columns now and are
+    walked as the row fields they held then."""
+    if isinstance(obj, ProducerDistribution):
+        return {"entries": oracle_to_jsonable(obj.entries)}
+    if isinstance(obj, PaymentGraph):
+        return {"clients": oracle_to_jsonable(obj.clients), "payments": oracle_to_jsonable(obj.payments)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: oracle_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
@@ -540,7 +543,7 @@ def _oracle_distribution(entries) -> ProducerDistribution:
         raise InputError("total weight must be positive")
     if sum(w for _, w in converted) == math.inf:
         raise InputError("total weight must be finite, got inf")
-    return ProducerDistribution(entries)
+    return ProducerDistribution.from_entries(entries)
 
 
 def _oracle_payment_graph(clients, payments) -> PaymentGraph:
@@ -552,7 +555,7 @@ def _oracle_payment_graph(clients, payments) -> PaymentGraph:
             raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
         if a not in clients or b not in clients:
             raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
-    return PaymentGraph(clients=clients, payments=payments)
+    return PaymentGraph.from_payments(clients, payments)
 
 
 def oracle_load_distribution(path: str) -> ProducerDistribution:

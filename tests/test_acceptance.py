@@ -75,7 +75,7 @@ def test_c04_metrics_property_suite():
         epsilons = (0.0, 0.1, 1 / 3, 0.49, 0.9)
         for _ in range(1200):
             entries = random_distribution(rng, max_producers=20)
-            dist = cm.ProducerDistribution(tuple(entries))
+            dist = cm.ProducerDistribution.from_entries(tuple(entries))
             weights = [w for _, w in entries]
             eps = rng.uniform(0.0, 0.99)
 
@@ -91,7 +91,7 @@ def test_c04_metrics_property_suite():
             assert cm.centralization_level(dist, e_lo).n >= cm.centralization_level(dist, e_hi).n
             # scale invariance
             scale = rng.choice([1e-3, 7.0, 1e6])
-            scaled = cm.ProducerDistribution(tuple((p, w * scale) for p, w in entries))
+            scaled = cm.ProducerDistribution.from_entries(tuple((p, w * scale) for p, w in entries))
             e_chk = rng.choice(epsilons)
             assert cm.centralization_level(scaled, e_chk).n == cm.centralization_level(dist, e_chk).n
             # merge dominance

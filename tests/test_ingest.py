@@ -17,6 +17,7 @@ from chainmeter import (
     InputError,
     NetworkParams,
     ParseError,
+    PaymentGraph,
     ProducerDistribution,
     SimConfig,
     ValidationError,
@@ -29,7 +30,6 @@ from chainmeter import (
     throughput_sweep,
 )
 from chainmeter import ingest
-from chainmeter.errors import exact_rows
 from chainmeter.ingest import CHUNK, json_array, to_jsonable
 from chainmeter.simnet import BlockTable
 
@@ -98,7 +98,7 @@ class TestLoadDistribution:
             load_distribution(path)
 
     def test_round_trip_is_identity(self, tmp_path):
-        dist = ProducerDistribution((("A", 3.0), ("B", 1.0), ("C", 0.25)))
+        dist = ProducerDistribution.from_entries((("A", 3.0), ("B", 1.0), ("C", 0.25)))
         out = tmp_path / "rt.csv"
         export_report(dist, str(out), "csv")
         assert load_distribution(str(out)) == dist
@@ -193,18 +193,29 @@ class TestLoadersAgainstOracle:
         (load_payment_graph, oracle_load_payment_graph, ("from", "to", "count"), _payment_row),
     ], ids=["distribution", "payment_graph"])
     @pytest.mark.parametrize("fault_rate", [0.0, 0.02, 0.1])
-    def test_same_object_or_same_error(self, tmp_path, load, oracle, header, row, fault_rate):
+    def test_same_object_or_same_error(self, tmp_path, monkeypatch, load, oracle, header, row, fault_rate):
         rng = random.Random(f"loaders/{header[0]}/{fault_rate}")
         path = str(tmp_path / "in.csv")
-        kinds = set()
+        kinds, paths, readers = set(), set(), []
         for _ in range(400):
             text = random_csv(rng, header, row, fault_rate)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             expected = _outcome(oracle, path)
-            assert _outcome(load, path) == expected, text
+            del readers[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(csv, "reader", lambda *args, reader=csv.reader: readers.append(1) or reader(*args))
+                outcome = _outcome(load, path)
+            assert outcome == expected, text
             kinds.add(expected[0] if isinstance(expected, tuple) else "loaded")
-        assert kinds == {"loaded", ParseError}
+            paths.add("reader" if readers else "split")
+            # The loaded columns hold exact types, which the types keep as they are.
+            if isinstance(outcome, ProducerDistribution):
+                assert [set(map(type, c)) for c in (outcome.ids, outcome.weights)] == [{str}, {float}]
+            elif isinstance(outcome, PaymentGraph):
+                columns = (outcome.sources, outcome.targets, outcome.counts)
+                assert [set(map(type, c)) for c in columns] == [{str}, {str}, {int}]
+        assert kinds == {"loaded", ParseError} and paths == {"reader", "split"}
 
 
     @pytest.mark.parametrize("tail", [b"\xff,c,1\n", b'"' + b"c" * 200_000 + b'",d,1\n'], ids=["undecodable", "long_field"])
@@ -274,8 +285,9 @@ class TestLoadersAgainstOracle:
         else:
             assert outcome == expected
         if isinstance(outcome, ProducerDistribution):
-            # Rows of exact types, which the distribution keeps as they are.
-            assert exact_rows(outcome.entries, (str, float))
+            # Columns of exact types, which the distribution keeps as they are.
+            assert type(outcome.ids) is type(outcome.weights) is tuple
+            assert set(map(type, outcome.ids)) == {str} and set(map(type, outcome.weights)) == {float}
 
     @pytest.mark.parametrize("extra, split", [(-1, True), (0, True), (1, False)], ids=["under", "at", "over"])
     @pytest.mark.parametrize("column", [0, 1], ids=["from", "to"])
@@ -451,7 +463,7 @@ class TestLoadSimConfig:
 
 class TestExportReport:
     def test_curve_csv_rows(self, tmp_path):
-        dist = ProducerDistribution((("A", 3.0), ("B", 1.0)))
+        dist = ProducerDistribution.from_entries((("A", 3.0), ("B", 1.0)))
         out = tmp_path / "curve.csv"
         curve = cumulative_share_curve(dist)
         export_report({"rank": range(1, len(curve) + 1), "cumulative_share": curve}, str(out), "csv")
@@ -489,7 +501,7 @@ class TestExportReport:
             assert raw["block_id"] == block_id
 
     def test_distribution_csv_header_must_fit_its_rows(self, tmp_path):
-        dist = ProducerDistribution((("A", 3.0), ("B", 1.0)))
+        dist = ProducerDistribution.from_entries((("A", 3.0), ("B", 1.0)))
         with pytest.raises(FormatError, match="1 column names for 2-column rows"):
             export_report(dist, str(tmp_path / "d.csv"), "csv", columns=("id",))
         assert os.listdir(tmp_path) == []
@@ -523,7 +535,7 @@ class TestExportReport:
             export_report([(1, 2)], str(tmp_path / "x.xml"), "xml")
 
     def test_unwritable_path_surfaces_path(self, tmp_path):
-        dist = ProducerDistribution((("A", 1.0),))
+        dist = ProducerDistribution.from_entries((("A", 1.0),))
         missing_dir = tmp_path / "nope" / "out.csv"
         with pytest.raises(OSError, match="nope"):
             export_report(dist, str(missing_dir), "csv")
@@ -545,6 +557,33 @@ class TestExportReport:
         export_report([dict(Color.TABLE.value), Color.TABLE], str(out), "json")
         top, in_enum = json.loads(out.read_text())
         assert list(top) == list(in_enum) == ["1", "null", "0.5", "false"]
+
+
+class TestAnalysisTypesExportAsRows:
+    """A distribution and a payment graph export as the rows they held as
+    fields before they held columns; the bytes are literals taken then."""
+
+    DIST_JSON = (b'{\n  "entries": [\n    [\n      "A",\n      3.0\n    ],\n    [\n      "b\\"q",\n      0.25\n    ],'
+                 b'\n    [\n      "\\u00e9",\n      1e-300\n    ]\n  ]\n}\n')
+    GRAPH_JSON = (b'{\n  "clients": [\n    "a",\n    "b",\n    "c"\n  ],\n  "payments": [\n    [\n      "a",\n      "b",'
+                  b'\n      3\n    ],\n    [\n      "b",\n      "c",\n      1\n    ],\n    [\n      "c",\n      "a",'
+                  b'\n      2\n    ]\n  ]\n}\n')
+
+    def test_distribution_json_bytes(self, tmp_path):
+        dist = ProducerDistribution(("A", 'b"q', "\u00e9"), (3.0, 0.25, 1e-300))
+        export_report(dist, str(tmp_path / "d.json"), "json")
+        assert (tmp_path / "d.json").read_bytes() == self.DIST_JSON
+        assert to_jsonable(dist) == json.loads(self.DIST_JSON)
+
+    def test_payment_graph_json_bytes(self, tmp_path):
+        graph = PaymentGraph(frozenset("cab"), ("a", "b", "c"), ("b", "c", "a"), (3, 1, 2))
+        export_report(graph, str(tmp_path / "g.json"), "json")
+        assert (tmp_path / "g.json").read_bytes() == self.GRAPH_JSON
+        assert to_jsonable(graph) == json.loads(self.GRAPH_JSON)
+
+    def test_distribution_csv_bytes(self, tmp_path):
+        export_report(ProducerDistribution(("A", "B"), (3.0, 0.25)), str(tmp_path / "d.csv"), "csv")
+        assert (tmp_path / "d.csv").read_bytes() == b"producer_id,weight\r\nA,3.0\r\nB,0.25\r\n"
 
 
 class Level(Enum):
@@ -964,7 +1003,7 @@ class TestCsvExportAgainstOracle:
 
     def test_distribution_ids_that_need_quoting(self, tmp_path):
         ids = ["a,b", 'q"q', "x\ny", "cr\rid", " lead", "tail ", "\u00e9t\u00e9", "%s %d %%"]
-        dist = ProducerDistribution(tuple((f"{ids[i % len(ids)]}{i}", i + 0.5) for i in range(CHUNK + 3)))
+        dist = ProducerDistribution.from_entries(tuple((f"{ids[i % len(ids)]}{i}", i + 0.5) for i in range(CHUNK + 3)))
         self.assert_same_bytes(tmp_path, dist, None)
 
     @staticmethod

@@ -36,8 +36,8 @@ from chainmeter.errors import plain, positive, real
 
 CHAIN = ChainParams(1000, 250.0, 600.0)
 NET = NetworkParams(712_500.0, 0.1)
-GRAPH = PaymentGraph(clients=frozenset("abc"), payments=(("a", "b", 1), ("b", "c", 2)))
-DIST = ProducerDistribution((("a", 3.0), ("b", 1.0)))
+GRAPH = PaymentGraph.from_payments(frozenset("abc"), (("a", "b", 1), ("b", "c", 2)))
+DIST = ProducerDistribution.from_entries((("a", 3.0), ("b", 1.0)))
 
 BAD = (True, np.bool_(True), "513", None)
 # A real field takes these and gives the result of float(value).
@@ -83,7 +83,7 @@ BOUNDARIES = [
     ("throughput_upper_bound.tx_size_bytes", lambda v: throughput_upper_bound(NET, v), "tx_size_bytes", float, REAL),
     ("shard_analysis.k", lambda v: shard(k=v), "shard count", int, INTEGER),
     ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
-    ("ProducerDistribution.weight", lambda v: ProducerDistribution((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
+    ("ProducerDistribution.weight", lambda v: ProducerDistribution.from_entries((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
     ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
      "miners[0]: weight of 'a'", float, REAL),
 ]

@@ -34,7 +34,7 @@ def shard(k, t=15.0, n=100, nodes=None):
 def full_graph(n):
     clients = [f"c{i}" for i in range(n)]
     payments = tuple((a, b, 1) for i, a in enumerate(clients) for b in clients[i + 1:])
-    return PaymentGraph(clients=frozenset(clients), payments=payments)
+    return PaymentGraph.from_payments(frozenset(clients), payments)
 
 
 class TestCtp:
@@ -131,25 +131,25 @@ class TestOnchainCounting:
         assert onchain_tx_count(full_graph(4), "hub") == 8  # 2 * 4
 
     def test_single_pair_direct(self):
-        g = PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 3),))
+        g = PaymentGraph.from_payments(frozenset({"a", "b"}), (("a", "b", 3),))
         assert onchain_tx_count(g, None) == 2
 
     def test_relay_that_is_a_client_needs_no_self_channel(self):
-        star = PaymentGraph(
-            clients=frozenset({"hub", "x", "y", "z"}),
-            payments=(("hub", "x", 1), ("hub", "y", 1), ("hub", "z", 1)),
+        star = PaymentGraph.from_payments(
+            frozenset({"hub", "x", "y", "z"}),
+            (("hub", "x", 1), ("hub", "y", 1), ("hub", "z", 1)),
         )
         assert onchain_tx_count(star, None) == 6
         assert onchain_tx_count(star, "hub") == 6
         assert onchain_tx_count(star, "external") == 8
 
     def test_repeated_payments_share_one_channel(self):
-        g = PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 5), ("b", "a", 2)))
+        g = PaymentGraph.from_payments(frozenset({"a", "b"}), (("a", "b", 5), ("b", "a", 2)))
         assert onchain_tx_count(g, None) == 2
 
     def test_idle_client_relay_funds_every_active_client(self):
         # A declared client with no payments of its own relays like an outsider.
-        g = PaymentGraph(clients=frozenset("abci"), payments=(("a", "b", 1), ("b", "c", 1)))
+        g = PaymentGraph.from_payments(frozenset("abci"), (("a", "b", 1), ("b", "c", 1)))
         assert onchain_tx_count(g, "i") == onchain_tx_count(g, "ext") == 6
 
     def test_empty_relay_id_is_a_relay(self):
@@ -247,7 +247,7 @@ class TestLightningAnalysis:
             lightning_analysis(1.0, full_graph(2), None, alpha)
 
     def test_empty_payments_rejected(self):
-        g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
+        g = PaymentGraph.from_payments(frozenset({"a", "b"}), ())
         with pytest.raises(InputError):
             lightning_analysis(1.0, g, None, 1.0)
 
@@ -257,14 +257,14 @@ class TestLightningAnalysis:
     ], ids=["throughput", "alpha"])
     def test_checks_run_in_order(self, t, message):
         # Throughput, then alpha, then the payments: all three are bad here.
-        g = PaymentGraph(clients=frozenset({"a", "b"}), payments=())
+        g = PaymentGraph.from_payments(frozenset({"a", "b"}), ())
         with pytest.raises(InputError, match=message):
             lightning_analysis(t, g, None, 0.5)
 
     def test_relay_on_a_lone_pair_halves_throughput(self):
         # One pair: a direct channel costs 2 on-chain transactions, an
         # outside relay 4, so the relay plan carries half of t * alpha.
-        g = PaymentGraph(clients=frozenset("ab"), payments=(("a", "b", 1),))
+        g = PaymentGraph.from_payments(frozenset("ab"), (("a", "b", 1),))
         analysis = lightning_analysis(10.0, g, "ext", 2.0)
         assert (analysis.onchain_direct, analysis.onchain_plan) == (2, 4)
         assert (analysis.effective_tps, analysis.relay_centralization_n0, analysis.ctp) == (10.0, 1, 10.0)
@@ -273,22 +273,24 @@ class TestLightningAnalysis:
 class TestPaymentGraphValidation:
     def test_self_payment_rejected(self):
         with pytest.raises(InputError):
-            PaymentGraph(clients=frozenset({"a"}), payments=(("a", "a", 1),))
+            PaymentGraph.from_payments(frozenset({"a"}), (("a", "a", 1),))
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(InputError):
-            PaymentGraph(clients=frozenset({"a"}), payments=(("a", "b", 1),))
+            PaymentGraph.from_payments(frozenset({"a"}), (("a", "b", 1),))
 
     @pytest.mark.parametrize("count", [2.7, 2.0, "2", None, True])
     def test_count_must_be_an_integer(self, count):
         payments = (("a", "b", 1), ("b", "c", 3), ("a", "c", count))
         with pytest.raises(InputError, match="^payment count must be an integer, got ") as err:
-            PaymentGraph(clients=frozenset("abc"), payments=payments)
+            PaymentGraph.from_payments(frozenset("abc"), payments)
         assert err.value.index == 2
 
-    def test_exact_rows_are_kept_as_given(self):
-        payments = (("a", "b", 1), ("b", "c", 2))
-        assert PaymentGraph(frozenset("abc"), payments).payments is payments
+    def test_exact_columns_are_kept_as_given(self):
+        sources, targets, counts = ("a", "b"), ("b", "c"), (1, 2)
+        g = PaymentGraph(frozenset("abc"), sources, targets, counts)
+        assert g.sources is sources and g.targets is targets and g.counts is counts
+        assert g.payments == (("a", "b", 1), ("b", "c", 2)) == PaymentGraph.from_payments(g.clients, g.payments).payments
 
     @pytest.mark.parametrize("payments", [
         [("a", "b", 1), ("b", "c", 2)],
@@ -299,12 +301,41 @@ class TestPaymentGraphValidation:
         (tuple.__new__(type("Payment", (tuple,), {}), ("a", "b", 1)), ("b", "c", 2)),
     ], ids=["list", "list_row", "numpy_ints", "int_subclass", "str_subclass", "tuple_subclass"])
     def test_other_rows_are_converted_as_before(self, payments):
-        converted = PaymentGraph(frozenset("abc"), payments).payments
-        assert converted is not payments and type(converted) is tuple
-        # The former conversion, applied to every row.
-        assert converted == tuple((str(a), str(b), operator.index(c)) for a, b, c in payments)
-        assert [tuple(map(type, row)) for row in converted] == [(str, str, int)] * 2
-        assert set(map(type, converted)) == {tuple}
+        # The rows, and their cells as columns (lists for a list of rows).
+        cells = list if isinstance(payments, list) else tuple
+        built = (PaymentGraph.from_payments(frozenset("abc"), payments),
+                 PaymentGraph(frozenset("abc"), *(cells(row[i] for row in payments) for i in range(3))))
+        assert built[0] == built[1]
+        for g in built:
+            assert type(g.sources) is type(g.targets) is type(g.counts) is tuple
+            # The former conversion, applied to every row.
+            assert g.payments == tuple((str(a), str(b), operator.index(c)) for a, b, c in payments)
+            assert [tuple(map(type, row)) for row in g.payments] == [(str, str, int)] * 2
+
+    @pytest.mark.parametrize("payments, message", [
+        ((("a", "b", 1), ("b", "c", 2.0)), "payment count must be an integer, got 2.0"),
+        ((("a", "b", 1), (Tag("c"), "c", np.int64(1))), "payment from 'c' to itself"),
+        ((("a", "b", 1), ("b", "c", 0)), "payment count must be >= 1, got 0 for 'b'->'c'"),
+        ((("a", "b", 1), ("b", "d", 1)), "payment endpoints 'b', 'd' must be declared clients"),
+    ], ids=["not_an_integer", "self_payment", "zero_count", "undeclared"])
+    def test_rows_and_columns_are_refused_alike(self, payments, message):
+        for build in (lambda: PaymentGraph.from_payments(frozenset("abc"), payments),
+                      lambda: PaymentGraph(frozenset("abc"), *map(list, zip(*payments)))):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
+                build()
+            assert info.value.index == 1
+
+    @pytest.mark.parametrize("sources, targets, counts", [
+        (("a", "b"), ("b",), (1, 1)), (("a",), ("b", "c"), (1, 1)), (("a", "b"), ("b", "c"), [1]), ((), (), (1,)),
+    ], ids=["short_targets", "short_sources", "short_list", "no_payments"])
+    def test_columns_of_unequal_length_are_refused(self, sources, targets, counts):
+        message = (f"^payment graph has {len(sources)} sources, {len(targets)} targets "
+                   f"and {len(counts)} counts$")
+        with pytest.raises(InputError, match=message) as info:
+            PaymentGraph(frozenset("abc"), sources, targets, counts)
+        assert info.value.index is None
+        with pytest.raises(InputError, match="^payment graph has 2 sources, 2 targets and 3 counts$"):
+            dataclasses.replace(full_graph(3), sources=("c0", "c1"), targets=("c1", "c2"), counts=(1, 1, 1))
 
     @pytest.mark.parametrize("payments, message", [
         ((("a", "b", 1, "x"), ("b", "c", 2)), "too many values to unpack (expected 3)"),
@@ -312,15 +343,15 @@ class TestPaymentGraphValidation:
     ], ids=["long_row", "short_row"])
     def test_rows_of_another_width_are_refused_as_before(self, payments, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            PaymentGraph(frozenset("abc"), payments)
+            PaymentGraph.from_payments(frozenset("abc"), payments)
 
     def test_numpy_integer_counts_become_ints(self):
-        g = PaymentGraph(clients=frozenset("ab"), payments=(("a", "b", np.int64(3)),))
+        g = PaymentGraph.from_payments(frozenset("ab"), (("a", "b", np.int64(3)),))
         assert g.payments == (("a", "b", 3),) and type(g.payments[0][2]) is int
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
-            PaymentGraph(clients=frozenset({"a", "b"}), payments=(("a", "b", 0),))
+            PaymentGraph.from_payments(frozenset({"a", "b"}), (("a", "b", 0),))
 
 
 class TestPaymentGraphCache:
@@ -330,9 +361,11 @@ class TestPaymentGraphCache:
         assert graph == fresh and hash(graph) == hash(fresh)
         assert pickle.dumps(graph) == pickle.dumps(fresh)
         copy = pickle.loads(pickle.dumps(graph))
-        assert copy == graph and not {"_channel_pair_count", "_active_clients"} & vars(copy).keys()
+        # A pickle holds the columns only.
+        assert copy == graph and vars(copy).keys() == {"clients", "sources", "targets", "counts"}
         assert copy.channel_pair_count() == pairs and copy.active_clients() == active
-        smaller = dataclasses.replace(graph, payments=graph.payments[:3])
+        smaller = dataclasses.replace(graph, sources=graph.sources[:3], targets=graph.targets[:3],
+                                      counts=graph.counts[:3])
         assert smaller.channel_pair_count() == len(oracle_channel_pairs(smaller)) == 3
         assert smaller.active_clients() == frozenset(c for p in graph.payments[:3] for c in p[:2])
 
@@ -356,7 +389,7 @@ def _seeded_graph(rng):
         payments.append((a, b, rng.randint(1, 3)))
         if rng.random() < 0.3:
             payments.append(rng.choice([(a, b, 1), (b, a, 2)]))
-    return PaymentGraph(clients=frozenset(clients), payments=tuple(payments))
+    return PaymentGraph.from_payments(frozenset(clients), tuple(payments))
 
 
 class TestChannelPairCount:
@@ -376,6 +409,6 @@ class TestChannelPairCount:
         assert both > 50 and repeated > 50
 
     def test_both_directions_fund_one_channel(self):
-        graph = PaymentGraph(frozenset("abc"), (("a", "b", 1), ("b", "a", 2), ("a", "b", 3), ("c", "a", 1)))
+        graph = PaymentGraph.from_payments(frozenset("abc"), (("a", "b", 1), ("b", "a", 2), ("a", "b", 3), ("c", "a", 1)))
         assert graph.channel_pair_count() == 2
         assert onchain_tx_count(graph, None) == 4
