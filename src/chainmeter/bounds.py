@@ -29,7 +29,8 @@ from chainmeter.errors import InputError, integer, plain, positive, real
 class ChainParams:
     """Protocol constants: block size (a positive integer number of bytes),
     mean transaction size, block interval, and the confirmation count used for
-    latency (a positive integer, 6 unless given)."""
+    latency (a positive integer, 6 unless given). The two counts are stored
+    as ints, so a numpy integer gives the result of the equal int."""
 
     block_size_bytes: int
     tx_size_bytes: float
@@ -37,10 +38,10 @@ class ChainParams:
     confirmations: int = 6
 
     def __post_init__(self):
-        positive(integer(self.block_size_bytes, "block_size_bytes"), "block_size_bytes")
-        for name in ("tx_size_bytes", "block_interval_s"):
-            object.__setattr__(self, name, positive(getattr(self, name), name))
-        positive(integer(self.confirmations, "confirmations"), "confirmations")
+        for name, count in (("block_size_bytes", True), ("tx_size_bytes", False),
+                            ("block_interval_s", False), ("confirmations", True)):
+            value = getattr(self, name)
+            object.__setattr__(self, name, positive(integer(value, name) if count else value, name))
         if self.block_size_bytes < self.tx_size_bytes:
             raise InputError(
                 "a block must hold at least one transaction: "

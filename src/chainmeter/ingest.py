@@ -24,29 +24,31 @@ a read error last. Lines count records, so a quoted field spanning lines
 counts once, but a read error names the physical line. Numbers are written
 with full double precision so that load(export(x)) == x.
 
-JSON exports are byte-identical to ``json.dump(to_jsonable(x), fh, indent=2)``
-followed by a newline, as the running interpreter's ``json`` writes them. They
+JSON exports are byte-identical to ``json.dump(x, fh, indent=2)`` followed
+by a newline, as the running interpreter's ``json`` writes them, for the
+values a command or a round trip writes: records (a config as
+``load_sim_config`` reads it, a distribution's rows, a payment graph's sorted
+clients and rows, any other dataclass instance's fields), dicts with ``str``
+keys, lists, tuples, ``BlockTable``s (as their rows) and exact ``str``,
+``int``, ``float`` (NaN too), ``bool`` and None, nested in any way.
+Anything else, an Enum member, a frozenset outside a payment graph, a numpy
+scalar or a key of another type among them, raises ``FormatError``. Exports
 are streamed: ``json_array`` writes an array one item at a time, and a
-sequence or a ``SimResult``'s ``BlockTable`` a chunk of items at a time. A
-chunk of a table's rows is one ``%`` format read from the table's own
-fields, so a 20k-block export never becomes 20k dicts. The texts of miner
-ids that are plain scalars are made once per table, and each row picks its
-miner's by ``miner_index``; block ids are a range, always ``%d``. Any other
-value is written as json writes it, in its column. Every value outside a
-table or a sequence of plain scalars is written by ``json``'s own encoder.
+sequence or a ``BlockTable`` a chunk of items at a time. A table checks its
+own cells' types, so each chunk of its rows is one ``%`` format with fixed
+specs, read from its columns, and a 20k-block export never becomes 20k
+dicts.
 
-A CSV export has its header written by ``csv.writer``, and its data a chunk
-of columns at a time: slices of a dict's columns, or a chunk of rows
-transposed. A chunk whose every column holds only exact ints or only exact
-floats is interleaved into one list and written in one ``%`` format, ``%d``
-or ``%r`` per column, rows ended by ``\r\n``: the bytes ``csv.writer``
-writes, since it writes ``str`` of an int and ``repr`` of a float, ``nan``
-and ``inf`` included. Any other chunk (strings, ``bool``, numpy scalars,
-``IntEnum`` members, a column mixing ints and floats, rows of no cells) goes
-through ``csv.writer``. A JSON chunk, of a
-table's checked columns or of a sequence, takes ``%d`` and ``%r`` by the same
-rule, adding that a float column's sum must be finite; any other column
-goes in as texts.
+A CSV export takes one table form, a dict of equal-length columns keyed by
+header cell; a distribution is handed over as its ``producer_id`` and
+``weight`` columns. The header is written by ``csv.writer``, and the data a
+chunk of column slices at a time. A chunk whose every column holds only
+exact ints or only exact floats is interleaved into one list and written in
+one ``%`` format, ``%d`` or ``%r`` per column, rows ended by ``\r\n``: the
+bytes ``csv.writer`` writes, since it writes ``str`` of an int and ``repr``
+of a float, ``nan`` and ``inf`` included. Any other chunk (strings, such as
+ids that need quoting, ``bool``, numpy scalars, ``IntEnum`` members, a
+column mixing ints and floats) goes through ``csv.writer``.
 
 One writer serves every export, JSON and CSV alike: it writes to a sibling
 temporary file that replaces the target only once it is complete, so a failed
@@ -68,7 +70,6 @@ import itertools
 import json
 import math
 import os
-from enum import Enum
 from typing import Any, Callable
 
 from chainmeter.bounds import ChainParams, NetworkParams
@@ -269,87 +270,50 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 def _record(obj: Any) -> dict[str, Any] | None:
     """The named values ``obj`` exports as a JSON object, in order: a
-    distribution's rows as ``entries``, a payment graph's clients and rows as
-    ``clients`` and ``payments``, and any other dataclass instance's fields;
-    None for anything else, a ``BlockTable`` included, which exports as its rows."""
+    config's as ``load_sim_config`` reads them, a distribution's rows as
+    ``entries``, a payment graph's sorted clients and its rows as
+    ``clients`` and ``payments``, any other dataclass instance's fields, and
+    a dict's items, whose keys must be ``str``; None for anything else, a
+    ``BlockTable`` included, which exports as its rows."""
+    if isinstance(obj, SimConfig):
+        return {"miners": [{"miner_id": m, "hash_power_share": s} for m, s in obj.miners], "chain": obj.chain,
+                "net": obj.net, "topology_degree": obj.topology_degree, "duration_blocks": obj.duration_blocks,
+                "seed": obj.seed}
     if isinstance(obj, ProducerDistribution):
         return {"entries": obj.entries}
     if isinstance(obj, PaymentGraph):
-        return {"clients": obj.clients, "payments": obj.payments}
+        return {"clients": sorted(obj.clients), "payments": obj.payments}
+    if isinstance(obj, dict):
+        if not set(map(type, obj)) <= {str}:
+            key = next(k for k in obj if type(k) is not str)
+            raise FormatError(f"cannot serialize the dict key {key!r} to JSON; keys must be str")
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, (type, BlockTable)):
         return {name: getattr(obj, name) for name in _field_names(type(obj))}
     return None
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively turn dataclasses (distributions and payment graphs as
-    ``_record`` gives them), enums, containers and block tables (as their
-    rows) into JSON values. Dict keys stay as they are: ``json``
-    spells ``True`` as ``"true"`` and ``None`` as ``"null"``, whether the dict
-    is a report's or an Enum's value, and a key it cannot spell fails the
-    export with ``FormatError``."""
-    if type(obj) in _SCALAR_TEXT:
-        return obj
-    if (record := _record(obj)) is not None:
-        return {name: to_jsonable(value) for name, value in record.items()}
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, BlockTable):
-        names = (*obj.miner_ids, GENESIS_MINER)
-        return [to_jsonable(dict(zip(BLOCK_FIELDS, row))) for row in zip(
-            range(len(obj)), map(names.__getitem__, obj.miner_index), obj.parent_ids, obj.heights, obj.mined_at_s,
-            itertools.repeat(obj.size_bytes))]
-    if isinstance(obj, frozenset):
-        return sorted(to_jsonable(v) for v in obj)
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (str, int, float)) or obj is None:
+    """``obj`` as it stands, if it is a scalar ``json`` writes: an exact
+    ``str``, ``int``, ``float`` (NaN and the infinities too), ``bool`` or
+    None. Anything else raises ``FormatError``; the writer walks records,
+    dicts, sequences and block tables itself, down to their scalars."""
+    if type(obj) in (str, int, float, bool, type(None)):
         return obj
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-# JSON writer. It writes exactly the bytes of
-# ``json.dump(to_jsonable(obj), fh, indent=2)`` plus a newline. It walks
-# dataclasses itself, as _record names their values, and sequences and BlockTables CHUNK
-# items at a time. Every chunk of a BlockTable is one % format: its block
-# ids are a range, its miner ids' texts are made once per table when they
-# are plain scalars and per chunk otherwise, and _block_chunks reads the
-# parent, height, mining-time and size columns per chunk. In a chunk of a
-# sequence, or in one of those columns, exact ints go in as %d and exact
-# floats with a finite sum as %r; any other values as texts from _column, a
-# sequence's only if they are plain scalars. A plain scalar's text comes
-# from _SCALAR_TEXT, mapped over the column whole when it holds one type.
-# Every other value goes through to_jsonable exactly once, and what that
-# returns is written as it stands by _ENCODER, the encoder json.dump uses:
-# converting it again would accept an Enum member nested in an Enum's
-# value, which json.dump rejects.
+# JSON writer. _dump writes the bytes json.dump(..., indent=2) writes for
+# what the module docstring says a JSON export takes, walking records and
+# dicts name by name and sequences and block tables CHUNK items at a time.
+# A chunk of exact ints, or of exact floats with a finite sum, is one %
+# format; a block table's chunk is one too, with fixed specs, since the
+# table checks its own columns. Every other item is written on its own, down
+# to its scalars, which to_jsonable passes and json.dumps writes.
 
 CHUNK = 1024
 _INDENT = "  "
-_ENCODER = json.JSONEncoder(indent=len(_INDENT))
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _str = json.encoder.encode_basestring_ascii
-_literal = {None: "null", True: "true", False: "false"}.__getitem__
-# json.dump's text per plain scalar type, but for the names of a float's NaN and infinities.
-_SCALAR_TEXT = {str: _str, int: int.__repr__, float: float.__repr__, bool: _literal, type(None): _literal}
-
-
-def _column(values: tuple | list, level: int) -> list[str]:
-    """json.dump's texts of ``values`` at nesting ``level``: a plain scalar's
-    from ``_SCALAR_TEXT``, mapped over the column whole when it holds one
-    type, and any other value's from ``_encode(to_jsonable(value), level)``."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and kinds <= _SCALAR_TEXT.keys():
-        texts = list(map(_SCALAR_TEXT[next(iter(kinds))], values))
-    else:
-        texts = [_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT else _encode(to_jsonable(v), level)
-                 for v in values]
-    # No JSON text reads nan or inf, so only an exact float's can be one of these keys.
-    if float in kinds and not _NONFINITE.keys().isdisjoint(texts):
-        texts = list(map(_NONFINITE.get, texts, texts))
-    return texts
 
 
 def _spec(column: tuple | list) -> str | None:
@@ -366,77 +330,57 @@ def _exact(column: tuple | list) -> str | None:
     return spec if spec == "%d" or spec == "%r" and math.isfinite(sum(column)) else None
 
 
-def _items(chunk: tuple | list, level: int) -> str | None:
-    """Text of a chunk of a sequence's items, joined as json.dump joins
-    them; None unless it holds only plain scalars."""
-    sep = ",\n" + _INDENT * level
-    if spec := _exact(chunk):
-        return sep.join([spec] * len(chunk)) % tuple(chunk)
-    return sep.join(_column(chunk, level)) if set(map(type, chunk)) <= _SCALAR_TEXT.keys() else None
-
-
 def _block_chunks(table: BlockTable, level: int):
-    """Texts of the table's rows, CHUNK of them at a time, each joined as a
-    chunk's items are, in one ``%`` format. The texts of miner ids that are
-    all plain scalars, genesis's last where a ``miner_index`` of -1 picks it,
-    are made once per table; any others per chunk, of the ids its rows pick."""
-    names = (*table.miner_ids, GENESIS_MINER)
-    miners = _column(names, 0) if set(map(type, names)) <= _SCALAR_TEXT.keys() else None
+    """Texts of the table's rows, each joined as a sequence's items are:
+    genesis's, with its ``null`` parent, then CHUNK rows at a time in one
+    ``%`` format. Block ids are a range, parents and heights ``%d``, mining
+    times ``%r`` and the size one text; the miner ids' texts are made once,
+    genesis's last, where a ``miner_index`` of -1 picks it."""
+    names = (*map(_str, table.miner_ids), _str(GENESIS_MINER))
     inner, sep = "\n" + _INDENT * (level + 1), ",\n" + _INDENT * level
-    for start in range(0, len(table), CHUNK):
-        stop = min(start + CHUNK, len(table))
-        picked = table.miner_index[start:stop]
-        specs = ["%d", "%s"]
-        values = [range(start, stop), list(map(miners.__getitem__, picked)) if miners
-                  else _column(list(map(names.__getitem__, picked)), level + 1)]
-        for column in (table.parent_ids[start:stop], table.heights[start:stop], table.mined_at_s[start:stop]):
-            spec = _exact(column)
-            specs.append(spec or "%s")
-            values.append(column if spec else _column(column, level + 1))
-        specs.append(_column((table.size_bytes,), level + 1)[0].replace("%", "%%"))
+
+    def template(parent: str) -> str:
+        specs = ("%d", "%s", parent, "%d", "%r", "%d" % table.size_bytes)
         fields = ("," + inner).join(f'"{name}": {spec}' for name, spec in zip(BLOCK_FIELDS, specs))
-        template = "{" + inner + fields + "\n" + _INDENT * level + "}"
-        yield sep.join([template] * (stop - start)) % tuple(itertools.chain.from_iterable(zip(*values)))
+        return "{" + inner + fields + "\n" + _INDENT * level + "}"
 
-
-def _encode(value: Any, level: int) -> str:
-    """json.dump's text for a JSON value at nesting ``level``: its top-level
-    text, indented. JSON text has no other newline, since strings escape it
-    (and ``ensure_ascii`` escapes U+2028 and U+2029)."""
-    try:
-        text = _ENCODER.encode(value)
-    except TypeError as exc:
-        raise FormatError(f"cannot serialize to JSON: {exc}") from None
-    return text.replace("\n", "\n" + _INDENT * level)
+    yield template("null") % (0, names[table.miner_index[0]], table.heights[0], table.mined_at_s[0])
+    row = template("%d")
+    for start in range(1, len(table), CHUNK):
+        stop = min(start + CHUNK, len(table))
+        values = (range(start, stop), map(names.__getitem__, table.miner_index[start:stop]),
+                  table.parent_ids[start:stop], table.heights[start:stop], table.mined_at_s[start:stop])
+        yield sep.join([row] * (stop - start)) % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
 def _dump(obj: Any, level: int, write) -> None:
-    """Write ``to_jsonable(obj)`` at nesting ``level``. Dataclasses are walked
-    name by name as ``_record`` gives them, and sequences and block tables CHUNK items at a time: a
-    chunk of block rows, or of plain scalars, is encoded as one text, and any
-    other chunk item by item."""
-    inner = "\n" + _INDENT * (level + 1)
-    if record := _record(obj):
+    """Write ``obj`` at nesting ``level``: a record or dict name by name, as
+    ``_record`` gives them; a block table's rows, and a list's or tuple's
+    items, CHUNK at a time, each chunk in one ``%`` format if ``_exact``
+    gives it a spec and item by item if not; and a scalar as
+    ``to_jsonable`` passes it."""
+    inner, close = "\n" + _INDENT * (level + 1), "\n" + _INDENT * level
+    if (record := _record(obj)) is not None:
         for i, (name, value) in enumerate(record.items()):
             write(("," if i else "{") + inner + _str(name) + ": ")
             _dump(value, level + 1, write)
-        write("\n" + _INDENT * level + "}")
-    elif isinstance(obj, (list, tuple, BlockTable)) and obj:
-        starts = range(0, len(obj), CHUNK)
-        if isinstance(obj, BlockTable):
-            texts = _block_chunks(obj, level + 1)
-        else:
-            texts = (_items(obj[start:start + CHUNK], level + 1) for start in starts)
-        for start, text in zip(starts, texts):
-            if text is None:
-                for i, item in enumerate(obj[start:start + CHUNK], start):
+        write(close + "}" if record else "{}")
+    elif isinstance(obj, BlockTable):
+        for i, text in enumerate(_block_chunks(obj, level + 1)):
+            write(("," if i else "[") + inner + text)
+        write(close + "]")
+    elif isinstance(obj, (list, tuple)):
+        for start in range(0, len(obj), CHUNK):
+            chunk = obj[start:start + CHUNK]
+            if spec := _exact(chunk):
+                write(("," if start else "[") + inner + ("," + inner).join([spec] * len(chunk)) % tuple(chunk))
+            else:
+                for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)
                     _dump(item, level + 1, write)
-            else:
-                write(("," if start else "[") + inner + text)
-        write("\n" + _INDENT * level + "]")
+        write(close + "]" if obj else "[]")
     else:
-        write(_encode(to_jsonable(obj), level))
+        write(json.dumps(to_jsonable(obj)))
 
 
 @contextlib.contextmanager
@@ -495,75 +439,46 @@ def json_array(path: str):
             fh.write("\n]\n" if count else "[]\n")
 
 
-def _csv_chunks(report: Any, columns: tuple[str, ...] | None):
-    """The header of a CSV export, and its data CHUNK rows at a time, each
-    chunk as its column slices and its rows."""
+def _csv_table(report: Any) -> tuple[tuple, tuple]:
+    """The header and the columns of a CSV export: a dict's keys and
+    values, or a distribution's ``producer_id`` and ``weight`` columns."""
     if isinstance(report, ProducerDistribution):
-        header, parts = columns or ("producer_id", "weight"), (report.ids, report.weights)
-        if len(header) != len(parts):
-            raise FormatError(f"got {len(header)} column names for {len(parts)}-column rows")
-    elif isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values()):
-        if columns is not None:
-            raise FormatError("a dict's keys are its header; give no column names")
-        header, parts = tuple(report), tuple(report.values())
-        lengths = set(map(len, parts))
-        if len(lengths) != 1:
-            raise FormatError(f"columns differ in length: {sorted(lengths)}")
-    # One check per distinct row type and width, not one per row.
-    elif (isinstance(report, (list, tuple)) and report
-            and all(issubclass(kind, (list, tuple)) for kind in set(map(type, report)))
-            and len(set(map(len, report))) == 1):
-        width = len(report[0])
-        header = columns or tuple(f"col{i + 1}" for i in range(width))
-        if len(header) != width:
-            raise FormatError(f"got {len(header)} column names for {width}-column rows")
-        chunks = (report[i:i + CHUNK] for i in range(0, len(report), CHUNK))
-        return header, ((list(zip(*rows)), rows) for rows in chunks)
-    else:
+        report = {"producer_id": report.ids, "weight": report.weights}
+    if not (isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values())):
         raise FormatError(f"cannot flatten {type(report).__name__} to CSV; export it as json instead")
-    slices = ([part[i:i + CHUNK] for part in parts] for i in range(0, len(parts[0]), CHUNK))
-    return header, ((chunk, zip(*chunk)) for chunk in slices)
+    lengths = set(map(len, report.values()))
+    if len(lengths) != 1:
+        raise FormatError(f"columns differ in length: {sorted(lengths)}")
+    return tuple(report), tuple(report.values())
 
 
-def export_report(report: Any, path: str, format: str, columns: tuple[str, ...] | None = None) -> None:
+def export_report(report: Any, path: str, format: str) -> None:
     """Write an analysis or result to ``path`` as ``json`` or ``csv``.
 
-    JSON takes any report and nests it fully. CSV takes flat tables only: a
+    JSON takes records, dicts with ``str`` keys, lists, tuples, block tables
+    and the scalars ``to_jsonable`` passes, nested in any way. CSV takes a
     dict of equal-length columns (lists, tuples or ranges) keyed by header
-    cell, a distribution (``producer_id,weight``), or a sequence of rows
-    with ``columns`` naming the header cells.
+    cell, or a distribution (``producer_id,weight``). Anything else raises
+    ``FormatError``, and ``path`` keeps what it held.
     """
     if format == "json":
         with _replacing(path) as fh, _naming(path):
-            _dump(_config_payload(report) if isinstance(report, SimConfig) else report, 0, fh.write)
+            _dump(report, 0, fh.write)
             fh.write("\n")
     elif format == "csv":
-        header, chunks = _csv_chunks(report, columns)
+        header, columns = _csv_table(report)
         with _replacing(path, newline="") as fh, _naming(path):
             writer = csv.writer(fh)
             writer.writerow(header)
-            for parts, rows in chunks:
-                specs = list(map(_spec, parts))
-                if parts and None not in specs:
-                    flat = [None] * (len(parts) * len(parts[0]))
-                    for k, part in enumerate(parts):
-                        flat[k::len(parts)] = part
-                    fh.write((",".join(specs) + "\r\n") * len(parts[0]) % tuple(flat))
+            for start in range(0, len(columns[0]), CHUNK):
+                chunk = [column[start:start + CHUNK] for column in columns]
+                specs = list(map(_spec, chunk))
+                if None in specs:
+                    writer.writerows(zip(*chunk))
                 else:
-                    writer.writerows(rows)
+                    flat = [None] * (len(chunk) * len(chunk[0]))
+                    for k, part in enumerate(chunk):
+                        flat[k::len(chunk)] = part
+                    fh.write((",".join(specs) + "\r\n") * len(chunk[0]) % tuple(flat))
     else:
         raise FormatError(f"unknown export format {format!r}; use 'json' or 'csv'")
-
-
-def _config_payload(config: SimConfig) -> dict:
-    """Config as loadable JSON, in the bytes and bytes/s its fields hold."""
-    return {
-        "miners": [
-            {"miner_id": m, "hash_power_share": s} for m, s in config.miners
-        ],
-        "chain": config.chain,
-        "net": config.net,
-        "topology_degree": config.topology_degree,
-        "duration_blocks": config.duration_blocks,
-        "seed": config.seed,
-    }

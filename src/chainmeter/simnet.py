@@ -44,6 +44,9 @@ miner index per block id). The row a block exports as is ``ingest``'s.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -56,6 +59,10 @@ from chainmeter.metrics import ProducerDistribution
 
 # The most float64 draws numpy makes in one array; past it a run fails with "array is too big".
 MAX_DURATION_BLOCKS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# The most block_interval_s * duration_blocks may be. numpy's exponential
+# draws stay under 45 (its tail is 7.7 - log1p(-u) with u < 1 - 2**-53), so
+# with room to spare for rounding no mining time overflows below it.
+MAX_MINING_SPAN_S = sys.float_info.max / 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,9 @@ class SimConfig:
     it raises one ``ValidationError`` that lists every violated field, the
     miners by the distribution's first fault.
     ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
-    (numpy integers too, stored as ints, but not ``6.0``).
+    (numpy integers too, stored as ints, but not ``6.0``). The chain's block
+    interval times ``duration_blocks`` must not exceed ``MAX_MINING_SPAN_S``,
+    so that every mining time is finite.
     """
 
     miners: tuple[tuple[str, float], ...]
@@ -107,6 +116,10 @@ class SimConfig:
             problems.append(f"duration_blocks: must be >= 1, got {self.duration_blocks}")
         elif ints.get("duration_blocks", 1) > MAX_DURATION_BLOCKS:
             problems.append(f"duration_blocks: must be <= {MAX_DURATION_BLOCKS}, got {self.duration_blocks}")
+        elif "duration_blocks" in ints and isinstance(self.chain, ChainParams):
+            if (limit := MAX_MINING_SPAN_S / ints["duration_blocks"]) < self.chain.block_interval_s:
+                problems.append(f"chain: block_interval_s must be <= {limit!r} over {self.duration_blocks} blocks, "
+                                f"so mining times stay finite, got {self.chain.block_interval_s!r}")
         if not 0 <= ints.get("seed", 0) < 2**64:
             problems.append(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if problems:
@@ -122,6 +135,12 @@ class BlockTable:
     it. ``miner_index`` indexes ``miner_ids`` (the config's order), -1 for
     genesis. Every block is ``size_bytes`` long. Hashes are out of scope:
     ids are plain integers in mining order. The length counts genesis.
+
+    A table checks itself when it is built, ``dataclasses.replace``
+    included: its four columns are equally long, it starts with genesis, and
+    every cell has its exact type (``int``, ``float``, ``str``; a ``bool``
+    or numpy number is none of them), mining times finite and miner indices
+    in [-1, len(miner_ids)). A fault raises ``InputError`` naming the column.
     """
 
     parent_ids: tuple[int | None, ...]
@@ -135,6 +154,23 @@ class BlockTable:
         lengths = tuple(map(len, (self.parent_ids, self.heights, self.mined_at_s, self.miner_index)))
         if len(set(lengths)) != 1:
             raise InputError("parent_ids, heights, mined_at_s and miner_index differ in length: %d, %d, %d, %d" % lengths)
+        if not lengths[0] or self.parent_ids[0] is not None:
+            raise InputError(f"parent_ids must start with genesis's None, got {tuple(self.parent_ids[:1])!r}")
+        for name, cells, kind in (("parent_ids", self.parent_ids[1:], int), ("heights", self.heights, int),
+                                  ("mined_at_s", self.mined_at_s, float), ("miner_index", self.miner_index, int),
+                                  ("miner_ids", self.miner_ids, str), ("size_bytes", (self.size_bytes,), int)):
+            # countOf matches a type by identity, so a bool is no int.
+            if operator.countOf(map(type, cells), kind) != len(cells):
+                bad = next(cell for cell in cells if type(cell) is not kind)
+                raise InputError(f"{name} must hold {kind.__name__} values only, got {bad!r}")
+        # A finite sum has finite terms; one that overflows need not.
+        if not math.isfinite(sum(self.mined_at_s)) and not all(map(math.isfinite, self.mined_at_s)):
+            bad = next(t for t in self.mined_at_s if not math.isfinite(t))
+            raise InputError(f"mined_at_s must be finite, got {bad!r}")
+        n, indices = len(self.miner_ids), set(self.miner_index)
+        if not -1 <= min(indices) <= max(indices) < n:
+            bad = next(i for i in self.miner_index if not -1 <= i < n)
+            raise InputError(f"miner_index must lie in [-1, {n}), got {bad}")
 
     def __len__(self) -> int:
         return len(self.heights)

@@ -462,6 +462,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: observed throughput exceeded the w/s ceiling\n"
         assert main(["simulate", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("interval, flags, message", [
+        (1e308, [], "{path}: chain: block_interval_s must be <= 9.362985077407895e+304 over 30 blocks"),
+        (1e303, ["--duration-blocks", "10000"], "chain: block_interval_s must be <= 2.8088955232223684e+302 over 10000 blocks"),
+        (1e303, ["--seeds", "1..2", "--duration-blocks", "10000"],
+         "chain: block_interval_s must be <= 2.8088955232223684e+302 over 10000 blocks"),
+    ], ids=["config", "override", "seed_range"])
+    def test_interval_whose_mining_times_overflow_exits_two_before_any_output(self, tmp_path, capsys, interval,
+                                                                               flags, message):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], block_interval_s=interval))))
+        assert main(["simulate", str(path), *flags, "--out", str(tmp_path / "out.json")]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        message = message.format(path=path)
+        assert out == "" and err == f"error: {message}, so mining times stay finite, got {interval!r}\n"
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("seeds, message", [
         ("5", "--seeds wants A..B, got '5'"),
         ("a..b", "--seeds wants integer bounds, got 'a..b'"),

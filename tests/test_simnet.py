@@ -368,6 +368,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="array is too big"):
             np.random.default_rng(0).random(bound + 1)  # fails before it allocates
 
+    def test_an_interval_whose_mining_times_overflow_is_refused(self):
+        # At the limit every seed's mining times stay finite; past it the
+        # config is refused when it is built, so no run starts.
+        for blocks in (1, 20):
+            at_limit = replace(CHAIN, block_interval_s=simnet.MAX_MINING_SPAN_S / blocks)
+            for seed in range(5):
+                result = run_simulation(config(n=2, blocks=blocks, degree=1, seed=seed, chain=at_limit))
+                assert all(map(math.isfinite, result.blocks.mined_at_s))
+        with pytest.raises(ValidationError, match=(
+            r"^chain: block_interval_s must be <= 1.4044477616111842e\+305 over 20 blocks, "
+            r"so mining times stay finite, got 1e\+308$"
+        )):
+            config(n=2, blocks=20, degree=1, chain=replace(CHAIN, block_interval_s=1e308))
+        with pytest.raises(ValidationError, match="^chain: block_interval_s must be <= "):
+            replace(config(chain=replace(CHAIN, block_interval_s=1e303)), duration_blocks=10_000)
+
     def test_duplicate_miner_ids(self):
         with pytest.raises(ValidationError, match=r"^miners\[1\]: duplicate producer_id 'a'$"):
             SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
