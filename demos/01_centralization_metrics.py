@@ -20,7 +20,7 @@ from chainmeter.presets import bitcoin_miner_distribution, ethereum_miner_distri
 
 
 def describe(name: str, dist: ProducerDistribution) -> None:
-    print(f"\n{name} ({len(dist.entries)} producers)")
+    print(f"\n{name} ({len(dist.ids)} producers)")
     print("  eps    N_eps  covered")
     for eps in (0.0, 0.1, 0.33, 0.47, 0.49):
         level = centralization_level(dist, eps)
@@ -46,7 +46,7 @@ def main() -> None:
         print(f"  top {rank:>2}  {'#' * int(share * 50):<50} {share:.3f}")
 
     print("\nContrast: a uniform 100-producer chain needs 90 producers for the")
-    uniform = ProducerDistribution.from_entries(tuple((f"p{i}", 1.0) for i in range(100)))
+    uniform = ProducerDistribution(tuple(f"p{i}" for i in range(100)), (1.0,) * 100)
     level = centralization_level(uniform, 0.1)
     print(f"same 90% share: N_0.1 = {level.n}.")
 

@@ -17,10 +17,8 @@ from chainmeter import PaymentGraph, lightning_analysis, onchain_tx_count, shard
 
 def full_graph(n: int) -> PaymentGraph:
     clients = [f"c{i}" for i in range(n)]
-    return PaymentGraph.from_payments(
-        frozenset(clients),
-        tuple((a, b, 4) for a, b in combinations(clients, 2)),
-    )
+    sources, targets = zip(*combinations(clients, 2))
+    return PaymentGraph(frozenset(clients), sources, targets, (4,) * len(sources))
 
 
 def main() -> None:
@@ -41,11 +39,8 @@ def main() -> None:
     print("\nWhen does the relay pay off? Only on dense graphs:")
     print("  graph                     pairs  active  direct  relayed")
     cases = {
-        "single pair": PaymentGraph.from_payments(frozenset({"a", "b"}), (("a", "b", 9),)),
-        "three disjoint pairs": PaymentGraph.from_payments(
-            frozenset("abcdef"),
-            (("a", "b", 1), ("c", "d", 1), ("e", "f", 1)),
-        ),
+        "single pair": PaymentGraph(frozenset("ab"), ("a",), ("b",), (9,)),
+        "three disjoint pairs": PaymentGraph(frozenset("abcdef"), ("a", "c", "e"), ("b", "d", "f"), (1, 1, 1)),
         "fully connected n=6": full_graph(6),
     }
     for label, graph in cases.items():

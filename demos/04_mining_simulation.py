@@ -12,6 +12,7 @@ Run: python demos/04_mining_simulation.py
 from chainmeter import (
     ChainParams,
     NetworkParams,
+    ProducerDistribution,
     SimConfig,
     bound_violation_check,
     centralization_level,
@@ -24,7 +25,7 @@ from chainmeter import (
 
 def main() -> None:
     chain, net = preset("bitcoin")
-    miners = tuple((f"m{i:02d}", 0.05) for i in range(20))
+    miners = ProducerDistribution(tuple(f"m{i:02d}" for i in range(20)), (0.05,) * 20)
     cap = throughput_upper_bound(net, chain.tx_size_bytes)
 
     print("20 equal miners on the bitcoin preset, 3000 blocks, seed 0")
@@ -50,7 +51,7 @@ def main() -> None:
     print("\nSkewed hash power (one miner at 40%) feeds straight into the metrics:")
     shares = [0.4] + [0.6 / 9] * 9
     skew = SimConfig(
-        miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
+        miners=ProducerDistribution(tuple(f"m{i}" for i in range(len(shares))), tuple(shares)),
         chain=chain, net=NetworkParams(1e7, 0.01),
         duration_blocks=8000, topology_degree=4, seed=7,
     )

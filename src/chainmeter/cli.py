@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
     config = load_sim_config(args.config)
     if overrides := _given(args, ("duration_blocks", "topology_degree", "seed")):
         config = replace(config, **overrides)
-    if args.seeds:
+    if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
         # A range's seeds are valid when both ends are: build those configs before anything prints.
         ends = {s: replace(config, seed=s) for s in dict.fromkeys((seeds[0], seeds[-1]))}
@@ -203,9 +203,9 @@ def _cmd_simulate(args) -> int:
     if seeds[0] == seeds[-1]:  # one seed; len() of a range past sys.maxsize raises
         kept: list[SimResult] = []
         violated = _simulate_seed(ends[seeds[0]], kept.append)
-        shares = dict(config.miners)
+        miners, blocks = config.miners, kept[0].per_miner_canonical.weights
         table = ["miner  share  canonical_blocks"]
-        table += [f"{miner}  {shares[miner]!r}  {int(blocks)}" for miner, blocks in kept[0].per_miner_canonical.entries]
+        table += [f"{m}  {share!r}  {int(b)}" for m, share, b in zip(miners.ids, miners.weights, blocks)]
         print("\n".join(table))
         if args.out is not None:
             export_report(kept[0], args.out, "json")

@@ -72,10 +72,10 @@ def positive(value, name: str) -> int | float:
     return value if type(value) is int else x
 
 
-def exact(column, kind: type) -> bool:
-    """Whether ``column`` is a tuple whose cells are all exactly of type
-    ``kind``, which a type can keep as it is given."""
-    return type(column) is tuple and set(map(type, column)) <= {kind}
+def exact(column, kind: type, container: type = tuple) -> bool:
+    """Whether ``column`` is exactly a ``container`` whose cells are all
+    exactly of type ``kind``, which a type can keep as it is given."""
+    return type(column) is container and set(map(type, column)) <= {kind}
 
 
 class ParseError(InputError):

@@ -41,7 +41,8 @@ dicts.
 
 A CSV export takes one table form, a dict of equal-length columns keyed by
 header cell; a distribution is handed over as its ``producer_id`` and
-``weight`` columns. The header is written by ``csv.writer``, and the data a
+``weight`` columns, unless an id has whitespace around it, which the loader
+would strip. The header is written by ``csv.writer``, and the data a
 chunk of column slices at a time. A chunk whose every column holds only
 exact ints or only exact floats is interleaved into one list and written in
 one ``%`` format, ``%d`` or ``%r`` per column, rows ended by ``\r\n``: the
@@ -206,11 +207,14 @@ def load_sim_config(path: str) -> SimConfig:
     read with ``errors.real``; miner weights (``hash_power_share``, any unit)
     and integer fields, ``block_size_bytes`` among them, are passed as read,
     for the types to apply ``errors.real`` and ``errors.integer``: a JSON
-    boolean or string is no number, and ``6.0`` is no integer. Every
-    violation is reported, the miners' first among them: when ``chain``,
-    ``net`` or the ``miners`` list fails, it is stood in for and
-    ``SimConfig`` still checks the other fields (a failed list by one miner,
-    so the degree's range goes unchecked).
+    boolean or string is no number, and ``6.0`` is no integer. The list's
+    ``miner_id`` and ``hash_power_share`` columns become the config's
+    ``ProducerDistribution``, whose first fault reads ``miners[i]``. Every
+    violation is reported: when ``chain``, ``net`` or the ``miners`` list
+    fails, it is stood in for and ``SimConfig`` still checks the other
+    fields. A list the distribution refuses is stood in for by as many
+    miners, so the degree's range is still checked; a missing or malformed
+    one by one miner, so it goes unchecked.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -241,15 +245,24 @@ def load_sim_config(path: str) -> SimConfig:
         elif not isinstance(raw["miner_id"], str):
             malformed.append(f"miners[{idx}]: miner_id must be a string, got {raw['miner_id']!r}")
     problems += malformed
-    miners = () if malformed else tuple((raw["miner_id"], raw["hash_power_share"]) for raw in raw_miners)
     if "duration_blocks" not in data:
         problems.append("duration_blocks: required integer is missing")
-    # A failed section is stood in for, so that SimConfig checks the other fields.
+    miners, count = None, 1
+    if raw_miners and not malformed:
+        ids = tuple(raw["miner_id"] for raw in raw_miners)
+        weights = tuple(raw["hash_power_share"] for raw in raw_miners)
+        count = len(ids)
+        try:
+            miners = ProducerDistribution(ids, weights)
+        except InputError as exc:
+            problems.append(f"miners: {exc}" if exc.index is None else f"miners[{exc.index}]: {exc}")
+    # A failed section is stood in for, so that SimConfig checks the other
+    # fields: a list the distribution refuses by as many miners, any other by one.
     stand_chain, stand_net = PRESETS["bitcoin"]
 
     try:
         config = SimConfig(
-            miners=miners or (("", 1.0),),
+            miners=miners or ProducerDistribution(tuple(map(str, range(count))), (1.0,) * count),
             chain=chain or stand_chain,
             net=net or stand_net,
             duration_blocks=data.get("duration_blocks", 1),
@@ -276,9 +289,9 @@ def _record(obj: Any) -> dict[str, Any] | None:
     a dict's items, whose keys must be ``str``; None for anything else, a
     ``BlockTable`` included, which exports as its rows."""
     if isinstance(obj, SimConfig):
-        return {"miners": [{"miner_id": m, "hash_power_share": s} for m, s in obj.miners], "chain": obj.chain,
-                "net": obj.net, "topology_degree": obj.topology_degree, "duration_blocks": obj.duration_blocks,
-                "seed": obj.seed}
+        miners = [{"miner_id": m, "hash_power_share": s} for m, s in zip(obj.miners.ids, obj.miners.weights)]
+        return {"miners": miners, "chain": obj.chain, "net": obj.net, "topology_degree": obj.topology_degree,
+                "duration_blocks": obj.duration_blocks, "seed": obj.seed}
     if isinstance(obj, ProducerDistribution):
         return {"entries": obj.entries}
     if isinstance(obj, PaymentGraph):
@@ -441,8 +454,12 @@ def json_array(path: str):
 
 def _csv_table(report: Any) -> tuple[tuple, tuple]:
     """The header and the columns of a CSV export: a dict's keys and
-    values, or a distribution's ``producer_id`` and ``weight`` columns."""
+    values, or a distribution's ``producer_id`` and ``weight`` columns. A
+    distribution with an id that ``load_distribution`` would strip is
+    refused, as it would not reload equal."""
     if isinstance(report, ProducerDistribution):
+        if (bad := next((pid for pid in report.ids if pid != pid.strip()), None)) is not None:
+            raise FormatError(f"cannot export producer id {bad!r} to CSV: the loader strips the whitespace around a cell")
         report = {"producer_id": report.ids, "weight": report.weights}
     if not (isinstance(report, dict) and report and all(type(v) in (list, tuple, range) for v in report.values())):
         raise FormatError(f"cannot flatten {type(report).__name__} to CSV; export it as json instead")
@@ -458,8 +475,9 @@ def export_report(report: Any, path: str, format: str) -> None:
     JSON takes records, dicts with ``str`` keys, lists, tuples, block tables
     and the scalars ``to_jsonable`` passes, nested in any way. CSV takes a
     dict of equal-length columns (lists, tuples or ranges) keyed by header
-    cell, or a distribution (``producer_id,weight``). Anything else raises
-    ``FormatError``, and ``path`` keeps what it held.
+    cell, or a distribution (``producer_id,weight``) whose ids have no
+    whitespace around them. Anything else raises ``FormatError``, and
+    ``path`` keeps what it held.
     """
     if format == "json":
         with _replacing(path) as fh, _naming(path):

@@ -41,9 +41,8 @@ class ProducerDistribution:
 
     Weights may be block counts, transaction counts, or hash-power shares;
     the math is identical and no unit conversion is applied. Producer ids
-    must be unique, weights finite and non-negative. Rows of
-    ``(producer_id, weight)`` go through ``from_entries``, and ``entries``
-    gives them back, built when read.
+    must be unique, weights finite and non-negative. ``entries`` gives the
+    ``(producer_id, weight)`` rows, built when read.
     """
 
     ids: tuple[str, ...]
@@ -76,15 +75,6 @@ class ProducerDistribution:
             raise InputError("total weight must be positive")
         if total == math.inf:  # each weight is finite, but their sum overflows
             raise InputError("total weight must be finite, got inf")
-
-    @classmethod
-    def from_entries(cls, rows) -> ProducerDistribution:
-        """The distribution of ``(producer_id, weight)`` rows. A tuple of exact
-        pairs is transposed in one pass; any other row is unpacked on its own,
-        so a row of another width raises unpacking's ``ValueError``."""
-        if not (exact(rows, tuple) and set(map(len, rows)) <= {2}):
-            rows = tuple((pid, w) for pid, w in rows)
-        return cls(*(tuple(zip(*rows)) or ((), ())))
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:

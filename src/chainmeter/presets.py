@@ -44,11 +44,12 @@ def preset(name: str) -> tuple[ChainParams, NetworkParams]:
 
 
 def _tiered(tiers: list[tuple[str, int, int]]) -> ProducerDistribution:
-    entries = []
+    ids, weights = [], []
     for prefix, count, weight in tiers:
         width = len(str(count))
-        entries.extend((f"{prefix}-{i + 1:0{width}d}", weight) for i in range(count))
-    return ProducerDistribution.from_entries(tuple(entries))
+        ids += (f"{prefix}-{i + 1:0{width}d}" for i in range(count))
+        weights += [weight] * count
+    return ProducerDistribution(tuple(ids), tuple(weights))
 
 
 def bitcoin_miner_distribution() -> ProducerDistribution:

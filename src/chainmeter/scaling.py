@@ -82,10 +82,10 @@ def shard_analysis(throughput_tps: float, centralization_n: int, node_count: int
 class PaymentGraph:
     """Clients and the payments flowing between them within a channel window,
     as three columns: ``sources[i]`` paid ``targets[i]`` ``counts[i]`` times.
-    Rows of ``(from, to, count)`` go through ``from_payments``, and
-    ``payments`` gives them back, built when read. Its active clients and
-    channel pair count are built once and take no part in ``==``, ``hash``,
-    pickling or ``dataclasses.replace``."""
+    ``payments`` gives the ``(from, to, count)`` rows, built when read. Its
+    active clients and channel pair count are built once, when first asked
+    for, and take no part in ``==``, ``hash``, pickling or
+    ``dataclasses.replace``."""
 
     clients: frozenset[str]
     sources: tuple[str, ...]
@@ -93,9 +93,9 @@ class PaymentGraph:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        clients = frozenset(map(str, self.clients))
-        # Columns of exactly str and int are kept as given; others' cells go
-        # through str and errors.integer.
+        # A frozenset of exactly str and columns of exactly str and int are
+        # kept as given; others' cells go through str and errors.integer.
+        clients = self.clients if exact(self.clients, str, frozenset) else frozenset(map(str, self.clients))
         sources, targets = (c if exact(c, str) else tuple(map(str, c)) for c in (self.sources, self.targets))
         counts = self.counts if exact(self.counts, int) else list(self.counts)
         if not len(sources) == len(targets) == len(counts):
@@ -104,8 +104,8 @@ class PaymentGraph:
             counts = tuple(map(integer, counts, itertools.repeat("payment count"), range(len(counts))))
         # Self-payments, counts and endpoints are checked a column at a time;
         # the columns are walked only to name the first bad payment.
-        active = frozenset(sources).union(targets)
-        if any(map(operator.eq, sources, targets)) or min(counts, default=1) < 1 or not clients.issuperset(active):
+        if (any(map(operator.eq, sources, targets)) or min(counts, default=1) < 1
+                or not (clients.issuperset(sources) and clients.issuperset(targets))):
             for index, (a, b, count) in enumerate(zip(sources, targets, counts)):
                 if a == b:
                     raise InputError(f"payment from {a!r} to itself", index)
@@ -113,16 +113,7 @@ class PaymentGraph:
                     raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
                 if a not in clients or b not in clients:
                     raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
-        vars(self).update(clients=clients, sources=sources, targets=targets, counts=counts, _active_clients=active)
-
-    @classmethod
-    def from_payments(cls, clients, rows) -> PaymentGraph:
-        """The graph of ``clients`` and ``(from, to, count)`` rows. A tuple of
-        exact triples is transposed in one pass; any other row is unpacked on
-        its own, so a row of another width raises unpacking's ``ValueError``."""
-        if not (exact(rows, tuple) and set(map(len, rows)) <= {3}):
-            rows = tuple((a, b, count) for a, b, count in rows)
-        return cls(clients, *(tuple(zip(*rows)) or ((), (), ())))
+        vars(self).update(clients=clients, sources=sources, targets=targets, counts=counts)
 
     @property
     def payments(self) -> tuple[tuple[str, str, int], ...]:

@@ -67,21 +67,20 @@ MAX_MINING_SPAN_S = sys.float_info.max / 64
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full simulator input. ``miners`` pairs ids with hash-power weights in
-    any unit, stored as the entries of the ``ProducerDistribution`` that
-    checks them; a miner wins a block with its weight over the total.
-    ``topology_degree`` is ignored for a lone miner.
+    """Full simulator input. ``miners`` is the ``ProducerDistribution`` of
+    hash-power weights in any unit, which checks them; a miner wins a block
+    with its weight over the total. ``topology_degree`` is ignored for a
+    lone miner.
 
     A config checks itself when it is built, ``dataclasses.replace`` included:
-    it raises one ``ValidationError`` that lists every violated field, the
-    miners by the distribution's first fault.
+    it raises one ``ValidationError`` that lists every violated field.
     ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
     (numpy integers too, stored as ints, but not ``6.0``). The chain's block
     interval times ``duration_blocks`` must not exceed ``MAX_MINING_SPAN_S``,
     so that every mining time is finite.
     """
 
-    miners: tuple[tuple[str, float], ...]
+    miners: ProducerDistribution
     chain: ChainParams
     net: NetworkParams
     duration_blocks: int
@@ -90,14 +89,10 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
-        try:
-            object.__setattr__(self, "miners", ProducerDistribution.from_entries(self.miners).entries)
-        except InputError as exc:
-            problems.append(f"miners: {exc}" if exc.index is None else f"miners[{exc.index}]: {exc}")
-        n = len(self.miners)
-        for name, kind in (("chain", ChainParams), ("net", NetworkParams)):
+        for name, kind in (("miners", ProducerDistribution), ("chain", ChainParams), ("net", NetworkParams)):
             if not isinstance(getattr(self, name), kind):
                 problems.append(f"{name}: must be a {kind.__name__}, got {getattr(self, name)!r}")
+        n = len(self.miners.ids) if isinstance(self.miners, ProducerDistribution) else 0
         ints = {}
         for name in ("topology_degree", "duration_blocks", "seed"):
             try:
@@ -391,7 +386,7 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full mining + gossip simulation described by ``config``."""
     rng = np.random.default_rng(config.seed)
-    n = len(config.miners)
+    n = len(config.miners.ids)
     peers = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
     mined, winners = _draw_events(config, rng)
     parent, height, best, mined_at = _choose_parents(peers, mined, winners, propagation_delay(1, config.chain, config.net))
@@ -400,13 +395,13 @@ def run_simulation(config: SimConfig) -> SimResult:
 
 def _draw_events(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mining times, genesis's 0.0 first, and winners (indices into
-    ``config.miners``), drawn up front so the same seed replays the same
+    ``config.miners.ids``), drawn up front so the same seed replays the same
     winners and (scaled) spacings at any chain or net. The cumulative
     weights over their total end at exactly 1.0 and repeat at a zero
     weight, so each draw in [0, 1) goes to a miner with a positive weight."""
     mine_times = np.cumsum(rng.standard_exponential(config.duration_blocks) * config.chain.block_interval_s)
     winner_draws = rng.random(config.duration_blocks)
-    cum = np.cumsum(np.array([w for _, w in config.miners], dtype=float))
+    cum = np.cumsum(np.array(config.miners.weights, dtype=float))
     winners = np.searchsorted(cum / cum[-1], winner_draws, side="right")
     return np.concatenate(([0.0], mine_times)), winners
 
@@ -509,7 +504,7 @@ def _result(config: SimConfig, mined_at: list[float], winners: np.ndarray, paren
     canonical.reverse()
 
     n_canonical = len(canonical) - 1
-    miner_ids = tuple(m for m, _ in config.miners)
+    miner_ids = config.miners.ids
 
     return SimResult(
         blocks=BlockTable(

@@ -27,10 +27,11 @@ guards rewrites of the tip loop, such as splitting the run into timed phases
 and giving withheld blocks a release time (ROADMAP items 1 and 10).
 ``oracle_simulation`` guards the whole run, from the draws to the result.
 
-Three test tools that no command uses moved here from the library:
-``merged`` combines producers into one and validates nothing, since the
-tests control their inputs; ``run`` captures a CLI command's stdout as a
-``CommandOutcome``.
+Test tools that no command uses moved here from the library: ``merged``
+combines producers into one and validates nothing, since the tests control
+their inputs; ``run`` captures a CLI command's stdout as a
+``CommandOutcome``; ``distribution`` and ``payment_graph`` transpose rows
+into the columns the types take.
 """
 
 from collections import deque
@@ -104,10 +105,20 @@ def random_distribution(rng: random.Random, max_producers: int = 20):
             return [(f"p{i:03d}", w) for i, w in enumerate(weights)]
 
 
+def distribution(rows) -> ProducerDistribution:
+    """The distribution of ``(producer_id, weight)`` rows, as its two columns."""
+    return ProducerDistribution(*(tuple(zip(*rows)) or ((), ())))
+
+
+def payment_graph(clients, rows) -> PaymentGraph:
+    """The payment graph of ``clients`` and ``(from, to, count)`` rows, as its three columns."""
+    return PaymentGraph(clients, *(tuple(zip(*rows)) or ((), (), ())))
+
+
 def merged(dist: ProducerDistribution, ids, merged_id: str) -> ProducerDistribution:
     """``dist`` with the producers in ``ids`` combined into one, ``merged_id``."""
     kept = tuple((pid, w) for pid, w in dist.entries if pid not in ids)
-    return ProducerDistribution.from_entries(kept + ((merged_id, sum(w for pid, w in dist.entries if pid in ids)),))
+    return distribution(kept + ((merged_id, sum(w for pid, w in dist.entries if pid in ids)),))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +144,7 @@ def all_payment_graphs(max_clients: int):
         pairs = list(combinations(clients, 2))
         for mask in range(1, 2 ** len(pairs)):
             chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            yield PaymentGraph.from_payments(frozenset(clients), tuple((a, b, 1) for a, b in chosen))
+            yield payment_graph(frozenset(clients), tuple((a, b, 1) for a, b in chosen))
 
 
 def oracle_channel_pairs(graph: PaymentGraph) -> frozenset[frozenset[str]]:
@@ -274,7 +285,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     forwards each block to every peer that has not seen it, and in-flight
     blocks drain for ``DRAIN_HOPS`` hop-delays after the last mining event."""
     chain, net = config.chain, config.net
-    n = len(config.miners)
+    n = len(config.miners.ids)
     interval = chain.block_interval_s
     hop = net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s
     rng = np.random.default_rng(config.seed)
@@ -348,7 +359,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     canonical.reverse()
 
     n_canonical = len(canonical) - 1
-    miner_ids = [m for m, _ in config.miners]
+    miner_ids = list(config.miners.ids)
     counts = {m: 0 for m in miner_ids}
     for b in canonical[1:]:
         counts[miner_ids[miner_of[b]]] += 1
@@ -368,9 +379,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     return RecordResult(
         blocks=tuple(records),
         canonical_chain=tuple(canonical),
-        per_miner_canonical=ProducerDistribution.from_entries(
-            tuple((m, float(counts[m])) for m in miner_ids)
-        ),
+        per_miner_canonical=ProducerDistribution(tuple(miner_ids), tuple(float(counts[m]) for m in miner_ids)),
         stale_rate=1.0 - n_canonical / blocks_to_mine,
         observed_tps=block_capacity(chain) * (n_canonical / blocks_to_mine) / interval,
         mean_confirmation_latency_s=chain.confirmations * (mined_at[best] / n_canonical),
@@ -384,7 +393,7 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     the arrived blocks in ``(arrival, block id)`` order, so ties in float
     arrival go to the lower id, as in the library."""
     chain, net = config.chain, config.net
-    n = len(config.miners)
+    n = len(config.miners.ids)
     hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
@@ -466,7 +475,7 @@ def oracle_export_json(report, path) -> None:
     if isinstance(report, SimConfig):
         payload = {
             "miners": [
-                {"miner_id": m, "hash_power_share": s} for m, s in report.miners
+                {"miner_id": m, "hash_power_share": s} for m, s in report.miners.entries
             ],
             "chain": oracle_to_jsonable(report.chain),
             "net": oracle_to_jsonable(report.net),
@@ -543,7 +552,7 @@ def _oracle_distribution(entries) -> ProducerDistribution:
         raise InputError("total weight must be positive")
     if sum(w for _, w in converted) == math.inf:
         raise InputError("total weight must be finite, got inf")
-    return ProducerDistribution.from_entries(entries)
+    return distribution(entries)
 
 
 def _oracle_payment_graph(clients, payments) -> PaymentGraph:
@@ -555,7 +564,7 @@ def _oracle_payment_graph(clients, payments) -> PaymentGraph:
             raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
         if a not in clients or b not in clients:
             raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
-    return PaymentGraph.from_payments(clients, payments)
+    return payment_graph(clients, payments)
 
 
 def oracle_load_distribution(path: str) -> ProducerDistribution:

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import chainmeter as cm
 from chainmeter.cli import EXIT_OK, main
 
-from helpers import all_payment_graphs, merged, oracle_level, random_distribution, run
+from helpers import all_payment_graphs, distribution, merged, oracle_level, random_distribution, run
 
 
 @contextmanager
@@ -75,7 +75,7 @@ def test_c04_metrics_property_suite():
         epsilons = (0.0, 0.1, 1 / 3, 0.49, 0.9)
         for _ in range(1200):
             entries = random_distribution(rng, max_producers=20)
-            dist = cm.ProducerDistribution.from_entries(tuple(entries))
+            dist = distribution(entries)
             weights = [w for _, w in entries]
             eps = rng.uniform(0.0, 0.99)
 
@@ -91,7 +91,7 @@ def test_c04_metrics_property_suite():
             assert cm.centralization_level(dist, e_lo).n >= cm.centralization_level(dist, e_hi).n
             # scale invariance
             scale = rng.choice([1e-3, 7.0, 1e6])
-            scaled = cm.ProducerDistribution.from_entries(tuple((p, w * scale) for p, w in entries))
+            scaled = distribution((p, w * scale) for p, w in entries)
             e_chk = rng.choice(epsilons)
             assert cm.centralization_level(scaled, e_chk).n == cm.centralization_level(dist, e_chk).n
             # merge dominance
@@ -152,7 +152,7 @@ def test_c07_simulator_reproduces_protocol_rate():
         chain, _ = cm.preset("bitcoin")
         net = cm.NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
         config = cm.SimConfig(
-            miners=tuple((f"m{i:02d}", 0.05) for i in range(20)),
+            miners=distribution((f"m{i:02d}", 0.05) for i in range(20)),
             chain=chain, net=net, duration_blocks=10_000, topology_degree=8, seed=0,
         )
         result = cm.run_simulation(config)
@@ -165,7 +165,7 @@ def test_c08_ceiling_and_fork_monotonicity_grid():
     with criterion(8, 600.0, "50-config grid: observed <= w/s everywhere, stale non-increasing in p"):
         latency, bandwidth = 0.1, 712_500.0
         tx_size = 513.86
-        miners = tuple((f"m{i:02d}", 1 / 12) for i in range(12))
+        miners = distribution((f"m{i:02d}", 1 / 12) for i in range(12))
         block_sizes = [64 * 2**10, 256 * 2**10, 2**20, 2 * 2**20, 8 * 2**20]
         interval_ratios = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]
         seeds = range(10)
@@ -195,7 +195,7 @@ def test_c09_proportional_mining_with_skew():
     with criterion(9, 120.0, "40%-miner skew over 20k blocks: shares within 3 sigma, N_eps within 1"):
         shares = [0.4] + [0.6 / 9] * 9
         config = cm.SimConfig(
-            miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
+            miners=distribution((f"m{i}", s) for i, s in enumerate(shares)),
             chain=cm.ChainParams(1_048_576, 513.86, 600.0, 6),
             net=cm.NetworkParams(1e7, 0.01),
             duration_blocks=20_000, topology_degree=4, seed=7,

@@ -482,7 +482,8 @@ class TestSimulateCommand:
         ("5", "--seeds wants A..B, got '5'"),
         ("a..b", "--seeds wants integer bounds, got 'a..b'"),
         ("5..3", "--seeds range is empty: '5..3'"),
-    ], ids=["no-range", "not-integers", "empty"])
+        ("", "--seeds wants A..B, got ''"),
+    ], ids=["no-range", "not-integers", "empty", "empty-text"])
     def test_bad_seed_range_is_usage_error(self, config_json, capsys, seeds, message):
         outcome = run(["simulate", config_json, "--seeds", seeds])
         assert (outcome.exit_code, outcome.stdout_report) == (EXIT_USAGE, "")

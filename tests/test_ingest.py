@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 import numpy as np
@@ -30,11 +31,13 @@ from chainmeter import (
     throughput_sweep,
 )
 from chainmeter import ingest
+from chainmeter.cli import main
 from chainmeter.ingest import CHUNK, GENESIS_MINER, json_array, to_jsonable
 from chainmeter.simnet import BlockTable
 
 from helpers import (
     as_records,
+    distribution,
     oracle_export_csv,
     oracle_export_json,
     oracle_load_distribution,
@@ -97,7 +100,7 @@ class TestLoadDistribution:
             load_distribution(path)
 
     def test_round_trip_is_identity(self, tmp_path):
-        dist = ProducerDistribution.from_entries((("A", 3.0), ("B", 1.0), ("C", 0.25)))
+        dist = distribution((("A", 3.0), ("B", 1.0), ("C", 0.25)))
         out = tmp_path / "rt.csv"
         export_report(dist, str(out), "csv")
         assert load_distribution(str(out)) == dist
@@ -332,7 +335,7 @@ class TestLoadSimConfig:
     def test_full_config(self, tmp_path):
         path = write(tmp_path / "c.json", json.dumps(BASE_CONFIG))
         config = load_sim_config(path)
-        assert config.miners == (("a", 0.6), ("b", 0.4))
+        assert config.miners.entries == (("a", 0.6), ("b", 0.4))
         assert config.chain == ChainParams(1_048_576, 513.86, 600.0, 6)  # C defaults to 6
         assert config.net == NetworkParams(712_500.0, 0.1)
         assert config.seed == 0  # default
@@ -341,7 +344,7 @@ class TestLoadSimConfig:
         data = dict(BASE_CONFIG, miners=[{"miner_id": "solo", "hash_power_share": 0.9}], topology_degree=8)
         path = write(tmp_path / "c.json", json.dumps(data))
         config = load_sim_config(path)
-        assert config.miners == (("solo", 0.9),)
+        assert config.miners.entries == (("solo", 0.9),)
         run_simulation(config)  # degree is irrelevant for one miner
 
     def test_shares_are_weights_that_need_not_sum_to_one(self, tmp_path):
@@ -350,7 +353,7 @@ class TestLoadSimConfig:
             {"miner_id": "b", "hash_power_share": 0.4},
         ])
         path = write(tmp_path / "c.json", json.dumps(data))
-        assert load_sim_config(path).miners == (("a", 3.0), ("b", 0.4))
+        assert load_sim_config(path).miners.entries == (("a", 3.0), ("b", 0.4))
 
     def test_block_size_past_the_float_mantissa_loads_exactly(self, tmp_path):
         data = dict(BASE_CONFIG, chain=dict(BASE_CONFIG["chain"], block_size_bytes=2**53 + 1))
@@ -451,8 +454,34 @@ class TestLoadSimConfig:
         export_report(config, str(out), "json")
         assert load_sim_config(str(out)) == config
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_miners_from_a_csv_run_as_the_config_list(self, tmp_path, seed):
+        """The CSV ``metrics`` reads, listing the config's weights, gives an
+        equal config and the same result bytes; ids that need quoting and
+        int weights included."""
+        data = dict(BASE_CONFIG, seed=seed, duration_blocks=300, topology_degree=2,
+                    chain=dict(BASE_CONFIG["chain"], block_interval_s=2), miners=[
+                        {"miner_id": m, "hash_power_share": w} for m, w in (("a,b", 3), ('q"q', 0.25), ("\u00e9", 1.5))])
+        config = load_sim_config(write(tmp_path / "c.json", json.dumps(data)))
+        with open(tmp_path / "m.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("producer_id", "weight"), ("a,b", "3"), ('q"q', "0.25"), ("\u00e9", "1.5")])
+        from_csv = dataclasses.replace(config, miners=load_distribution(str(tmp_path / "m.csv")))
+        assert from_csv == config
+        for name, c in (("list.json", config), ("csv.json", from_csv)):
+            export_report(run_simulation(c), str(tmp_path / name), "json")
+        assert (tmp_path / "csv.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+        assert run_simulation(config).stale_rate > 0
+
+    def test_a_fault_in_a_miners_csv_names_its_line_as_metrics_does(self, tmp_path, capsys):
+        path = write(tmp_path / "m.csv", "producer_id,weight\na,1\nb,-1\n")
+        with pytest.raises(ParseError) as info:
+            load_distribution(path)
+        assert str(info.value) == f"{path}:3: weight of 'b' must be finite and >= 0, got -1.0"
+        assert main(["metrics", path]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     def test_numpy_integers_round_trip(self, tmp_path):
-        config = SimConfig(miners=(("a", 0.6), ("b", 0.4)), chain=ChainParams(1000, 250.0, 600.0),
+        config = SimConfig(miners=distribution((("a", 0.6), ("b", 0.4))), chain=ChainParams(1000, 250.0, 600.0),
                            net=NetworkParams(712_500.0, 0.1), duration_blocks=np.int64(5), topology_degree=1,
                            seed=np.int64(3))
         out = tmp_path / "resolved.json"
@@ -464,7 +493,7 @@ class TestLoadSimConfig:
         element of a list of two, and of an array written item by item,
         reloads equal once written to its own file."""
         configs = [load_sim_config(write(tmp_path / "c.json", json.dumps(BASE_CONFIG))),
-                   SimConfig(miners=(("\u00e9", 3), ("b", 1)), chain=ChainParams(1000, 250.0, 600.0, 2),
+                   SimConfig(miners=distribution((("\u00e9", 3), ("b", 1))), chain=ChainParams(1000, 250.0, 600.0, 2),
                              net=NetworkParams(712_500.0, 0.0), duration_blocks=np.int64(5), topology_degree=1,
                              seed=2**64 - 1)]
         export_report(configs, str(tmp_path / "list.json"), "json")
@@ -479,7 +508,7 @@ class TestLoadSimConfig:
     def test_a_config_in_a_list_writes_its_loadable_form(self, tmp_path):
         """The bytes of a config one level down, as a literal: the oracle
         writes the loadable form at the top level only."""
-        config = SimConfig(miners=(("a", 0.5), ("b", 0.5)), chain=ChainParams(1000, 250.0, 600.0, 2),
+        config = SimConfig(miners=distribution((("a", 0.5), ("b", 0.5))), chain=ChainParams(1000, 250.0, 600.0, 2),
                            net=NetworkParams(712_500.0, 0.1), duration_blocks=5, topology_degree=1, seed=3)
         export_report([config], str(tmp_path / "list.json"), "json")
         assert (tmp_path / "list.json").read_text() == """[
@@ -571,7 +600,7 @@ class Nested:
 
 class TestExportReport:
     def test_curve_csv_rows(self, tmp_path):
-        dist = ProducerDistribution.from_entries((("A", 3.0), ("B", 1.0)))
+        dist = distribution((("A", 3.0), ("B", 1.0)))
         out = tmp_path / "curve.csv"
         curve = cumulative_share_curve(dist)
         export_report({"rank": range(1, len(curve) + 1), "cumulative_share": curve}, str(out), "csv")
@@ -590,7 +619,7 @@ class TestExportReport:
 
     def test_sim_result_json_round_trip_exact(self, tmp_path):
         config = SimConfig(
-            miners=(("a", 0.5), ("b", 0.5)),
+            miners=distribution((("a", 0.5), ("b", 0.5))),
             chain=ChainParams(1_048_576, 513.86, 600.0, 6),
             net=NetworkParams(712_500.0, 0.1),
             duration_blocks=50, topology_degree=1, seed=3,
@@ -612,7 +641,7 @@ class TestExportReport:
         """The types store each number as the int or float it equals, so a
         config of numpy numbers runs and exports as the plain one does."""
         def config(i, f):
-            return SimConfig(miners=(("a", f(0.5)), ("b", f(0.5))), chain=ChainParams(i(1_048_576), f(513.86), f(600.0), i(6)),
+            return SimConfig(miners=distribution((("a", f(0.5)), ("b", f(0.5)))), chain=ChainParams(i(1_048_576), f(513.86), f(600.0), i(6)),
                              net=NetworkParams(f(712_500.0), f(0.1)), duration_blocks=i(50), topology_degree=i(1), seed=i(3))
 
         plain, numpy = run_simulation(config(int, float)), run_simulation(config(np.int64, np.float64))
@@ -633,7 +662,7 @@ class TestExportReport:
 
     def test_sim_result_csv_rejected(self, tmp_path):
         config = SimConfig(
-            miners=(("a", 1.0),), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
+            miners=distribution((("a", 1.0),)), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
             net=NetworkParams(712_500.0, 0.1), duration_blocks=5, topology_degree=0,
         )
         result = run_simulation(config)
@@ -645,7 +674,7 @@ class TestExportReport:
             export_report([(1, 2)], str(tmp_path / "x.xml"), "xml")
 
     def test_unwritable_path_surfaces_path(self, tmp_path):
-        dist = ProducerDistribution.from_entries((("A", 1.0),))
+        dist = distribution((("A", 1.0),))
         missing_dir = tmp_path / "nope" / "out.csv"
         with pytest.raises(OSError, match="nope"):
             export_report(dist, str(missing_dir), "csv")
@@ -707,7 +736,7 @@ NASTY_IDS = ["\u00e9t\u00e9", "tab\tnew\nline", "nul\x00bel\x07", "quote\"back\\
 
 def sim_result(miners, degree, blocks, interval_s=600.0, seed=3):
     return run_simulation(SimConfig(
-        miners=tuple((f"m{i}", 1 / miners) for i in range(miners)),
+        miners=distribution((f"m{i}", 1 / miners) for i in range(miners)),
         chain=ChainParams(1_000_000, 500.0, interval_s, 6),
         net=NetworkParams(1e6, 0.5),
         duration_blocks=blocks, topology_degree=degree, seed=seed,
@@ -826,7 +855,7 @@ class TestJsonExportAgainstOracle:
         "result_list": lambda: [sim_result(2, 1, 40, seed=s) for s in (1, 2)],
         "result_long": lambda: sim_result(2, 1, 2 * CHUNK + 3, interval_s=2.0),
         "config": lambda: SimConfig(
-            miners=(("\u00e9", 0.25), ("b", 0.75)), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
+            miners=distribution((("\u00e9", 0.25), ("b", 0.75))), chain=ChainParams(1_048_576, 513.86, 600.0, 6),
             net=NetworkParams(712_500.0, 0.1), duration_blocks=5, topology_degree=1, seed=9),
         "scalar_records": lambda: [scalars(i) for i in range(9)],
         "nested": lambda: Nested(scalars(1), rows(3)),
@@ -1097,8 +1126,8 @@ class TestCsvExportAgainstOracle:
         assert os.listdir(tmp_path) == []
 
     def test_distribution_ids_that_need_quoting(self, tmp_path):
-        ids = ["a,b", 'q"q', "x\ny", "cr\rid", " lead", "tail ", "\u00e9t\u00e9", "%s %d %%"]
-        dist = ProducerDistribution.from_entries(tuple((f"{ids[i % len(ids)]}{i}", i + 0.5) for i in range(CHUNK + 3)))
+        ids = ["a,b", 'q"q', "x\ny", "cr\rid", "in ner", "\u00e9t\u00e9", "%s %d %%"]
+        dist = distribution((f"{ids[i % len(ids)]}{i}", i + 0.5) for i in range(CHUNK + 3))
         self.assert_same_bytes(tmp_path, dist)
 
     @staticmethod
@@ -1148,6 +1177,19 @@ class TestCsvExportFailure:
             export_report(bad, str(out), "csv")
         assert out.read_bytes() == b"col1,col2\r\nold,0\r\n"
         assert os.listdir(tmp_path) == ["t.csv"]
+
+    @pytest.mark.parametrize("ids, bad", [
+        ((" lead", "tail "), " lead"), (("a", "tail ", " lead"), "tail "), (("a", "b\n"), "b\n"),
+        (("a", "\u2028b"), "\u2028b"),
+    ], ids=["leading", "trailing_first", "newline", "unicode_space"])
+    def test_distribution_id_the_loader_would_strip_is_refused(self, tmp_path, ids, bad):
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"producer_id,weight\r\nold,1.0\r\n")
+        dist = ProducerDistribution(ids, (1.0,) * len(ids))
+        with pytest.raises(FormatError, match=f"^cannot export producer id {re.escape(repr(bad))} to CSV: "):
+            export_report(dist, str(out), "csv")
+        assert out.read_bytes() == b"producer_id,weight\r\nold,1.0\r\n"
+        assert os.listdir(tmp_path) == ["d.csv"]
 
     def test_rows_end_in_crlf(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -21,7 +21,6 @@ from chainmeter import (
     NetworkParams,
     PaymentGraph,
     ProducerDistribution,
-    SimConfig,
     ValidationError,
     centralization_level,
     ctp,
@@ -36,8 +35,8 @@ from chainmeter.errors import plain, positive, real
 
 CHAIN = ChainParams(1000, 250.0, 600.0)
 NET = NetworkParams(712_500.0, 0.1)
-GRAPH = PaymentGraph.from_payments(frozenset("abc"), (("a", "b", 1), ("b", "c", 2)))
-DIST = ProducerDistribution.from_entries((("a", 3.0), ("b", 1.0)))
+GRAPH = PaymentGraph(frozenset("abc"), ("a", "b"), ("b", "c"), (1, 2))
+DIST = ProducerDistribution(("a", "b"), (3.0, 1.0))
 
 BAD = (True, np.bool_(True), "513", None)
 # A real field takes these and gives the result of float(value).
@@ -83,9 +82,7 @@ BOUNDARIES = [
     ("throughput_upper_bound.tx_size_bytes", lambda v: throughput_upper_bound(NET, v), "tx_size_bytes", float, REAL),
     ("shard_analysis.k", lambda v: shard(k=v), "shard count", int, INTEGER),
     ("propagation_delay.hops", lambda v: propagation_delay(v, CHAIN, NET), "hops", int, INTEGER),
-    ("ProducerDistribution.weight", lambda v: ProducerDistribution.from_entries((("a", 1.0), ("b", v))), "weight of 'b'", float, REAL),
-    ("SimConfig.hash_power_share", lambda v: SimConfig(miners=(("a", v),), chain=CHAIN, net=NET, duration_blocks=5),
-     "miners[0]: weight of 'a'", float, REAL),
+    ("ProducerDistribution.weight", lambda v: ProducerDistribution(("a", "b"), (1.0, v)), "weight of 'b'", float, REAL),
 ]
 
 
@@ -177,13 +174,6 @@ def test_positive_rule():
             positive(value, "x")
 
 
-def test_simconfig_names_the_first_miner_fault_beside_every_other_field():
-    message = "miners[0]: weight of 'a' must be a number, got True; duration_blocks: must be >= 1, got 0"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        SimConfig(miners=(("a", True), ("b", np.bool_(False)), ("c", "0.5"), ("d", 0.5)), chain=CHAIN, net=NET,
-                  duration_blocks=0, topology_degree=2)
-
-
 BASE_CONFIG = {
     "miners": [{"miner_id": "a", "hash_power_share": 1.0}],
     "chain": {"block_size_bytes": 1000, "tx_size_bytes": 250.0, "block_interval_s": 600.0, "confirmations": 6},
@@ -247,6 +237,16 @@ def test_config_lists_every_violation_when_a_section_fails(tmp_path):
         "duration_blocks must be an integer, got True; "
         "topology_degree: must lie in [1, 1] for 2 miners, got 2"
     )
+
+
+def test_config_names_the_first_miner_fault_beside_every_other_field(tmp_path):
+    data = dict(BASE_CONFIG, duration_blocks=0, miners=[
+        {"miner_id": m, "hash_power_share": w} for m, w in (("a", True), ("b", False), ("c", "0.5"), ("d", 0.5))])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    message = f"{path}: miners[0]: weight of 'a' must be a number, got True; duration_blocks: must be >= 1, got 0"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_sim_config(str(path))
 
 
 def test_config_number_past_the_float_range_is_out_of_range(tmp_path):

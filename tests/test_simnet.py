@@ -1,7 +1,9 @@
+import json
 import math
 import random
+import re
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chainmeter import (
     ChainParams,
     InputError,
     NetworkParams,
+    ProducerDistribution,
     SimConfig,
     SimResult,
     TopologyError,
@@ -20,6 +23,7 @@ from chainmeter import (
     bound_violation_check,
     centralization_level,
     export_report,
+    load_sim_config,
     max_throughput,
     produced_distribution,
     propagation_delay,
@@ -31,6 +35,7 @@ from chainmeter.simnet import _hop_distances, random_regular_graph
 
 from helpers import (
     as_records,
+    distribution,
     oracle_hop_distances,
     oracle_inbox_engine,
     oracle_random_regular_graph,
@@ -42,12 +47,24 @@ NET = NetworkParams(bandwidth_bytes_per_s=712_500.0, latency_s=0.1)
 
 
 def equal_miners(n):
-    return tuple((f"m{i:02d}", 1.0 / n) for i in range(n))
+    return ProducerDistribution(tuple(f"m{i:02d}" for i in range(n)), (1.0 / n,) * n)
 
 
 def config(n=5, blocks=200, degree=4, seed=3, chain=CHAIN, net=NET):
     return SimConfig(miners=equal_miners(n), chain=chain, net=net,
                      duration_blocks=blocks, topology_degree=degree, seed=seed)
+
+
+def config_problems(tmp_path, rows, **fields):
+    """What ``load_sim_config`` refuses in a config file that lists ``rows``
+    as its miners, the file's name left out."""
+    data = {"miners": [{"miner_id": m, "hash_power_share": w} for m, w in rows],
+            "chain": asdict(CHAIN), "net": asdict(NET), "duration_blocks": 10, **fields}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as info:
+        load_sim_config(str(path))
+    return str(info.value).removeprefix(f"{path}: ")
 
 
 class TestPropagationDelay:
@@ -332,17 +349,13 @@ class TestConnectivityCheck:
 
 class TestConfigValidation:
     def test_shares_are_weights_that_need_not_sum_to_one(self):
-        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.4)), chain=CHAIN, net=NET, duration_blocks=10, topology_degree=1)
-        assert cfg.miners == (("a", 0.5), ("b", 0.4))
+        cfg = SimConfig(miners=distribution((("a", 0.5), ("b", 0.4))), chain=CHAIN, net=NET, duration_blocks=10, topology_degree=1)
+        assert cfg.miners.entries == (("a", 0.5), ("b", 0.4))
 
-    def test_first_miner_fault_is_a_listed_problem(self):
-        # The miners are checked as a ProducerDistribution, which names its first fault.
-        with pytest.raises(ValidationError, match=(
-            r"^miners\[0\]: weight of 'a' must be a number, got 'x'; "
-            r"duration_blocks: must be >= 1, got 0$"
-        )):
-            SimConfig(miners=(("a", "x"), ("b", 0.5), ("c", None)), chain=CHAIN, net=NET,
-                      duration_blocks=0, topology_degree=2)
+    def test_first_miner_fault_is_a_listed_problem(self, tmp_path):
+        # The loader builds the miners' ProducerDistribution, which names its first fault.
+        assert config_problems(tmp_path, (("a", "x"), ("b", 0.5), ("c", None)), duration_blocks=0, topology_degree=2) == (
+            "miners[0]: weight of 'a' must be a number, got 'x'; duration_blocks: must be >= 1, got 0")
 
     def test_degree_must_fit(self):
         with pytest.raises(ValidationError):
@@ -384,26 +397,33 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="^chain: block_interval_s must be <= "):
             replace(config(chain=replace(CHAIN, block_interval_s=1e303)), duration_blocks=10_000)
 
-    def test_duplicate_miner_ids(self):
-        with pytest.raises(ValidationError, match=r"^miners\[1\]: duplicate producer_id 'a'$"):
-            SimConfig(miners=(("a", 0.5), ("a", 0.5)), chain=CHAIN, net=NET,
-                      duration_blocks=10, topology_degree=1)
+    def test_duplicate_miner_ids(self, tmp_path):
+        assert config_problems(tmp_path, (("a", 0.5), ("a", 0.5)), topology_degree=1) == (
+            "miners[1]: duplicate producer_id 'a'")
 
     def test_no_miners(self):
-        with pytest.raises(ValidationError, match="^miners: distribution has no producers$"):
-            SimConfig(miners=(), chain=CHAIN, net=NET, duration_blocks=10)
+        # An empty list is refused by the loader; no config can hold one.
+        with pytest.raises(InputError, match="^distribution has no producers$"):
+            SimConfig(miners=ProducerDistribution((), ()), chain=CHAIN, net=NET, duration_blocks=10)
 
-    def test_weights_whose_sum_overflows_are_refused(self):
-        with pytest.raises(ValidationError, match="^miners: total weight must be finite, got inf$"):
-            SimConfig(miners=(("a", 1e308), ("b", 1e308)), chain=CHAIN, net=NET, duration_blocks=10, topology_degree=1)
+    def test_weights_whose_sum_overflows_are_refused(self, tmp_path):
+        assert config_problems(tmp_path, (("a", 1e308), ("b", 1e308)), topology_degree=1) == (
+            "miners: total weight must be finite, got inf")
 
-    def test_error_lists_every_violation(self):
-        with pytest.raises(ValidationError) as err:
-            SimConfig(miners=(("a", 0.5), ("a", 0.4)), chain=CHAIN, net=NET,
-                      duration_blocks=0, topology_degree=5, seed=-1)
-        message = str(err.value)
+    def test_error_lists_every_violation(self, tmp_path):
+        message = config_problems(tmp_path, (("a", 0.5), ("a", 0.4)), duration_blocks=0, topology_degree=5, seed=-1)
         for field in ("miners[1]: duplicate", "topology_degree", "duration_blocks", "seed"):
             assert field in message
+
+    @pytest.mark.parametrize("miners", [
+        (("a", 1.0),), {"a": 1.0}, None, ("a",),
+    ], ids=["rows", "dict", "none", "ids"])
+    def test_miners_of_another_type_are_a_listed_problem(self, miners):
+        with pytest.raises(ValidationError, match=(
+            rf"^miners: must be a ProducerDistribution, got {re.escape(repr(miners))}; "
+            r"duration_blocks: must be >= 1, got 0$"
+        )):
+            SimConfig(miners=miners, chain=CHAIN, net=NET, duration_blocks=0)
 
     @pytest.mark.parametrize("field, value", [
         ("duration_blocks", 10.7), ("duration_blocks", 10.0), ("topology_degree", 8.5),
@@ -424,23 +444,22 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=(
             r"^chain: must be a ChainParams, got None; net: must be a NetworkParams, got 'x'$"
         )):
-            SimConfig(miners=(("a", .5), ("b", .5)), chain=None, net="x", duration_blocks=5, topology_degree=1)
+            SimConfig(miners=distribution((("a", .5), ("b", .5))), chain=None, net="x", duration_blocks=5, topology_degree=1)
 
-    def test_lone_miner_keeps_its_share(self):
+    def test_lone_miner_keeps_its_share(self, tmp_path):
         for share, stored in ((0.9, 0.9), (3, 3.0), (np.float32(0.5), 0.5)):
-            cfg = SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
-            assert cfg.miners == (("solo", stored),) and type(cfg.miners[0][1]) is float
+            cfg = SimConfig(miners=distribution((("solo", share),)), chain=CHAIN, net=NET, duration_blocks=5)
+            assert cfg.miners.weights == (stored,) and type(cfg.miners.weights[0]) is float
             assert dict(produced_distribution(run_simulation(cfg)).entries) == {"solo": 5.0}
-        with pytest.raises(ValidationError, match="^miners: total weight must be positive$"):
-            SimConfig(miners=(("solo", 0.0),), chain=CHAIN, net=NET, duration_blocks=5)
+        assert config_problems(tmp_path, (("solo", 0.0),)) == "miners: total weight must be positive"
         for share, read in ((-0.5, "-0.5"), (math.inf, "inf"), (math.nan, "nan"), (10**400, "inf")):
-            with pytest.raises(ValidationError, match=rf"^miners\[0\]: weight of 'solo' must be finite and >= 0, got {read}$"):
-                SimConfig(miners=(("solo", share),), chain=CHAIN, net=NET, duration_blocks=5)
+            assert config_problems(tmp_path, (("solo", share),)) == (
+                f"miners[0]: weight of 'solo' must be finite and >= 0, got {read}")
 
 
 class TestSingleMiner:
     def test_no_competition(self):
-        cfg = SimConfig(miners=(("solo", 1.0),), chain=CHAIN, net=NET,
+        cfg = SimConfig(miners=distribution((("solo", 1.0),)), chain=CHAIN, net=NET,
                         duration_blocks=100, topology_degree=0, seed=2)
         result = run_simulation(cfg)
         assert result.stale_rate == 0.0
@@ -448,7 +467,7 @@ class TestSingleMiner:
         assert len(result.canonical_chain) == 101
 
     def test_production_all_attributed(self):
-        cfg = SimConfig(miners=(("solo", 1.0),), chain=CHAIN, net=NET,
+        cfg = SimConfig(miners=distribution((("solo", 1.0),)), chain=CHAIN, net=NET,
                         duration_blocks=64, topology_degree=0, seed=2)
         result = run_simulation(cfg)
         assert dict(result.per_miner_canonical.entries) == {"solo": 64.0}
@@ -520,7 +539,7 @@ class TestProportionalProduction:
     def test_canonical_shares_track_hash_power(self):
         shares = [0.5, 0.3, 0.2]
         cfg = SimConfig(
-            miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
+            miners=distribution((f"m{i}", s) for i, s in enumerate(shares)),
             chain=CHAIN, net=NetworkParams(1e8, 0.001),
             duration_blocks=5000, topology_degree=2, seed=4,
         )
@@ -533,7 +552,7 @@ class TestProportionalProduction:
     def test_zero_share_miner_mines_nothing(self):
         shares = [0.0, 0.5, 0.0, 0.5, 0.0]
         cfg = SimConfig(
-            miners=tuple((f"m{i}", s) for i, s in enumerate(shares)),
+            miners=distribution((f"m{i}", s) for i, s in enumerate(shares)),
             chain=CHAIN, net=NET, duration_blocks=2000, topology_degree=2, seed=6,
         )
         mined = dict(produced_distribution(run_simulation(cfg)).entries)
@@ -562,7 +581,7 @@ class TestWinnerDraw:
     def test_extreme_draws_skip_zero_weights_listed_first_and_last(self, monkeypatch, index, value, winner):
         # The weights sum to 1 - 5e-10, so the highest draw lies past the
         # raw cumulative sum; over the total the last weight ends at 1.0.
-        cfg = SimConfig(miners=(("relay0", 0.0), ("a", 0.5), ("b", 0.4999999995), ("relay", 0.0)), chain=CHAIN,
+        cfg = SimConfig(miners=distribution((("relay0", 0.0), ("a", 0.5), ("b", 0.4999999995), ("relay", 0.0))), chain=CHAIN,
                         net=NET, duration_blocks=5, topology_degree=2, seed=1)
         mined, winners = simnet._draw_events(cfg, ForcedDraw(1, index, value))
         plain = simnet._draw_events(cfg, np.random.default_rng(1))[1]
@@ -576,16 +595,16 @@ class TestWinnerDraw:
         # Dividing by a power of two is exact, so weights 2**k times the
         # shares, and counts in their ratio, give the same winners and result.
         shares = (("a", 0.75), ("b", 0.0), ("c", 0.25))
-        base = SimConfig(miners=shares, chain=CHAIN, net=NET, duration_blocks=300, topology_degree=2, seed=8)
+        base = SimConfig(miners=distribution(shares), chain=CHAIN, net=NET, duration_blocks=300, topology_degree=2, seed=8)
         result = run_simulation(base)
         for k in (-3, 2, 60):
-            assert run_simulation(replace(base, miners=tuple((m, math.ldexp(s, k)) for m, s in shares))) == result
-        assert run_simulation(replace(base, miners=(("a", 3), ("b", 0), ("c", 1)))) == result
+            assert run_simulation(replace(base, miners=distribution((m, math.ldexp(s, k)) for m, s in shares))) == result
+        assert run_simulation(replace(base, miners=distribution((("a", 3), ("b", 0), ("c", 1))))) == result
 
 
 class TestProducedDistribution:
     def test_single_miner_counts_duration(self):
-        cfg = SimConfig(miners=(("solo", 1.0),), chain=CHAIN, net=NET,
+        cfg = SimConfig(miners=distribution((("solo", 1.0),)), chain=CHAIN, net=NET,
                         duration_blocks=40, topology_degree=0, seed=1)
         result = run_simulation(cfg)
         assert dict(result.per_miner_canonical.entries) == {"solo": 40.0}
@@ -602,11 +621,11 @@ class TestProducedDistribution:
     def test_all_blocks_equal_a_plain_count_over_the_records(self):
         shares = [0.0, 0.4, 0.0, 0.35, 0.25]
         forky = replace(CHAIN, block_interval_s=0.5)
-        cfg = SimConfig(miners=tuple((f"m{i}", s) for i, s in enumerate(shares)), chain=forky, net=NET,
+        cfg = SimConfig(miners=distribution((f"m{i}", s) for i, s in enumerate(shares)), chain=forky, net=NET,
                         duration_blocks=600, topology_degree=2, seed=12)
         result = run_simulation(cfg)
         assert result.stale_rate > 0.3
-        counts = {m: 0.0 for m, _ in cfg.miners}
+        counts = dict.fromkeys(cfg.miners.ids, 0.0)
         for index in result.blocks.miner_index[1:]:
             counts[result.blocks.miner_ids[index]] += 1.0
         everything = produced_distribution(result)
@@ -617,7 +636,7 @@ class TestProducedDistribution:
         # top 4 hold 53% of hash power; the 0.47 level should come out 4 +- 1
         shares = [0.53 / 4] * 4 + [0.47 / 8] * 8
         cfg = SimConfig(
-            miners=tuple((f"m{i:02d}", s) for i, s in enumerate(shares)),
+            miners=distribution((f"m{i:02d}", s) for i, s in enumerate(shares)),
             chain=CHAIN, net=NetworkParams(1e8, 0.001),
             duration_blocks=8000, topology_degree=4, seed=10,
         )
@@ -639,7 +658,7 @@ class TestBlockTable:
         assert {len(blocks.parent_ids), len(blocks.heights), len(blocks.mined_at_s),
                 len(blocks.miner_index)} == {len(blocks)}
         assert blocks.miner_index[0] == -1 and blocks.parent_ids[0] is None
-        assert blocks.miner_ids == tuple(m for m, _ in cfg.miners)
+        assert blocks.miner_ids == cfg.miners.ids
         assert blocks.size_bytes == CHAIN.block_size_bytes
 
     def test_holds_no_state_beyond_its_fields(self, tmp_path):
@@ -670,13 +689,13 @@ class TestBlockTable:
 def tiered_miners(n):
     """2018 Bitcoin skew over ``n`` > 16 miners: 4 pools hold 53%, the top 16 hold 90%."""
     shares = [0.53 / 4] * 4 + [0.37 / 12] * 12 + [0.10 / (n - 16)] * (n - 16)
-    return tuple((f"m{i:02d}", s) for i, s in enumerate(shares))
+    return distribution((f"m{i:02d}", s) for i, s in enumerate(shares))
 
 
 def relay_miners(n, hashing):
     """``n`` nodes of which only the last ``hashing`` mine, in equal shares;
     the others are zero-share relay nodes."""
-    return tuple((f"m{i:02d}", 0.0 if i < n - hashing else 1.0 / hashing) for i in range(n))
+    return distribution((f"m{i:02d}", 0.0 if i < n - hashing else 1.0 / hashing) for i in range(n))
 
 
 def test_hop_sums_follow_the_blocks_in_flight():
@@ -818,8 +837,8 @@ class TestAgainstOracle:
         # miner's farthest node is farther than its farthest fellow miner.
         differ = 0
         for cfg in self.grid("relays", 30):
-            adj = random_regular_graph(len(cfg.miners), cfg.topology_degree, np.random.default_rng(cfg.seed)).tolist()
-            hashing = [i for i, (_, share) in enumerate(cfg.miners) if share > 0]
+            adj = random_regular_graph(len(cfg.miners.ids), cfg.topology_degree, np.random.default_rng(cfg.seed)).tolist()
+            hashing = [i for i, share in enumerate(cfg.miners.weights) if share > 0]
             rows = [oracle_hop_distances(adj, m) for m in hashing]
             differ += any(max(row) > max(row[m] for m in hashing) for row in rows)
         assert differ >= 20
@@ -832,7 +851,7 @@ class TestAgainstOracle:
         # which reached b first, not the lower id. Block 35 is then a lone
         # top, and block 36, also full, extends it in a run.
         monkeypatch.setattr(simnet, "_WINDOW_SUMS", window)
-        cfg = SimConfig(miners=(("a", 0.5), ("b", 0.5)), chain=ChainParams(1_000_000, 500.0, 5.0, 6),
+        cfg = SimConfig(miners=distribution((("a", 0.5), ("b", 0.5))), chain=ChainParams(1_000_000, 500.0, 5.0, 6),
                         net=NetworkParams(1e6, 0.0), duration_blocks=40, topology_degree=1, seed=1)
         result = run_simulation(cfg)
         blocks = result.blocks
