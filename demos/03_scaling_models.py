@@ -18,7 +18,7 @@ from chainmeter import PaymentGraph, lightning_analysis, onchain_tx_count, shard
 def full_graph(n: int) -> PaymentGraph:
     clients = [f"c{i}" for i in range(n)]
     sources, targets = zip(*combinations(clients, 2))
-    return PaymentGraph(frozenset(clients), sources, targets, (4,) * len(sources))
+    return PaymentGraph(sources, targets, (4,) * len(sources))
 
 
 def main() -> None:
@@ -39,14 +39,14 @@ def main() -> None:
     print("\nWhen does the relay pay off? Only on dense graphs:")
     print("  graph                     pairs  active  direct  relayed")
     cases = {
-        "single pair": PaymentGraph(frozenset("ab"), ("a",), ("b",), (9,)),
-        "three disjoint pairs": PaymentGraph(frozenset("abcdef"), ("a", "c", "e"), ("b", "d", "f"), (1, 1, 1)),
+        "single pair": PaymentGraph(("a",), ("b",), (9,)),
+        "three disjoint pairs": PaymentGraph(("a", "c", "e"), ("b", "d", "f"), (1, 1, 1)),
         "fully connected n=6": full_graph(6),
     }
     for label, graph in cases.items():
         direct = onchain_tx_count(graph, None)
         relayed = onchain_tx_count(graph, "hub")
-        print(f"  {label:<25} {graph.channel_pair_count():>5}  {len(graph.active_clients()):>6}"
+        print(f"  {label:<25} {graph.channel_pair_count:>5}  {len(graph.clients):>6}"
               f"  {direct:>6}  {relayed:>7}")
     print("A channel per active client beats a channel per pair exactly when")
     print("there are at least as many funded pairs as active clients.")

@@ -56,7 +56,7 @@ def main() -> None:
         duration_blocks=8000, topology_degree=4, seed=7,
     )
     dist = run_simulation(skew).per_miner_canonical
-    total = dist.total_weight()
+    total = sum(dist.weights)
     for (miner, count), share in zip(dist.entries, shares):
         print(f"  {miner:<4} power {share:.3f} -> canonical share {count / total:.3f}")
     print(f"  N_0.49 of the mined distribution: {centralization_level(dist, 0.49).n} "

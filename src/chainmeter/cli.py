@@ -166,7 +166,7 @@ def _cmd_shard(args) -> int:
 def _cmd_lightning(args) -> int:
     graph = load_payment_graph(args.graph)
     analysis = lightning_analysis(args.t, graph, args.relay, args.alpha)
-    print(f"clients: {len(graph.clients)}, active: {len(graph.active_clients())}, payment pairs: {graph.channel_pair_count()}")
+    print(f"clients: {len(graph.clients)}, active: {len(graph.clients)}, payment pairs: {graph.channel_pair_count}")
     print(f"on-chain transactions: direct {analysis.onchain_direct} -> plan {analysis.onchain_plan}")
     print(f"effective throughput: {analysis.effective_tps!r} tx/s")
     print(f"relay centralization N0: {analysis.relay_centralization_n0}")

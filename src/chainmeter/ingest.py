@@ -168,13 +168,11 @@ def load_distribution(path: str) -> ProducerDistribution:
 
 
 def load_payment_graph(path: str) -> PaymentGraph:
-    """Read a ``from,to,count`` CSV into a payment graph; clients are the
-    union of all endpoints."""
+    """Read a ``from,to,count`` CSV into a validated payment graph."""
     (src, dst, counts), lines = _read_columns(path, ["from", "to", "count"], "count", int)
     if not counts:
         raise ParseError(f"{path}: no data rows")
-    clients = frozenset(src).union(dst)
-    return _validated(path, lines, lambda: PaymentGraph(clients, tuple(src), tuple(dst), tuple(counts)))
+    return _validated(path, lines, lambda: PaymentGraph(tuple(src), tuple(dst), tuple(counts)))
 
 
 def _params(cls: type, data: dict, section: str, problems: list[str],

@@ -11,27 +11,29 @@ threshold, which yields the central-trust level.
 A distribution holds two columns, ids and weights, and builds no tuple per
 producer unless its ``entries`` are read. It sorts its weights once, with
 numpy, the first time a level, trust level or curve asks for them, and keeps
-the cumulative shares (the curve) for every later call. Equal weights are
-equal floats and the total is positive, so the shares are bit for bit those
-of a sort breaking ties by id.
+them and the cumulative shares (the curve) for every later call. Equal
+weights are equal floats and the total is positive, so the shares are bit for
+bit those of a sort breaking ties by id. A level is decided exactly: the float
+curve brackets it, and only a near-tie, which the floats cannot decide, sums
+the sorted weights again as integers.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from chainmeter.errors import InputError, exact, real
-
-# Cumulative shares are compared against 1 - epsilon with this slack so that
-# targets like 0.9 are not missed by one representation ULP.
-COVERAGE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,24 @@ class ProducerDistribution:
         return tuple(zip(self.ids, self.weights))
 
     def __getstate__(self):
-        # The cached shares are rebuilt on demand, so a pickle holds only the columns.
+        # The cached arrays are rebuilt on demand, so a pickle holds only the columns.
         return {"ids": self.ids, "weights": self.weights}
+
+    @functools.cached_property
+    def _descending_weights(self) -> np.ndarray:
+        """The weights, heaviest first; read-only."""
+        weights = np.sort(np.array(self.weights, float))[::-1]
+        weights.flags.writeable = False
+        return weights
 
     @functools.cached_property
     def _cumulative_shares(self) -> np.ndarray:
         """Fraction of the total weight the ``k`` heaviest producers hold, for
         k = 1..n; read-only. The last entry is exactly 1.0."""
-        cum = np.cumsum(np.sort(np.array(self.weights, float))[::-1])
+        cum = np.cumsum(self._descending_weights)
         shares = cum / cum[-1]
         shares.flags.writeable = False
         return shares
-
-    def total_weight(self) -> float:
-        return float(sum(self.weights))
 
 
 class ConsensusKind(Enum):
@@ -108,10 +114,11 @@ class ConsensusKind(Enum):
 # a >50% honest majority, so trust concentrates in whoever reaches 51%:
 # epsilon = 0.49. PBFT tolerates f faulty of 3f+1 nodes, i.e. a 2/3 honest
 # quorum: epsilon = 1/3 (commonly quoted rounded as 0.33; the exact fraction
-# is required so that e.g. 2 of 3 uniform producers meet the quorum).
-TRUST_EPSILON: dict[ConsensusKind, float] = {
+# is required so that 2 of 3 equal producers meet the quorum, which the float
+# 1/3, read as the decimal 0.3333333333333333, would not).
+TRUST_EPSILON: dict[ConsensusKind, numbers.Rational | float] = {
     ConsensusKind.NAKAMOTO: 0.49,
-    ConsensusKind.PBFT: 1.0 / 3.0,
+    ConsensusKind.PBFT: Fraction(1, 3),
 }
 
 
@@ -119,8 +126,8 @@ TRUST_EPSILON: dict[ConsensusKind, float] = {
 class CentralizationLevel:
     """Smallest count ``n`` of top producers covering at least ``1 - epsilon``.
 
-    ``covered_share`` is the exact cumulative fraction held by those ``n``
-    producers.
+    ``covered_share`` is the cumulative fraction held by those ``n``
+    producers, as a float.
     """
 
     n: int
@@ -133,15 +140,38 @@ def centralization_level(dist: ProducerDistribution, epsilon: float) -> Centrali
 
     Coverage uses >= (not strict >) so that epsilon = 0 stays meaningful for
     finite distributions: a lone producer covers exactly 1.0 and scores n = 1.
+
+    The comparison is exact. Each weight is the binary fraction its float
+    holds. A ``numbers.Rational`` epsilon is taken as it is, and any other as
+    the decimal it prints as, ``Fraction(repr(epsilon))``, so 0.1 means 1/10.
+    With ``epsilon = num/den``, ``n`` is the least count whose top-``n`` sum
+    ``S`` meets ``den*S >= (den - num)*total``.
     """
     eps = real(epsilon, "epsilon")
-    if not 0.0 <= eps < 1.0:
+    # NaN and the infinities print as no decimal.
+    exact_eps = (Fraction(epsilon) if isinstance(epsilon, numbers.Rational)
+                 else Fraction(repr(eps)) if math.isfinite(eps) else None)
+    if exact_eps is None or not 0 <= exact_eps < 1:
         raise InputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    target = 1 - exact_eps
     shares = dist._cumulative_shares
-    target = (1.0 - eps) - COVERAGE_TOLERANCE
-    n = int(np.searchsorted(shares, target, side="left")) + 1
-    n = min(n, len(shares))
-    return CentralizationLevel(n=n, epsilon=eps, covered_share=float(shares[n - 1]))
+    # A float share is within len(shares) * 2**-52 of the exact one (a rounding
+    # per cumulative addition, one for the division), and the goal within
+    # 2**-53 of the target: under a quarter of the slack together. So ranks
+    # outside the slack are decided by their floats, the answer lies in
+    # [lo, hi], and only a bracket of more than one rank needs exact sums.
+    slack, goal = len(shares) * 2.0**-49, float(target)
+    lo, hi = np.searchsorted(shares, (goal - slack, goal + slack), side="left").tolist()
+    hi = min(hi, len(shares) - 1)
+    if lo < hi:
+        # The weights as integers over their largest binary denominator; a
+        # top group covers when its sum reaches target * total, rounded up.
+        ratios = list(map(float.as_integer_ratio, dist._descending_weights.tolist()))
+        scale = max(q for _, q in ratios)
+        weights = [p * (scale // q) for p, q in ratios]
+        prefix = list(itertools.accumulate(weights[:hi + 1]))
+        lo = bisect.bisect_left(prefix, -(-target.numerator * sum(weights) // target.denominator), lo, hi)
+    return CentralizationLevel(n=lo + 1, epsilon=eps, covered_share=float(shares[lo]))
 
 
 def central_trust(dist: ProducerDistribution, kind: ConsensusKind) -> CentralizationLevel:

@@ -5,10 +5,10 @@ centralization level times transactions per second. Even sharding multiplies
 throughput by the shard count and divides centralization by it, so the
 product is invariant. Payment channels (Lightning-style) multiply throughput
 by an off-chain batching factor and, with relays, cut on-chain transactions
-down to one channel per active client, at the price of concentrating relay
-trust in a single node. Relays can only withhold payments; the data model has
-no path through which a relay could alter a balance. A payment graph holds
-its payments as three columns, and counts its channel pairs from them.
+down to one channel per client, at the price of concentrating relay trust in
+a single node. Relays can only withhold payments; the data model has no path
+through which a relay could alter a balance. A payment graph is its payments,
+held as three columns; its clients and channel pairs are read from them.
 """
 
 from __future__ import annotations
@@ -80,40 +80,35 @@ def shard_analysis(throughput_tps: float, centralization_n: int, node_count: int
 
 @dataclass(frozen=True)
 class PaymentGraph:
-    """Clients and the payments flowing between them within a channel window,
-    as three columns: ``sources[i]`` paid ``targets[i]`` ``counts[i]`` times.
-    ``payments`` gives the ``(from, to, count)`` rows, built when read. Its
-    active clients and channel pair count are built once, when first asked
-    for, and take no part in ``==``, ``hash``, pickling or
-    ``dataclasses.replace``."""
+    """Payments flowing between clients within a channel window, as three
+    columns: ``sources[i]`` paid ``targets[i]`` ``counts[i]`` times. Its
+    clients are the endpoints of its payments. ``payments`` gives the
+    ``(from, to, count)`` rows, built when read. Its clients and channel pair
+    count are built once, when first read, and take no part in ``==``,
+    ``hash``, pickling or ``dataclasses.replace``."""
 
-    clients: frozenset[str]
     sources: tuple[str, ...]
     targets: tuple[str, ...]
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        # A frozenset of exactly str and columns of exactly str and int are
-        # kept as given; others' cells go through str and errors.integer.
-        clients = self.clients if exact(self.clients, str, frozenset) else frozenset(map(str, self.clients))
+        # Columns of exactly str and int are kept as given; others' cells go
+        # through str and errors.integer.
         sources, targets = (c if exact(c, str) else tuple(map(str, c)) for c in (self.sources, self.targets))
         counts = self.counts if exact(self.counts, int) else list(self.counts)
         if not len(sources) == len(targets) == len(counts):
             raise InputError(f"payment graph has {len(sources)} sources, {len(targets)} targets and {len(counts)} counts")
         if counts is not self.counts:
             counts = tuple(map(integer, counts, itertools.repeat("payment count"), range(len(counts))))
-        # Self-payments, counts and endpoints are checked a column at a time;
-        # the columns are walked only to name the first bad payment.
-        if (any(map(operator.eq, sources, targets)) or min(counts, default=1) < 1
-                or not (clients.issuperset(sources) and clients.issuperset(targets))):
+        # Self-payments and counts are checked a column at a time; the columns
+        # are walked only to name the first bad payment.
+        if any(map(operator.eq, sources, targets)) or min(counts, default=1) < 1:
             for index, (a, b, count) in enumerate(zip(sources, targets, counts)):
                 if a == b:
                     raise InputError(f"payment from {a!r} to itself", index)
                 if count < 1:
                     raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
-                if a not in clients or b not in clients:
-                    raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
-        vars(self).update(clients=clients, sources=sources, targets=targets, counts=counts)
+        vars(self).update(sources=sources, targets=targets, counts=counts)
 
     @property
     def payments(self) -> tuple[tuple[str, str, int], ...]:
@@ -121,26 +116,20 @@ class PaymentGraph:
         return tuple(zip(self.sources, self.targets, self.counts))
 
     def __getstate__(self):
-        # The cached values are rebuilt on demand, so a pickle holds only the fields.
-        return {"clients": self.clients, "sources": self.sources, "targets": self.targets, "counts": self.counts}
+        # The cached values are rebuilt on demand, so a pickle holds only the columns.
+        return {"sources": self.sources, "targets": self.targets, "counts": self.counts}
 
     @functools.cached_property
-    def _active_clients(self) -> frozenset[str]:
+    def clients(self) -> frozenset[str]:
+        """Clients that send or receive at least one payment."""
         return frozenset(self.sources).union(self.targets)
 
     @functools.cached_property
-    def _channel_pair_count(self) -> int:
+    def channel_pair_count(self) -> int:
+        """Distinct unordered client pairs with at least one payment."""
         # No payment is to itself, so each pair paid both ways is two ordered pairs.
         pairs = set(zip(self.sources, self.targets))
         return len(pairs) - len(pairs.intersection(zip(self.targets, self.sources))) // 2
-
-    def active_clients(self) -> frozenset[str]:
-        """Clients that send or receive at least one payment."""
-        return self._active_clients
-
-    def channel_pair_count(self) -> int:
-        """Distinct unordered client pairs with at least one payment."""
-        return self._channel_pair_count
 
 
 def onchain_tx_count(graph: PaymentGraph, relay_id: str | None) -> int:
@@ -148,13 +137,13 @@ def onchain_tx_count(graph: PaymentGraph, relay_id: str | None) -> int:
     distinct channel.
 
     With no relay (``relay_id`` None), one direct channel funds each payment
-    pair. A single relay funds one channel per active client (none for the
-    relay itself if it happens to be a payment endpoint: a node needs no
-    channel to itself).
+    pair. A single relay funds one channel per client (none for the relay
+    itself if it happens to be a payment endpoint: a node needs no channel to
+    itself).
     """
     if relay_id is None:
-        return CHANNEL_ONCHAIN_COST * graph.channel_pair_count()
-    return CHANNEL_ONCHAIN_COST * len(graph.active_clients() - {relay_id})
+        return CHANNEL_ONCHAIN_COST * graph.channel_pair_count
+    return CHANNEL_ONCHAIN_COST * (len(graph.clients) - (relay_id in graph.clients))
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ def lightning_analysis(
     channel: throughput rises to ``t * alpha`` and relay centralization stays
     at the client count. One relay scales throughput further by the ratio of
     direct to relayed on-chain transactions (a gain only when the graph has
-    more funded pairs than active clients) and pins relay centralization at 1.
+    more funded pairs than clients) and pins relay centralization at 1.
     """
     t = positive(throughput_tps, "throughput_tps")
     if not 1 <= real(alpha, "batching factor alpha") < math.inf:

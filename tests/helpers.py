@@ -34,17 +34,20 @@ their inputs; ``run`` captures a CLI command's stdout as a
 into the columns the types take.
 """
 
+from bisect import bisect_left
 from collections import deque
 import contextlib
 import csv
 import dataclasses
 from enum import Enum
+from fractions import Fraction
 from heapq import heappop, heappush
 import io
 import itertools
 from itertools import combinations
 import json
 import math
+import numbers
 import random
 
 import numpy as np
@@ -60,22 +63,26 @@ from chainmeter.simnet import (
     random_regular_graph,
 )
 
-COVERAGE_TOL = 1e-9
-
 # How long after the last mining event in-flight blocks may still settle,
 # in units of the single-hop delay. Bounded by network diameter in practice.
 DRAIN_HOPS = 10
 
 
-def oracle_level(weights, epsilon):
-    """Brute-force centralization level: sort descending, re-sum each prefix."""
-    ordered = sorted(weights, reverse=True)
-    total = sum(ordered)
-    for n in range(1, len(ordered) + 1):
-        covered = sum(ordered[:n])  # re-summed from scratch on purpose
-        if covered / total >= (1.0 - epsilon) - COVERAGE_TOL:
-            return n
-    return len(ordered)
+def oracle_levels(weights, epsilons) -> list[int]:
+    """Centralization levels in ``Fraction``s: the prefix sums of the weights,
+    heaviest first, each compared with ``1 - epsilon`` of the total, a
+    float epsilon read as the decimal it prints as. No float is compared."""
+    prefix = list(itertools.accumulate(map(Fraction, sorted(weights, reverse=True))))
+    levels = []
+    for epsilon in epsilons:
+        exact = Fraction(epsilon) if isinstance(epsilon, numbers.Rational) else Fraction(repr(float(epsilon)))
+        levels.append(bisect_left(prefix, (1 - exact) * prefix[-1]) + 1)
+    return levels
+
+
+def oracle_level(weights, epsilon) -> int:
+    """The centralization level ``oracle_levels`` gives for one epsilon."""
+    return oracle_levels(weights, [epsilon])[0]
 
 
 def oracle_descending_shares(dist: ProducerDistribution) -> np.ndarray:
@@ -110,9 +117,9 @@ def distribution(rows) -> ProducerDistribution:
     return ProducerDistribution(*(tuple(zip(*rows)) or ((), ())))
 
 
-def payment_graph(clients, rows) -> PaymentGraph:
-    """The payment graph of ``clients`` and ``(from, to, count)`` rows, as its three columns."""
-    return PaymentGraph(clients, *(tuple(zip(*rows)) or ((), (), ())))
+def payment_graph(rows) -> PaymentGraph:
+    """The payment graph of ``(from, to, count)`` rows, as its three columns."""
+    return PaymentGraph(*(tuple(zip(*rows)) or ((), (), ())))
 
 
 def merged(dist: ProducerDistribution, ids, merged_id: str) -> ProducerDistribution:
@@ -138,13 +145,14 @@ def run(argv: list[str]) -> CommandOutcome:
 
 
 def all_payment_graphs(max_clients: int):
-    """Every non-empty payment graph on 2..max_clients labelled clients."""
+    """A graph for every non-empty set of pairs among the labels c0..c{n-1},
+    for n = 2..max_clients. A graph's clients are the labels its payments
+    use, so a graph that leaves a label out repeats one of a smaller n."""
     for n in range(2, max_clients + 1):
-        clients = [f"c{i}" for i in range(n)]
-        pairs = list(combinations(clients, 2))
+        pairs = list(combinations([f"c{i}" for i in range(n)], 2))
         for mask in range(1, 2 ** len(pairs)):
             chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            yield payment_graph(frozenset(clients), tuple((a, b, 1) for a, b in chosen))
+            yield payment_graph(tuple((a, b, 1) for a, b in chosen))
 
 
 def oracle_channel_pairs(graph: PaymentGraph) -> frozenset[frozenset[str]]:
@@ -555,16 +563,13 @@ def _oracle_distribution(entries) -> ProducerDistribution:
     return distribution(entries)
 
 
-def _oracle_payment_graph(clients, payments) -> PaymentGraph:
-    clients = frozenset(str(c) for c in clients)
+def _oracle_payment_graph(payments) -> PaymentGraph:
     for index, (a, b, count) in enumerate(payments):
         if a == b:
             raise InputError(f"payment from {a!r} to itself", index)
         if count < 1:
             raise InputError(f"payment count must be >= 1, got {count!r} for {a!r}->{b!r}", index)
-        if a not in clients or b not in clients:
-            raise InputError(f"payment endpoints {a!r}, {b!r} must be declared clients", index)
-    return payment_graph(clients, payments)
+    return payment_graph(payments)
 
 
 def oracle_load_distribution(path: str) -> ProducerDistribution:
@@ -588,5 +593,4 @@ def oracle_load_payment_graph(path: str) -> PaymentGraph:
             raise ParseError(f"{path}:{lineno}: count is not an integer: {raw_count!r}") from None
     if not payments:
         raise ParseError(f"{path}: no data rows")
-    clients = frozenset(c for a, b, _ in payments for c in (a, b))
-    return _oracle_validated(path, header, lambda: _oracle_payment_graph(clients, tuple(payments)))
+    return _oracle_validated(path, header, lambda: _oracle_payment_graph(tuple(payments)))

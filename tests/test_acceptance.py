@@ -123,13 +123,13 @@ def test_c06_single_relay_counting_exhaustive():
         for index, graph in enumerate(all_payment_graphs(6)):
             checked += 1
             relay_count = cm.onchain_tx_count(graph, relay)
-            active = len(graph.active_clients())
+            active = len(graph.clients)
             if relay_count != 2 * active:
                 formula_failures += 1
             if relay_count > cm.onchain_tx_count(graph, direct):
                 worse_than_direct.add(index)
             # sparseness is read off the graph's structure, not off the counts
-            if graph.channel_pair_count() < active:
+            if graph.channel_pair_count < active:
                 sparse.add(index)
         assert formula_failures == 0, f"relay floor formula failed on {formula_failures} graphs"
         # relay <= direct holds exactly on the graphs with pairs >= active
@@ -141,7 +141,7 @@ def test_c06_single_relay_counting_exhaustive():
 
         full4 = next(
             g for g in all_payment_graphs(4)
-            if len(g.clients) == 4 and g.channel_pair_count() == 6
+            if len(g.clients) == 4 and g.channel_pair_count == 6
         )
         assert cm.onchain_tx_count(full4, direct) == 12
         assert cm.onchain_tx_count(full4, relay) == 8
@@ -202,7 +202,7 @@ def test_c09_proportional_mining_with_skew():
         )
         result = cm.run_simulation(config)
         dist = result.per_miner_canonical
-        total = dist.total_weight()
+        total = sum(dist.weights)
         for (_, count), share in zip(dist.entries, shares):
             sigma = math.sqrt(share * (1 - share) / total)
             assert abs(count / total - share) <= 3 * sigma

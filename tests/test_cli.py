@@ -30,7 +30,7 @@ from chainmeter.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from chainmeter.presets import bitcoin_miner_distribution
 from chainmeter.simnet import MAX_DURATION_BLOCKS, SimConfig
 
-from helpers import as_records, oracle_export_json, run
+from helpers import CommandOutcome, as_records, oracle_export_json, run
 
 BASE_CONFIG = {
     "miners": [
@@ -86,6 +86,19 @@ class TestMetricsCommand:
         assert row[0] == "0.1" and row[1] == "16"
         level = centralization_level(bitcoin_miner_distribution(), 0.1)
         assert float(row[2]) == level.covered_share
+
+    def test_a_top_producer_short_by_a_billionth_does_not_cover(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("producer_id,weight\na,899999999\nb,100000001\n")
+        outcome = run(["metrics", str(path), "--epsilon", "0.1"])
+        assert outcome == CommandOutcome(EXIT_OK, "epsilon  n  covered_share\n0.1  2  1.0\n")
+
+    def test_pbft_on_three_equal_producers_needs_two(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("producer_id,weight\na,1\nb,1\nc,1\n")
+        outcome = run(["metrics", str(path), "--consensus", "pbft"])
+        assert outcome.exit_code == EXIT_OK
+        assert outcome.stdout_report.endswith("\ncentral trust (pbft): N = 2\n")
 
     def test_single_consensus_prints_one(self, dist_csv):
         outcome = run(["metrics", dist_csv, "--epsilon", "0", "--consensus", "single"])

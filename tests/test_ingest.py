@@ -113,6 +113,13 @@ class TestLoadPaymentGraph:
         assert graph.clients == frozenset({"a", "b", "c"})
         assert graph.payments == (("a", "b", 3), ("b", "c", 1))
 
+    def test_loader_builds_no_client_set(self, tmp_path):
+        graph = load_payment_graph(write(tmp_path / "g.csv", "from,to,count\na,b,3\nb,c,1\nc,a,2\n"))
+        assert "clients" not in vars(graph)
+        # The first read builds the set; a second read returns the same object.
+        clients = graph.clients
+        assert clients == frozenset("abc") and graph.clients is clients
+
     def test_bad_count_names_line(self, tmp_path):
         for count in ("x", "0"):
             path = write(tmp_path / "g.csv", f"from,to,count\na,b,1\n\nb,c,{count}\n")
@@ -721,7 +728,7 @@ class TestAnalysisTypesExportAsRows:
         assert (tmp_path / "d.json").read_bytes() == self.DIST_JSON
 
     def test_payment_graph_json_bytes(self, tmp_path):
-        graph = PaymentGraph(frozenset("cab"), ("a", "b", "c"), ("b", "c", "a"), (3, 1, 2))
+        graph = PaymentGraph(("a", "b", "c"), ("b", "c", "a"), (3, 1, 2))
         export_report(graph, str(tmp_path / "g.json"), "json")
         assert (tmp_path / "g.json").read_bytes() == self.GRAPH_JSON
 

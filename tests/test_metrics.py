@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 import pickle
 import random
 import re
@@ -18,7 +19,7 @@ from chainmeter import (
 from chainmeter.metrics import TRUST_EPSILON
 from chainmeter.presets import bitcoin_miner_distribution, ethereum_miner_distribution
 
-from helpers import COVERAGE_TOL, distribution, merged, oracle_descending_shares, oracle_level, random_distribution
+from helpers import distribution, merged, oracle_descending_shares, oracle_level, oracle_levels, random_distribution
 
 
 class Tag(str):
@@ -164,7 +165,9 @@ class TestCentralTrust:
         # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 in entry order, so the
         # top weight over that total would read 0.4999999999999999.
         d = dist(0.1, 0.2, 0.3)
-        assert central_trust(d, ConsensusKind.SINGLE).covered_share == centralization_level(d, 0.5).covered_share == 0.5
+        assert central_trust(d, ConsensusKind.SINGLE).covered_share == centralization_level(d, 0.6).covered_share == 0.5
+        # The float 0.3 is a hair under half the exact total of the three floats.
+        assert centralization_level(d, 0.5).n == oracle_level(d.weights, 0.5) == 2
 
     def test_nakamoto_with_dominant_top_three(self):
         weights = [0.25, 0.20, 0.16] + [0.39 / 47] * 47  # top 3 hold 61%
@@ -174,6 +177,56 @@ class TestCentralTrust:
     def test_pbft_uniform_three(self):
         # 2/3 coverage needed and each producer holds exactly 1/3.
         assert central_trust(dist(1.0, 1.0, 1.0), ConsensusKind.PBFT).n == 2
+
+    def test_pbft_epsilon_is_the_fraction_one_third(self):
+        assert TRUST_EPSILON[ConsensusKind.PBFT] == Fraction(1, 3)
+        level = central_trust(dist(1.0, 1.0, 1.0), ConsensusKind.PBFT)
+        assert level == centralization_level(dist(1.0, 1.0, 1.0), Fraction(1, 3))
+        assert level.epsilon == 1 / 3 and type(level.epsilon) is float
+        # The float 1/3 is the decimal 0.3333333333333333: two of three fall short.
+        assert centralization_level(dist(1.0, 1.0, 1.0), 1 / 3).n == 3
+
+
+class TestExactLevels:
+    """Weights are the binary fractions their floats hold, and a float
+    epsilon is the decimal it prints as; no slack is allowed either way."""
+
+    @pytest.mark.parametrize("weights, epsilon, n", [
+        ((899999999.0, 100000001.0), 0.1, 2),
+        ((7.0, 3.0), 0.3, 1),
+        ((0.1,) * 10, 0.1, 9),
+        ((9.0, 1.0), 0.1, 1),
+    ], ids=["short_by_a_billionth", "seven_tenths", "ten_tenths", "nine_tenths"])
+    def test_ties_and_near_misses(self, weights, epsilon, n):
+        level = centralization_level(dist(*weights), epsilon)
+        assert level.n == oracle_level(weights, epsilon) == n
+        assert level.covered_share == cumulative_share_curve(dist(*weights))[n - 1]
+
+    def test_floats_that_round_the_sums_away(self):
+        # Float sums drop each 1.0 after 2**53, so every float share reads 1.0.
+        d = dist(2.0**53, 1.0, 1.0, 1.0, 1.0)
+        assert cumulative_share_curve(d) == [1.0] * 5
+        for eps in (0.0, 1e-16, 2.2e-16, 3.3e-16, 4.4e-16, 5e-16, Fraction(2, 2**53 + 4)):
+            assert centralization_level(d, eps).n == oracle_level(d.weights, eps), eps
+
+    def test_rational_epsilons_are_taken_as_they_are(self):
+        d = dist(*(1.0,) * 7)
+        for k in range(7):
+            assert centralization_level(d, Fraction(k, 7)).n == 7 - k
+        with pytest.raises(InputError, match="^epsilon must lie in"):
+            centralization_level(d, Fraction(-1, 10**400))
+
+    def test_decimal_ties_agree_with_the_fraction_oracle(self):
+        # Small whole weights put decimal epsilons on exact ties; scaling by
+        # 0.1 or 1e-3 moves the weights off the integers.
+        rng = random.Random(19)
+        for _ in range(200):
+            weights = [float(rng.randint(0, 20)) for _ in range(rng.randint(1, 12))] + [1.0]
+            scale = rng.choice([1.0, 0.1, 1e-3, 3.0])
+            weights = [w * scale for w in weights]
+            d = dist(*weights)
+            for eps in (0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9):
+                assert centralization_level(d, eps).n == oracle_level(weights, eps), (weights, eps)
 
 
 class TestCumulativeShareCurve:
@@ -223,9 +276,8 @@ class TestProperties:
             eps = rng.uniform(0.0, 0.99)
             level = centralization_level(d, eps)
             if level.n > 1:
-                top = sorted((w for _, w in d.entries), reverse=True)
-                short = sum(top[: level.n - 1]) / sum(top)
-                assert short < (1.0 - eps) - 1e-9
+                top = sorted(map(Fraction, d.weights), reverse=True)
+                assert sum(top[: level.n - 1]) < (1 - Fraction(repr(eps))) * sum(top)
 
     def test_epsilon_monotonicity(self):
         rng = random.Random(15)
@@ -281,18 +333,16 @@ class TestSortOnce:
 
     @staticmethod
     def former_results(d):
-        """What the former code returned: the same formulas, on the shares of
-        the former sort by (-weight, id)."""
+        """What the former code returned: the shares of the former sort by
+        (-weight, id), each level's n from the exact oracle."""
         shares = oracle_descending_shares(d)
-
-        def level(eps):
-            n = min(int(np.searchsorted(shares, (1.0 - eps) - COVERAGE_TOL, side="left")) + 1, len(shares))
-            return CentralizationLevel(n=n, epsilon=float(eps), covered_share=float(shares[n - 1]))
-
-        trust = [level(TRUST_EPSILON[kind]) if kind in TRUST_EPSILON
-                 else CentralizationLevel(n=1, epsilon=0.0, covered_share=float(shares[0]))
-                 for kind in ConsensusKind]
-        return [level(eps) for eps in TestSortOnce.EPSILONS], trust, [float(f) for f in shares]
+        epsilons = TestSortOnce.EPSILONS + tuple(TRUST_EPSILON.values())
+        levels = [CentralizationLevel(n=n, epsilon=float(eps), covered_share=float(shares[n - 1]))
+                  for eps, n in zip(epsilons, oracle_levels(d.weights, epsilons))]
+        by_kind = dict(zip(TRUST_EPSILON, levels[len(TestSortOnce.EPSILONS):]))
+        single = CentralizationLevel(n=1, epsilon=0.0, covered_share=float(shares[0]))
+        trust = [by_kind.get(kind, single) for kind in ConsensusKind]
+        return levels[:len(TestSortOnce.EPSILONS)], trust, [float(f) for f in shares]
 
     def assert_as_before(self, entries):
         d = distribution(entries)

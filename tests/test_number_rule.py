@@ -35,7 +35,7 @@ from chainmeter.errors import plain, positive, real
 
 CHAIN = ChainParams(1000, 250.0, 600.0)
 NET = NetworkParams(712_500.0, 0.1)
-GRAPH = PaymentGraph(frozenset("abc"), ("a", "b"), ("b", "c"), (1, 2))
+GRAPH = PaymentGraph(("a", "b"), ("b", "c"), (1, 2))
 DIST = ProducerDistribution(("a", "b"), (3.0, 1.0))
 
 BAD = (True, np.bool_(True), "513", None)

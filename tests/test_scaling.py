@@ -34,7 +34,7 @@ def shard(k, t=15.0, n=100, nodes=None):
 def full_graph(n):
     clients = [f"c{i}" for i in range(n)]
     payments = tuple((a, b, 1) for i, a in enumerate(clients) for b in clients[i + 1:])
-    return payment_graph(frozenset(clients), payments)
+    return payment_graph(payments)
 
 
 class TestCtp:
@@ -131,25 +131,24 @@ class TestOnchainCounting:
         assert onchain_tx_count(full_graph(4), "hub") == 8  # 2 * 4
 
     def test_single_pair_direct(self):
-        g = payment_graph(frozenset({"a", "b"}), (("a", "b", 3),))
+        g = payment_graph((("a", "b", 3),))
         assert onchain_tx_count(g, None) == 2
 
     def test_relay_that_is_a_client_needs_no_self_channel(self):
-        star = payment_graph(
-            frozenset({"hub", "x", "y", "z"}),
-            (("hub", "x", 1), ("hub", "y", 1), ("hub", "z", 1)),
+        star = payment_graph((("hub", "x", 1), ("hub", "y", 1), ("hub", "z", 1)),
         )
         assert onchain_tx_count(star, None) == 6
         assert onchain_tx_count(star, "hub") == 6
         assert onchain_tx_count(star, "external") == 8
 
     def test_repeated_payments_share_one_channel(self):
-        g = payment_graph(frozenset({"a", "b"}), (("a", "b", 5), ("b", "a", 2)))
+        g = payment_graph((("a", "b", 5), ("b", "a", 2)))
         assert onchain_tx_count(g, None) == 2
 
-    def test_idle_client_relay_funds_every_active_client(self):
-        # A declared client with no payments of its own relays like an outsider.
-        g = payment_graph(frozenset("abci"), (("a", "b", 1), ("b", "c", 1)))
+    def test_relay_outside_the_payments_funds_every_client(self):
+        # A node no payment names is no client, so it relays like any outsider.
+        g = payment_graph((("a", "b", 1), ("b", "c", 1)))
+        assert g.clients == frozenset("abc")
         assert onchain_tx_count(g, "i") == onchain_tx_count(g, "ext") == 6
 
     def test_empty_relay_id_is_a_relay(self):
@@ -158,10 +157,10 @@ class TestOnchainCounting:
         assert onchain_tx_count(g, "") == 8
         assert lightning_analysis(10.0, g, "", 2.0).relay_centralization_n0 == 1
 
-    def test_relay_floor_is_two_per_active_client(self):
+    def test_relay_floor_is_two_per_client(self):
         for graph in all_payment_graphs(5):
             count = onchain_tx_count(graph, "ext")
-            assert count == 2 * len(graph.active_clients())
+            assert count == 2 * len(graph.clients)
 
     def test_relay_no_worse_than_direct_exactly_when_pairs_reach_active(self):
         # Funding a channel per client pays off only on graphs with at least
@@ -170,14 +169,14 @@ class TestOnchainCounting:
         for graph in all_payment_graphs(5):
             relay = onchain_tx_count(graph, "ext")
             direct = onchain_tx_count(graph, None)
-            dense = graph.channel_pair_count() >= len(graph.active_clients())
+            dense = graph.channel_pair_count >= len(graph.clients)
             assert (relay <= direct) == dense
 
     def test_client_relay_never_loses_on_connected_graphs(self):
         # With the relay chosen among participants, a connected payment graph
         # always has at least active-1 pairs, so relaying never costs more.
         for graph in all_payment_graphs(5):
-            active = sorted(graph.active_clients())
+            active = sorted(graph.clients)
             if not _connected(graph):
                 continue
             relay = onchain_tx_count(graph, active[0])
@@ -185,7 +184,7 @@ class TestOnchainCounting:
 
 
 def _connected(graph):
-    active = set(graph.active_clients())
+    active = set(graph.clients)
     adj = {c: set() for c in active}
     for a, b, _ in graph.payments:
         adj[a].add(b)
@@ -247,7 +246,7 @@ class TestLightningAnalysis:
             lightning_analysis(1.0, full_graph(2), None, alpha)
 
     def test_empty_payments_rejected(self):
-        g = payment_graph(frozenset({"a", "b"}), ())
+        g = payment_graph(())
         with pytest.raises(InputError):
             lightning_analysis(1.0, g, None, 1.0)
 
@@ -257,14 +256,14 @@ class TestLightningAnalysis:
     ], ids=["throughput", "alpha"])
     def test_checks_run_in_order(self, t, message):
         # Throughput, then alpha, then the payments: all three are bad here.
-        g = payment_graph(frozenset({"a", "b"}), ())
+        g = payment_graph(())
         with pytest.raises(InputError, match=message):
             lightning_analysis(t, g, None, 0.5)
 
     def test_relay_on_a_lone_pair_halves_throughput(self):
         # One pair: a direct channel costs 2 on-chain transactions, an
         # outside relay 4, so the relay plan carries half of t * alpha.
-        g = payment_graph(frozenset("ab"), (("a", "b", 1),))
+        g = payment_graph((("a", "b", 1),))
         analysis = lightning_analysis(10.0, g, "ext", 2.0)
         assert (analysis.onchain_direct, analysis.onchain_plan) == (2, 4)
         assert (analysis.effective_tps, analysis.relay_centralization_n0, analysis.ctp) == (10.0, 1, 10.0)
@@ -273,29 +272,31 @@ class TestLightningAnalysis:
 class TestPaymentGraphValidation:
     def test_self_payment_rejected(self):
         with pytest.raises(InputError):
-            payment_graph(frozenset({"a"}), (("a", "a", 1),))
+            payment_graph((("a", "a", 1),))
 
-    def test_unknown_endpoint_rejected(self):
-        with pytest.raises(InputError):
-            payment_graph(frozenset({"a"}), (("a", "b", 1),))
+    def test_clients_are_the_endpoints_of_the_payments(self):
+        g = payment_graph((("a", "b", 1), ("c", "a", 2), ("b", "a", 1)))
+        assert g.clients == frozenset("abc")
+        assert payment_graph(()).clients == frozenset()
 
     @pytest.mark.parametrize("count", [2.7, 2.0, "2", None, True])
     def test_count_must_be_an_integer(self, count):
         payments = (("a", "b", 1), ("b", "c", 3), ("a", "c", count))
         with pytest.raises(InputError, match="^payment count must be an integer, got ") as err:
-            payment_graph(frozenset("abc"), payments)
+            payment_graph(payments)
         assert err.value.index == 2
 
     def test_exact_columns_are_kept_as_given(self):
         sources, targets, counts = ("a", "b"), ("b", "c"), (1, 2)
-        g = PaymentGraph(frozenset("abc"), sources, targets, counts)
+        g = PaymentGraph(sources, targets, counts)
         assert g.sources is sources and g.targets is targets and g.counts is counts
         assert g.payments == (("a", "b", 1), ("b", "c", 2))
 
-    @pytest.mark.parametrize("clients", [{"a", "b", "c"}, ["a", "b", "c", "a"], frozenset({Tag("a"), "b", "c"})],
-                             ids=["set", "list", "str_subclass"])
-    def test_other_client_sets_become_a_frozenset_of_str(self, clients):
-        g = PaymentGraph(clients, ("a",), ("b",), (1,))
+    @pytest.mark.parametrize("sources, targets", [
+        ([Tag("a"), "b"], ("b", Tag("c"))), (np.array(["a", "b"]), np.array(["b", "c"])), (("a", "b"), ["b", "c"]),
+    ], ids=["str_subclass", "numpy_cells", "list"])
+    def test_other_cells_become_str_clients(self, sources, targets):
+        g = PaymentGraph(sources, targets, (1, 2))
         assert type(g.clients) is frozenset and g.clients == frozenset("abc")
         assert set(map(type, g.clients)) == {str}
 
@@ -308,7 +309,7 @@ class TestPaymentGraphValidation:
     def test_other_columns_are_converted_as_before(self, payments):
         # The cells as columns, lists for a list of rows.
         cells = list if isinstance(payments, list) else tuple
-        g = PaymentGraph(frozenset("abc"), *(cells(row[i] for row in payments) for i in range(3)))
+        g = PaymentGraph(*(cells(row[i] for row in payments) for i in range(3)))
         assert type(g.sources) is type(g.targets) is type(g.counts) is tuple
         # The former conversion, applied to every row.
         assert g.payments == tuple((str(a), str(b), operator.index(c)) for a, b, c in payments)
@@ -318,12 +319,11 @@ class TestPaymentGraphValidation:
         ((("a", "b", 1), ("b", "c", 2.0)), "payment count must be an integer, got 2.0"),
         ((("a", "b", 1), (Tag("c"), "c", np.int64(1))), "payment from 'c' to itself"),
         ((("a", "b", 1), ("b", "c", 0)), "payment count must be >= 1, got 0 for 'b'->'c'"),
-        ((("a", "b", 1), ("b", "d", 1)), "payment endpoints 'b', 'd' must be declared clients"),
-    ], ids=["not_an_integer", "self_payment", "zero_count", "undeclared"])
+    ], ids=["not_an_integer", "self_payment", "zero_count"])
     def test_tuple_and_list_columns_are_refused_alike(self, payments, message):
         for cells in (tuple, list):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
-                PaymentGraph(frozenset("abc"), *map(cells, zip(*payments)))
+                PaymentGraph(*map(cells, zip(*payments)))
             assert info.value.index == 1
 
     @pytest.mark.parametrize("sources, targets, counts", [
@@ -333,54 +333,57 @@ class TestPaymentGraphValidation:
         message = (f"^payment graph has {len(sources)} sources, {len(targets)} targets "
                    f"and {len(counts)} counts$")
         with pytest.raises(InputError, match=message) as info:
-            PaymentGraph(frozenset("abc"), sources, targets, counts)
+            PaymentGraph(sources, targets, counts)
         assert info.value.index is None
         with pytest.raises(InputError, match="^payment graph has 2 sources, 2 targets and 3 counts$"):
             dataclasses.replace(full_graph(3), sources=("c0", "c1"), targets=("c1", "c2"), counts=(1, 1, 1))
 
     def test_numpy_integer_counts_become_ints(self):
-        g = payment_graph(frozenset("ab"), (("a", "b", np.int64(3)),))
+        g = payment_graph((("a", "b", np.int64(3)),))
         assert g.payments == (("a", "b", 3),) and type(g.payments[0][2]) is int
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
-            payment_graph(frozenset({"a", "b"}), (("a", "b", 0),))
+            payment_graph((("a", "b", 0),))
 
 
 class TestPaymentGraphCache:
     def test_cached_values_take_no_part_in_the_value(self):
         graph, fresh = full_graph(6), full_graph(6)
-        pairs, active = graph.channel_pair_count(), graph.active_clients()
+        pairs, clients = graph.channel_pair_count, graph.clients
         assert graph == fresh and hash(graph) == hash(fresh)
         assert pickle.dumps(graph) == pickle.dumps(fresh)
         copy = pickle.loads(pickle.dumps(graph))
         # A pickle holds the columns only.
-        assert copy == graph and vars(copy).keys() == {"clients", "sources", "targets", "counts"}
-        assert copy.channel_pair_count() == pairs and copy.active_clients() == active
+        assert copy == graph and vars(copy).keys() == {"sources", "targets", "counts"}
+        assert copy.channel_pair_count == pairs and copy.clients == clients
+        # So does a replaced graph, whose values are read from its own payments.
+        assert vars(dataclasses.replace(graph)).keys() == {"sources", "targets", "counts"}
         smaller = dataclasses.replace(graph, sources=graph.sources[:3], targets=graph.targets[:3],
                                       counts=graph.counts[:3])
-        assert smaller.channel_pair_count() == len(oracle_channel_pairs(smaller)) == 3
-        assert smaller.active_clients() == frozenset(c for p in graph.payments[:3] for c in p[:2])
+        assert smaller.channel_pair_count == len(oracle_channel_pairs(smaller)) == 3
+        assert smaller.clients == frozenset(c for p in graph.payments[:3] for c in p[:2])
 
-    def test_clients_are_kept_and_active_clients_built_when_first_asked_for(self):
-        clients = frozenset("abcd")
-        graph = PaymentGraph(clients, ("a", "b"), ("b", "c"), (1, 2))
-        # The endpoints are checked without building the active set.
-        assert graph.clients is clients and "_active_clients" not in vars(graph)
-        assert graph.active_clients() == frozenset("abc") and graph.active_clients() is vars(graph)["_active_clients"]
-        # Cells of another type are converted before the active set is built from them.
-        graph = PaymentGraph(clients, [Tag("a")], [Tag("b")], [np.int64(1)])
-        assert set(map(type, graph.active_clients())) == {str}
+    def test_clients_are_built_when_first_read(self):
+        graph = PaymentGraph(("a", "b"), ("b", "c"), (1, 2))
+        assert vars(graph).keys() == {"sources", "targets", "counts"}
+        clients = graph.clients
+        assert clients == frozenset("abc") and vars(graph)["clients"] is clients and graph.clients is clients
+        # Cells of another type are converted before the clients are built from them.
+        graph = PaymentGraph([Tag("a")], np.array(["b"]), [np.int64(1)])
+        assert graph.clients == frozenset("ab") and set(map(type, graph.clients)) == {str}
 
     def test_each_value_is_built_once(self):
         graph = full_graph(5)
-        pairs, active = graph.channel_pair_count(), graph.active_clients()
-        assert vars(graph)["_channel_pair_count"] == pairs == 10
-        # A planted count shows that later calls read the cache, not the payments.
-        vars(graph)["_channel_pair_count"] = 99
+        pairs, clients = graph.channel_pair_count, graph.clients
+        assert vars(graph)["channel_pair_count"] == pairs == 10
+        # Planted values show that later reads take the cache, not the payments.
+        vars(graph)["channel_pair_count"] = 99
+        vars(graph)["clients"] = clients | {"c9"}
         assert lightning_analysis(1.0, graph, "c0", 2.0).onchain_direct == 198
         assert lightning_analysis(1.0, graph, None, 2.0).onchain_plan == 198
-        assert graph.channel_pair_count() == 99 and graph.active_clients() is active
+        assert lightning_analysis(1.0, graph, "c0", 2.0).onchain_plan == 10
+        assert graph.channel_pair_count == 99 and len(graph.clients) == 6
 
 
 def _seeded_graph(rng):
@@ -392,26 +395,26 @@ def _seeded_graph(rng):
         payments.append((a, b, rng.randint(1, 3)))
         if rng.random() < 0.3:
             payments.append(rng.choice([(a, b, 1), (b, a, 2)]))
-    return payment_graph(frozenset(clients), tuple(payments))
+    return payment_graph(tuple(payments))
 
 
 class TestChannelPairCount:
     def test_equals_the_pair_set_on_every_small_graph(self):
         for graph in all_payment_graphs(5):
-            assert graph.channel_pair_count() == len(oracle_channel_pairs(graph))
+            assert graph.channel_pair_count == len(oracle_channel_pairs(graph))
 
     def test_equals_the_pair_set_with_both_directions_and_repeats(self):
         rng = random.Random("channel-pairs")
         both = repeated = 0
         for _ in range(300):
             graph = _seeded_graph(rng)
-            assert graph.channel_pair_count() == len(oracle_channel_pairs(graph))
+            assert graph.channel_pair_count == len(oracle_channel_pairs(graph))
             ordered = [p[:2] for p in graph.payments]
             both += any((b, a) in ordered for a, b in ordered)
             repeated += len(set(ordered)) < len(ordered)
         assert both > 50 and repeated > 50
 
     def test_both_directions_fund_one_channel(self):
-        graph = payment_graph(frozenset("abc"), (("a", "b", 1), ("b", "a", 2), ("a", "b", 3), ("c", "a", 1)))
-        assert graph.channel_pair_count() == 2
+        graph = payment_graph((("a", "b", 1), ("b", "a", 2), ("a", "b", 3), ("c", "a", 1)))
+        assert graph.channel_pair_count == 2
         assert onchain_tx_count(graph, None) == 4

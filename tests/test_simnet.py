@@ -544,7 +544,7 @@ class TestProportionalProduction:
             duration_blocks=5000, topology_degree=2, seed=4,
         )
         result = run_simulation(cfg)
-        total = result.per_miner_canonical.total_weight()
+        total = sum(result.per_miner_canonical.weights)
         for (_, count), share in zip(result.per_miner_canonical.entries, shares):
             sigma = math.sqrt(share * (1 - share) / total)
             assert abs(count / total - share) <= 3 * sigma
