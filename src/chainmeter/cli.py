@@ -67,13 +67,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_metrics(args) -> int:
     dist = load_distribution(args.distribution)
-    print("epsilon  n  covered_share")
+    table = ["epsilon  n  covered_share"]
     for eps in args.epsilon:
         level = centralization_level(dist, eps)
-        print(f"{eps!r}  {level.n}  {level.covered_share!r}")
+        table.append(f"{eps!r}  {level.n}  {level.covered_share!r}")
     if args.consensus:
         trust = central_trust(dist, ConsensusKind(args.consensus))
-        print(f"central trust ({args.consensus}): N = {trust.n}")
+        table.append(f"central trust ({args.consensus}): N = {trust.n}")
+    print("\n".join(table))
     if args.curve is not None:
         curve = cumulative_share_curve(dist)
         export_report({"rank": range(1, len(curve) + 1), "cumulative_share": curve}, args.curve, "csv")
@@ -131,12 +132,6 @@ def _cmd_bound(args) -> int:
     if args.sweep_out is not None and args.sweep is None:
         raise _UsageError("--sweep-out needs --sweep")
     chain, net = _build_chain_net(args)
-    print(f"confirmation latency L: {tx_latency(chain)!r} s")
-    print(f"block capacity: {block_capacity(chain)!r} tx/block")
-    print(f"protocol throughput R: {max_throughput(chain)!r} tx/s")
-    if net is not None:
-        print(f"propagation-limited throughput: {propagation_limited_throughput(chain, net)!r} tx/s")
-        print(f"bandwidth ceiling w/s: {throughput_upper_bound(net, chain.tx_size_bytes)!r} tx/s")
     if args.sweep is not None:
         if net is None:
             raise _UsageError("--sweep needs network parameters (--latency-s and a bandwidth flag, or a preset)")
@@ -147,6 +142,13 @@ def _cmd_bound(args) -> int:
         except ValueError:
             raise _UsageError(f"--sweep wants comma-separated integer block sizes, got {args.sweep!r}") from None
         rates = throughput_sweep(chain, net, sizes)
+    print(f"confirmation latency L: {tx_latency(chain)!r} s")
+    print(f"block capacity: {block_capacity(chain)!r} tx/block")
+    print(f"protocol throughput R: {max_throughput(chain)!r} tx/s")
+    if net is not None:
+        print(f"propagation-limited throughput: {propagation_limited_throughput(chain, net)!r} tx/s")
+        print(f"bandwidth ceiling w/s: {throughput_upper_bound(net, chain.tx_size_bytes)!r} tx/s")
+    if args.sweep is not None:
         export_report({"block_size_bytes": sizes, "tps": rates}, args.sweep_out, "csv")
         print(f"sweep written to {args.sweep_out}", file=sys.stderr)
     return EXIT_OK

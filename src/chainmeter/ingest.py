@@ -11,18 +11,21 @@ as read, never truncated; every other number in a config is read with
 ``errors.real``, so a JSON boolean or string is refused as it is in the
 library.
 
-A CSV is read once, as bytes. If ``csv.reader`` would read it as a plain
-split does (UTF-8; no ``"``, NUL or ``\r`` outside ``\r\n``; the header's
-comma count on every line; no cell over ``csv.field_size_limit()``), one
-``split`` cuts it into cells; each column is stripped and its one number
-column (a count or a weight) parsed, as a whole, into a column of exact
-types; the type built keeps each column as it is, and no tuple per row is
-made. Any other file, and a split file with a blank
-row or a bad number, goes through ``csv.reader``, whose rows are walked one
-by one, to skip blank rows and name the first line at fault in file order,
-a read error last. Lines count records, so a quoted field spanning lines
-counts once, but a read error names the physical line. Numbers are written
-with full double precision so that load(export(x)) == x.
+A CSV is read once, as bytes, and decoded once, as UTF-8 less a leading
+BOM; the split and the row walk read that one text. A byte that is not UTF-8
+ends the text where its line starts: every earlier line is walked, and the
+decoder's error, its position counted within that line, is the read error.
+If ``csv.reader`` would read the text as a plain split does (no ``"``, NUL
+or ``\r`` outside ``\r\n``; the header's comma count on every line; no
+cell over ``csv.field_size_limit()``), one ``split`` cuts it into cells;
+each column is stripped and its one number column (a count or a weight)
+parsed, as a whole, into a column of exact types, which the type built
+keeps as they are. Any other file, and a split one with a blank row or a
+bad number, goes through ``csv.reader``, whose rows are walked one by one,
+to skip blank rows and name the first line at fault in file order, a read
+error last. Lines count records, so a quoted field spanning lines counts
+once, but a read error names the physical line. Numbers are written with
+full double precision so that load(export(x)) == x.
 
 JSON exports are byte-identical to ``json.dump(x, fh, indent=2)`` followed
 by a newline, as the running interpreter's ``json`` writes them, for the
@@ -95,22 +98,33 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     with open(path, "rb") as fh:
         data = fh.read()
     k, width = expected_header.index(number), len(expected_header)
-    # Bytes that are not UTF-8, a blank row (an empty first cell) and a number
-    # that does not parse leave the file to the row walk. A line break starts
-    # the cell after it, for str.strip to drop; rows have the header's width
-    # if each starts a cell at a multiple.
+    try:
+        text, bad = data.decode("utf-8").removeprefix("\ufeff"), None
+    except UnicodeDecodeError as exc:  # the text ends where the bad byte's line starts
+        start, end = data.rfind(b"\n", 0, exc.start) + 1, data.find(b"\n", exc.start) + 1 or len(data)
+        exc.object, exc.start, exc.end, bad = data[start:end], exc.start - start, exc.end - start, exc
+        text = data[:start].decode("utf-8").removeprefix("\ufeff")
+    # A read error, a blank row (an empty first cell) or a bad number leaves the
+    # file to the row walk. A line break starts the cell after it, for str.strip
+    # to drop; rows have the header's width if each starts a cell at a multiple.
+    plain = text.replace("\r\n", "\n")
     with contextlib.suppress(ValueError):
-        text = data.decode("utf-8-sig").replace("\r\n", "\n").removesuffix("\n")
-        if '"' not in text and "\0" not in text and "\r" not in text:
-            cells, breaks = text.replace("\n", ",\n").split(","), text.count("\n")
+        if bad is None and '"' not in plain and "\0" not in plain and "\r" not in plain:
+            cells, breaks = plain.removesuffix("\n").replace("\n", ",\n").split(","), plain.count("\n") - plain.endswith("\n")
             if (len(cells) == width * (breaks + 1) and "".join(cells[width::width]).count("\n") == breaks
                     and max(map(len, cells)) <= csv.field_size_limit() and list(map(str.strip, cells[:width])) == expected_header):
                 columns = [tuple(map(str.strip, itertools.islice(cells, i, None, width))) for i in range(width, 2 * width)]
                 if "" not in columns[0]:
                     columns[k] = tuple(map(parse, columns[k]))
                     return columns, range(2, len(columns[0]) + 2)
+
+    def source():  # the text's lines, then the decoder's error, if there is one
+        yield from io.StringIO(text, newline="")
+        if bad is not None:
+            raise bad
+
     rows, error = [], None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    reader = csv.reader(source())
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != expected_header:
@@ -120,17 +134,8 @@ def _read_columns(path: str, expected_header: list[str], number: str,
     except csv.Error as exc:
         error = ParseError(f"{path}:{reader.line_num}: {exc}")
     except UnicodeDecodeError as exc:
-        # Text is decoded a block at a time, so the line is found in the bytes.
-        for lineno, line in enumerate(io.BytesIO(data), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                error = ParseError(f"{path}:{lineno}: not UTF-8 text: {line_exc}")
-                break
-        else:
-            error = ParseError(f"{path}: not UTF-8 text: {exc}")
-    kept: list[list] = [[] for _ in expected_header]
-    lines = []
+        error = ParseError(f"{path}:{text.count(chr(10)) + 1}: not UTF-8 text: {exc}")
+    kept, lines = [[] for _ in expected_header], []
     for lineno, row in enumerate(rows, start=2):
         row = list(map(str.strip, row))
         if not any(row):
@@ -314,13 +319,8 @@ def to_jsonable(obj: Any) -> Any:
     raise FormatError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-# JSON writer. _dump writes the bytes json.dump(..., indent=2) writes for
-# what the module docstring says a JSON export takes, walking records and
-# dicts name by name and sequences and block tables CHUNK items at a time.
-# A chunk of exact ints, or of exact floats with a finite sum, is one %
-# format; a block table's chunk is one too, with fixed specs, since the
-# table checks its own columns. Every other item is written on its own, down
-# to its scalars, which to_jsonable passes and json.dumps writes.
+# The JSON writer: _dump writes json.dump(..., indent=2)'s bytes, as its
+# docstring, _exact's and _block_chunks' tell.
 
 CHUNK = 1024
 _INDENT = "  "

@@ -122,6 +122,11 @@ class TestMetricsCommand:
         assert main(["metrics", dist_csv, "--frobnicate"]) == EXIT_USAGE
         assert capsys.readouterr().err
 
+    def test_a_bad_epsilon_after_a_good_one_exits_two_before_any_output(self, dist_csv, capsys):
+        assert main(["metrics", dist_csv, "--epsilon", "0.1", "1"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: epsilon must lie in [0, 1), got 1.0\n"
+
     def test_empty_curve_path_is_usage_error_before_any_run(self, dist_csv, capsys):
         assert main(["metrics", dist_csv, "--curve", ""]) == EXIT_USAGE
         out, err = capsys.readouterr()
@@ -186,12 +191,15 @@ class TestBoundCommand:
 
     def test_sweep_without_out_is_usage_error(self, capsys):
         assert main(["bound", "--preset", "bitcoin", "--sweep", "65536"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: --sweep needs --sweep-out FILE for its CSV\n"
 
     def test_sweep_without_network_is_usage_error(self, tmp_path, capsys):
         argv = ["bound", "--block-size-bytes", "1048576", "--tx-size-bytes", "500", "--block-interval-s", "600",
                 "--sweep", "65536", "--sweep-out", str(tmp_path / "s.csv")]
         assert main(argv) == EXIT_USAGE
-        assert "usage error: --sweep needs network parameters" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error: --sweep needs network parameters" in err
         assert not (tmp_path / "s.csv").exists()
 
     def test_non_positive_param_exits_two(self, capsys):
@@ -252,7 +260,15 @@ class TestBoundCommand:
     def test_non_integer_sweep_is_usage_error(self, tmp_path, capsys, sweep):
         argv = ["bound", "--preset", "bitcoin", "--sweep", sweep, "--sweep-out", str(tmp_path / "s.csv")]
         assert main(argv) == EXIT_USAGE
-        assert f"--sweep wants comma-separated integer block sizes, got {sweep!r}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and f"--sweep wants comma-separated integer block sizes, got {sweep!r}" in err
+
+    def test_a_bad_size_after_a_good_one_exits_two_before_any_output(self, tmp_path, capsys):
+        argv = ["bound", "--preset", "bitcoin", "--sweep", "1048576,0", "--sweep-out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: block_size_bytes must be positive and finite, got 0\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestShardCommand:

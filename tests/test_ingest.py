@@ -241,6 +241,40 @@ class TestLoadersAgainstOracle:
             assert _outcome(oracle_load_payment_graph, str(path))[0] is not ParseError
             assert outcome[0] is ParseError and outcome[1].startswith(f"{path}:5003: ")
 
+    @pytest.mark.parametrize("load, data, message", [
+        (load_distribution, b"producer_id,weight\na,1\nb,x\nc,\xff2\n", "weight is not a number: 'x'"),
+        (load_distribution, b"producer_id,weight\na,1\nb\nc,\xff2\n", "expected 2 columns, got 1"),
+        (load_payment_graph, b"from,to,count\na,b,1\nb,c,x\nc,\xff,2\n", "count is not an integer: 'x'"),
+        (load_payment_graph, b"from,to,count\na,b,1\nb,c\nc,\xff,2\n", "expected 3 columns, got 2"),
+    ], ids=["distribution-bad_number", "distribution-short_row", "payment_graph-bad_count", "payment_graph-short_row"])
+    def test_an_earlier_fault_wins_within_one_block(self, tmp_path, load, data, message):
+        """The variant of the test above with no filler: the whole file fits
+        in one 8 KB decoding block, so the row-by-row oracle, which decodes a
+        block at a time, meets the bad byte first. The message is asserted
+        as it stands: line 3's fault, not line 4's byte."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert _outcome(load, str(path)) == (ParseError, f"{path}:3: {message}")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbfproducer_id,weight\na,1\nb\xff,2\n",
+         ":3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+        (b"\xef\xbb\xbfproducer_id,weight\r\na,1\r\nb,\xe2\x82\r\n",
+         ":3: not UTF-8 text: 'utf-8' codec can't decode bytes in position 2-3: invalid continuation byte"),
+        (b"\xef\xbb\xbfproducer_id,wei\xffght\na,1\n",
+         ":1: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+        (b"producer_id,weight\na,1\nb,\"x\n\xff\"\n",
+         ":4: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["bom", "bom-crlf-two-bytes", "bom-header", "inside-a-quoted-field"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, message):
+        """The decoder's error, its position counted within the line it is
+        on (the BOM's three bytes count on line 1). A bad byte in the header
+        is a read error on line 1, not a wrong header, and a record cut short
+        by the bad line is not walked."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert _outcome(load_distribution, str(path)) == (ParseError, f"{path}{message}")
+
     @pytest.mark.parametrize("data, split", [
         (b"producer_id,weight\rA,1\rB,2\r", False),
         (b"producer_id,weight\nA,1\r\nB,2\rC,3\n", False),
