@@ -18,7 +18,7 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from typing import Callable
 
 from chainmeter.bounds import (
@@ -100,12 +100,17 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _construct(cls, flags: dict):
-    """``cls(**flags)``, or None when a field has no flag."""
-    try:
-        return cls(**flags)
-    except TypeError:
-        return None
+# The flags of a field that a second unit spells too.
+_FLAGS = {"block_size_bytes": "--block-size-bytes/--block-size-mib",
+          "bandwidth_bytes_per_s": "--bandwidth-bytes-per-s/--bandwidth-mbps"}
+
+
+def _params(cls, flags: dict, kind: str):
+    """``cls(**flags)``; a field with neither a default nor a flag is a usage error naming its flags."""
+    if missing := [_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+                   for f in fields(cls) if f.default is MISSING and f.name not in flags]:
+        raise _UsageError(f"without --preset, the {kind} flags go together; missing {', '.join(missing)}")
+    return cls(**flags)
 
 
 def _build_chain_net(args) -> tuple[ChainParams, NetworkParams | None]:
@@ -119,13 +124,7 @@ def _build_chain_net(args) -> tuple[ChainParams, NetworkParams | None]:
     if args.preset:
         chain, net = preset(args.preset)
         return replace(chain, **chain_flags), replace(net, **net_flags)
-    chain = _construct(ChainParams, chain_flags)
-    if chain is None:
-        raise _UsageError(
-            "without --preset, --block-size-bytes/--block-size-mib, "
-            "--tx-size-bytes and --block-interval-s are required"
-        )
-    return chain, _construct(NetworkParams, net_flags)
+    return _params(ChainParams, chain_flags, "chain"), _params(NetworkParams, net_flags, "network") if net_flags else None
 
 
 def _cmd_bound(args) -> int:

@@ -6,10 +6,9 @@ The loaders only parse: the types they build validate their own values
 (``SimConfig`` too, so a config is checked once, however it is made), and a
 loader adds where a rejected value came from (the file, and for a CSV row
 the line). A config holds raw bytes and bytes per second, as the types do.
-Integer fields, ``block_size_bytes`` among them, and shares are handed over
-as read, never truncated; every other number in a config is read with
-``errors.real``, so a JSON boolean or string is refused as it is in the
-library.
+Every number in a config is handed over as read, never truncated or
+converted, so a JSON boolean or string, and any number out of range, is
+refused in the words the type gives a library caller.
 
 A CSV is read once, as bytes, and decoded once, as UTF-8 less a leading
 BOM; the split and the row walk read that one text. A byte that is not UTF-8
@@ -74,10 +73,10 @@ import itertools
 import json
 import math
 import os
-from typing import Any, Callable
+from typing import Any
 
 from chainmeter.bounds import ChainParams, NetworkParams
-from chainmeter.errors import FormatError, InputError, ParseError, ValidationError, real
+from chainmeter.errors import FormatError, InputError, ParseError, ValidationError
 from chainmeter.metrics import ProducerDistribution
 from chainmeter.presets import PRESETS
 from chainmeter.scaling import PaymentGraph
@@ -180,11 +179,9 @@ def load_payment_graph(path: str) -> PaymentGraph:
     return _validated(path, lines, lambda: PaymentGraph(tuple(src), tuple(dst), tuple(counts)))
 
 
-def _params(cls: type, data: dict, section: str, problems: list[str],
-            parse: dict[str, Callable[[Any, str], Any]]) -> Any:
-    """``cls`` built from the object ``data[section]``, each field read with
-    ``parse[name](value, name)`` where ``parse`` names it and passed as read
-    otherwise; None, with the reason added to ``problems``, if that fails."""
+def _params(cls: type, data: dict, section: str, problems: list[str]) -> Any:
+    """``cls`` built from the object ``data[section]`` as read, for the type to
+    check; None, with the reason added to ``problems``, if that fails."""
     raw = data.get(section)
     if not isinstance(raw, dict):
         problems.append(f"{section}: required object is missing")
@@ -194,7 +191,7 @@ def _params(cls: type, data: dict, section: str, problems: list[str],
         problems.append(f"{section}: unknown keys {sorted(unknown)}")
         return None
     try:
-        return cls(**{name: parse[name](value, name) if name in parse else value for name, value in raw.items()})
+        return cls(**raw)
     except (InputError, TypeError) as exc:
         problems.append(f"{section}: {exc}")
         return None
@@ -205,12 +202,12 @@ def load_sim_config(path: str) -> SimConfig:
 
     Field names mirror the in-memory records (miners, chain, net,
     topology_degree, duration_blocks, seed), in bytes and bytes per second;
-    any other key is refused, and a miner_id must be a string. Defaults:
-    topology_degree 8, seed 0, confirmations 6. The chain and net reals are
-    read with ``errors.real``; miner weights (``hash_power_share``, any unit)
-    and integer fields, ``block_size_bytes`` among them, are passed as read,
-    for the types to apply ``errors.real`` and ``errors.integer``: a JSON
-    boolean or string is no number, and ``6.0`` is no integer. The list's
+    any other key is refused, and a miner_id must be a string. A field the
+    file leaves out takes ``SimConfig``'s or ``ChainParams``' default.
+    Every number, a miner weight (``hash_power_share``, any unit) too, is
+    passed as read, for the types to apply ``errors.real`` and
+    ``errors.integer`` and their ranges: a JSON boolean or string is no
+    number, ``6.0`` is no integer, and a JSON integer stays an int. The list's
     ``miner_id`` and ``hash_power_share`` columns become the config's
     ``ProducerDistribution``, whose first fault reads ``miners[i]``. Every
     violation is reported: when ``chain``, ``net`` or the ``miners`` list
@@ -234,8 +231,8 @@ def load_sim_config(path: str) -> SimConfig:
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
 
-    chain = _params(ChainParams, data, "chain", problems, {"tx_size_bytes": real, "block_interval_s": real})
-    net = _params(NetworkParams, data, "net", problems, {"bandwidth_bytes_per_s": real, "latency_s": real})
+    chain = _params(ChainParams, data, "chain", problems)
+    net = _params(NetworkParams, data, "net", problems)
 
     raw_miners = data.get("miners")
     if not isinstance(raw_miners, list) or not raw_miners:
@@ -259,19 +256,15 @@ def load_sim_config(path: str) -> SimConfig:
             miners = ProducerDistribution(ids, weights)
         except InputError as exc:
             problems.append(f"miners: {exc}" if exc.index is None else f"miners[{exc.index}]: {exc}")
-    # A failed section is stood in for, so that SimConfig checks the other
-    # fields: a list the distribution refuses by as many miners, any other by one.
+    # A failed section, or a missing duration, is stood in for, so that
+    # SimConfig checks the other fields: a list the distribution refuses by as
+    # many miners, any other by one.
     stand_chain, stand_net = PRESETS["bitcoin"]
-
+    miners = miners or ProducerDistribution(tuple(map(str, range(count))), (1.0,) * count)
+    given = {name: value for name, value in data.items() if name in _field_names(SimConfig)}
     try:
-        config = SimConfig(
-            miners=miners or ProducerDistribution(tuple(map(str, range(count))), (1.0,) * count),
-            chain=chain or stand_chain,
-            net=net or stand_net,
-            duration_blocks=data.get("duration_blocks", 1),
-            topology_degree=data.get("topology_degree", 8),
-            seed=data.get("seed", 0),
-        )
+        config = SimConfig(**{"duration_blocks": 1, **given, "miners": miners,
+                              "chain": chain or stand_chain, "net": net or stand_net})
     except ValidationError as exc:
         problems.append(str(exc))
     if problems:

@@ -326,13 +326,17 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
     Each stub index is the value ``rng.integers(len(stubs))`` would draw,
     computed from raw words of ``rng``'s bit generator, which must be a
     ``PCG64`` (``TypeError`` otherwise); on return or error ``rng`` is left
-    where one such call per stub leaves it.
+    where one such call per stub leaves it. A lone node's graph is the
+    empty ``(1, 0)`` array, whatever the degree; over more nodes, a degree
+    below 1 raises ``TopologyError`` before any draw.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise TypeError(f"the peer graph is drawn from a PCG64 bit generator, got {type(bits).__name__}")
-    if n == 1 or degree == 0:
-        return np.empty((n, 0), dtype=np.intp)
+    if n == 1:
+        return np.empty((1, 0), dtype=np.intp)
+    if degree < 1:
+        raise TopologyError(f"no connected {degree}-regular graph over {n} nodes: the degree must be >= 1")
     stream = _Halves(bits)
     values, pos = stream.values, 0
     try:
@@ -386,8 +390,7 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full mining + gossip simulation described by ``config``."""
     rng = np.random.default_rng(config.seed)
-    n = len(config.miners.ids)
-    peers = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    peers = random_regular_graph(len(config.miners.ids), config.topology_degree, rng)
     mined, winners = _draw_events(config, rng)
     parent, height, best, mined_at = _choose_parents(peers, mined, winners, propagation_delay(1, config.chain, config.net))
     return _result(config, mined_at, winners, parent, height, best)

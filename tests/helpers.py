@@ -203,10 +203,13 @@ def _any_valid_pair(stubs: list[int], adj: list[set[int]]) -> bool:
 
 
 def oracle_random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    """The library's former ``random_regular_graph``, kept verbatim: one
-    scalar ``rng.integers`` call per stub drawn."""
-    if n == 1 or degree == 0:
-        return ((),) if n == 1 else tuple(() for _ in range(n))
+    """The library's former ``random_regular_graph``, kept verbatim but for
+    its degree rule, which is the library's: one scalar ``rng.integers``
+    call per stub drawn."""
+    if n == 1:
+        return ((),)
+    if degree < 1:
+        raise TopologyError(f"no connected {degree}-regular graph over {n} nodes: the degree must be >= 1")
     for _attempt in range(100):
         adj: list[set[int]] = [set() for _ in range(n)]
         stubs = [node for node in range(n) for _ in range(degree)]
@@ -298,7 +301,7 @@ def oracle_simulation(config: SimConfig) -> RecordResult:
     hop = net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s
     rng = np.random.default_rng(config.seed)
 
-    adj = oracle_random_regular_graph(n, config.topology_degree if n > 1 else 0, rng)
+    adj = oracle_random_regular_graph(n, config.topology_degree, rng)
 
     # The library's draws: the whole event stream up front, so generator
     # consumption does not depend on chain/net parameters.
@@ -405,7 +408,7 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
     hop = propagation_delay(1, chain, net)
     rng = np.random.default_rng(config.seed)
 
-    adj = random_regular_graph(n, config.topology_degree if n > 1 else 0, rng).tolist()
+    adj = random_regular_graph(n, config.topology_degree, rng).tolist()
 
     blocks_to_mine = config.duration_blocks
     mined, winners = simnet._draw_events(config, rng)

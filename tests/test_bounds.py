@@ -12,6 +12,7 @@ from chainmeter import (
     NetworkParams,
     block_capacity,
     max_throughput,
+    preset,
     propagation_limited_throughput,
     throughput_sweep,
     throughput_upper_bound,
@@ -52,6 +53,10 @@ class TestParamValidation:
     def test_chain_rejects_block_smaller_than_tx(self):
         with pytest.raises(InputError):
             ChainParams(100, 500.0, 600.0, 6)
+
+    def test_unknown_preset_names_the_known_ones(self):
+        with pytest.raises(InputError, match=r"^unknown preset 'nope'; available: \['bitcoin', 'ethereum'\]$"):
+            preset("nope")
 
     def test_net_rejects_bad_values(self):
         with pytest.raises(InputError):

@@ -214,6 +214,17 @@ class TestBoundCommand:
     def test_missing_chain_flags_is_usage_error(self):
         assert main(["bound", "--tx-size-bytes", "500"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, missing", [
+        (["--latency-s", "0.1"], "--bandwidth-bytes-per-s/--bandwidth-mbps"),
+        (["--bandwidth-mbps", "5.7"], "--latency-s"),
+        (["--bandwidth-bytes-per-s", "712500"], "--latency-s"),
+    ], ids=["latency-alone", "mbps-alone", "bytes-per-s-alone"])
+    def test_half_a_network_is_usage_error(self, capsys, flags, missing):
+        argv = ["bound", "--block-size-bytes", "1048576", "--tx-size-bytes", "500", "--block-interval-s", "600", *flags]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: without --preset, the network flags go together; missing {missing}\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--block-size-mib", "inf"], "block size must be finite, got inf"),
         (["--block-size-mib", "nan"], "block size must be finite, got nan"),

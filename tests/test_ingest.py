@@ -431,8 +431,8 @@ class TestLoadSimConfig:
         assert "miners[1]: duplicate producer_id 'a'" in message
 
     @pytest.mark.parametrize("section, key, message", [
-        ("chain", "tx_size_bytes", "chain: tx_size_bytes must be positive and finite, got -1.0"),
-        ("net", "latency_s", "net: latency_s must be finite and >= 0, got -1.0"),
+        ("chain", "tx_size_bytes", "chain: tx_size_bytes must be positive and finite, got -1"),
+        ("net", "latency_s", "net: latency_s must be finite and >= 0, got -1"),
     ])
     def test_section_problem_is_plain_text(self, tmp_path, section, key, message):
         data = dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **{key: -1})})

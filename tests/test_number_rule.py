@@ -250,7 +250,27 @@ def test_config_names_the_first_miner_fault_beside_every_other_field(tmp_path):
 
 
 def test_config_number_past_the_float_range_is_out_of_range(tmp_path):
-    with pytest.raises(ValidationError, match="chain: tx_size_bytes must be positive and finite, got inf"):
+    with pytest.raises(ValidationError, match=f"chain: tx_size_bytes must be positive and finite, got {10**400}"):
         load_sim_config(config_with(tmp_path, "chain", "tx_size_bytes", 10**400))
     with pytest.raises(ValidationError, match=r"miners\[0\]: weight of 'a' must be finite and >= 0, got inf"):
         load_sim_config(config_with(tmp_path, "miners", "hash_power_share", 10**400))
+
+
+CONFIG_REALS = [
+    pytest.param(section, field, value, id=f"{field}={label}")
+    for section, field in (("chain", "tx_size_bytes"), ("chain", "block_interval_s"),
+                           ("net", "bandwidth_bytes_per_s"), ("net", "latency_s"))
+    for value, label in ((-1, "-1"), (0, "0"), (10**400, "10**400")) if (field, value) != ("latency_s", 0)
+]
+
+
+@pytest.mark.parametrize("section, field, value", CONFIG_REALS)
+def test_a_config_refuses_a_chain_or_net_real_in_the_types_words(tmp_path, section, field, value):
+    # A JSON integer reaches the type as the int a library caller passes.
+    build = chain if section == "chain" else net
+    with pytest.raises(InputError) as library:
+        build(**{field: value})
+    path = config_with(tmp_path, section, field, value)
+    with pytest.raises(ValidationError) as config:
+        load_sim_config(path)
+    assert str(config.value) == f"{path}: {section}: {library.value}"

@@ -93,8 +93,17 @@ class TestTopology:
         assert (np.diff(adj, axis=1) > 0).all()
         assert all(node not in peers for node, peers in enumerate(adj.tolist()))
 
-    def test_single_node(self):
-        assert random_regular_graph(1, 0, np.random.default_rng(0)).tolist() == [[]]
+    @pytest.mark.parametrize("degree", [0, -1, 8])
+    def test_single_node(self, degree):
+        assert random_regular_graph(1, degree, np.random.default_rng(0)).tolist() == [[]]
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_is_refused_before_any_draw(self, degree):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TopologyError, match=f"^no connected {degree}-regular graph over 5 nodes"):
+            random_regular_graph(5, degree, rng)
+        assert rng.bit_generator.state == state
 
     def test_two_nodes_degree_one(self):
         assert random_regular_graph(2, 1, np.random.default_rng(0)).tolist() == [[1], [0]]
@@ -471,6 +480,15 @@ class TestSingleMiner:
                         duration_blocks=64, topology_degree=0, seed=2)
         result = run_simulation(cfg)
         assert dict(result.per_miner_canonical.entries) == {"solo": 64.0}
+
+    def test_degree_is_ignored(self, tmp_path):
+        exports = []
+        for degree in (0, -1, 8):
+            cfg = SimConfig(miners=distribution((("solo", 1.0),)), chain=CHAIN, net=NET,
+                            duration_blocks=64, topology_degree=degree, seed=2)
+            export_report(run_simulation(cfg), tmp_path / "r.json", "json")
+            exports.append((tmp_path / "r.json").read_bytes())
+        assert exports == exports[:1] * 3
 
 
 class TestDeterminism:
