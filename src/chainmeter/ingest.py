@@ -411,11 +411,14 @@ def _replacing(path: str, newline: str | None = None):
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Re-raise an OSError from the block as ``cannot write {path}: ...``."""
+    """Re-raise an OSError from the block as ``cannot write {path}: ...``
+    with the error's system message, or its text when it has none. The
+    system message leaves out the file name, which for an open or a replace
+    is the temporary file's, random on each run."""
     try:
         yield
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager

@@ -30,7 +30,9 @@ each the value one ``integers`` call per stub would draw, and the generator
 is left where those calls leave it. A breadth-first search from node 0, a
 flag per node, tells if a matching is connected; one search of the final
 graph, a bit per winner packed 64 to a word, gives the hops between winners
-up front.
+up front. Both read a node's row, of peers or of words, as one item, and the
+second pulls each node's words from its peers, which is exact because peer
+rows are symmetric.
 Each run is single-threaded; separate runs are independent and may execute
 concurrently, and a finished :class:`SimResult` is immutable.
 
@@ -206,35 +208,43 @@ def _hop_distances(peers: np.ndarray, sources: np.ndarray) -> np.ndarray:
     ``peers``, [j, k] from ``sources[j]`` to ``sources[k]`` in the smallest
     unsigned type holding n (n if unreached). A node carries a bit per
     source, 64 to a word in any byte order (only OR, AND and NOT touch one),
-    and each level ORs its peers' words."""
+    and each level ORs its peers' words. A node's words are one ``void``
+    item, so a level gathers every node's peers in one fancy index over the
+    transposed ``(degree, n)`` table and ORs over its leading axis: a pull
+    step, each node reading its own row, which is exact because peer rows
+    are symmetric."""
     n, count = len(peers), len(sources)
     words = -(-count // 64)
     dist = np.full((count, count), n, dtype=np.min_scalar_type(n))
     frontier = np.zeros((n, words), dtype=np.uint64)
     frontier[sources] = np.packbits(np.eye(count, 64 * words, dtype=bool), axis=1, bitorder="little").view(np.uint64)
     seen = frontier.copy()
+    item, columns = np.dtype((np.void, 8 * words)), peers.T.copy()
     depth = 0
     while frontier.any():
         dist[np.unpackbits(frontier[sources].view(np.uint8), axis=1, count=count, bitorder="little").view(bool)] = depth
         depth += 1
-        reached = np.zeros_like(frontier)
-        for column in peers.T:
-            reached |= frontier[column]
-        frontier = reached & ~seen
+        reached = np.bitwise_or.reduce(frontier.view(item)[:, 0][columns].view(np.uint64), axis=0)
+        frontier = reached.reshape(n, words) & ~seen
         seen |= frontier
     return dist
 
 
 def _connected(peers: np.ndarray) -> bool:
     """Whether a breadth-first search from node 0 over the adjacency rows
-    ``peers`` reaches every node: each level marks the frontier's peers and
-    keeps those not yet seen, until none are new."""
-    seen = np.zeros(len(peers), dtype=bool)
+    ``peers`` reaches every node: each level reads the frontier's rows, each
+    one ``void`` item, marks their peers and keeps those not yet seen, until
+    none are new. Without edges only a lone node is connected."""
+    n, degree = peers.shape
+    if not degree:
+        return n == 1
+    rows = peers.view(np.dtype((np.void, peers.itemsize * degree)))[:, 0]
+    seen = np.zeros(n, dtype=bool)
     frontier = seen.copy()
     seen[0] = frontier[0] = True
     while frontier.any():
         reached = np.zeros_like(seen)
-        reached[peers[frontier]] = True
+        reached[rows[frontier].view(peers.dtype)] = True
         frontier = reached > seen
         seen |= frontier
     return bool(seen.all())
@@ -342,13 +352,13 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
     try:
         for _attempt in range(100):
             adj: list[set[int]] = [set() for _ in range(n)]
-            stubs = [node for node in range(n) for _ in range(degree)]
+            # The live stubs are stubs[:size]; a pair takes the last two's places.
+            stubs, size = sorted([*range(n)] * degree), n * degree
             # At least size + 2 values lie ahead of each pair: an accepted
             # one takes two and leaves two stubs fewer.
-            pos = stream.ahead(pos, len(stubs) + 2)
+            pos = stream.ahead(pos, size + 2)
             rejections = 0
-            while stubs:
-                size = len(stubs)
+            while size:
                 m, k = values[pos] * size, values[pos + 1] * size
                 if m & _LOW < size or k & _LOW < size:
                     i, pos = stream.bounded(pos, size)
@@ -364,14 +374,13 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
                     adj[v].add(u)
                     if i < j:
                         i, j = j, i
-                    stubs[i] = stubs[-1]
-                    stubs.pop()
-                    stubs[j] = stubs[-1]
-                    stubs.pop()
+                    stubs[i] = stubs[size - 1]
+                    stubs[j] = stubs[size - 2]
+                    size -= 2
                 else:
                     rejections += 1
                     if rejections > 50 + 10 * size:
-                        if not _any_valid_pair(stubs, adj):
+                        if not _any_valid_pair(stubs[:size], adj):
                             break  # stuck: match afresh
                         rejections = 0
                     if len(values) - pos < size + 2:

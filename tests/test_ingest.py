@@ -1074,6 +1074,19 @@ class TestJsonExportFailure:
             with json_array(str(tmp_path / "nope" / "out.json")):
                 pass
 
+    def test_missing_directory_message_is_the_same_on_every_run(self, tmp_path):
+        # The temporary file's random name stays out of the message.
+        path = str(tmp_path / "nope" / "out")
+
+        def array():
+            with json_array(path):
+                pass
+
+        for write in (lambda: export_report({"k": [1]}, path, "csv"), lambda: export_report(rows(2), path, "json"), array):
+            with pytest.raises(OSError) as caught:
+                write()
+            assert str(caught.value) == f"cannot write {path}: No such file or directory"
+
     def test_array_writer_passes_other_os_errors_unchanged(self, tmp_path):
         # Say the caller's stdout is a closed pipe: that is not a failure to
         # write the export, so the message must not name its path.

@@ -162,7 +162,9 @@ class TestGraphAgainstOracle:
     whose matchings stall or come out disconnected until the 100 attempts
     run out; ``large`` graphs that read many blocks of words; ``mid``
     degrees near n/8, n/4 and n/3, where long runs of accepted pairs end in
-    lone rejections and streaks of rejections come between the runs.
+    lone rejections and streaks of rejections come between the runs;
+    ``restart`` the benchmark's (200, 8) at the seeds below 50 whose first
+    matching stalls at its last two stubs and is matched afresh.
     """
 
     @staticmethod
@@ -173,19 +175,32 @@ class TestGraphAgainstOracle:
             yield from ((n, n // k, seed) for n in (64, 128, 256) for k in (8, 4, 3) for seed in (0, 1))
         elif family == "stuck":
             yield from ((40, degree, 0) for degree in range(34, 39))
+        elif family == "restart":
+            yield from ((200, 8, seed) for seed in (5, 10, 25, 27, 40, 48))
         else:
             for n in range(1, 41 if family == "sparse" else 25):
                 for degree in range(n):
                     if n * degree % 2 == 0 and (degree <= n // 2) == (family == "sparse"):
                         yield from ((n, degree, seed) for seed in ((0, 1, 2) if family == "sparse" else (n % 3,)))
 
-    @pytest.mark.parametrize("family", ["sparse", "dense", "stuck", "large", "mid"])
-    def test_same_graph_and_generator_state(self, family):
+    @pytest.mark.parametrize("family", ["sparse", "dense", "stuck", "large", "mid", "restart"])
+    def test_same_graph_and_generator_state(self, family, monkeypatch):
+        check, stalls = simnet._any_valid_pair, []
+
+        def recording(stubs, adj):
+            stalls.append((len(stubs), check(stubs, adj)))
+            return stalls[-1][1]
+
+        monkeypatch.setattr(simnet, "_any_valid_pair", recording)
         for n, degree, seed in self.cases(family):
+            stalls.clear()
             expected = graph_outcome(oracle_random_regular_graph, n, degree, seed)
             assert graph_outcome(random_regular_graph, n, degree, seed) == expected, (n, degree, seed)
             if family == "stuck":
                 assert expected[0] is TopologyError
+            if family == "restart":
+                # One stall check, over the two live stubs, that finds no pair.
+                assert stalls == [(2, False)], seed
 
     @pytest.mark.parametrize("family", ["sparse", "dense"])
     def test_buffered_half_is_drawn_first(self, family):
@@ -324,6 +339,9 @@ class TestConnected:
 
     def test_single_node(self):
         assert self.check(((),))
+
+    def test_edgeless_nodes(self):
+        assert not simnet._connected(np.empty((3, 0), np.intp))
 
     def test_long_rings(self):
         # Searches about n/2 levels deep: one 2,000-node ring, then two
