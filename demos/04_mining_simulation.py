@@ -9,8 +9,9 @@ approaches the floor (forks eat the budget), and never crosses w/s.
 Run: python demos/04_mining_simulation.py
 """
 
+from dataclasses import replace
+
 from chainmeter import (
-    ChainParams,
     NetworkParams,
     ProducerDistribution,
     SimConfig,
@@ -18,6 +19,7 @@ from chainmeter import (
     centralization_level,
     max_throughput,
     preset,
+    propagation_delay,
     run_simulation,
     throughput_upper_bound,
 )
@@ -37,10 +39,10 @@ def main() -> None:
     print(f"  stale rate:            {result.stale_rate:.2%}")
 
     print("\nSqueezing the interval toward the propagation floor l + b/w:")
-    floor = net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s
+    floor = propagation_delay(1, chain, net)
     print("  p/floor   observed tx/s   stale    ceiling w/s")
     for ratio in (400, 40, 4, 1):
-        tight = ChainParams(chain.block_size_bytes, chain.tx_size_bytes, ratio * floor, 6)
+        tight = replace(chain, block_interval_s=ratio * floor)
         run = run_simulation(SimConfig(miners=miners, chain=tight, net=net,
                                        duration_blocks=1500, topology_degree=8, seed=0))
         check = bound_violation_check(run, net, tight)
@@ -57,9 +59,9 @@ def main() -> None:
     )
     dist = run_simulation(skew).per_miner_canonical
     total = sum(dist.weights)
-    for (miner, count), share in zip(dist.entries, shares):
+    for miner, count, share in zip(dist.ids, dist.weights, shares):
         print(f"  {miner:<4} power {share:.3f} -> canonical share {count / total:.3f}")
-    print(f"  N_0.49 of the mined distribution: {centralization_level(dist, 0.49).n} "
+    print(f"  N_0.49 of the canonical blocks: {centralization_level(dist, 0.49).n} "
           "(3 from the configured powers)")
 
     again = run_simulation(skew)

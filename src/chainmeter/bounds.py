@@ -10,7 +10,8 @@ increases monotonically in the block size and approaches the hard ceiling
 Formulas take raw bytes and bytes per second, as configs hold them; only
 the ``bound`` command's ``--block-size-mib`` and ``--bandwidth-mbps`` flags
 convert (see :mod:`chainmeter.cli`). Throughputs are average rates
-and are never floored. All functions are pure.
+and are never floored; a result past the float range raises ``InputError``
+naming its form. All functions are pure.
 """
 
 from __future__ import annotations
@@ -64,25 +65,37 @@ class NetworkParams:
         object.__setattr__(self, "latency_s", plain(self.latency_s, "latency_s"))
 
 
+def _finite(value: float, form: str) -> float:
+    """``value``, the result of ``form``, if it is finite; ``InputError``
+    naming the form if it overflowed."""
+    if not math.isfinite(value):
+        raise InputError(f"{form} must be finite, got {value!r}")
+    return value
+
+
 def tx_latency(chain: ChainParams) -> float:
     """Seconds until a transaction is confirmed: confirmations times interval."""
-    return chain.confirmations * chain.block_interval_s
+    return _finite(chain.confirmations * chain.block_interval_s, "tx_latency confirmations * block_interval_s")
 
 
 def block_capacity(chain: ChainParams) -> float:
     """Transactions per block, ``b / s``. Not rounded; callers may floor."""
-    return chain.block_size_bytes / chain.tx_size_bytes
+    return _finite(chain.block_size_bytes / chain.tx_size_bytes, "block_capacity block_size_bytes / tx_size_bytes")
 
 
 def max_throughput(chain: ChainParams) -> float:
-    """Protocol-rate throughput ``b / (s * p)`` in transactions per second."""
-    return chain.block_size_bytes / (chain.tx_size_bytes * chain.block_interval_s)
+    """Protocol-rate throughput ``b / (s * p)`` in transactions per second.
+    A product ``s * p`` that underflows to 0 leaves a rate past the float range."""
+    denominator = chain.tx_size_bytes * chain.block_interval_s
+    return _finite(chain.block_size_bytes / denominator if denominator else math.inf,
+                   "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)")
 
 
 def propagation_delay(hops: int, chain: ChainParams, net: NetworkParams) -> float:
     """Seconds for a block to travel ``hops`` links: each costs ``l + b/w``."""
     positive(integer(hops, "hops"), "hops")
-    return hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s)
+    return _finite(hops * (net.latency_s + chain.block_size_bytes / net.bandwidth_bytes_per_s),
+                   "propagation_delay hops * (latency_s + block_size_bytes / bandwidth_bytes_per_s)")
 
 
 def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> float:
@@ -93,7 +106,8 @@ def propagation_limited_throughput(chain: ChainParams, net: NetworkParams) -> fl
 
 def throughput_upper_bound(net: NetworkParams, tx_size_bytes: float) -> float:
     """Hard ceiling ``w / s``: no block size can push throughput past it."""
-    return net.bandwidth_bytes_per_s / float(positive(tx_size_bytes, "tx_size_bytes"))
+    return _finite(net.bandwidth_bytes_per_s / float(positive(tx_size_bytes, "tx_size_bytes")),
+                   "throughput_upper_bound bandwidth_bytes_per_s / tx_size_bytes")
 
 
 def throughput_sweep(chain: ChainParams, net: NetworkParams, block_sizes: Sequence[int]) -> list[float]:
@@ -101,7 +115,9 @@ def throughput_sweep(chain: ChainParams, net: NetworkParams, block_sizes: Sequen
     ``b / (s * (l + b/w))``, the one formula for it, in one numpy pass of
     Python's own float operations, so each rate has the scalar formula's
     bits. Only when some size is bad do the sizes go through ``ChainParams``
-    one by one, to reject the first with its message."""
+    one by one, to reject the first with its message. The rate and its
+    denominator both rise with the size, so the largest size's, in Python
+    floats, tell whether any overflows, before the numpy pass."""
     if not block_sizes:
         raise InputError("block_sizes must not be empty")
     try:
@@ -111,12 +127,16 @@ def throughput_sweep(chain: ChainParams, net: NetworkParams, block_sizes: Sequen
         if bool in set(map(type, block_sizes)):
             raise TypeError
         sizes = list(map(operator.index, block_sizes))
-        for b in (min(sizes), max(sizes)):
+        top = max(sizes)
+        for b in (min(sizes), top):
             replace(chain, block_size_bytes=b)
     except (TypeError, InputError):
         for b in block_sizes:
             replace(chain, block_size_bytes=b)
     s, latency, w = chain.tx_size_bytes, net.latency_s, net.bandwidth_bytes_per_s
+    form = "tx_size_bytes * (latency_s + b / bandwidth_bytes_per_s)"
+    denominator = _finite(s * (latency + top / w), f"throughput_sweep {form} at b = {top}")
+    _finite(top / denominator if denominator else math.inf, f"throughput_sweep b / ({form}) at b = {top}")
     if latency == 0.0:
         # The floor degenerates to b/w and the rate is exactly the ceiling.
         return [w / s] * len(sizes)

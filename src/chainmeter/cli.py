@@ -141,12 +141,14 @@ def _cmd_bound(args) -> int:
         except ValueError:
             raise _UsageError(f"--sweep wants comma-separated integer block sizes, got {args.sweep!r}") from None
         rates = throughput_sweep(chain, net, sizes)
-    print(f"confirmation latency L: {tx_latency(chain)!r} s")
-    print(f"block capacity: {block_capacity(chain)!r} tx/block")
-    print(f"protocol throughput R: {max_throughput(chain)!r} tx/s")
+    # Every line is worked out before the first prints, so a refused one leaves stdout empty.
+    table = [f"confirmation latency L: {tx_latency(chain)!r} s",
+             f"block capacity: {block_capacity(chain)!r} tx/block",
+             f"protocol throughput R: {max_throughput(chain)!r} tx/s"]
     if net is not None:
-        print(f"propagation-limited throughput: {propagation_limited_throughput(chain, net)!r} tx/s")
-        print(f"bandwidth ceiling w/s: {throughput_upper_bound(net, chain.tx_size_bytes)!r} tx/s")
+        table += [f"propagation-limited throughput: {propagation_limited_throughput(chain, net)!r} tx/s",
+                  f"bandwidth ceiling w/s: {throughput_upper_bound(net, chain.tx_size_bytes)!r} tx/s"]
+    print("\n".join(table))
     if args.sweep is not None:
         export_report({"block_size_bytes": sizes, "tps": rates}, args.sweep_out, "csv")
         print(f"sweep written to {args.sweep_out}", file=sys.stderr)

@@ -29,17 +29,17 @@ full double precision so that load(export(x)) == x.
 JSON exports are byte-identical to ``json.dump(x, fh, indent=2)`` followed
 by a newline, as the running interpreter's ``json`` writes them, for the
 values a command or a round trip writes: records (a config as
-``load_sim_config`` reads it, a distribution's rows, a payment graph's sorted
-clients and rows, any other dataclass instance's fields), dicts with ``str``
+``load_sim_config`` reads it, a distribution's rows, any other dataclass
+instance's fields, a payment graph's columns among them), dicts with ``str``
 keys, lists, tuples, ``BlockTable``s (as their rows) and exact ``str``,
 ``int``, ``float`` (NaN too), ``bool`` and None, nested in any way.
-Anything else, an Enum member, a frozenset outside a payment graph, a numpy
-scalar or a key of another type among them, raises ``FormatError``. Exports
-are streamed: ``json_array`` writes an array one item at a time, and a
-sequence or a ``BlockTable`` a chunk of items at a time. A table checks its
-own cells' types, so each chunk of its rows is one ``%`` format with fixed
-specs, read from its columns, and a 20k-block export never becomes 20k
-dicts.
+Anything else, an Enum member, a frozenset, a numpy scalar or a key of
+another type among them, raises ``FormatError``. Exports are streamed:
+``json_array`` writes an array one item at a time, and a sequence or a
+``BlockTable`` a chunk at a time, a sequence's chunk in one ``%d`` format if
+it holds exact ints only and item by item if not. A table checks its own
+cells' types, so each chunk of its rows is one ``%`` format with fixed
+specs, read from its columns: a 20k-block export never becomes 20k dicts.
 
 A CSV export takes one table form, a dict of equal-length columns keyed by
 header cell; a distribution is handed over as its ``producer_id`` and
@@ -71,7 +71,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 from typing import Any
 
@@ -280,18 +279,16 @@ def _field_names(cls: type) -> tuple[str, ...]:
 def _record(obj: Any) -> dict[str, Any] | None:
     """The named values ``obj`` exports as a JSON object, in order: a
     config's as ``load_sim_config`` reads them, a distribution's rows as
-    ``entries``, a payment graph's sorted clients and its rows as
-    ``clients`` and ``payments``, any other dataclass instance's fields, and
-    a dict's items, whose keys must be ``str``; None for anything else, a
-    ``BlockTable`` included, which exports as its rows."""
+    ``entries``, any other dataclass instance's fields (a payment graph's
+    ``sources``, ``targets`` and ``counts``), and a dict's items, whose keys
+    must be ``str``; None for anything else, a ``BlockTable`` included,
+    which exports as its rows."""
     if isinstance(obj, SimConfig):
         miners = [{"miner_id": m, "hash_power_share": s} for m, s in zip(obj.miners.ids, obj.miners.weights)]
         return {"miners": miners, "chain": obj.chain, "net": obj.net, "topology_degree": obj.topology_degree,
                 "duration_blocks": obj.duration_blocks, "seed": obj.seed}
     if isinstance(obj, ProducerDistribution):
         return {"entries": obj.entries}
-    if isinstance(obj, PaymentGraph):
-        return {"clients": sorted(obj.clients), "payments": obj.payments}
     if isinstance(obj, dict):
         if not set(map(type, obj)) <= {str}:
             key = next(k for k in obj if type(k) is not str)
@@ -313,7 +310,7 @@ def to_jsonable(obj: Any) -> Any:
 
 
 # The JSON writer: _dump writes json.dump(..., indent=2)'s bytes, as its
-# docstring, _exact's and _block_chunks' tell.
+# docstring and _block_chunks' tell.
 
 CHUNK = 1024
 _INDENT = "  "
@@ -325,13 +322,6 @@ def _spec(column: tuple | list) -> str | None:
     texts these give as ``str`` and ``repr`` do; None for any other."""
     kinds = set(map(type, column))
     return "%d" if kinds == {int} else "%r" if kinds == {float} else None
-
-
-def _exact(column: tuple | list) -> str | None:
-    """``_spec(column)`` where it gives json.dump's texts: a float column's
-    only if its sum is finite, which it is only if every term is."""
-    spec = _spec(column)
-    return spec if spec == "%d" or spec == "%r" and math.isfinite(sum(column)) else None
 
 
 def _block_chunks(table: BlockTable, level: int):
@@ -360,8 +350,8 @@ def _block_chunks(table: BlockTable, level: int):
 def _dump(obj: Any, level: int, write) -> None:
     """Write ``obj`` at nesting ``level``: a record or dict name by name, as
     ``_record`` gives them; a block table's rows, and a list's or tuple's
-    items, CHUNK at a time, each chunk in one ``%`` format if ``_exact``
-    gives it a spec and item by item if not; and a scalar as
+    items, CHUNK at a time, a chunk of exact ints in one ``%d`` format, whose
+    texts are ``json``'s, and any other item by item; and a scalar as
     ``to_jsonable`` passes it."""
     inner, close = "\n" + _INDENT * (level + 1), "\n" + _INDENT * level
     if (record := _record(obj)) is not None:
@@ -376,8 +366,8 @@ def _dump(obj: Any, level: int, write) -> None:
     elif isinstance(obj, (list, tuple)):
         for start in range(0, len(obj), CHUNK):
             chunk = obj[start:start + CHUNK]
-            if spec := _exact(chunk):
-                write(("," if start else "[") + inner + ("," + inner).join([spec] * len(chunk)) % tuple(chunk))
+            if _spec(chunk) == "%d":
+                write(("," if start else "[") + inner + ("," + inner).join(["%d"] * len(chunk)) % tuple(chunk))
             else:
                 for i, item in enumerate(chunk, start):
                     write(("," if i else "[") + inner)

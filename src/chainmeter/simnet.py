@@ -55,7 +55,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from chainmeter.bounds import ChainParams, NetworkParams, block_capacity, propagation_delay, throughput_upper_bound
+from chainmeter.bounds import (ChainParams, NetworkParams, block_capacity, max_throughput, propagation_delay,
+                               throughput_upper_bound)
 from chainmeter.errors import InputError, TopologyError, ValidationError, integer
 from chainmeter.metrics import ProducerDistribution
 
@@ -79,7 +80,9 @@ class SimConfig:
     ``duration_blocks``, ``topology_degree`` and ``seed`` must be integers
     (numpy integers too, stored as ints, but not ``6.0``). The chain's block
     interval times ``duration_blocks`` must not exceed ``MAX_MINING_SPAN_S``,
-    so that every mining time is finite.
+    so that every mining time is finite, and a run's block capacity,
+    protocol rate, one-hop delay and ceiling must be finite, as ``bounds``
+    refuses them otherwise.
     """
 
     miners: ProducerDistribution
@@ -119,6 +122,14 @@ class SimConfig:
                                 f"so mining times stay finite, got {self.chain.block_interval_s!r}")
         if not 0 <= ints.get("seed", 0) < 2**64:
             problems.append(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
+        if isinstance(self.chain, ChainParams) and isinstance(self.net, NetworkParams):
+            for form in (lambda: block_capacity(self.chain), lambda: max_throughput(self.chain),
+                         lambda: propagation_delay(1, self.chain, self.net),
+                         lambda: throughput_upper_bound(self.net, self.chain.tx_size_bytes)):
+                try:
+                    form()
+                except InputError as exc:
+                    problems.append(str(exc))
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -349,11 +360,12 @@ def random_regular_graph(n: int, degree: int, rng: np.random.Generator) -> np.nd
         raise TopologyError(f"no connected {degree}-regular graph over {n} nodes: the degree must be >= 1")
     stream = _Halves(bits)
     values, pos = stream.values, 0
+    layout = sorted([*range(n)] * degree)  # each attempt matches a copy
     try:
         for _attempt in range(100):
             adj: list[set[int]] = [set() for _ in range(n)]
             # The live stubs are stubs[:size]; a pair takes the last two's places.
-            stubs, size = sorted([*range(n)] * degree), n * degree
+            stubs, size = layout.copy(), n * degree
             # At least size + 2 values lie ahead of each pair: an accepted
             # one takes two and leaves two stubs fewer.
             pos = stream.ahead(pos, size + 2)

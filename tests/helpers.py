@@ -459,12 +459,10 @@ def oracle_inbox_engine(config: SimConfig) -> tuple[list[int | None], list[int]]
 def oracle_to_jsonable(obj):
     """The library's original ``to_jsonable``, kept verbatim but for dict
     keys, which it now leaves to ``json`` to spell, as the library does, and
-    for a distribution and a payment graph, which hold columns now and are
-    walked as the row fields they held then."""
+    for a distribution, which holds columns now and is walked as the row
+    field it held then."""
     if isinstance(obj, ProducerDistribution):
         return {"entries": oracle_to_jsonable(obj.entries)}
-    if isinstance(obj, PaymentGraph):
-        return {"clients": oracle_to_jsonable(obj.clients), "payments": oracle_to_jsonable(obj.payments)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: oracle_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from chainmeter import (
     block_capacity,
     max_throughput,
     preset,
+    propagation_delay,
     propagation_limited_throughput,
     throughput_sweep,
     throughput_upper_bound,
@@ -246,6 +248,47 @@ class TestSweep:
             value = propagation_limited_throughput(chain, net)
             assert value < cap
             assert (cap - value) / cap < 0.01
+
+
+SWEEP_DENOMINATOR = "throughput_sweep tx_size_bytes * (latency_s + b / bandwidth_bytes_per_s) at b = {}"
+SWEEP_RATE = "throughput_sweep b / (tx_size_bytes * (latency_s + b / bandwidth_bytes_per_s)) at b = {}"
+
+
+class TestOverflow:
+    """A closed form whose result leaves the float range is refused, naming
+    the form, as ``ctp`` refuses its product."""
+
+    @pytest.mark.parametrize("compute, form", [
+        (lambda: tx_latency(ChainParams(1_048_576, 513.86, 1e300, 10**22)), "tx_latency confirmations * block_interval_s"),
+        (lambda: block_capacity(replace(BITCOIN, tx_size_bytes=1e-320)), "block_capacity block_size_bytes / tx_size_bytes"),
+        (lambda: max_throughput(replace(BITCOIN, block_interval_s=1e-320)),
+         "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)"),
+        # s * p underflows to 0: the rate is past the float range, not a ZeroDivisionError.
+        (lambda: max_throughput(ChainParams(1, 1e-300, 1e-30)),
+         "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)"),
+        (lambda: propagation_delay(1, BITCOIN, NetworkParams(1e-320, 0.1)),
+         "propagation_delay hops * (latency_s + block_size_bytes / bandwidth_bytes_per_s)"),
+        (lambda: propagation_delay(2, BITCOIN, NetworkParams(712_500.0, 1e308)),
+         "propagation_delay hops * (latency_s + block_size_bytes / bandwidth_bytes_per_s)"),
+        (lambda: throughput_upper_bound(NetworkParams(1e300, 0.1), 1e-10),
+         "throughput_upper_bound bandwidth_bytes_per_s / tx_size_bytes"),
+    ], ids=["latency", "capacity", "protocol-rate", "protocol-rate-underflow", "delay-bandwidth", "delay-hops", "ceiling"])
+    def test_each_form_names_itself(self, compute, form):
+        with pytest.raises(InputError, match=f"^{re.escape(form)} must be finite, got inf$"):
+            compute()
+
+    # The suite turns warnings into errors, so a numpy overflow or division
+    # warning from the sweep's array pass fails these too.
+    @pytest.mark.parametrize("chain, net, sizes, message", [
+        (BITCOIN, NetworkParams(1e-320, 0.1), [2**20], SWEEP_DENOMINATOR.format(2**20)),
+        (BITCOIN, NetworkParams(712_500.0, 1e308), [2**20, 2**16], SWEEP_DENOMINATOR.format(2**20)),
+        (BITCOIN, NetworkParams(1e-6, 0.1), [2**16, 10**303, 2**20], SWEEP_DENOMINATOR.format(10**303)),
+        (ChainParams(2**20, 1e-300, 600.0), NetworkParams(1e300, 1e-30), [2**20], SWEEP_RATE.format(2**20)),
+        (ChainParams(2**20, 1e-10, 600.0), NetworkParams(1e300, 0.0), [2**10, 2**20], SWEEP_RATE.format(2**20)),
+    ], ids=["bandwidth", "latency", "largest-size", "denominator-underflow", "zero-latency-ceiling"])
+    def test_sweep_refuses_before_its_array_pass(self, chain, net, sizes, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)} must be finite, got inf$"):
+            throughput_sweep(chain, net, sizes)
 
 
 class TestDimensionalConsistency:

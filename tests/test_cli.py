@@ -281,6 +281,21 @@ class TestBoundCommand:
         assert out == "" and err == "error: block_size_bytes must be positive and finite, got 0\n"
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tx-size-bytes", "1e-320"], "block_capacity block_size_bytes / tx_size_bytes"),
+        (["--block-interval-s", "1e-320"], "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)"),
+        (["--tx-size-bytes", "1e-300", "--block-interval-s", "1e-30"],
+         "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)"),
+        (["--confirmations", "10000000000000000000000", "--block-interval-s", "1e300"],
+         "tx_latency confirmations * block_interval_s"),
+        (["--bandwidth-mbps", "1e-320"], "throughput_sweep tx_size_bytes * (latency_s + b / bandwidth_bytes_per_s) at b = 1048576"),
+        (["--latency-s", "1e308"], "throughput_sweep tx_size_bytes * (latency_s + b / bandwidth_bytes_per_s) at b = 1048576"),
+    ], ids=["capacity", "protocol-rate", "protocol-rate-underflow", "latency", "bandwidth", "network-latency"])
+    def test_a_result_past_the_float_range_exits_two_before_any_output(self, capsys, flags, message):
+        assert main(["bound", "--preset", "bitcoin", *flags]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message} must be finite, got inf\n"
+
 
 class TestShardCommand:
     def test_example_invocation(self):
@@ -569,6 +584,24 @@ class TestSimulateCommand:
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, messages", [
+        ("net", "bandwidth_bytes_per_s", 1e-320,
+         ["propagation_delay hops * (latency_s + block_size_bytes / bandwidth_bytes_per_s)"]),
+        ("chain", "block_interval_s", 1e-320, ["max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)"]),
+        ("chain", "tx_size_bytes", 1e-320, ["block_capacity block_size_bytes / tx_size_bytes",
+                                            "max_throughput block_size_bytes / (tx_size_bytes * block_interval_s)",
+                                            "throughput_upper_bound bandwidth_bytes_per_s / tx_size_bytes"]),
+    ], ids=["bandwidth", "interval", "tx-size"])
+    def test_a_run_whose_rates_overflow_exits_two_before_any_output(self, tmp_path, capsys, section, key, value, messages):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out.json")]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: " + "; ".join(f"{m} must be finite, got inf" for m in messages) + "\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_seed_range_streams_single_seed_lines(self, config_json):
         streamed = run(["simulate", config_json, "--seeds", "3..5", "--check-bound"])

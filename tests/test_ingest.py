@@ -747,14 +747,14 @@ class TestExportReport:
 
 
 class TestAnalysisTypesExportAsRows:
-    """A distribution and a payment graph export as the rows they held as
-    fields before they held columns; the bytes are literals taken then."""
+    """A distribution exports as the rows it held as fields before it held
+    columns, the bytes a literal taken then; a payment graph exports as its
+    fields, the columns it holds."""
 
     DIST_JSON = (b'{\n  "entries": [\n    [\n      "A",\n      3.0\n    ],\n    [\n      "b\\"q",\n      0.25\n    ],'
                  b'\n    [\n      "\\u00e9",\n      1e-300\n    ]\n  ]\n}\n')
-    GRAPH_JSON = (b'{\n  "clients": [\n    "a",\n    "b",\n    "c"\n  ],\n  "payments": [\n    [\n      "a",\n      "b",'
-                  b'\n      3\n    ],\n    [\n      "b",\n      "c",\n      1\n    ],\n    [\n      "c",\n      "a",'
-                  b'\n      2\n    ]\n  ]\n}\n')
+    GRAPH_JSON = (b'{\n  "sources": [\n    "a",\n    "b",\n    "c"\n  ],\n  "targets": [\n    "b",\n    "c",\n    "a"'
+                  b'\n  ],\n  "counts": [\n    3,\n    1,\n    2\n  ]\n}\n')
 
     def test_distribution_json_bytes(self, tmp_path):
         dist = ProducerDistribution(("A", 'b"q', "\u00e9"), (3.0, 0.25, 1e-300))
@@ -1008,8 +1008,8 @@ class TestJsonExportAgainstOracle:
 class TestJsonExportFailure:
     """A report that cannot be written leaves no file, or the old one,
     behind: a value json does not write, or writes as another value
-    reloads as (an Enum member, a frozenset outside a payment graph, a
-    numpy scalar, a dict key that is no ``str``)."""
+    reloads as (an Enum member, a frozenset, a numpy scalar, a dict key
+    that is no ``str``)."""
 
     BAD = [
         Holder("x", (object(),)),
